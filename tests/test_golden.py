@@ -1,0 +1,92 @@
+"""Golden outputs: exit code and exact stdout of the CLI.
+
+The cases are every README command, ``certify`` and ``linearize`` on every
+bundled group example at small orders, ``forms`` on the bundled form examples,
+and three presentation files under ``tests/golden/`` that reach the
+conjugation steps of the linearizer.  The stored files pin the output byte for
+byte, so a refactor that claims the same behaviour must pass this unchanged.
+
+After an intended output change, re-capture with
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+import contextlib
+import io
+import os
+import re
+import sys
+
+import pytest
+
+from germlin.cli import main
+from germlin.registry import GROUP_EXAMPLES
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+README_COMMANDS = [
+    "certify --example ex4.1 --order 32 --max-word-len 8",
+    "linearize --example ex4.1",
+    "certify --example ex4.3 --p 2",
+    "forms cone --example ex6.2",
+    "forms kupka --example ex6.1 --k 2 --point 0,1,-1,0",
+    "forms first-integral --example ex6.2",
+    "forms pullback --example ex6.2 --chart x",
+]
+
+FAMILIES = [ex for ex in GROUP_EXAMPLES if ex != "ex4.3"]
+
+CASES = (
+    README_COMMANDS
+    + [f"certify --example {ex} --order 4 --max-word-len 1" for ex in FAMILIES]
+    + [f"linearize --example {ex} --order 4" for ex in FAMILIES]
+    + [f"certify --example ex4.3 --p {p} --order 8 --max-word-len 2" for p in range(2, 6)]
+    + [f"linearize --example ex4.3 --p {p} --order 8" for p in range(2, 6)]
+    + [f"forms integrable --example ex6.1 --k {k}" for k in range(2, 9)]
+    + [f"forms first-integral --example ex6.1 --k {k}" for k in range(2, 9)]
+    + [f"forms {sub} --example ex6.2" for sub in ("integrable", "kupka")]
+    + [
+        f"{cmd} {name}.json"
+        for name in ("involution", "involution_pair", "rotation3")
+        for cmd in ("certify", "linearize")
+    ]
+    + ["certify --example ex4.3 --p 3 --order 8 --max-word-len 2 --pretty"]
+)
+
+
+def _case_name(command: str) -> str:
+    return re.sub(r"[^A-Za-z0-9.]+", "_", command).strip("_")
+
+
+def _run(command: str) -> str:
+    """Exit code line plus stdout, run from the golden directory."""
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(GOLDEN_DIR)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(command.split())
+    finally:
+        os.chdir(cwd)
+    return f"exit {code}\n{out.getvalue()}"
+
+
+def _golden_path(command: str) -> str:
+    return os.path.join(GOLDEN_DIR, _case_name(command) + ".txt")
+
+
+def test_case_names_are_distinct():
+    assert len({_case_name(c) for c in CASES}) == len(CASES)
+
+
+@pytest.mark.parametrize("command", CASES, ids=_case_name)
+def test_golden_output(command):
+    with open(_golden_path(command), encoding="utf-8", newline="") as fh:
+        expected = fh.read()
+    assert _run(command) == expected
+
+
+if __name__ == "__main__":
+    for command in CASES:
+        with open(_golden_path(command), "w", encoding="utf-8", newline="") as fh:
+            fh.write(_run(command))
+    sys.stdout.write(f"captured {len(CASES)} cases in {GOLDEN_DIR}\n")
