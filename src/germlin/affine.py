@@ -110,6 +110,8 @@ def affine_conjugator_search(
     by (index, sign), deduplicated by exact map value; the first witness found
     is returned.  Returning None proves nothing.
     """
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     if not (1 <= i <= len(gens) and 1 <= j <= len(gens)):
         raise ValueError("generator index out of range")
     fi, fj = gens[i - 1], gens[j - 1]
@@ -128,7 +130,7 @@ def affine_conjugator_search(
     queue = deque([((), start)])
     while queue:
         word, h = queue.popleft()
-        if len(word) == max_len:
+        if len(word) >= max_len:
             continue
         last = word[-1] if word else None
         for letter, g in letters:

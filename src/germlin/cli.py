@@ -102,6 +102,8 @@ def _scalars_json(scalars: dict) -> dict:
 
 
 def cmd_certify(args) -> int:
+    if args.max_word_len < 0:
+        raise InputError(f"--max-word-len must be >= 0, got {args.max_word_len}")
     source, loaded = _load_presentations(args)
     solutions = []
     all_ok = True

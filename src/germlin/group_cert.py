@@ -112,7 +112,7 @@ class GroupPresentation:
     def inverse_generator(self, i: int) -> Germ:
         self._check_index(i)
         if i not in self._inverses:
-            self._inverses[i] = ~self.gens[i - 1]
+            self._inverses[i] = Germ(self.composer(self.gens[i - 1]).inverse())
         return self._inverses[i]
 
     def composer(self, germ: Germ) -> RightComposer:
@@ -157,6 +157,8 @@ def search_conjugator(
     word satisfies :func:`check_conjugacy_witness` by construction; None means
     only "not found up to max_len".
     """
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     pres._check_index(i)
     pres._check_index(j)
     fi, fj = pres.generator(i), pres.generator(j)
@@ -175,7 +177,7 @@ def search_conjugator(
     queue = deque([((), ident, start_a)])
     while queue:
         word, h, a = queue.popleft()  # a = f_i o h, maintained incrementally
-        if len(word) == max_len:
+        if len(word) >= max_len:
             continue
         last = word[-1] if word else None
         for letter, comp in letters:

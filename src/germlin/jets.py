@@ -10,6 +10,9 @@ conductor per jet.  Construction accepts ints, Fractions and mixed-conductor
 elements and lifts everything to the lcm conductor, so rational jets live at
 conductor 1.
 
+Composition f(g) and the compositional inverse share one kernel: a table of
+truncated powers of g and the triangular sum  sum_e f_e g^e  over it.
+
 The textual form is ``jet(N=4)[0, 1, 1, 0, 0]``, meaning z + z^2 at order 4.
 """
 
@@ -77,6 +80,33 @@ def _pow_coeffs(base: list, e: int, N: int, n: int) -> list:
         if e:
             b = _mul_coeffs(b, b, N, n)
     return acc
+
+
+def _power_table(g, d: int, N: int, n: int) -> list:
+    """[g^0, g^1, .., g^d] truncated at degree N, each power from the last."""
+    table = [[cyclo_embed(1, n)] + [_zero(n)] * N, list(g)]
+    for _ in range(2, d + 1):
+        table.append(_mul_coeffs(table[-1], g, N, n))
+    return table[: d + 1]
+
+
+def _weighted_sum(w, powers, N: int, n: int) -> list:
+    """sum_e w_e * powers[e] truncated at degree N, for powers[e] = g^e with
+    g(0) = 0; powers may be a dict holding only the e with w_e != 0."""
+    out = [None] * (N + 1)
+    for e, we in enumerate(w):
+        if we.is_zero:
+            continue
+        pw = powers[e]
+        unit = we.is_one
+        for t in range(e, N + 1):
+            pt = pw[t]
+            if not pt.is_zero:
+                term = pt if unit else we * pt
+                ot = out[t]
+                out[t] = term if ot is None else ot + term
+    zero = _zero(n)
+    return [zero if c is None else c for c in out]
 
 
 class Jet:
@@ -276,63 +306,32 @@ def jet_compose(f: Jet, g: Jet) -> Jet:
     """The composition f(g(z)) truncated at the common order.
 
     g must have zero constant term, otherwise the truncated composition is not
-    well defined.  Dense outer series use Horner accumulation
-    c0 + g*(c1 + g*(c2 + ...)) with every product truncated; an outer series
-    with very few terms instead sums c_e * g^e directly.
+    well defined.  The result is the triangular sum  sum_e f_e g^e.  An outer
+    series with at most four terms takes each power it needs by binary
+    powering; any other builds the powers of g up to the degree of f.
     """
     a, b = f._common(g)
     if not b.coeffs[0].is_zero:
         raise ValueError("inner series must have zero constant term")
     N, n = a.order, a.conductor
-    fc, gc = list(a.coeffs), list(b.coeffs)
+    fc, gc = a.coeffs, b.coeffs
     support = [i for i, c in enumerate(fc) if not c.is_zero]
-    if not support:
-        return Jet.zero(N, n)
     if len(support) <= 4:
-        out = [_zero(n)] * (N + 1)
-        for e in support:
-            pw = _pow_coeffs(gc, e, N, n)
-            ce = fc[e]
-            for t in range(e, N + 1):
-                if not pw[t].is_zero:
-                    out[t] = out[t] + ce * pw[t]
-        return Jet(out, order=N, conductor=n)
-    acc = [fc[support[-1]]] + [_zero(n)] * N
-    for i in range(support[-1] - 1, -1, -1):
-        acc = _mul_coeffs(acc, gc, N, n)
-        acc[0] = acc[0] + fc[i]
-    return Jet(acc, order=N, conductor=n)
+        powers = {e: _pow_coeffs(gc, e, N, n) for e in support}
+    else:
+        powers = _power_table(gc, support[-1], N, n)
+    return Jet(_weighted_sum(fc, powers, N, n), order=N, conductor=n)
 
 
 def jet_comp_inverse(f: Jet) -> Jet:
     """The compositional inverse g with f(g(z)) = g(f(z)) = z to order N.
 
-    Solved order by order: with the powers f^m precomputed, the coefficients
-    b_m of g are determined by the triangular system  sum_m b_m [z^n] f^m =
-    [n == 1], whose diagonal entries are powers of the (invertible) linear
-    coefficient.  A one-sided inverse in the truncated composition group is
-    automatically two-sided.
+    See :meth:`RightComposer.inverse`; a one-sided inverse in the truncated
+    composition group is automatically two-sided.
     """
-    N, n = f.order, f.conductor
-    if N < 1 or not f.coeffs[0].is_zero:
+    if f.order < 1 or not f.coeffs[0].is_zero:
         raise ValueError("compositional inverse needs zero constant term")
-    a1 = f.coeffs[1]
-    if a1.is_zero:
-        raise ValueError("compositional inverse needs an invertible linear term")
-    powers: list[list] = [None, list(f.coeffs)]  # type: ignore[list-item]
-    for m in range(2, N + 1):
-        powers.append(_mul_coeffs(powers[-1], list(f.coeffs), N, n))
-    b = [_zero(n)] * (N + 1)
-    b[1] = cyclo_embed(1, n) / a1
-    for m in range(2, N + 1):
-        s = _zero(n)
-        for j in range(1, m):
-            if not b[j].is_zero:
-                pjm = powers[j][m]
-                if not pjm.is_zero:
-                    s = s + b[j] * pjm
-        b[m] = -s / powers[m][m]
-    return Jet(b, order=N, conductor=n)
+    return RightComposer(f).inverse()
 
 
 def jet_mul_inverse(f: Jet) -> Jet:
@@ -397,10 +396,10 @@ def jet_rational_power(f: Jet, r) -> Jet:
 class RightComposer:
     """Right composition w -> w(g) against a fixed inner series g.
 
-    Precomputing the powers of g makes each call a triangular sum
-    sum_e w_e g^e, an order-of-magnitude cheaper than Horner when many
+    Holds the power table g^0 .. g^N, so each call is the triangular sum
+    sum_e w_e g^e with no further products; this pays off when many
     compositions share the same inner series (word evaluation, conjugator
-    search).
+    search).  The same table gives the compositional inverse of g.
     """
 
     def __init__(self, g: Jet):
@@ -408,23 +407,34 @@ class RightComposer:
             raise ValueError("inner series must have zero constant term")
         self.order = g.order
         self.conductor = g.conductor
-        N, n = g.order, g.conductor
-        powers = [[cyclo_embed(1, n)] + [_zero(n)] * N, list(g.coeffs)]
-        for _ in range(2, N + 1):
-            powers.append(_mul_coeffs(powers[-1], list(g.coeffs), N, n))
-        self.powers = powers
+        self.powers = _power_table(g.coeffs, g.order, g.order, g.conductor)
 
     def __call__(self, w: Jet) -> Jet:
         if w.order != self.order:
             raise ValueError("order mismatch in right composition")
         wl = w.lift(self.conductor) if w.conductor != self.conductor else w
         N, n = self.order, self.conductor
-        out = [_zero(n)] * (N + 1)
-        for e, ce in enumerate(wl.coeffs):
-            if ce.is_zero:
-                continue
-            pw = self.powers[e]
-            for t in range(e, N + 1):
-                if not pw[t].is_zero:
-                    out[t] = out[t] + ce * pw[t]
-        return Jet(out, order=N, conductor=n)
+        return Jet(_weighted_sum(wl.coeffs, self.powers, N, n), order=N, conductor=n)
+
+    def inverse(self) -> Jet:
+        """The compositional inverse of g from the triangular system
+        sum_m b_m [z^t] g^m = [t == 1], whose diagonal [z^m] g^m = a1^m needs
+        a single inversion of the linear coefficient a1."""
+        N, n = self.order, self.conductor
+        powers = self.powers
+        if N < 1 or powers[1][1].is_zero:
+            raise ValueError("compositional inverse needs an invertible linear term")
+        inv_a1 = cyclo_embed(1, n) / powers[1][1]
+        inv_pow = inv_a1  # a1^(-m), maintained incrementally
+        b = [_zero(n)] * (N + 1)
+        b[1] = inv_a1
+        for m in range(2, N + 1):
+            inv_pow = inv_pow * inv_a1
+            s = _zero(n)
+            for j in range(1, m):
+                if not b[j].is_zero:
+                    pjm = powers[j][m]
+                    if not pjm.is_zero:
+                        s = s + b[j] * pjm
+            b[m] = -s * inv_pow
+        return Jet(b, order=N, conductor=n)

@@ -36,7 +36,7 @@ from .affine import AffineMap
 from .cyclotomic import CycloElem, cyclo_embed, format_scalar, root_of_unity_order
 from .germs import Germ, identity_germ
 from .group_cert import GroupPresentation
-from .jets import Jet, _pow_coeffs, _zero
+from .jets import Jet, _zero, jet_compose
 
 __all__ = [
     "StepRecord",
@@ -134,6 +134,32 @@ class LinearizationResult:
         }
 
 
+def _step(
+    k: int, t: tuple[CycloElem, ...], mu: CycloElem, mu_k: CycloElem
+) -> tuple[Optional[CycloElem], StepRecord]:
+    """One order from the t-vector, mu and mu^k: the constant c of the step
+    conjugator z + c z^(k+1) (None if no conjugation) and the step record."""
+    identity_branch = mu_k.is_one
+    branch = BRANCH_IDENTITY if identity_branch else BRANCH_NONIDENTITY
+    if all(c.is_zero for c in t):
+        return None, StepRecord(k, t, branch, ACTION_ALL_ZERO)
+    if identity_branch:
+        phi_sum = sum((c / mu for c in t), cyclo_embed(0, mu.n))
+        return None, StepRecord(k, t, branch, ACTION_OBSTRUCTION, phi_sum=phi_sum)
+    first = t[0]
+    if all(c == first for c in t[1:]):
+        return first / (mu - mu * mu_k), StepRecord(k, t, branch, ACTION_CONJUGATED)
+    return None, StepRecord(k, t, branch, ACTION_OBSTRUCTION)
+
+
+def _elementary(k: int, c: CycloElem, order: int, conductor: int) -> Jet:
+    """The step conjugator z + c z^(k+1)."""
+    coeffs = [0] * (order + 1)
+    coeffs[1] = 1
+    coeffs[k + 1] = c
+    return Jet(coeffs, order=order, conductor=conductor)
+
+
 def linearize_step(
     gens: Sequence[Germ], k: int
 ) -> tuple[Optional[Germ], StepRecord]:
@@ -148,37 +174,22 @@ def linearize_step(
             raise ValueError("linearize_step requires equal multipliers")
         _require_linear_below(g, k, "linearize_step")
     t = tuple(g.coefficient(k + 1) for g in gens)
-    all_zero = all(c.is_zero for c in t)
-    identity_branch = (mu**k).is_one
-    branch = BRANCH_IDENTITY if identity_branch else BRANCH_NONIDENTITY
-    if all_zero:
-        return None, StepRecord(k, t, branch, ACTION_ALL_ZERO)
-    if identity_branch:
-        phi_sum = sum((c / mu for c in t), cyclo_embed(0, mu.n))
-        return None, StepRecord(k, t, branch, ACTION_OBSTRUCTION, phi_sum=phi_sum)
-    first = t[0]
-    if all(c == first for c in t[1:]):
-        c = first / (mu - mu ** (k + 1))
-        order = gens[0].order
-        coeffs = [0] * (order + 1)
-        coeffs[1] = 1
-        coeffs[k + 1] = c
-        h = Germ(Jet(coeffs, order=order, conductor=gens[0].conductor))
-        return h, StepRecord(k, t, branch, ACTION_CONJUGATED)
-    return None, StepRecord(k, t, branch, ACTION_OBSTRUCTION)
+    c, record = _step(k, t, mu, mu**k)
+    if c is None:
+        return None, record
+    return Germ(_elementary(k, c, gens[0].order, gens[0].conductor)), record
 
 
-def _conjugate_by_elementary(g: Jet, k: int, c: CycloElem) -> Jet:
-    """h o g o h^{-1} for h = z + c z^(k+1), without forming h^{-1}.
+def _conjugate_by_elementary(g: Jet, h: Jet, k: int, c: CycloElem) -> Jet:
+    """h o g o h^{-1} for the step conjugator h = z + c z^(k+1).
 
-    Uses A = h o g = g + c g^(k+1) and solves x o h = A coefficient by
-    coefficient: the powers of h are binomials, h^j = sum_i C(j,i) c^i
-    z^(j+ik), so the system is triangular with unit diagonal.
+    A = h o g comes from :func:`jet_compose`; then, without forming h^{-1},
+    x o h = A is solved coefficient by coefficient: the powers of h are
+    binomials, h^j = sum_i C(j,i) c^i z^(j+ik), so the system is triangular
+    with unit diagonal.
     """
     N, n = g.order, g.conductor
-    gc = list(g.coeffs)
-    a = _pow_coeffs(gc, k + 1, N, n)
-    A = [gi + c * ai if not ai.is_zero else gi for gi, ai in zip(gc, a)]
+    A = jet_compose(h, g).coeffs
     cpow = [cyclo_embed(1, n)]
     for _ in range(N // k + 1):
         cpow.append(cpow[-1] * c)
@@ -197,20 +208,6 @@ def _conjugate_by_elementary(g: Jet, k: int, c: CycloElem) -> Jet:
     return Jet(x, order=N, conductor=n)
 
 
-def _compose_elementary_left(h_k: Germ, H: Germ) -> Germ:
-    """h_k o H for the sparse step conjugator h_k = z + c z^(k+1)."""
-    coeffs = h_k.jet.coeffs
-    k = next(i for i in range(2, len(coeffs)) if not coeffs[i].is_zero) - 1
-    c = coeffs[k + 1]
-    Hj = H.jet
-    power = _pow_coeffs(list(Hj.coeffs), k + 1, Hj.order, Hj.conductor)
-    out = [
-        hi + c * pi if not pi.is_zero else hi
-        for hi, pi in zip(Hj.coeffs, power)
-    ]
-    return Germ(Jet(out, order=Hj.order, conductor=Hj.conductor))
-
-
 def linearize(pres: GroupPresentation) -> LinearizationResult:
     """Run the order-by-order algorithm over k = 1 .. N-1.
 
@@ -224,48 +221,35 @@ def linearize(pres: GroupPresentation) -> LinearizationResult:
         raise ValueError("linearize requires generators with equal multipliers")
     if mu.is_one:
         return flat_case_check(pres)
+    return _scan(pres, mu)
 
+
+def _scan(pres: GroupPresentation, mu: CycloElem) -> LinearizationResult:
+    """The loop over k = 1 .. N-1: outcome linearized or obstruction."""
     order = pres.order
     current: list[Jet] = [g.jet for g in pres.gens]
     H = identity_germ(order, pres.conductor)
     steps: list[StepRecord] = []
-    mu_pow = mu  # mu^k, maintained incrementally
+    mu_k = mu  # mu^k, maintained incrementally
     for k in range(1, order):
-        t = [jet.coeffs[k + 1] for jet in current]
-        all_zero = all(c.is_zero for c in t)
-        identity_branch = mu_pow.is_one
-        branch = BRANCH_IDENTITY if identity_branch else BRANCH_NONIDENTITY
-        if all_zero:
-            steps.append(StepRecord(k, tuple(t), branch, ACTION_ALL_ZERO))
-        elif identity_branch:
-            phi_sum = sum((c / mu for c in t), cyclo_embed(0, mu.n))
-            steps.append(
-                StepRecord(k, tuple(t), branch, ACTION_OBSTRUCTION, phi_sum=phi_sum)
-            )
+        c, record = _step(k, tuple(jet.coeffs[k + 1] for jet in current), mu, mu_k)
+        steps.append(record)
+        if record.action == ACTION_OBSTRUCTION:
             return LinearizationResult(OUTCOME_OBSTRUCTION, mu, steps, H)
-        else:
-            first = t[0]
-            if not all(c == first for c in t[1:]):
-                steps.append(StepRecord(k, tuple(t), branch, ACTION_OBSTRUCTION))
-                return LinearizationResult(OUTCOME_OBSTRUCTION, mu, steps, H)
-            c = first / (mu - mu * mu_pow)
+        if c is not None:
+            h_k = _elementary(k, c, order, pres.conductor)
             cache: dict = {}
             new: list[Jet] = []
             for jet in current:
                 key = jet.key()
                 res = cache.get(key)
                 if res is None:
-                    res = _conjugate_by_elementary(jet, k, c)
+                    res = _conjugate_by_elementary(jet, h_k, k, c)
                     cache[key] = res
                 new.append(res)
             current = new
-            h_coeffs = [0] * (order + 1)
-            h_coeffs[1] = 1
-            h_coeffs[k + 1] = c
-            h_k = Germ(Jet(h_coeffs, order=order, conductor=c.n))
-            H = _compose_elementary_left(h_k, H)
-            steps.append(StepRecord(k, tuple(t), branch, ACTION_CONJUGATED))
-        mu_pow = mu_pow * mu
+            H = Germ(jet_compose(h_k, H.jet))
+        mu_k = mu_k * mu
     return LinearizationResult(OUTCOME_LINEARIZED, mu, steps, H)
 
 
@@ -273,34 +257,22 @@ def flat_case_check(pres: GroupPresentation) -> LinearizationResult:
     """Scan a multiplier-1 presentation for the forced triviality.
 
     At each order the next coefficients of all generators must agree and sum
-    to zero against the product identity, which forces them all to vanish; the
-    scan therefore demands zeros outright and reports flat_inconsistent at the
-    first failure (the t-vector of the failing order shows whether equality or
-    the zero-sum broke).
+    to zero against the product identity, which forces them all to vanish.
+    With mu = 1 every order is in the identity branch, so the common scan
+    demands zeros outright and stops at the first failure, reported
+    flat_inconsistent (the t-vector of the failing order shows whether
+    equality or the zero-sum broke); the conjugator stays the identity.
     """
     one = cyclo_embed(1, pres.conductor)
     for g in pres.gens:
         if g.multiplier != one:
             raise ValueError("flat_case_check requires multiplier exactly 1")
-    steps: list[StepRecord] = []
-    for k in range(1, pres.order):
-        t = tuple(g.coefficient(k + 1) for g in pres.gens)
-        if all(c.is_zero for c in t):
-            steps.append(StepRecord(k, t, BRANCH_IDENTITY, ACTION_ALL_ZERO))
-            continue
-        phi_sum = sum(t, cyclo_embed(0, pres.conductor))
-        steps.append(
-            StepRecord(k, t, BRANCH_IDENTITY, ACTION_OBSTRUCTION, phi_sum=phi_sum)
-        )
-        return LinearizationResult(
-            OUTCOME_FLAT_INCONSISTENT,
-            one,
-            steps,
-            identity_germ(pres.order, pres.conductor),
-        )
-    return LinearizationResult(
-        OUTCOME_FLAT_TRIVIAL, one, steps, identity_germ(pres.order, pres.conductor)
-    )
+    result = _scan(pres, one)
+    if result.outcome == OUTCOME_LINEARIZED:
+        result.outcome = OUTCOME_FLAT_TRIVIAL
+    else:
+        result.outcome = OUTCOME_FLAT_INCONSISTENT
+    return result
 
 
 def group_order(result: LinearizationResult) -> Optional[int]:

@@ -1,7 +1,7 @@
 """Independent oracles used to freeze expected values in the tests.
 
 Everything here recomputes results along a different route than the library
-kernels: naive polynomial substitution instead of Horner composition,
+kernels: naive polynomial substitution instead of power-table composition,
 Lagrange inversion instead of the triangular inverse solve, symbolic
 chain-rule differentiation instead of series composition.
 """

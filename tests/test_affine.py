@@ -64,6 +64,8 @@ def test_search_self_pair():
     eta = zeta(4)
     gens = [AffineMap(eta, cyclo_embed(0, 4)), AffineMap(eta, cyclo_embed(1, 4))]
     assert affine_conjugator_search(gens, 1, 1, 4) == Word.empty()
+    with pytest.raises(ValueError):
+        affine_conjugator_search(gens, 1, 2, -1)
 
 
 def test_search_two_prime_divisors_finds_witness():

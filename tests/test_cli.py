@@ -34,6 +34,14 @@ def test_certify_radical_pair_refuted(capsys):
     assert rep["conjugacy"]["(1,2)"]["status"] == "not-found-up-to"
 
 
+def test_certify_negative_max_word_len(capsys):
+    code, out, err = run(
+        capsys, "certify", "--example", "ex4.1", "--order", "8", "--max-word-len", "-1"
+    )
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "--max-word-len" in err
+
+
 def test_certify_missing_file(capsys):
     code, _, err = run(capsys, "certify", "nonexistent.json")
     assert code == 2

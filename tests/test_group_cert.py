@@ -19,7 +19,7 @@ from germlin.group_cert import (
 )
 from germlin.jets import Jet
 
-from oracles import random_jet
+from oracles import lagrange_inverse, random_jet
 
 
 def _germ(coeffs, order, conductor=1):
@@ -76,6 +76,9 @@ def test_product_identity_counterexample():
 def test_product_identity_six_generator_family():
     for _, pres in _ex41(order=20):
         assert check_product_identity(pres)
+        for i in (1, 5, 6):
+            expected = lagrange_inverse(pres.generator(i).jet)
+            assert pres.inverse_generator(i).jet == expected
 
 
 def test_witness_checks():
@@ -124,6 +127,8 @@ def test_search_conjugator_basics():
 def test_search_conjugator_negative():
     pres = _ex43(p=2, order=16)
     assert search_conjugator(pres, 1, 2, 8) is None
+    with pytest.raises(ValueError):
+        search_conjugator(pres, 1, 2, -1)
 
 
 def test_certify_rotation_group():

@@ -56,12 +56,32 @@ def test_compose_quadratic_example():
     assert jet_compose(f, f) == Jet([0, 1, 2, 2, 1])
 
 
+def _outer_series(rng, N, conductor):
+    """Outer series for both branches of jet_compose: dense of full degree,
+    dense of degree < N, sparse with at most four terms, the step conjugators
+    z + c z^(k+1) for k = 1 .. N-1, and series with coefficients exactly 1."""
+    yield random_jet(rng, N, conductor=conductor)
+    for degree in (4, N - 1):
+        dense = random_jet(rng, degree, conductor=conductor)
+        yield Jet(dense.coeffs, order=N, conductor=conductor)
+    for terms in (1, 2, 3, 4):
+        coeffs = [0] * (N + 1)
+        for e in rng.sample(range(N + 1), terms):
+            coeffs[e] = random_jet(rng, 0, conductor=conductor).coeffs[0] + 1
+        yield Jet(coeffs, order=N, conductor=conductor)
+    c = random_jet(rng, 0, conductor=conductor).coeffs[0] + zeta(conductor)
+    for k in range(1, N):
+        yield Jet([0, 1] + [0] * (k - 1) + [c], order=N, conductor=conductor)
+    yield Jet([1] * (N + 1), order=N, conductor=conductor)
+    yield Jet([0, 1, 0, 1, 1], order=N, conductor=conductor)
+
+
 def test_compose_matches_naive_substitution():
     rng = random.Random(17)
+    N = 9
     for conductor in (1, 6):
-        for _ in range(8):
-            f = random_jet(rng, 9, conductor=conductor)
-            g = random_jet(rng, 9, conductor=conductor, zero_constant=True)
+        for f in _outer_series(rng, N, conductor):
+            g = random_jet(rng, N, conductor=conductor, zero_constant=True)
             assert jet_compose(f, g) == naive_poly_compose(f, g)
 
 
@@ -95,7 +115,7 @@ def test_comp_inverse_examples():
 
 def test_comp_inverse_against_lagrange_and_round_trip():
     rng = random.Random(23)
-    for conductor in (1, 4):
+    for conductor in (1, 4, 9):
         for _ in range(6):
             f = random_jet(rng, 10, conductor=conductor, zero_constant=True)
             if f.linear_term.is_zero:
