@@ -4,7 +4,8 @@ Subpackages by layer:
 
 * :mod:`germlin.cyclotomic`   exact rationals and cyclotomic fields,
 * :mod:`germlin.jets`          truncated power series (jets),
-* :mod:`germlin.germs`         the composition group of germs, words,
+* :mod:`germlin.germs`         the composition group of germs, words and the
+                               reduced-word search,
 * :mod:`germlin.group_cert`    irreducibility certification and witness search,
 * :mod:`germlin.linearizer`    the order-by-order linearization algorithm,
 * :mod:`germlin.affine`        the affine group and the conjugacy-rigidity test,

@@ -13,13 +13,12 @@ it only produces explicit witnesses (absence is inconclusive).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cyclotomic import CycloElem, factorize, format_scalar
-from .germs import Word
+from .germs import Word, distinct_letters, reduced_word_search
 
 __all__ = [
     "AffineMap",
@@ -107,42 +106,23 @@ def affine_conjugator_search(
     """Bounded BFS for a word h over the generators with h_i o h = h o h_j.
 
     Indices are 1-based.  Words are explored shortest first, lexicographically
-    by (index, sign), deduplicated by exact map value; the first witness found
-    is returned.  Returning None proves nothing.
+    by (index, sign), deduplicated by exact map value; of letters with equal
+    values only the first is used.  The first witness found is returned.
+    Returning None proves nothing.
     """
-    if max_len < 0:
-        raise ValueError(f"max_len must be >= 0, got {max_len}")
     if not (1 <= i <= len(gens) and 1 <= j <= len(gens)):
         raise ValueError("generator index out of range")
     fi, fj = gens[i - 1], gens[j - 1]
-    letters = []
-    for idx in range(1, len(gens) + 1):
-        letters.append(((idx, 1), gens[idx - 1]))
-        letters.append(((idx, -1), gens[idx - 1].inverse()))
-
-    def is_witness(h: AffineMap) -> bool:
-        return fi.compose(h) == h.compose(fj)
-
-    start = AffineMap.identity()
-    if is_witness(start):
-        return Word.empty()
-    seen = {start.key()}
-    queue = deque([((), start)])
-    while queue:
-        word, h = queue.popleft()
-        if len(word) >= max_len:
-            continue
-        last = word[-1] if word else None
-        for letter, g in letters:
-            if last is not None and letter == (last[0], -last[1]):
-                continue  # freely reduced words only
-            child = h.compose(g)
-            key = child.key()
-            if key in seen:
-                continue
-            seen.add(key)
-            new_word = word + (letter,)
-            if is_witness(child):
-                return Word(new_word)
-            queue.append((new_word, child))
-    return None
+    pairs = [(g, g.inverse()) for g in gens]
+    letters = [
+        (letter, lambda h, g=g: h.compose(g))
+        for letter, g in distinct_letters(pairs, AffineMap.key)
+    ]
+    # the payload a = h_i o h follows each node h
+    return reduced_word_search(
+        (AffineMap.identity(), fi),
+        letters,
+        AffineMap.key,
+        lambda h, a: a == h.compose(fj),
+        max_len,
+    )

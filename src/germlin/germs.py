@@ -9,12 +9,17 @@ a group under composition modulo z^(N+1):
 * ``f ** n``  iterates by repeated squaring (negative n through the inverse).
 
 All equality statements are congruences to the shared order N.
+
+Words over the generators and one breadth-first enumerator of reduced words
+(:func:`reduced_word_search`) live here too; the conjugator searches of
+``group_cert`` and ``affine`` are thin wrappers around it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, Hashable, NamedTuple, Optional, Sequence
 
 from .cyclotomic import CycloElem
 from .jets import Jet, jet_comp_inverse, jet_compose
@@ -29,6 +34,8 @@ __all__ = [
     "conjugate",
     "evaluate_word",
     "iterate",
+    "distinct_letters",
+    "reduced_word_search",
 ]
 
 
@@ -183,6 +190,74 @@ class Word:
         if not self.letters:
             return "<empty>"
         return " ".join(f"f{idx}" if exp == 1 else f"f{idx}^-1" for idx, exp in self.letters)
+
+
+def distinct_letters(pairs: Sequence, key: Callable[[object], Hashable]) -> list:
+    """The letters (1, 1), (1, -1), (2, 1), ... paired with their values,
+    keeping only the first letter of each distinct value.
+
+    ``pairs`` holds (f_i, f_i^-1) for i = 1, 2, ...; ``key`` must be equal
+    exactly for equal values.  A dropped letter can never change a
+    :func:`reduced_word_search`: its child always has the value of a child
+    made by the earlier letter, which is already seen or, when that letter was
+    skipped as a cancellation, equals the grandparent.
+    """
+    out = []
+    keys = set()
+    for idx, pair in enumerate(pairs, start=1):
+        for sign, value in zip((1, -1), pair):
+            k = key(value)
+            if k not in keys:
+                keys.add(k)
+                out.append(((idx, sign), value))
+    return out
+
+
+def reduced_word_search(
+    start: tuple,
+    letters: Sequence[tuple[tuple[int, int], Callable]],
+    key: Callable[[object], Hashable],
+    is_witness: Callable[[object, object], bool],
+    max_len: int,
+) -> Optional[Word]:
+    """Breadth-first search for the first reduced word whose node is a witness.
+
+    A node is (value, payload); ``start`` is the node of the empty word.
+    ``letters`` holds (letter, act) pairs, ``act`` taking a value to its
+    composition with the letter on the right; the payload is carried by the
+    same act, so a payload u o v follows the node of value v for a fixed u.
+    Words are enumerated shortest first, then in the order of ``letters``,
+    skipping a letter right after its own inverse.  Nodes are deduplicated by
+    ``key(value)``: the payload and ``is_witness(value, payload)`` are
+    computed once per distinct value.  Returns the first witness word of
+    length <= max_len; None means only "not found up to max_len".
+    """
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
+    value, payload = start
+    if is_witness(value, payload):
+        return Word.empty()
+    seen = {key(value)}
+    queue = deque([((), value, payload)])
+    while queue:
+        word, value, payload = queue.popleft()
+        if len(word) >= max_len:
+            continue
+        last = word[-1] if word else None
+        for letter, act in letters:
+            if last is not None and letter == (last[0], -last[1]):
+                continue  # skip immediate cancellation: reduced words only
+            child = act(value)
+            k = key(child)
+            if k in seen:
+                continue
+            seen.add(k)
+            child_payload = act(payload)
+            new_word = word + (letter,)
+            if is_witness(child, child_payload):
+                return Word(new_word)
+            queue.append((new_word, child, child_payload))
+    return None
 
 
 def evaluate_word(word: Word, gens: Sequence[Germ]) -> Germ:

@@ -7,8 +7,10 @@ order, optionally with conjugacy witness words.  Certification checks
 * equality of multipliers and the order of the common multiplier,
 * pairwise conjugacy inside the group: supplied witness words first, then a
   bounded breadth-first search over reduced words (value-deduplicated at
-  order N).  A failed search is recorded as "not-found-up-to", never as a
-  proof of non-conjugacy,
+  order N).  The search letters keep one letter per distinct value of the
+  generators and their inverses, and one search result serves every pair
+  (i, j) with the same values of f_i and f_j.  A failed search is recorded as
+  "not-found-up-to", never as a proof of non-conjugacy,
 * applicability of the finiteness criterion (multiplier order 1 or a prime
   power, with every other check positive).
 
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections import deque
 from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence
@@ -40,7 +41,14 @@ from .cyclotomic import (
     solve_root_constraints,
 )
 from .expressions import ExpressionError, series_from_string
-from .germs import Germ, Word, evaluate_word, identity_germ
+from .germs import (
+    Germ,
+    Word,
+    distinct_letters,
+    evaluate_word,
+    identity_germ,
+    reduced_word_search,
+)
 from .jets import DEFAULT_ORDER, Jet, RightComposer
 
 __all__ = [
@@ -94,7 +102,8 @@ class GroupPresentation:
             if not isinstance(w, Word):
                 raise PresentationError("witnesses must be Word values")
         self._composers: dict = {}
-        self._inverses: dict[int, Germ] = {}
+        self._inverses: dict = {}  # by generator value
+        self._letters: Optional[tuple] = None
 
     def _check_index(self, i: int):
         if not (1 <= i <= len(self.gens)):
@@ -110,10 +119,28 @@ class GroupPresentation:
         return self.gens[i - 1]
 
     def inverse_generator(self, i: int) -> Germ:
+        """f_i^-1, cached by value: equal generators share one inverse."""
         self._check_index(i)
-        if i not in self._inverses:
-            self._inverses[i] = Germ(self.composer(self.gens[i - 1]).inverse())
-        return self._inverses[i]
+        g = self.gens[i - 1]
+        key = g.jet.key()
+        inv = self._inverses.get(key)
+        if inv is None:
+            inv = self._inverses[key] = Germ(self.composer(g).inverse())
+        return inv
+
+    def letters(self) -> tuple:
+        """(letter, right composer) for f_1, f_1^-1, f_2, f_2^-1, ..., keeping
+        only the first letter of each distinct order-N value; built once."""
+        if self._letters is None:
+            pairs = [
+                (g, self.inverse_generator(idx))
+                for idx, g in enumerate(self.gens, start=1)
+            ]
+            self._letters = tuple(
+                (letter, self.composer(value))
+                for letter, value in distinct_letters(pairs, lambda g: g.jet.key())
+            )
+        return self._letters
 
     def composer(self, germ: Germ) -> RightComposer:
         """Cached right-composition operator for a fixed inner germ."""
@@ -152,48 +179,26 @@ def search_conjugator(
     """Breadth-first search for a witness word of length <= max_len.
 
     Words are enumerated shortest first and lexicographically by
-    (generator index, sign); candidates are deduplicated by their order-N jet,
-    so only one word per group-element value is ever expanded.  The returned
-    word satisfies :func:`check_conjugacy_witness` by construction; None means
-    only "not found up to max_len".
+    (generator index, sign) over :meth:`GroupPresentation.letters`, which
+    keeps one letter per distinct value; candidates are deduplicated by their
+    order-N jet, so only one word per group-element value is ever expanded.
+    The result depends only on the values of f_i and f_j, so :func:`certify`
+    shares it between pairs with equal values.  The returned word satisfies
+    :func:`check_conjugacy_witness` by construction; None means only "not
+    found up to max_len".
     """
-    if max_len < 0:
-        raise ValueError(f"max_len must be >= 0, got {max_len}")
     pres._check_index(i)
     pres._check_index(j)
-    fi, fj = pres.generator(i), pres.generator(j)
-    compose_fj = pres.composer(fj)
-
-    letters = []
-    for idx in range(1, len(pres.gens) + 1):
-        letters.append(((idx, 1), pres.composer(pres.generator(idx))))
-        letters.append(((idx, -1), pres.composer(pres.inverse_generator(idx))))
-
+    compose_fj = pres.composer(pres.generator(j))
     ident = identity_germ(pres.order, pres.conductor).jet
-    start_a = fi.jet  # f_i o identity
-    if start_a == compose_fj(ident):
-        return Word.empty()
-    seen = {ident.key()}
-    queue = deque([((), ident, start_a)])
-    while queue:
-        word, h, a = queue.popleft()  # a = f_i o h, maintained incrementally
-        if len(word) >= max_len:
-            continue
-        last = word[-1] if word else None
-        for letter, comp in letters:
-            if last is not None and letter == (last[0], -last[1]):
-                continue  # skip immediate cancellation: reduced words only
-            child = comp(h)
-            key = child.key()
-            if key in seen:
-                continue
-            seen.add(key)
-            child_a = comp(a)
-            new_word = word + (letter,)
-            if child_a == compose_fj(child):
-                return Word(new_word)
-            queue.append((new_word, child, child_a))
-    return None
+    # the payload a = f_i o h follows each node h, one right composition per node
+    return reduced_word_search(
+        (ident, pres.generator(i).jet),
+        pres.letters(),
+        Jet.key,
+        lambda h, a: a == compose_fj(h),
+        max_len,
+    )
 
 
 @dataclass(frozen=True)
@@ -270,10 +275,11 @@ def certify(
 ) -> IrreducibilityReport:
     """Run all certification checks and assemble the report.
 
-    Witnesses are consulted first; bounded search is the fallback.  The
-    finiteness criterion is marked applicable only when the product identity,
-    multiplier equality, every conjugacy, and the prime-power condition on
-    the multiplier order all hold.
+    Witnesses are consulted first; bounded search is the fallback, run once
+    per distinct (value of f_i, value of f_j) and shared by every pair with
+    those values.  The finiteness criterion is marked applicable only when
+    the product identity, multiplier equality, every conjugacy, and the
+    prime-power condition on the multiplier order all hold.
     """
     product_ok = check_product_identity(pres)
     mults = [g.multiplier for g in pres.gens]
@@ -282,6 +288,8 @@ def certify(
     order = root_of_unity_order(mult)
 
     conjugacy: dict[tuple[int, int], ConjugacyResolution] = {}
+    keys = [g.jet.key() for g in pres.gens]
+    searched: dict[tuple, Optional[Word]] = {}  # by (value of f_i, value of f_j)
     m = len(pres.gens)
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
@@ -289,7 +297,10 @@ def certify(
             if w is not None and check_conjugacy_witness(pres, i, j, w):
                 conjugacy[(i, j)] = ConjugacyResolution("verified-by-witness", word=w)
                 continue
-            found = search_conjugator(pres, i, j, max_len)
+            pair = (keys[i - 1], keys[j - 1])
+            if pair not in searched:
+                searched[pair] = search_conjugator(pres, i, j, max_len)
+            found = searched[pair]
             if found is not None:
                 conjugacy[(i, j)] = ConjugacyResolution("found-by-search", word=found)
             else:
@@ -328,6 +339,11 @@ class LoadedPresentation:
 _PAIR_RE = re.compile(r"^\((\d+),(\d+)\)$")
 
 
+def _is_positive_int(value) -> bool:
+    # JSON true and false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _parse_witnesses(raw: dict) -> dict[tuple[int, int], Word]:
     out: dict[tuple[int, int], Word] = {}
     for key, letters in raw.items():
@@ -356,13 +372,23 @@ def load_presentation_text(
     if not isinstance(gens_raw, list) or len(gens_raw) < 2:
         raise PresentationError('field "generators" must list at least two expressions')
     n_order = order if order is not None else data.get("order", DEFAULT_ORDER)
-    if not isinstance(n_order, int) or n_order < 1:
+    if not _is_positive_int(n_order):
         raise PresentationError('field "order" must be a positive integer')
 
     field_spec = data.get("field") or {}
+    if not isinstance(field_spec, dict):
+        raise PresentationError('field "field" must be a JSON object')
     conductor = field_spec.get("conductor", 1)
+    if not _is_positive_int(conductor):
+        raise PresentationError('field "field.conductor" must be a positive integer')
     constraints = field_spec.get("constraints", [])
+    if isinstance(constraints, str):
+        constraints = [constraints]
+    if not isinstance(constraints, list) or not all(isinstance(c, str) for c in constraints):
+        raise PresentationError('field "field.constraints" must list equation strings')
     var = field_spec.get("var", "a")
+    if not isinstance(var, str):
+        raise PresentationError('field "field.var" must be a string')
     if constraints:
         solutions = solve_root_constraints(conductor, constraints, var=var)
         if not solutions:
@@ -373,7 +399,10 @@ def load_presentation_text(
     else:
         envs = [({}, "")]
 
-    witnesses = _parse_witnesses(data.get("witnesses") or {})
+    raw_witnesses = data.get("witnesses") or {}
+    if not isinstance(raw_witnesses, dict):
+        raise PresentationError('field "witnesses" must be a JSON object')
+    witnesses = _parse_witnesses(raw_witnesses)
     out = []
     for env, label in envs:
         gens = []

@@ -3,12 +3,16 @@
 Everything here recomputes results along a different route than the library
 kernels: naive polynomial substitution instead of power-table composition,
 Lagrange inversion instead of the triangular inverse solve, symbolic
-chain-rule differentiation instead of series composition.
+chain-rule differentiation instead of series composition, and a reduced-word
+search over all 2m letters with direct witness checks instead of the shared
+search engine with value-deduplicated letters and results shared between
+pairs.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 from math import gcd
 from math import factorial
@@ -127,3 +131,43 @@ def random_jet(
         if unit_linear:
             coeffs[1] = Fraction(1)
     return Jet(coeffs, order=order, conductor=conductor)
+
+
+def naive_conjugator_search(gens, inverses, i, j, max_len, identity, compose, key):
+    """Reference reduced-word BFS for a word h with f_i o h = h o f_j.
+
+    ``inverses[k]`` is the inverse of ``gens[k]``.  Uses all 2m letters
+    (f_1, f_1^-1, f_2, ...) even where values repeat,
+    enumerates words shortest first and then by (index, sign), skips a letter
+    right after its own inverse, extends only the first word of each value,
+    and tests every new word directly by ``compose``.  Returns the first
+    witness word as a tuple of letters, or None.
+    """
+    letters = []
+    for idx, (g, g_inv) in enumerate(zip(gens, inverses), start=1):
+        letters.append(((idx, 1), g))
+        letters.append(((idx, -1), g_inv))
+    fi, fj = gens[i - 1], gens[j - 1]
+
+    def is_witness(h):
+        return compose(fi, h) == compose(h, fj)
+
+    if is_witness(identity):
+        return ()
+    seen = {key(identity)}
+    queue = deque([((), identity)])
+    while queue:
+        word, h = queue.popleft()
+        if len(word) == max_len:
+            continue
+        for letter, g in letters:
+            if word and letter == (word[-1][0], -word[-1][1]):
+                continue
+            child = compose(h, g)
+            if key(child) in seen:
+                continue
+            seen.add(key(child))
+            if is_witness(child):
+                return word + (letter,)
+            queue.append((word + (letter,), child))
+    return None

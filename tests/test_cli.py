@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from germlin.cli import main
 
 
@@ -54,6 +56,28 @@ def test_certify_malformed_file(tmp_path, capsys):
     code, _, err = run(capsys, "certify", str(bad))
     assert code == 2
     assert "generator 1" in err
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({"order": True, "generators": ["z", "z"]}, '"order"'),
+        (
+            {
+                "field": {"conductor": "6", "constraints": ["a = 1/(1 - a)"]},
+                "generators": ["z/a", "z"],
+            },
+            '"field.conductor"',
+        ),
+        ({"generators": ["z", "z"], "witnesses": [[1, 1]]}, '"witnesses"'),
+    ],
+)
+def test_certify_malformed_field_types(tmp_path, capsys, spec, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "certify", str(bad))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and field in err
 
 
 def test_linearize_rotation_file(tmp_path, capsys):

@@ -2,8 +2,10 @@
 
 The cases are every README command, ``certify`` and ``linearize`` on every
 bundled group example at small orders, ``forms`` on the bundled form examples,
-and three presentation files under ``tests/golden/`` that reach the
-conjugation steps of the linearizer.  The stored files pin the output byte for
+three presentation files under ``tests/golden/`` that reach the
+conjugation steps of the linearizer, and deeper word searches on families
+whose generators repeat values (``repeated_letters.json`` has two equal
+generators and one equal to another's inverse).  The stored files pin the output byte for
 byte, so a refactor that claims the same behaviour must pass this unchanged.
 
 After an intended output change, re-capture with
@@ -50,6 +52,13 @@ CASES = (
         for cmd in ("certify", "linearize")
     ]
     + ["certify --example ex4.3 --p 3 --order 8 --max-word-len 2 --pretty"]
+    + [
+        "certify --example g12 --order 4 --max-word-len 2",
+        "certify --example g18 --order 4 --max-word-len 2",
+        "certify --example ex4.1 --order 16 --max-word-len 4",
+        "certify --example ex4.3 --order 48 --max-word-len 10 --p 2",
+        "certify repeated_letters.json --max-word-len 4",
+    ]
 )
 
 
