@@ -5,8 +5,13 @@ bundled group example at small orders, ``forms`` on the bundled form examples,
 three presentation files under ``tests/golden/`` that reach the
 conjugation steps of the linearizer, and deeper word searches on families
 whose generators repeat values (``repeated_letters.json`` has two equal
-generators and one equal to another's inverse).  The stored files pin the output byte for
-byte, so a refactor that claims the same behaviour must pass this unchanged.
+generators and one equal to another's inverse).  ``roundtripM.json`` holds two
+copies of f = H o (zeta_M z) o H^-1 at N=32 with H = h1 o h0, h0 = z (1 - z^p)^(-1/p)
+and h1 = z/(1 - s z), so ``linearize`` conjugates through every order;
+``roundtrip3_obstruction.json`` adds z^12 to the second copy, so the scan stops
+at k = 11 and prints the partial conjugator.  The stored files pin the output
+byte for byte, so a refactor that claims the same behaviour must pass this
+unchanged.
 
 After an intended output change, re-capture with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -58,6 +63,10 @@ CASES = (
         "certify --example ex4.1 --order 16 --max-word-len 4",
         "certify --example ex4.3 --order 48 --max-word-len 10 --p 2",
         "certify repeated_letters.json --max-word-len 4",
+    ]
+    + [
+        f"linearize {name}.json"
+        for name in ("roundtrip3", "roundtrip5", "roundtrip9", "roundtrip3_obstruction")
     ]
 )
 
