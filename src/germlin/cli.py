@@ -215,9 +215,15 @@ def _load_form(args):
         raise InputError(f"{args.input}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{args.input}: expected a JSON object")
-    variables = tuple(data.get("vars", ("x", "y", "z")))
-    if not (2 <= len(variables) <= 4):
-        raise InputError(f'{args.input}: field "vars" needs 2 to 4 names')
+    variables = data.get("vars", ["x", "y", "z"])
+    if not (
+        isinstance(variables, list)
+        and 2 <= len(variables) <= 4
+        and all(isinstance(v, str) for v in variables)
+        and len(set(variables)) == len(variables)
+    ):
+        raise InputError(f'{args.input}: field "vars" must list 2 to 4 distinct names')
+    variables = tuple(variables)
     form_text = data.get("form")
     if not isinstance(form_text, str):
         raise InputError(f'{args.input}: field "form" must be an expression string')
@@ -230,6 +236,8 @@ def _load_form(args):
     extras = {}
     for key in ("integral", "numerator", "denominator"):
         if key in data:
+            if not isinstance(data[key], str):
+                raise InputError(f'{args.input}: field "{key}" must be an expression string')
             try:
                 extras[key] = poly_from_string(data[key], variables=variables)
             except ExpressionError as exc:

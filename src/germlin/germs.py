@@ -173,10 +173,19 @@ class Word:
 
     @classmethod
     def from_list(cls, letters) -> "Word":
+        """A word from [index, exponent] pairs; exponent e stands for |e|
+        letters of its sign.  Both entries must be ints (not bools)."""
+        if not isinstance(letters, (list, tuple)):
+            raise ValueError("a word must be a list of [index, exponent] pairs")
         out = []
-        for idx, exp in letters:
-            exp = int(exp)
-            idx = int(idx)
+        for letter in letters:
+            if not (
+                isinstance(letter, (list, tuple))
+                and len(letter) == 2
+                and all(isinstance(v, int) and not isinstance(v, bool) for v in letter)
+            ):
+                raise ValueError(f"letter {letter!r} is not an [index, exponent] integer pair")
+            idx, exp = letter
             if exp == 0:
                 continue
             sign = 1 if exp > 0 else -1

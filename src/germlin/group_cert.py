@@ -45,11 +45,10 @@ from .germs import (
     Germ,
     Word,
     distinct_letters,
-    evaluate_word,
     identity_germ,
     reduced_word_search,
 )
-from .jets import DEFAULT_ORDER, Jet, RightComposer
+from .jets import DEFAULT_ORDER, Jet, RightComposer, jet_compose
 
 __all__ = [
     "GroupPresentation",
@@ -163,14 +162,20 @@ def check_product_identity(pres: GroupPresentation) -> bool:
 def check_conjugacy_witness(
     pres: GroupPresentation, i: int, j: int, w: Word
 ) -> bool:
-    """True iff f_i o g = g o f_j to order N, where g is the word's value."""
+    """True iff f_i o g = g o f_j to order N, where g is the word's value.
+
+    The word is evaluated left to right with the presentation's cached
+    inverses and right composers, so no inverse is recomputed.
+    """
     pres._check_index(i)
     pres._check_index(j)
     if not isinstance(w, Word):
         w = Word.from_list(w)
-    g = evaluate_word(w, pres.gens)
-    fi, fj = pres.generator(i), pres.generator(j)
-    return fi * g == g * fj
+    g = identity_germ(pres.order, pres.conductor).jet
+    for idx, exp in w.letters:
+        letter = pres.generator(idx) if exp == 1 else pres.inverse_generator(idx)
+        g = pres.composer(letter)(g)
+    return jet_compose(pres.generator(i).jet, g) == pres.composer(pres.generator(j))(g)
 
 
 def search_conjugator(

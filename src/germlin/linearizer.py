@@ -8,13 +8,22 @@ inspecting the coefficients t_i of z^(k+1):
   is an obstruction (reported with the additive-morphism sum of t_i/mu as a
   diagnostic),
 * if mu^k != 1 and all the t_i agree, conjugating every generator by
-  h_k(z) = z + t_1/(mu - mu^(k+1)) z^(k+1) clears the order; unequal t_i are
-  an obstruction.
+  h_k(z) = z + c_k z^(k+1), c_k = t_1/(mu - mu^(k+1)), clears the order;
+  unequal t_i are an obstruction.
 
 The branch condition is mu^k = 1 exactly (the hypothesis the additive
 morphism needs), recorded per step so coarser divisibility conditions can be
-audited.  Step conjugators accumulate newest-outermost, H <- h_k o H, so a
-"linearized" outcome means conjugation by H maps every generator to mu*z.
+audited.
+
+The scan never reads the accumulated conjugator, so it only records each
+conjugated step (k, c_k).  When the scan returns, on the linearized and on the
+obstruction path, H = h_K o ... o h_1 is built once: starting from z, right
+composition by each h_k, newest first.  Right composition by h_k needs no jet
+product, because the powers of h_k are binomials,
+h_k^e = sum_i C(e,i) c_k^i z^(e + ik).  Composition of jets with zero constant
+term is exactly associative, so H equals the jet that accumulating
+H <- h_k o H would give.  A "linearized" outcome means conjugation by H maps
+every generator to mu*z.
 
 An obstruction certifies only that this algorithm halts on this presentation
 at this order; it is not a proof about the abstract group.
@@ -29,14 +38,15 @@ identity).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .affine import AffineMap
 from .cyclotomic import CycloElem, cyclo_embed, format_scalar, root_of_unity_order
-from .germs import Germ, identity_germ
+from .germs import Germ
 from .group_cert import GroupPresentation
-from .jets import Jet, _zero, jet_compose
+from .jets import Jet, _power_table, _weighted_sum, _zero
 
 __all__ = [
     "StepRecord",
@@ -180,28 +190,57 @@ def linearize_step(
     return Germ(_elementary(k, c, gens[0].order, gens[0].conductor)), record
 
 
-def _conjugate_by_elementary(g: Jet, h: Jet, k: int, c: CycloElem) -> Jet:
-    """h o g o h^{-1} for the step conjugator h = z + c z^(k+1).
+def _binomials(k: int, c: CycloElem, N: int) -> Callable[[int, int], CycloElem]:
+    """term(j, i) = C(j,i) c^i, the coefficient of z^(j+ik) in h^j for the
+    step conjugator h = z + c z^(k+1); each term is computed on first use."""
+    cpow = [cyclo_embed(1, c.n)]
+    for _ in range(N // (k + 1)):  # i <= j and j + ik <= N give i <= N/(k+1)
+        cpow.append(cpow[-1] * c)
+    return cache(lambda j, i: cpow[i] * comb(j, i))
 
-    A = h o g comes from :func:`jet_compose`; then, without forming h^{-1},
-    x o h = A is solved coefficient by coefficient: the powers of h are
-    binomials, h^j = sum_i C(j,i) c^i z^(j+ik), so the system is triangular
-    with unit diagonal.
+
+def _right_compose_elementary(x: list, k: int, term: Callable) -> list:
+    """x o h for the step conjugator h = z + c z^(k+1), ``term`` from
+    :func:`_binomials`: sum_e x_e sum_i C(e,i) c^i z^(e+ik)."""
+    N = len(x) - 1
+    out = list(x)
+    for e, xe in enumerate(x):
+        if xe.is_zero:
+            continue
+        for i in range(1, min(e, (N - e) // k) + 1):
+            out[e + i * k] = out[e + i * k] + xe * term(e, i)
+    return out
+
+
+def _conjugate_by_elementary(g: Jet, k: int, coef: list, term: Callable) -> Jet:
+    """h o g o h^{-1} for the step conjugator h = z + c z^(k+1), where g is
+    mu*z through order k.
+
+    A = h o g = g + c g^(k+1) needs no dense power of g: with v = g/z - mu of
+    valuation >= k, g^(k+1) = z^(k+1) sum_i C(k+1,i) mu^(k+1-i) v^i, and only
+    the terms with ik <= N-k-1, so i <= min(k+1, (N-k-1)/k), survive
+    truncation (none with i >= 1 once k > (N-1)/2).  ``coef`` holds
+    c C(k+1,i) mu^(k+1-i) for those i.  Then, without forming h^{-1},
+    x o h = A is solved coefficient by coefficient: over the terms
+    C(j,i) c^i of the powers of h (shared with the right composition that
+    builds H) the system is triangular with unit diagonal.
     """
     N, n = g.order, g.conductor
-    A = jet_compose(h, g).coeffs
-    cpow = [cyclo_embed(1, n)]
-    for _ in range(N // k + 1):
-        cpow.append(cpow[-1] * c)
+    M = N - k - 1  # g^(k+1)/z^(k+1) is needed through degree M
+    v = [_zero(n)] + list(g.coeffs[2 : M + 2])
+    tail = _weighted_sum(coef, _power_table(v, len(coef) - 1, M, n), M, n)
+    A = list(g.coeffs)
+    for d, s in enumerate(tail):
+        if not s.is_zero:
+            A[k + 1 + d] = A[k + 1 + d] + s
     x = [_zero(n)] * (N + 1)
     x[0] = A[0]
     for m in range(1, N + 1):
         s = A[m]
-        j = m - k
-        i = 1
-        while j >= 1:
+        j, i = m - k, 1
+        while j >= i:  # C(j,i) = 0 once i > j
             if not x[j].is_zero:
-                s = s - x[j] * (cpow[i] * comb(j, i))
+                s = s - x[j] * term(j, i)
             j -= k
             i += 1
         x[m] = s
@@ -228,29 +267,37 @@ def _scan(pres: GroupPresentation, mu: CycloElem) -> LinearizationResult:
     """The loop over k = 1 .. N-1: outcome linearized or obstruction."""
     order = pres.order
     current: list[Jet] = [g.jet for g in pres.gens]
-    H = identity_germ(order, pres.conductor)
     steps: list[StepRecord] = []
-    mu_k = mu  # mu^k, maintained incrementally
+    recorded: list[tuple[int, Callable]] = []  # (k, binomial terms) per conjugated step
+    mu_pow = [cyclo_embed(1, mu.n), mu]  # mu^0 .. mu^(k+1), extended as k grows
+    outcome = OUTCOME_LINEARIZED
     for k in range(1, order):
-        c, record = _step(k, tuple(jet.coeffs[k + 1] for jet in current), mu, mu_k)
+        mu_pow.append(mu_pow[-1] * mu)
+        c, record = _step(k, tuple(jet.coeffs[k + 1] for jet in current), mu, mu_pow[k])
         steps.append(record)
         if record.action == ACTION_OBSTRUCTION:
-            return LinearizationResult(OUTCOME_OBSTRUCTION, mu, steps, H)
+            outcome = OUTCOME_OBSTRUCTION
+            break
         if c is not None:
-            h_k = _elementary(k, c, order, pres.conductor)
+            term = _binomials(k, c, order)
+            recorded.append((k, term))
+            top = min(k + 1, (order - k - 1) // k)
+            coef = [c * comb(k + 1, i) * mu_pow[k + 1 - i] for i in range(top + 1)]
             cache: dict = {}
             new: list[Jet] = []
             for jet in current:
                 key = jet.key()
                 res = cache.get(key)
                 if res is None:
-                    res = _conjugate_by_elementary(jet, h_k, k, c)
+                    res = _conjugate_by_elementary(jet, k, coef, term)
                     cache[key] = res
                 new.append(res)
             current = new
-            H = Germ(jet_compose(h_k, H.jet))
-        mu_k = mu_k * mu
-    return LinearizationResult(OUTCOME_LINEARIZED, mu, steps, H)
+    H = list(Jet.identity(order, pres.conductor).coeffs)
+    for k, term in reversed(recorded):
+        H = _right_compose_elementary(H, k, term)
+    H = Germ(Jet(H, order=order, conductor=pres.conductor))
+    return LinearizationResult(outcome, mu, steps, H)
 
 
 def flat_case_check(pres: GroupPresentation) -> LinearizationResult:

@@ -22,21 +22,29 @@ from germlin.jets import Jet, jet_mul_inverse
 
 
 def naive_poly_compose(f: Jet, g: Jet) -> Jet:
-    """f(g) by expanding full polynomial powers of g, then truncating."""
+    """f(g) by expanding full polynomial powers of g, then truncating.
+
+    Zero coefficients are skipped and powers stop at the degree of f, so a
+    sparse f or g (a step conjugator z + c z^(k+1)) stays cheap.
+    """
     N = f.order
     n = f.conductor * g.conductor // gcd(f.conductor, g.conductor)
     fl = [c.lift(n) if c.n != n else c for c in f.lift(n).coeffs]
     gl = list(g.lift(n).coeffs)
     zero = cyclo_embed(0, n)
+    degree = max((e for e, c in enumerate(fl) if not c.is_zero), default=0)
     # full (untruncated) powers of g as plain lists, then cut
     power = [cyclo_embed(1, n)]
     acc = [zero] * (N + 1)
-    for e, ce in enumerate(fl):
+    for e, ce in enumerate(fl[: degree + 1]):
         if e > 0:
             new = [zero] * (len(power) + len(gl) - 1)
             for i, a in enumerate(power):
+                if a.is_zero:
+                    continue
                 for j, b in enumerate(gl):
-                    new[i + j] = new[i + j] + a * b
+                    if not b.is_zero:
+                        new[i + j] = new[i + j] + a * b
             power = new
         for t in range(min(N + 1, len(power))):
             acc[t] = acc[t] + ce * power[t]

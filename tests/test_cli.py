@@ -80,6 +80,28 @@ def test_certify_malformed_field_types(tmp_path, capsys, spec, field):
     assert err.count("\n") == 1 and field in err
 
 
+@pytest.mark.parametrize(
+    "word", [[[1.7, "1"]], [[1, 0.5]], [[True, 1]], [[1, "1"]], [[1, 1, 1]], [1, 1], "f1"]
+)
+def test_certify_malformed_witness_letters(tmp_path, capsys, word):
+    # letters used to be truncated by int(): [[1, 0.5]] became the empty word
+    # and certified the pair "verified-by-witness"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"order": 4, "generators": ["z", "z"], "witnesses": {"(1,2)": word}}))
+    code, out, err = run(capsys, "certify", str(bad))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "witness" in err
+
+
+def test_certify_integer_witness_letters(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"order": 4, "generators": ["z", "z"], "witnesses": {"(1,2)": [[1, 2]]}}))
+    code, out, _ = run(capsys, "certify", str(good))
+    assert code == 0
+    conj = json.loads(out)["solutions"][0]["report"]["conjugacy"]["(1,2)"]
+    assert conj == {"status": "verified-by-witness", "word": [[1, 1], [1, 1]]}
+
+
 def test_linearize_rotation_file(tmp_path, capsys):
     path = tmp_path / "rot.json"
     path.write_text(json.dumps({"order": 16, "generators": ["-z", "-z"]}))
@@ -201,6 +223,27 @@ def test_forms_file_and_failures(tmp_path, capsys):
 
     code, _, err = run(capsys, "forms", "kupka", str(good))
     assert code == 2 and "--point" in err
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({"vars": ["x", "x"], "form": "x*dx"}, '"vars"'),
+        ({"vars": "xy", "form": "x*dx"}, '"vars"'),
+        ({"vars": ["x"], "form": "x*dx"}, '"vars"'),
+        ({"vars": ["x", "y", "z", "w", "v"], "form": "x*dx"}, '"vars"'),
+        ({"vars": ["x", 1], "form": "x*dx"}, '"vars"'),
+        ({"vars": ["x", "y", "z"], "form": "y*dx + x*dy", "integral": 5}, '"integral"'),
+        ({"vars": ["x", "y"], "form": "y*dx - x*dy", "numerator": ["x"], "denominator": "y"}, '"numerator"'),
+        ({"vars": ["x", "y"], "form": "y*dx - x*dy", "numerator": "x", "denominator": None}, '"denominator"'),
+    ],
+)
+def test_forms_malformed_field_types(tmp_path, capsys, spec, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "forms", "first-integral", str(bad))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and field in err
 
 
 def test_deterministic_output(capsys):

@@ -116,6 +116,10 @@ def test_word_basics():
         Word(((0, 1),))
     with pytest.raises(ValueError):
         Word(((1, 2),))
+    # letters are [index, exponent] pairs of ints: nothing is truncated
+    for bad in ([[1.7, 1]], [[1, 0.5]], [[True, 1]], [[1, "1"]], [[1, 1, 1]], [5], "f1"):
+        with pytest.raises(ValueError):
+            Word.from_list(bad)
 
 
 def test_evaluate_word_examples():

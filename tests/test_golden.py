@@ -61,6 +61,7 @@ CASES = (
         "certify --example g12 --order 4 --max-word-len 2",
         "certify --example g18 --order 4 --max-word-len 2",
         "certify --example ex4.1 --order 16 --max-word-len 4",
+        "certify --example ex4.1 --order 12 --max-word-len 3",
         "certify --example ex4.3 --order 48 --max-word-len 10 --p 2",
         "certify repeated_letters.json --max-word-len 4",
     ]

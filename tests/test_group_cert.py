@@ -7,7 +7,8 @@ import pytest
 
 from germlin.cyclotomic import solve_root_constraints, zeta
 from germlin.expressions import series_from_string
-from germlin.germs import Germ, Word, identity_germ
+from germlin import germs, group_cert, jets
+from germlin.germs import Germ, Word, evaluate_word, identity_germ
 from germlin.group_cert import (
     GroupPresentation,
     PresentationError,
@@ -20,6 +21,7 @@ from germlin.group_cert import (
 from germlin.jets import Jet
 
 from oracles import lagrange_inverse, random_jet
+from test_golden import _golden_path, _run
 
 
 def _germ(coeffs, order, conductor=1):
@@ -92,6 +94,51 @@ def test_witness_checks():
         assert check_conjugacy_witness(pres41, 5, 1, w)
         # and the inverted word certifies the transposed pair
         assert check_conjugacy_witness(pres41, 1, 5, w.inverse())
+
+
+def test_witness_check_matches_word_evaluation():
+    # the cached-composer evaluation agrees with evaluate_word on random
+    # words, true and false witnesses alike
+    rng = random.Random(11)
+    for _, pres in _ex41(order=12):
+        m = len(pres.gens)
+        for _ in range(12):
+            w = Word.from_list(
+                [[rng.randint(1, m), rng.choice((-2, -1, 1, 2))] for _ in range(rng.randint(0, 5))]
+            )
+            i, j = rng.randint(1, m), rng.randint(1, m)
+            g = evaluate_word(w, pres.gens)
+            expected = pres.generator(i) * g == g * pres.generator(j)
+            assert check_conjugacy_witness(pres, i, j, w) == expected
+
+
+def test_witness_check_computes_no_inverse(monkeypatch):
+    # certify on ex4.1 checks the registry witness for (5,1) with the cached
+    # inverses: no jet_comp_inverse call inside the check, same output
+    state = {"inside": False, "checks": 0, "inverses": 0}
+    real_check = group_cert.check_conjugacy_witness
+    real_inverse = jets.jet_comp_inverse
+
+    def check(*args):
+        state["inside"] = True
+        state["checks"] += 1
+        try:
+            return real_check(*args)
+        finally:
+            state["inside"] = False
+
+    def inverse(f):
+        state["inverses"] += state["inside"]
+        return real_inverse(f)
+
+    monkeypatch.setattr(group_cert, "check_conjugacy_witness", check)
+    for module in (jets, germs):
+        monkeypatch.setattr(module, "jet_comp_inverse", inverse)
+    command = "certify --example ex4.1 --order 12 --max-word-len 3"
+    with open(_golden_path(command), encoding="utf-8") as fh:
+        assert _run(command) == fh.read()
+    assert state["checks"] == 2  # one witness check per root of the constraint
+    assert state["inverses"] == 0
 
 
 def test_no_short_witness_for_radical_pair():

@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ from germlin.affine import AffineMap, affine_compose, affine_conjugator_search, 
 from germlin.cyclotomic import cyclo_embed, root_of_unity_order, solve_root_constraints, zeta
 from germlin.expressions import series_from_string
 from germlin.germs import Germ, conjugate, identity_germ
-from germlin.group_cert import GroupPresentation
+from germlin import linearizer
+from germlin.group_cert import GroupPresentation, load_presentation_file
 from germlin.jets import Jet
 from germlin.linearizer import (
     flat_case_check,
@@ -18,7 +20,9 @@ from germlin.linearizer import (
     psi_morphism,
 )
 
-from oracles import random_fraction
+from oracles import lagrange_inverse, naive_poly_compose, random_fraction
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 def _germ(coeffs, order, conductor=1):
@@ -284,3 +288,83 @@ def test_result_serialization():
     assert data["outcome"] == "linearized"
     assert isinstance(data["steps"], list) and len(data["steps"]) == N - 1
     assert data["conjugator"][1] == "1"
+
+
+# -- the scan against naive composition ------------------------------------------
+
+
+def _round_trip(rng, m, N):
+    """f = h o (zeta_m z) o h^-1 for a random rational h, as two equal generators."""
+    h = _germ([0, 1] + [random_fraction(rng) for _ in range(3)], N)
+    f = conjugate(h, _rotation(zeta(m), N))
+    return GroupPresentation([f, f], order=N)
+
+
+def _linearize_with_steps(monkeypatch, pres):
+    """linearize(pres) plus every (k, g, h_k o g o h_k^-1) the scan computed."""
+    calls = []
+    conjugate_step = linearizer._conjugate_by_elementary
+
+    def spy(g, k, *args):
+        x = conjugate_step(g, k, *args)
+        calls.append((k, g, x))
+        return x
+
+    monkeypatch.setattr(linearizer, "_conjugate_by_elementary", spy)
+    return linearize(pres), calls
+
+
+def _check_scan_against_oracles(monkeypatch, pres, max_k):
+    """The conjugator is the naive fold of the step conjugators that
+    linearize_step gives on the scan's generators, and every conjugated
+    generator with k <= max_k is h o g o h^-1 by naive composition and
+    Lagrange inversion."""
+    res, calls = _linearize_with_steps(monkeypatch, pres)
+    N, n = pres.order, pres.conductor
+    orders = sorted({k for k, _, _ in calls})
+    assert orders == [rec.k for rec in res.steps if rec.action == "conjugated"]
+    current = {g.jet.key() for g in pres.gens}
+    H = Jet.identity(N, n)  # folded newest first: H o h_k
+    for k in orders:
+        step = [(g, x) for kk, g, x in calls if kk == k]
+        assert {g.key() for g, _ in step} == current  # the calls chain step to step
+        current = {x.key() for _, x in step}
+        h, rec = linearize_step([Germ(g) for g, _ in step], k)
+        scanned = res.steps[k - 1]  # its t holds one entry per generator, not per value
+        assert (rec.k, rec.branch, rec.action) == (k, scanned.branch, scanned.action)
+        assert set(rec.t) == set(scanned.t)
+        if k <= max_k:
+            h_inv = lagrange_inverse(h.jet)
+            for g, x in step:
+                assert x == naive_poly_compose(naive_poly_compose(h.jet, g), h_inv)
+    for k in reversed(orders):
+        h, _ = linearize_step([Germ(g) for kk, g, _ in calls if kk == k], k)
+        H = naive_poly_compose(H, h.jet)
+    assert res.conjugator.jet == H
+    return res
+
+
+@pytest.mark.parametrize("N", [16, 24])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 9])
+def test_scan_matches_naive_composition_on_round_trips(monkeypatch, m, N):
+    # at N = 24 the naive h o g needs the untruncated power g^(k+1), about
+    # (k+1)^2 N^2 products, so the per-step check stops at k = (N-1)/3, the
+    # last order where g^(k+1) needs the square of g - mu*z; the fold covers
+    # every order
+    pres = _round_trip(random.Random(100 * N + m), m, N)
+    max_k = N if N <= 16 else (N - 1) // 3
+    res = _check_scan_against_oracles(monkeypatch, pres, max_k)
+    assert res.outcome == "linearized"
+    assert group_order(res) == m
+
+
+def test_scan_matches_naive_composition_on_obstruction_file(monkeypatch):
+    # the golden obstruction file read at N = 16: the z^12 term still stops
+    # the scan at k = 11 after seven conjugated orders
+    path = os.path.join(GOLDEN_DIR, "roundtrip3_obstruction.json")
+    for loaded in load_presentation_file(path, order=16):
+        res = _check_scan_against_oracles(monkeypatch, loaded.presentation, 16)
+        assert res.outcome == "obstruction" and res.steps[-1].k == 11
+        assert [rec.k for rec in res.steps if rec.action == "conjugated"] == [
+            1, 2, 4, 5, 7, 8, 10,
+        ]
