@@ -405,6 +405,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         # the exit-code contract is total: any input-triggered failure is 2
         sys.stderr.write(f"germlin: error: {exc}\n")
         return EXIT_INPUT
+    except RecursionError:
+        # deeply nested input (parentheses, or long sums whose AST is left-deep)
+        sys.stderr.write("germlin: error: input nested too deeply to evaluate\n")
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -6,6 +6,13 @@ Internally the coordinates are a tuple of integers over a single positive
 denominator with all common factors removed, so equality of values at the same
 conductor is equality of representations.
 
+One cached table of zeta_n^e, e = 0 .. n-1, is the only place that multiplies
+by zeta and reduces modulo Phi_n.  Products read their reduction rows from it,
+and the embedding into Q(zeta_m) and the Galois automorphisms
+sigma_u: zeta -> zeta^u both re-index into it.  The inverse of x is the
+product of its other conjugates sigma_u(x), u != 1, divided by the rational
+norm x * prod sigma_u(x); no linear system is solved.
+
 Rationals are plain ``fractions.Fraction`` values; ``Rational`` is an alias.
 Mixed arithmetic coerces ints and Fractions into the cyclotomic operand's
 field, and operands at different conductors are lifted to the lcm conductor.
@@ -34,7 +41,6 @@ __all__ = [
     "zeta",
     "cyclo_embed",
     "cyclo_arith",
-    "common_conductor",
     "root_of_unity_order",
     "prime_power_order",
     "factorize",
@@ -90,16 +96,6 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return tuple(out)
-
-
 def _poly_exact_div(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
     # Exact division of integer polynomials with monic-up-to-sign divisor.
     num_l = list(num)
@@ -141,39 +137,23 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _field(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(phi(n), reduction rows) where row e-phi(n) gives zeta^e in the basis."""
+def _monomials(n: int) -> tuple[tuple[int, ...], ...]:
+    """Reduced power-basis coordinates of zeta_n^e for e = 0 .. n-1.
+
+    The one loop that multiplies by zeta and reduces modulo Phi_n: products
+    read their reduction rows here, and lifting and Galois conjugation
+    re-index into this table.
+    """
     phi_n = euler_phi(n)
     top = cyclotomic_polynomial(n)
-    base = tuple(-c for c in top[:phi_n])  # zeta^phi in the power basis
-    rows = [base]
-    for _ in range(phi_n - 2):
-        prev = rows[-1]
-        carry = prev[phi_n - 1]
-        nxt = [0] + list(prev[: phi_n - 1])
-        if carry:
-            for i, bi in enumerate(base):
-                if bi:
-                    nxt[i] += carry * bi
-        rows.append(tuple(nxt))
-    return phi_n, tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _monomials(n: int) -> tuple[tuple[int, ...], ...]:
-    """Reduced power-basis coordinates of zeta_n^e for e = 0 .. n-1."""
-    phi_n, rows = _field(n)
-    mon = [0] * phi_n
-    mon[0] = 1
+    mon = [1] + [0] * (phi_n - 1)
     out = [tuple(mon)]
-    base = rows[0]
     for _ in range(n - 1):
-        carry = mon[phi_n - 1]
-        mon = [0] + mon[: phi_n - 1]
+        carry = mon[-1]
+        mon = [0] + mon[:-1]
         if carry:
-            for i, bi in enumerate(base):
-                if bi:
-                    mon[i] += carry * bi
+            for i in range(phi_n):
+                mon[i] -= carry * top[i]
         out.append(tuple(mon))
     return tuple(out)
 
@@ -213,16 +193,29 @@ def _normalize(n: int, num: list[int], den: int) -> "CycloElem":
 
 
 def _reduce_product(n: int, prod: list[int]) -> list[int]:
-    phi_n, rows = _field(n)
+    """Reduce sum_e prod[e] zeta_n^e (any length) to the power basis."""
+    mons = _monomials(n)
+    phi_n = len(mons[0])
     out = prod[:phi_n]
     for e in range(phi_n, len(prod)):
         c = prod[e]
         if c:
-            row = rows[e - phi_n]
-            for t, rt in enumerate(row):
+            for t, rt in enumerate(mons[e % n]):
                 if rt:
                     out[t] += c * rt
     return out
+
+
+def _reindex(x: "CycloElem", m: int, step: int) -> "CycloElem":
+    """sum_i x_i zeta_m^(i*step) in Q(zeta_m), for x = sum_i x_i zeta_n^i.
+
+    With step = m/n this is the embedding Q(zeta_n) -> Q(zeta_m); with m = n
+    and step = u coprime to n it is the Galois automorphism zeta -> zeta^u.
+    """
+    prod = [0] * m
+    for i, c in enumerate(x.num):
+        prod[i * step % m] += c
+    return _normalize(m, _reduce_product(m, prod), x.den)
 
 
 class CycloElem:
@@ -296,16 +289,11 @@ class CycloElem:
             return self
         if m % self.n != 0:
             raise ConductorError(f"cannot lift conductor {self.n} into {m}")
-        d = m // self.n
-        mons = _monomials(m)
-        out = [0] * euler_phi(m)
-        for i, c in enumerate(self.num):
-            if c:
-                row = mons[i * d]
-                for t, rt in enumerate(row):
-                    if rt:
-                        out[t] += c * rt
-        return _normalize(m, out, self.den)
+        return _reindex(self, m, m // self.n)
+
+    def _galois(self, u: int) -> "CycloElem":
+        """sigma_u(self) for the automorphism zeta_n -> zeta_n^u, gcd(u, n) = 1."""
+        return _reindex(self, self.n, u)
 
     def _pair(self, other) -> tuple["CycloElem", "CycloElem"]:
         if isinstance(other, CycloElem):
@@ -366,43 +354,23 @@ class CycloElem:
     def inverse(self) -> "CycloElem":
         """The multiplicative inverse.
 
-        Solves x * self = 1 as a phi(n) x phi(n) rational linear system whose
-        columns are self * zeta^j; Phi_n is irreducible, so the system is
-        nonsingular for every nonzero element.
+        For the integral multiple a = den * self, the product y of the other
+        conjugates sigma_u(a), u in (Z/n)^*, u != 1, makes a * y the norm of
+        a, a nonzero integer (Phi_n is irreducible), so 1/self = den * y / (a*y).
         """
         if self.is_zero:
             raise ZeroDivisionError("division by zero in cyclotomic field")
         if self.is_rational:
             q = self.to_fraction()
             return CycloElem.from_rational(1 / q, self.n)
-        phi_n = len(self.num)
-        cols = []
-        col = list(self.num)
-        base = _field(self.n)[1][0]
-        for _ in range(phi_n):
-            cols.append(col)
-            carry = col[phi_n - 1]
-            col = [0] + col[: phi_n - 1]
-            if carry:
-                for i, bi in enumerate(base):
-                    if bi:
-                        col[i] += carry * bi
-        # Augmented system M x = den * e_0 over Fraction.
-        mat = [
-            [Fraction(cols[j][i]) for j in range(phi_n)] + [Fraction(0)]
-            for i in range(phi_n)
-        ]
-        mat[0][phi_n] = Fraction(self.den)
-        for c in range(phi_n):
-            piv = next(r for r in range(c, phi_n) if mat[r][c] != 0)
-            mat[c], mat[piv] = mat[piv], mat[c]
-            inv_p = 1 / mat[c][c]
-            mat[c] = [v * inv_p for v in mat[c]]
-            for r in range(phi_n):
-                if r != c and mat[r][c] != 0:
-                    f = mat[r][c]
-                    mat[r] = [v - f * w for v, w in zip(mat[r], mat[c])]
-        return CycloElem(self.n, [mat[i][phi_n] for i in range(phi_n)])
+        n = self.n
+        a = _normalize(n, list(self.num), 1)
+        conjugates = [a._galois(u) for u in range(2, n) if gcd(u, n) == 1]
+        y = conjugates[0]
+        for s in conjugates[1:]:
+            y = y * s
+        norm = (a * y).num[0]
+        return _normalize(n, [c * self.den for c in y.num], norm)
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -468,14 +436,7 @@ class CycloElem:
 
 def zeta(n: int) -> CycloElem:
     """The distinguished primitive n-th root of unity generating Q(zeta_n)."""
-    phi_n = euler_phi(n)
-    if n == 1:
-        return CycloElem.from_rational(1, 1)
-    if phi_n == 1:  # n == 2
-        return _normalize(n, list(_monomials(n)[1]), 1)
-    num = [0] * phi_n
-    num[1] = 1
-    return _normalize(n, num, 1)
+    return _normalize(n, list(_monomials(n)[1 % n]), 1)
 
 
 def cyclo_embed(q, n: int) -> CycloElem:
@@ -483,12 +444,6 @@ def cyclo_embed(q, n: int) -> CycloElem:
     if n < 1:
         raise ValueError("conductor must be >= 1")
     return CycloElem.from_rational(q, n)
-
-
-def common_conductor(x: CycloElem, y: CycloElem) -> tuple[CycloElem, CycloElem]:
-    """Lift both elements to the lcm of their conductors."""
-    m = x.n * y.n // gcd(x.n, y.n)
-    return x.lift(m), y.lift(m)
 
 
 def cyclo_arith(op: str, x: CycloElem, y: CycloElem) -> CycloElem:

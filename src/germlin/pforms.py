@@ -696,7 +696,7 @@ def eval_form(node, env: dict, variables: Sequence[str]):
             return b.scale(a)
         if isinstance(b, MultiPoly):
             return a.scale(b)
-        if isinstance(a, PForm1):
+        if isinstance(a, PForm1) and isinstance(b, (PForm1, PForm2)):
             return wedge(a, b)
         if isinstance(b, PForm1) and isinstance(a, PForm2):
             return wedge(b, a)  # even total degree: the factors commute

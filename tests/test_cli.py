@@ -236,6 +236,8 @@ def test_forms_file_and_failures(tmp_path, capsys):
         ({"vars": ["x", "y", "z"], "form": "y*dx + x*dy", "integral": 5}, '"integral"'),
         ({"vars": ["x", "y"], "form": "y*dx - x*dy", "numerator": ["x"], "denominator": "y"}, '"numerator"'),
         ({"vars": ["x", "y"], "form": "y*dx - x*dy", "numerator": "x", "denominator": None}, '"denominator"'),
+        ({"vars": ["x", "y", "z", "w"], "form": "dx*(dy*dz*dw)"}, '"form"'),
+        ({"vars": ["x", "y", "z", "w"], "form": "(dy*dz*dw)*dx"}, '"form"'),
     ],
 )
 def test_forms_malformed_field_types(tmp_path, capsys, spec, field):
@@ -261,6 +263,23 @@ def test_degenerate_expression_is_an_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "certify", str(path))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "command, spec",
+    [
+        (["certify"], {"order": 8, "generators": ["(" * 3000 + "z" + ")" * 3000, "z"]}),
+        (["certify"], {"order": 8, "generators": ["+".join(["z"] * 3000), "z"]}),
+        (["forms", "integrable"], {"vars": ["x", "y", "z"], "form": "+".join(["x*dy"] * 3000)}),
+    ],
+    ids=["nested-generator", "flat-sum-generator", "flat-sum-form"],
+)
+def test_too_deep_input_is_an_input_error(tmp_path, capsys, command, spec):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "too deeply" in err
 
 
 def test_pretty_output_matches_compact(capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -80,19 +81,27 @@ def test_cyclo_arith_strict_conductors():
         cyclo_arith("div", a, cyclo_embed(0, 6))
 
 
-def _random_elem(rng, n):
+def _random_elem(rng, n, num_height=5, den_height=4):
     return CycloElem(
         n,
-        [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(euler_phi(n))],
+        [
+            Fraction(rng.randint(-num_height, num_height), rng.randint(1, den_height))
+            for _ in range(euler_phi(n))
+        ],
     )
 
 
-@pytest.mark.parametrize("n", [6, 12])
+def _units(n):
+    return [u for u in range(1, n) if gcd(u, n) == 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 9, 10, 12, 14, 18, 30])
 def test_field_axioms(n):
     rng = random.Random(100 + n)
     one = cyclo_embed(1, n)
-    for _ in range(40):
-        x, y, z = (_random_elem(rng, n) for _ in range(3))
+    for i in range(40):
+        heights = (10**20, 10**20) if i % 4 == 0 else (5, 4)
+        x, y, z = (_random_elem(rng, n, *heights) for _ in range(3))
         assert (x * y) * z == x * (y * z)
         assert (x + y) + z == x + (y + z)
         assert x * (y + z) == x * y + x * z
@@ -148,6 +157,36 @@ def test_lifting_is_field_embedding():
         assert x == x.lift(12) and hash(x) == hash(x.lift(12))
     with pytest.raises(ConductorError):
         zeta(6).lift(9)
+
+
+@pytest.mark.parametrize("n", [5, 9, 10, 12, 18])
+def test_galois_conjugation_is_field_automorphism(n):
+    rng = random.Random(200 + n)
+    units = _units(n)
+    for u in units:
+        assert zeta(n)._galois(u) == zeta(n) ** u
+    for _ in range(20):
+        x, y = _random_elem(rng, n), _random_elem(rng, n)
+        u = rng.choice(units)
+        assert (x * y)._galois(u) == x._galois(u) * y._galois(u)
+        assert (x + y)._galois(u) == x._galois(u) + y._galois(u)
+        assert x._galois(1) == x
+
+
+@pytest.mark.parametrize("n", [5, 9, 10, 12, 14, 18, 30])
+def test_norm_is_rational(n):
+    rng = random.Random(300 + n)
+    for i in range(10):
+        height = 10**20 if i % 2 else 9
+        x = _random_elem(rng, n, height, height)
+        if x.is_zero:
+            continue
+        others = cyclo_embed(1, n)
+        for u in _units(n)[1:]:
+            others = others * x._galois(u)
+        norm = x * others
+        assert norm.is_rational and not norm.is_zero
+        assert x.inverse() == others / norm.to_fraction()
 
 
 def test_mixed_conductor_operators_lift():

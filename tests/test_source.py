@@ -1,0 +1,50 @@
+"""Source hygiene checks on ``src/germlin``."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "germlin"
+
+
+def _defined_names(stmt):
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = []
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _referenced_names(stmt):
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_no_unused_private_module_names():
+    # one entry per top-level statement of every module: (where, defines, uses)
+    statements = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for stmt in tree.body:
+            statements.append(
+                (f"{path.name}:{stmt.lineno}", _defined_names(stmt), _referenced_names(stmt))
+            )
+    unused = []
+    for where, defines, _ in statements:
+        for name in defines:
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            if not any(
+                name in uses for other, _, uses in statements if other != where
+            ):
+                unused.append(f"{where} {name}")
+    assert unused == [], "private names used nowhere but in their definition"
