@@ -9,7 +9,9 @@ generators and one equal to another's inverse).  ``roundtripM.json`` holds two
 copies of f = H o (zeta_M z) o H^-1 at N=32 with H = h1 o h0, h0 = z (1 - z^p)^(-1/p)
 and h1 = z/(1 - s z), so ``linearize`` conjugates through every order;
 ``roundtrip3_obstruction.json`` adds z^12 to the second copy, so the scan stops
-at k = 11 and prints the partial conjugator.  The stored files pin the output
+at k = 11 and prints the partial conjugator.  ``forms pullback`` runs in every
+chart of ex6.2 and in two charts of ex6.1, so the printed 1-form text is pinned;
+``form2.json`` is a two-variable form.  The stored files pin the output
 byte for byte, so a refactor that claims the same behaviour must pass this
 unchanged.
 
@@ -69,6 +71,15 @@ CASES = (
         f"linearize {name}.json"
         for name in ("roundtrip3", "roundtrip5", "roundtrip9", "roundtrip3_obstruction")
     ]
+    + [f"forms pullback --example ex6.2 --chart {c}" for c in ("y", "z")]
+    + [
+        "forms pullback --example ex6.1 --k 2 --chart w",
+        "forms pullback --example ex6.1 --k 3 --chart y",
+        "forms cone --example ex6.1 --k 2",
+        "forms kupka --example ex6.1 --k 3",
+    ]
+    + [f"forms {sub} form2.json" for sub in ("integrable", "cone")]
+    + ["forms pullback form2.json --chart y"]
 )
 
 
