@@ -223,6 +223,11 @@ def _load_form(args):
         and len(set(variables)) == len(variables)
     ):
         raise InputError(f'{args.input}: field "vars" must list 2 to 4 distinct names')
+    for name in variables:
+        if name[:1] == "d" and name[1:] in variables:
+            raise InputError(
+                f'{args.input}: field "vars": {name!r} clashes with the differential of {name[1:]!r}'
+            )
     variables = tuple(variables)
     form_text = data.get("form")
     if not isinstance(form_text, str):
@@ -349,6 +354,19 @@ def _add_common(parser: argparse.ArgumentParser, with_search: bool = False):
     )
 
 
+def _add_form_options(parser: argparse.ArgumentParser, default=None):
+    # the forms parser and each subcommand parser take the same options;
+    # default=SUPPRESS on a subcommand keeps a value given before its name
+    parser.add_argument("--example", default=default, help="built-in example id")
+    parser.add_argument("--k", type=int, default=default, help="degree for ex6.1")
+    parser.add_argument(
+        "--params", default=default, help="six values a,b,c,alpha,beta,gamma for ex6.1"
+    )
+    parser.add_argument("--point", default=default, help="comma-separated point coordinates")
+    parser.add_argument("--chart", default=default, help="blow-up chart variable name")
+    parser.add_argument("--pretty", action="store_true", default=default or False)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="germlin",
@@ -366,20 +384,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lin.set_defaults(func=cmd_linearize)
 
     p_forms = sub.add_parser("forms", help="polynomial 1-form checks")
-    p_forms.add_argument(
-        "subcommand",
-        choices=["integrable", "cone", "kupka", "first-integral", "pullback"],
-    )
-    p_forms.add_argument("input", nargs="?", help="form JSON file")
-    p_forms.add_argument("--example", help="built-in example id")
-    p_forms.add_argument("--k", type=int, default=None, help="degree for ex6.1")
-    p_forms.add_argument(
-        "--params", help="six values a,b,c,alpha,beta,gamma for ex6.1"
-    )
-    p_forms.add_argument("--point", help="comma-separated point coordinates")
-    p_forms.add_argument("--chart", help="blow-up chart variable name")
-    p_forms.add_argument("--pretty", action="store_true")
+    _add_form_options(p_forms)
     p_forms.set_defaults(func=cmd_forms)
+    forms_sub = p_forms.add_subparsers(dest="subcommand", required=True)
+    for name in ("integrable", "cone", "kupka", "first-integral", "pullback"):
+        p_sub = forms_sub.add_parser(name)
+        p_sub.add_argument("input", nargs="?", help="form JSON file")
+        _add_form_options(p_sub, argparse.SUPPRESS)
 
     return parser
 

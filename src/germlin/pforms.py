@@ -1,10 +1,12 @@
 """Exact polynomial differential forms in up to four variables.
 
 Polynomials are sparse maps from exponent multi-indices to exact scalars
-(Fractions or cyclotomic elements); 1-, 2- and 3-forms carry one polynomial
-per basis form dx_i, dx_i^dx_j (i<j), dx_i^dx_j^dx_l (i<j<l).  On top of the
-exterior calculus (d, wedge) this module implements the checks used for
-integrable one-forms at a singular point:
+(Fractions or cyclotomic elements).  A k-form (k = 1, 2, 3) is one type,
+:class:`Form`: a sparse map from strictly increasing index tuples I to nonzero
+polynomials, the coefficients of dx_I = dx_i1 ^ ... ^ dx_ik.  ``PForm1``,
+``PForm2`` and ``PForm3`` only fix k.  The exterior derivative and the wedge
+product each have one body for every degree.  On top of them this module
+implements the checks used for integrable one-forms at a singular point:
 
 * integrability            w ^ dw = 0,
 * radial contraction       sum x_i a_i  (the pairing with the radial field),
@@ -19,13 +21,13 @@ chart pullback offers an independent route, and the two are cross-checked on
 the built-in examples by :func:`cone_matches_chart_pullback`.
 
 Forms parse from expression strings such as ``"y*dx - x*dy"`` over the
-variables x, y, z, w, with ``*`` acting as the wedge on forms.
+variables x, y, z, w (or any given names), with ``d<name>`` the differential
+of a variable and ``*`` acting as the wedge on forms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .cyclotomic import CycloElem, format_scalar
@@ -68,10 +70,24 @@ def _sc(value) -> Scalar:
     return value
 
 
-def _sc_is_zero(value: Scalar) -> bool:
-    if isinstance(value, CycloElem):
+def _is_zero(value) -> bool:
+    """Zero test for scalars and polynomials alike."""
+    if isinstance(value, (CycloElem, MultiPoly)):
         return value.is_zero
     return value == 0
+
+
+def _accumulate(out: dict, key, value, sign: int = 1) -> None:
+    """out[key] += sign * value, dropping the key when the sum is zero."""
+    s = out.get(key)
+    if s is None:
+        s = value if sign > 0 else -value
+    else:
+        s = s + value if sign > 0 else s - value
+    if _is_zero(s):
+        out.pop(key, None)
+    else:
+        out[key] = s
 
 
 class MultiPoly:
@@ -88,7 +104,7 @@ class MultiPoly:
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for {nvars} variables")
             coef = _sc(coef)
-            if not _sc_is_zero(coef):
+            if not _is_zero(coef):
                 clean[exps] = coef
         self.nvars = nvars
         self.terms = clean
@@ -128,7 +144,7 @@ class MultiPoly:
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch")
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
         if isinstance(other, (int, Fraction, CycloElem)):
             other = MultiPoly.constant(self.nvars, other)
         if not isinstance(other, MultiPoly):
@@ -136,13 +152,11 @@ class MultiPoly:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if _sc_is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
+            _accumulate(out, e, c, sign)
         return MultiPoly(self.nvars, out)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -150,18 +164,14 @@ class MultiPoly:
         return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CycloElem)):
-            other = MultiPoly.constant(self.nvars, other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycloElem)):
-            if _sc_is_zero(_sc(other)):
+            if _is_zero(_sc(other)):
                 return MultiPoly.zero(self.nvars)
             return MultiPoly(
                 self.nvars, {e: c * other for e, c in self.terms.items()}
@@ -175,7 +185,7 @@ class MultiPoly:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 s = out.get(e)
                 s = c1 * c2 if s is None else s + c1 * c2
-                if _sc_is_zero(s):
+                if _is_zero(s):
                     out.pop(e, None)
                 else:
                     out[e] = s
@@ -229,13 +239,11 @@ class MultiPoly:
     def substitute(self, i: int, value) -> "MultiPoly":
         """Replace variable i by a scalar value (the variable slot remains)."""
         value = _sc(value)
-        out = MultiPoly.zero(self.nvars)
+        out: dict = {}
         for e, c in self.terms.items():
-            ne = list(e)
-            ne[i] = 0
-            coef = c * value ** e[i] if e[i] else c
-            out = out + MultiPoly.monomial(self.nvars, ne, coef)
-        return out
+            key = e[:i] + (0,) + e[i + 1 :]
+            _accumulate(out, key, c * value ** e[i] if e[i] else c)
+        return MultiPoly(self.nvars, out)
 
     def min_total_degree(self) -> Optional[int]:
         if not self.terms:
@@ -267,89 +275,18 @@ class MultiPoly:
         return poly_to_string(self)
 
 
-def _poly_tuple(nvars: int, polys) -> tuple[MultiPoly, ...]:
-    out = []
-    for p in polys:
-        if not isinstance(p, MultiPoly):
-            p = MultiPoly.constant(nvars, p)
-        if p.nvars != nvars:
-            raise ValueError("variable-count mismatch")
-        out.append(p)
-    return tuple(out)
-
-
-class PForm1:
-    """A polynomial 1-form  sum a_i dx_i."""
+class Form:
+    """A polynomial k-form  sum_I a_I dx_I  over strictly increasing index
+    tuples I of length k; only nonzero coefficients are stored."""
 
     __slots__ = ("nvars", "coeffs")
-
-    def __init__(self, nvars: int, coeffs):
-        coeffs = list(coeffs)
-        if len(coeffs) != nvars:
-            raise ValueError("a 1-form needs one coefficient per variable")
-        self.nvars = nvars
-        self.coeffs = _poly_tuple(nvars, coeffs)
-
-    @classmethod
-    def zero(cls, nvars: int) -> "PForm1":
-        return cls(nvars, [MultiPoly.zero(nvars)] * nvars)
-
-    @classmethod
-    def basis(cls, nvars: int, i: int) -> "PForm1":
-        coeffs = [MultiPoly.zero(nvars)] * nvars
-        coeffs[i] = MultiPoly.constant(nvars, 1)
-        return cls(nvars, coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(p.is_zero for p in self.coeffs)
-
-    def __add__(self, other):
-        if not isinstance(other, PForm1) or other.nvars != self.nvars:
-            return NotImplemented
-        return PForm1(self.nvars, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        if not isinstance(other, PForm1) or other.nvars != self.nvars:
-            return NotImplemented
-        return PForm1(self.nvars, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return PForm1(self.nvars, [-a for a in self.coeffs])
-
-    def scale(self, p) -> "PForm1":
-        return PForm1(self.nvars, [a * p for a in self.coeffs])
-
-    def __eq__(self, other):
-        if not isinstance(other, PForm1):
-            return NotImplemented
-        return self.nvars == other.nvars and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
-
-    __hash__ = None
-
-    def evaluate(self, point) -> tuple:
-        return tuple(p.evaluate(point) for p in self.coeffs)
-
-    def map_coeffs(self, fn) -> "PForm1":
-        return PForm1(self.nvars, [fn(p) for p in self.coeffs])
-
-    def __repr__(self):
-        return form_to_string(self)
-
-
-class _IndexedForm:
-    """Shared container for 2- and 3-forms keyed by sorted index tuples."""
-
-    __slots__ = ("nvars", "coeffs")
-    arity = 0
+    degree: int  # k, set by each subclass
 
     def __init__(self, nvars: int, coeffs: Optional[dict] = None):
         clean = {}
         for key, p in (coeffs or {}).items():
             key = tuple(key)
-            if len(key) != self.arity or list(key) != sorted(set(key)):
+            if len(key) != self.degree or list(key) != sorted(set(key)):
                 raise ValueError(f"basis indices must be strictly increasing: {key}")
             if any(not (0 <= i < nvars) for i in key):
                 raise ValueError(f"index out of range in {key}")
@@ -361,6 +298,15 @@ class _IndexedForm:
                 clean[key] = p
         self.nvars = nvars
         self.coeffs = clean
+
+    @classmethod
+    def zero(cls, nvars: int) -> "Form":
+        return cls(nvars, {})
+
+    @classmethod
+    def basis(cls, nvars: int, *key: int) -> "Form":
+        """The basis form dx_I for the strictly increasing indices I."""
+        return cls(nvars, {key: 1})
 
     @property
     def is_zero(self) -> bool:
@@ -374,12 +320,7 @@ class _IndexedForm:
             return NotImplemented
         out = dict(self.coeffs)
         for key, p in other.coeffs.items():
-            s = out.get(key)
-            s = (p * sign) if s is None else s + p * sign
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
+            _accumulate(out, key, p, sign)
         return type(self)(self.nvars, out)
 
     def __add__(self, other):
@@ -389,10 +330,13 @@ class _IndexedForm:
         return self._combine(other, -1)
 
     def __neg__(self):
-        return type(self)(self.nvars, {k: -p for k, p in self.coeffs.items()})
+        return self.map_coeffs(lambda p: -p)
 
     def scale(self, p):
-        return type(self)(self.nvars, {k: q * p for k, q in self.coeffs.items()})
+        return self.map_coeffs(lambda q: q * p)
+
+    def map_coeffs(self, fn):
+        return type(self)(self.nvars, {k: fn(p) for k, p in self.coeffs.items()})
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -408,78 +352,87 @@ class _IndexedForm:
         return form_to_string(self)
 
 
-class PForm2(_IndexedForm):
+class PForm1(Form):
+    """A polynomial 1-form  sum a_i dx_i; also built from the list [a_0, ...]."""
+
+    degree = 1
+
+    def __init__(self, nvars: int, coeffs=None):
+        if coeffs is not None and not isinstance(coeffs, dict):
+            coeffs = list(coeffs)
+            if len(coeffs) != nvars:
+                raise ValueError("a 1-form needs one coefficient per variable")
+            coeffs = {(i,): p for i, p in enumerate(coeffs)}
+        super().__init__(nvars, coeffs)
+
+
+class PForm2(Form):
     """A polynomial 2-form  sum a_ij dx_i ^ dx_j, i < j."""
 
-    arity = 2
+    degree = 2
 
 
-class PForm3(_IndexedForm):
+class PForm3(Form):
     """A polynomial 3-form  sum a_ijl dx_i ^ dx_j ^ dx_l, i < j < l."""
 
-    arity = 3
+    degree = 3
 
 
-AnyForm = Union[MultiPoly, PForm1, PForm2, PForm3]
+AnyForm = Union[MultiPoly, Form]
+
+
+def _form_type(degree: int) -> type:
+    if not 1 <= degree <= 3:
+        raise ValueError(f"{degree}-forms are out of range")
+    return (PForm1, PForm2, PForm3)[degree - 1]
 
 
 # -- exterior calculus ---------------------------------------------------------------
 
 
-def exterior_d(form: AnyForm):
-    """The exterior derivative of a polynomial (0-form), 1-form or 2-form."""
+def exterior_d(form: AnyForm) -> Form:
+    """The exterior derivative of a polynomial (0-form), 1-form or 2-form.
+
+    d(a dx_I) = sum_{i not in I} d_i a dx_i ^ dx_I; moving dx_i to its
+    sorted place in I passes the indices of I below i, one sign each.
+    """
     if isinstance(form, MultiPoly):
         return PForm1(form.nvars, [form.partial(i) for i in range(form.nvars)])
-    if isinstance(form, PForm1):
-        n = form.nvars
-        out = {}
-        for i, j in combinations(range(n), 2):
-            p = form.coeffs[j].partial(i) - form.coeffs[i].partial(j)
-            if not p.is_zero:
-                out[(i, j)] = p
-        return PForm2(n, out)
-    if isinstance(form, PForm2):
-        n = form.nvars
-        out = {}
-        for u, v, w in combinations(range(n), 3):
-            p = (
-                form.coefficient((v, w)).partial(u)
-                - form.coefficient((u, w)).partial(v)
-                + form.coefficient((u, v)).partial(w)
-            )
-            if not p.is_zero:
-                out[(u, v, w)] = p
-        return PForm3(n, out)
-    raise TypeError("exterior_d takes a polynomial, 1-form or 2-form")
+    if not isinstance(form, Form):
+        raise TypeError("exterior_d takes a polynomial or a form")
+    cls = _form_type(form.degree + 1)
+    out: dict = {}
+    for key, p in form.coeffs.items():
+        for i in range(form.nvars):
+            if i in key:
+                continue
+            dp = p.partial(i)
+            if dp.is_zero:
+                continue
+            below = sum(1 for j in key if j < i)
+            _accumulate(out, key[:below] + (i,) + key[below:], dp, -1 if below & 1 else 1)
+    return cls(form.nvars, out)
 
 
-def wedge(u: PForm1, v: Union[PForm1, PForm2]):
-    """The wedge u ^ v of a 1-form with a 1- or 2-form."""
-    if not isinstance(u, PForm1):
-        raise TypeError("wedge expects a 1-form on the left")
-    if isinstance(v, PForm1):
-        if v.nvars != u.nvars:
-            raise ValueError("variable-count mismatch")
-        out = {}
-        for i, j in combinations(range(u.nvars), 2):
-            p = u.coeffs[i] * v.coeffs[j] - u.coeffs[j] * v.coeffs[i]
-            if not p.is_zero:
-                out[(i, j)] = p
-        return PForm2(u.nvars, out)
-    if isinstance(v, PForm2):
-        if v.nvars != u.nvars:
-            raise ValueError("variable-count mismatch")
-        out = {}
-        for i, j, l in combinations(range(u.nvars), 3):
-            p = (
-                u.coeffs[i] * v.coefficient((j, l))
-                - u.coeffs[j] * v.coefficient((i, l))
-                + u.coeffs[l] * v.coefficient((i, j))
-            )
-            if not p.is_zero:
-                out[(i, j, l)] = p
-        return PForm3(u.nvars, out)
-    raise TypeError("wedge expects a 1- or 2-form on the right")
+def wedge(u: Form, v: Form) -> Form:
+    """The wedge u ^ v of a p-form and a q-form, p + q <= 3.
+
+    a dx_I ^ b dx_J = (-1)^inv ab dx_(I+J sorted) for disjoint I, J, where
+    inv counts the pairs i in I, j in J with i > j.
+    """
+    if not (isinstance(u, Form) and isinstance(v, Form)):
+        raise TypeError("wedge expects two forms")
+    if v.nvars != u.nvars:
+        raise ValueError("variable-count mismatch")
+    cls = _form_type(u.degree + v.degree)
+    out: dict = {}
+    for I, p in u.coeffs.items():
+        for J, q in v.coeffs.items():
+            if any(j in I for j in J):
+                continue
+            inv = sum(1 for i in I for j in J if i > j)
+            _accumulate(out, tuple(sorted(I + J)), p * q, -1 if inv & 1 else 1)
+    return cls(u.nvars, out)
 
 
 def integrability_check(omega: PForm1) -> bool:
@@ -492,17 +445,16 @@ def integrability_check(omega: PForm1) -> bool:
 def radial_contraction(omega: PForm1) -> MultiPoly:
     """The pairing sum x_i a_i of omega with the radial vector field."""
     total = MultiPoly.zero(omega.nvars)
-    for i, p in enumerate(omega.coeffs):
+    for (i,), p in omega.coeffs.items():
         total = total + MultiPoly.variable(omega.nvars, i) * p
     return total
 
 
 def lowest_jet(omega: PForm1) -> tuple[int, PForm1]:
     """The minimal total degree nu among all coefficients and the degree-nu part."""
-    degrees = [p.min_total_degree() for p in omega.coeffs if not p.is_zero]
-    if not degrees:
+    if omega.is_zero:
         raise ValueError("the zero form has no lowest jet")
-    nu = min(degrees)
+    nu = min(p.min_total_degree() for p in omega.coeffs.values())
     return nu, omega.map_coeffs(lambda p: p.homogeneous_part(nu))
 
 
@@ -554,15 +506,7 @@ def _blowup_substitute(p: MultiPoly, c: int) -> MultiPoly:
     # x_j -> x_c * u_j for j != c; the slot j now holds u_j.
     out: dict = {}
     for e, coef in p.terms.items():
-        ne = list(e)
-        ne[c] = sum(e)
-        key = tuple(ne)
-        s = out.get(key)
-        s = coef if s is None else s + coef
-        if _sc_is_zero(s):
-            out.pop(key, None)
-        else:
-            out[key] = s
+        _accumulate(out, e[:c] + (sum(e),) + e[c + 1 :], coef)
     return MultiPoly(p.nvars, out)
 
 
@@ -577,24 +521,18 @@ def blowup_chart_pullback(omega: PForm1, chart) -> tuple[int, PForm1]:
         raise ValueError("cannot pull back the zero form")
     n = omega.nvars
     c = _chart_index(n, chart)
-    subbed = [_blowup_substitute(p, c) for p in omega.coeffs]
-    # d(x_c u_j) = u_j dx_c + x_c du_j
-    dt = subbed[c]
-    for j in range(n):
-        if j != c:
-            dt = dt + MultiPoly.variable(n, j) * subbed[j]
     t = MultiPoly.variable(n, c)
-    coeffs = [None] * n
-    coeffs[c] = dt
-    for j in range(n):
-        if j != c:
-            coeffs[j] = t * subbed[j]
-    pulled = PForm1(n, coeffs)
-    m = min(p.min_exponent(c) for p in pulled.coeffs if not p.is_zero)
-    reduced = pulled.map_coeffs(
-        lambda p: p if p.is_zero else p.shift_down(c, m)
-    )
-    return m, reduced
+    pulled: dict = {}
+    for (j,), p in omega.coeffs.items():
+        subbed = _blowup_substitute(p, c)
+        if j == c:
+            _accumulate(pulled, (c,), subbed)
+        else:
+            # d(x_c u_j) = u_j dx_c + x_c du_j
+            _accumulate(pulled, (c,), MultiPoly.variable(n, j) * subbed)
+            pulled[(j,)] = t * subbed
+    m = min(p.min_exponent(c) for p in pulled.values())
+    return m, PForm1(n, pulled).map_coeffs(lambda p: p.shift_down(c, m))
 
 
 def restrict_to_exceptional(form: PForm1, chart) -> PForm1:
@@ -617,16 +555,8 @@ def cone_matches_chart_pullback(omega: PForm1, chart) -> bool:
     _, reduced = blowup_chart_pullback(omega, chart)
     restricted = restrict_to_exceptional(reduced, chart)
     if dicritical:
-        return any(
-            not restricted.coeffs[j].is_zero for j in range(n) if j != c
-        )
-    expected = PForm1(
-        n,
-        [
-            _blowup_substitute(cone, c).substitute(c, 1) if i == c else MultiPoly.zero(n)
-            for i in range(n)
-        ],
-    )
+        return any(key != (c,) for key in restricted.coeffs)
+    expected = PForm1(n, {(c,): _blowup_substitute(cone, c).substitute(c, 1)})
     return restricted == expected
 
 
@@ -636,10 +566,10 @@ def kupka_test(omega: PForm1, q: Sequence) -> bool:
         raise ValueError(
             f"point has {len(q)} coordinates for {omega.nvars} variables"
         )
-    if any(not _sc_is_zero(v) for v in omega.evaluate(q)):
+    if any(not _is_zero(v) for v in omega.evaluate(q).values()):
         return False
     d = exterior_d(omega)
-    return any(not _sc_is_zero(v) for v in d.evaluate(q).values())
+    return any(not _is_zero(v) for v in d.evaluate(q).values())
 
 
 def first_integral_check(omega: PForm1, f: MultiPoly) -> bool:
@@ -673,7 +603,7 @@ def eval_form(node, env: dict, variables: Sequence[str]):
         name = node[1]
         if name in variables:
             return MultiPoly.variable(nvars, list(variables).index(name))
-        if len(name) == 2 and name[0] == "d" and name[1:] in variables:
+        if name[:1] == "d" and name[1:] in variables:
             return PForm1.basis(nvars, list(variables).index(name[1:]))
         if name in env:
             return MultiPoly.constant(nvars, env[name])
@@ -696,11 +626,9 @@ def eval_form(node, env: dict, variables: Sequence[str]):
             return b.scale(a)
         if isinstance(b, MultiPoly):
             return a.scale(b)
-        if isinstance(a, PForm1) and isinstance(b, (PForm1, PForm2)):
-            return wedge(a, b)
-        if isinstance(b, PForm1) and isinstance(a, PForm2):
-            return wedge(b, a)  # even total degree: the factors commute
-        raise ExpressionError("wedge products beyond 3-forms are out of range")
+        if a.degree + b.degree > 3:
+            raise ExpressionError("wedge products beyond 3-forms are out of range")
+        return wedge(a, b)
     if op == "div":
         a = eval_form(node[1], env, variables)
         b = eval_form(node[2], env, variables)
@@ -747,10 +675,6 @@ def _monomial_str(e: tuple[int, ...], variables) -> str:
     return "*".join(parts)
 
 
-def _scalar_str(c: Scalar) -> str:
-    return format_scalar(c)
-
-
 def poly_to_string(p: MultiPoly, variables=None) -> str:
     """Canonical text: terms in descending lexicographic exponent order."""
     variables = tuple(variables) if variables else DEFAULT_VARS[: p.nvars]
@@ -760,7 +684,7 @@ def poly_to_string(p: MultiPoly, variables=None) -> str:
     for e in sorted(p.terms, key=lambda exps: tuple(-x for x in exps)):
         c = p.terms[e]
         mono = _monomial_str(e, variables)
-        cs = _scalar_str(c)
+        cs = format_scalar(c)
         if mono:
             piece = mono if cs == "1" else (f"-{mono}" if cs == "-1" else f"{cs}*{mono}")
         else:
@@ -786,13 +710,6 @@ def form_to_string(form: AnyForm, variables=None) -> str:
     if isinstance(form, MultiPoly):
         return poly_to_string(form, variables)
     variables = tuple(variables) if variables else DEFAULT_VARS[: form.nvars]
-    if isinstance(form, PForm1):
-        pieces = [
-            f"{_wrap(p, variables)}*d{variables[i]}"
-            for i, p in enumerate(form.coeffs)
-            if not p.is_zero
-        ]
-        return " + ".join(pieces) if pieces else "0"
     pieces = []
     for key in sorted(form.coeffs):
         basis = "*".join(f"d{variables[i]}" for i in key)

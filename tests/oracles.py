@@ -6,7 +6,7 @@ Lagrange inversion instead of the triangular inverse solve, symbolic
 chain-rule differentiation instead of series composition, and a reduced-word
 search over all 2m letters with direct witness checks instead of the shared
 search engine with value-deduplicated letters and results shared between
-pairs.
+pairs, and determinants of coefficient matrices instead of the wedge kernel.
 """
 
 from __future__ import annotations
@@ -14,11 +14,13 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import gcd
 from math import factorial
 
 from germlin.cyclotomic import CycloElem, cyclo_embed, zeta
 from germlin.jets import Jet, jet_mul_inverse
+from germlin.pforms import MultiPoly
 
 
 def naive_poly_compose(f: Jet, g: Jet) -> Jet:
@@ -179,3 +181,23 @@ def naive_conjugator_search(gens, inverses, i, j, max_len, identity, compose, ke
                 return word + (letter,)
             queue.append((word + (letter,), child))
     return None
+
+
+def wedge_minors(forms) -> dict:
+    """Coefficients of u_1 ^ ... ^ u_k for 1-forms u_r: the coefficient at
+    the index tuple I is the I-minor det [a_(r, I_c)] of the coefficient
+    matrix, expanded by the Leibniz formula over all permutations."""
+    nvars = forms[0].nvars
+    k = len(forms)
+    out = {}
+    for key in combinations(range(nvars), k):
+        total = MultiPoly.zero(nvars)
+        for perm in permutations(range(k)):
+            inversions = sum(1 for a, b in combinations(perm, 2) if a > b)
+            term = MultiPoly.constant(nvars, (-1) ** inversions)
+            for row, col in enumerate(perm):
+                term = term * forms[row].coefficient((key[col],))
+            total = total + term
+        if not total.is_zero:
+            out[key] = total
+    return out

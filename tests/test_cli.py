@@ -302,3 +302,37 @@ def test_unknown_example(capsys):
     assert code == 2 and "unknown example" in err
     code, _, err = run(capsys, "forms", "cone", "--example", "nope")
     assert code == 2 and "unknown example" in err
+
+
+def test_forms_options_before_or_after_the_file(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"vars": ["x", "y", "z"], "form": "y*dx + x*dy + 2*z*dz"}))
+    for argv in (["kupka", "--point", "0,0,0"], ["cone", "--pretty"], ["pullback", "--chart", "y"]):
+        code_a, out_a, _ = run(capsys, "forms", *argv, str(path))
+        code_b, out_b, _ = run(capsys, "forms", argv[0], str(path), *argv[1:])
+        assert out_a == out_b and code_a == code_b
+        assert code_a in (0, 1) and out_a
+    # an option given before the subcommand name still counts
+    _, before, _ = run(capsys, "forms", "--example", "ex6.2", "--pretty", "cone")
+    _, after, _ = run(capsys, "forms", "cone", "--example", "ex6.2", "--pretty")
+    assert before == after
+    with pytest.raises(SystemExit) as exc:
+        main(["forms", "nonsense"])
+    assert exc.value.code == 2
+
+
+def test_forms_multi_letter_variables(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"vars": ["x1", "x2"], "form": "x2*dx1 - x1*dx2"}))
+    code, out, err = run(capsys, "forms", "integrable", str(path))
+    assert code == 0 and err == ""
+    assert json.loads(out)["vars"] == ["x1", "x2"]
+
+
+@pytest.mark.parametrize("names", [["x", "dx"], ["dy", "z", "y"]])
+def test_forms_vars_clashing_with_a_differential(tmp_path, capsys, names):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"vars": names, "form": "x*dz" if "z" in names else "x*dx"}))
+    code, out, err = run(capsys, "forms", "integrable", str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and '"vars"' in err

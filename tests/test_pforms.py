@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from germlin.pforms import (
     MultiPoly,
     PForm1,
+    PForm2,
+    PForm3,
     blowup_chart_pullback,
     cone_matches_chart_pullback,
     exterior_d,
@@ -25,6 +28,8 @@ from germlin.pforms import (
 )
 from germlin.registry import build_form_example, default_parameter_sets
 
+from oracles import wedge_minors
+
 V2 = ("x", "y")
 V3 = ("x", "y", "z")
 V4 = ("x", "y", "z", "w")
@@ -42,6 +47,12 @@ def _random_poly(rng, nvars, max_deg=3, terms=4):
 
 def _random_form(rng, nvars, **kw):
     return PForm1(nvars, [_random_poly(rng, nvars, **kw) for _ in range(nvars)])
+
+
+def _random_kform(rng, nvars, k, **kw):
+    cls = (PForm1, PForm2, PForm3)[k - 1]
+    keys = combinations(range(nvars), k)
+    return cls(nvars, {key: _random_poly(rng, nvars, **kw) for key in keys})
 
 
 def test_multipoly_basics():
@@ -176,8 +187,6 @@ def test_pullback_commutes_with_d():
         c = 0
         subbed = {key: _blowup_substitute(p, c) for key, p in dw.coeffs.items()}
         # d(x_j) = u_j dt + t du_j for j != c, dt in slot c
-        from germlin.pforms import PForm2
-
         acc = PForm2(n, {})
         for (i, j), p in subbed.items():
 
@@ -209,8 +218,8 @@ def test_restriction_matches_dehomogenized_cone():
     m, red = blowup_chart_pullback(ex62.omega, "x")
     assert m == 2
     restricted = restrict_to_exceptional(red, "x")
-    assert poly_to_string(restricted.coeffs[0]) == "2*y^2 + 2*z^2"
-    assert restricted.coeffs[1].is_zero and restricted.coeffs[2].is_zero
+    assert poly_to_string(restricted.coefficient((0,))) == "2*y^2 + 2*z^2"
+    assert restricted.coefficient((1,)).is_zero and restricted.coefficient((2,)).is_zero
 
 
 def test_kupka_examples():
@@ -273,3 +282,67 @@ def test_strings_round_trip():
     w = form_from_string("(y^2 + z^2)*dx + x*y*dy", variables=V3)
     assert form_from_string(form_to_string(w), variables=V3) == w
     assert poly_to_string(MultiPoly.zero(3)) == "0"
+
+
+SMALL = {"max_deg": 2, "terms": 3}
+
+
+def test_wedge_matches_minor_oracle_4vars():
+    rng = random.Random(83)
+    for _ in range(10):
+        u = [_random_form(rng, 4, **SMALL) for _ in range(3)]
+        assert wedge(u[0], u[1]) == PForm2(4, wedge_minors(u[:2]))
+        assert wedge(wedge(u[0], u[1]), u[2]) == PForm3(4, wedge_minors(u))
+        assert wedge(u[0], wedge(u[1], u[2])) == PForm3(4, wedge_minors(u))
+
+
+def test_wedge_graded_commutativity_4vars():
+    rng = random.Random(89)
+    for p, q in ((1, 1), (1, 2), (2, 1)):
+        for _ in range(5):
+            u = _random_kform(rng, 4, p, **SMALL)
+            v = _random_kform(rng, 4, q, **SMALL)
+            swapped = wedge(v, u)
+            assert wedge(u, v) == (swapped if p * q % 2 == 0 else -swapped)
+
+
+def test_wedge_associativity_4vars():
+    rng = random.Random(97)
+    for _ in range(10):
+        u, v, w = (_random_form(rng, 4, **SMALL) for _ in range(3))
+        assert wedge(wedge(u, v), w) == wedge(u, wedge(v, w))
+
+
+def test_leibniz_and_dd_zero_4vars():
+    rng = random.Random(101)
+    for _ in range(10):
+        f = _random_poly(rng, 4, **SMALL)
+        u, v = _random_form(rng, 4, **SMALL), _random_form(rng, 4, **SMALL)
+        beta = _random_kform(rng, 4, 2, **SMALL)
+        # d(u ^ v) = du ^ v - u ^ dv for 1-forms; d(f beta) = df ^ beta + f dbeta
+        assert exterior_d(wedge(u, v)) == wedge(exterior_d(u), v) - wedge(u, exterior_d(v))
+        assert exterior_d(beta.scale(f)) == wedge(exterior_d(f), beta) + exterior_d(beta).scale(f)
+        assert exterior_d(exterior_d(f)).is_zero
+        assert exterior_d(exterior_d(u)).is_zero
+
+
+def test_higher_forms_round_trip_through_strings():
+    rng = random.Random(103)
+    for variables in (V3, V4):
+        n = len(variables)
+        for k in (2, 3):
+            for _ in range(5):
+                form = _random_kform(rng, n, k, **SMALL)
+                text = form_to_string(form, variables)
+                assert form_from_string(text, variables=variables) == form
+    assert form_from_string("(dy*dz)*dx", variables=V3) == form_from_string(
+        "dx*dy*dz", variables=V3
+    )
+
+
+def test_multi_letter_variable_differentials():
+    names = ("x1", "x2")
+    omega = form_from_string("x2*dx1 - x1*dx2", variables=names)
+    x1, x2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    assert omega == PForm1(2, [x2, -x1])
+    assert form_from_string(form_to_string(omega, names), variables=names) == omega
