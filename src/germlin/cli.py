@@ -15,6 +15,7 @@ refuted or unresolved, 2 for input errors (with a diagnostic on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -367,6 +368,7 @@ def _add_form_options(parser: argparse.ArgumentParser, default=None):
     parser.add_argument("--pretty", action="store_true", default=default or False)
 
 
+@functools.cache  # one parser per process: building it costs more than a forms check
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="germlin",
