@@ -227,7 +227,8 @@ def _load_form(args):
     for name in variables:
         if name[:1] == "d" and name[1:] in variables:
             raise InputError(
-                f'{args.input}: field "vars": {name!r} clashes with the differential of {name[1:]!r}'
+                f'{args.input}: field "vars": {name!r} clashes with '
+                f"the differential of {name[1:]!r}"
             )
     variables = tuple(variables)
     form_text = data.get("form")
@@ -314,14 +315,15 @@ def cmd_forms(args) -> int:
         chart = args.chart or variables[0]
         if chart not in variables:
             raise InputError(f"--chart must be one of {', '.join(variables)}")
-        m, reduced = blowup_chart_pullback(omega, chart)
+        c = variables.index(chart)  # the file's names, not the default x, y, z, w
+        m, reduced = blowup_chart_pullback(omega, c)
         payload["chart"] = chart
         payload["exceptional_multiplicity"] = m
         payload["reduced"] = form_to_string(reduced, variables)
         payload["restriction"] = form_to_string(
-            restrict_to_exceptional(reduced, chart), variables
+            restrict_to_exceptional(reduced, c), variables
         )
-        verdict = cone_matches_chart_pullback(omega, chart)
+        verdict = cone_matches_chart_pullback(omega, c)
         payload["matches_tangent_cone"] = verdict
 
     else:  # pragma: no cover - argparse restricts choices
@@ -363,7 +365,9 @@ def _add_form_options(parser: argparse.ArgumentParser, default=None):
     parser.add_argument(
         "--params", default=default, help="six values a,b,c,alpha,beta,gamma for ex6.1"
     )
-    parser.add_argument("--point", default=default, help="comma-separated point coordinates")
+    parser.add_argument(
+        "--point", default=default, help="comma-separated point coordinates"
+    )
     parser.add_argument("--chart", default=default, help="blow-up chart variable name")
     parser.add_argument("--pretty", action="store_true", default=default or False)
 

@@ -410,7 +410,8 @@ def exterior_d(form: AnyForm) -> Form:
             if dp.is_zero:
                 continue
             below = sum(1 for j in key if j < i)
-            _accumulate(out, key[:below] + (i,) + key[below:], dp, -1 if below & 1 else 1)
+            sign = -1 if below & 1 else 1
+            _accumulate(out, key[:below] + (i,) + key[below:], dp, sign)
     return cls(form.nvars, out)
 
 

@@ -329,6 +329,19 @@ def test_forms_multi_letter_variables(tmp_path, capsys):
     assert json.loads(out)["vars"] == ["x1", "x2"]
 
 
+def test_forms_pullback_chart_by_the_files_names(tmp_path, capsys):
+    # form2 of tests/golden with the variable slots swapped: same chart-y result
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"vars": ["y", "x"], "form": "y*dx - x*dy + x^2*dy"}))
+    code, out, _ = run(capsys, "forms", "pullback", str(path), "--chart", "y")
+    data = json.loads(out)
+    assert code == 0 and data["exceptional_multiplicity"] == 2
+    assert sorted(data["reduced"].split(" + ")) == ["1*dx", "x^2*dy"]
+    path.write_text(json.dumps({"vars": ["x1", "x2"], "form": "x2*dx1 - x1*dx2"}))
+    code, out, _ = run(capsys, "forms", "pullback", str(path), "--chart", "x2")
+    assert code == 0 and json.loads(out)["chart"] == "x2"
+
+
 @pytest.mark.parametrize("names", [["x", "dx"], ["dy", "z", "y"]])
 def test_forms_vars_clashing_with_a_differential(tmp_path, capsys, names):
     path = tmp_path / "f.json"
