@@ -11,9 +11,11 @@ and h1 = z/(1 - s z), so ``linearize`` conjugates through every order;
 ``roundtrip3_obstruction.json`` adds z^12 to the second copy, so the scan stops
 at k = 11 and prints the partial conjugator.  ``forms pullback`` runs in every
 chart of ex6.2 and in two charts of ex6.1, so the printed 1-form text is pinned;
-``form2.json`` is a two-variable form.  The stored files pin the output
-byte for byte, so a refactor that claims the same behaviour must pass this
-unchanged.
+``form2.json`` is a two-variable form.  ``forms first-integral`` reads the
+holomorphic integral of ``integral.json`` and the numerator/denominator of
+``quotient.json``, and ``ex4.3`` runs once without ``--p`` (p = 1).  The
+stored files pin the output byte for byte, so a refactor that claims the same
+behaviour must pass this unchanged.
 
 After an intended output change, re-capture with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -80,6 +82,12 @@ CASES = (
     ]
     + [f"forms {sub} form2.json" for sub in ("integrable", "cone")]
     + ["forms pullback form2.json --chart y"]
+    + [f"forms first-integral {name}.json" for name in ("integral", "quotient")]
+    + ["forms kupka quotient.json --point 0,0,0"]
+    + [
+        "certify --example ex4.3 --order 8 --max-word-len 2",
+        "linearize --example ex4.3 --order 8",
+    ]
 )
 
 
