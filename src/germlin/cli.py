@@ -50,6 +50,7 @@ from .pforms import (
 from .registry import (
     FORM_EXAMPLES,
     GROUP_EXAMPLES,
+    FormExample,
     RegistryError,
     build_form_example,
     build_group_example,
@@ -74,28 +75,29 @@ def _emit(payload: dict, pretty: bool) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _load_presentations(args) -> tuple[str, list[LoadedPresentation]]:
+def _select(args, kind: str, examples: tuple, build, load):
+    """(source, value): ``build(args.example)`` or ``load(args.input)``."""
     if args.example is not None and args.input is not None:
         raise InputError("give either --example or an input file, not both")
-    order = args.order
     if args.example is not None:
-        if args.example not in GROUP_EXAMPLES:
+        if args.example not in examples:
             raise InputError(
-                f"unknown example {args.example!r}; group examples: "
-                + ", ".join(GROUP_EXAMPLES)
+                f"unknown example {args.example!r}; {kind} examples: " + ", ".join(examples)
             )
-        try:
-            loaded = build_group_example(args.example, order=order, p=args.p)
-        except RegistryError as exc:
-            raise InputError(str(exc)) from exc
-        return args.example, loaded
+        return args.example, build(args.example)
     if args.input is None:
         raise InputError("an input file or --example is required")
-    try:
-        loaded = load_presentation_file(args.input, order=order)
-    except PresentationError as exc:
-        raise InputError(str(exc)) from exc
-    return args.input, loaded
+    return args.input, load(args.input)
+
+
+def _load_presentations(args) -> tuple[str, list[LoadedPresentation]]:
+    return _select(
+        args,
+        "group",
+        GROUP_EXAMPLES,
+        lambda example: build_group_example(example, order=args.order, p=args.p),
+        lambda path: load_presentation_file(path, order=args.order),
+    )
 
 
 def _scalars_json(scalars: dict) -> dict:
@@ -182,40 +184,24 @@ def _parse_params(text: str) -> tuple:
         raise InputError(f"bad --params entry: {exc}") from exc
 
 
-def _load_form(args):
-    """Returns (source, variables, omega, extras dict)."""
-    if args.example is not None and args.input is not None:
-        raise InputError("give either --example or an input file, not both")
-    if args.example is not None:
-        if args.example not in FORM_EXAMPLES:
-            raise InputError(
-                f"unknown example {args.example!r}; form examples: "
-                + ", ".join(FORM_EXAMPLES)
-            )
+def _load_form(args) -> tuple[str, FormExample]:
+    def build(example: str) -> FormExample:
         params = _parse_params(args.params) if args.params else None
-        try:
-            ex = build_form_example(args.example, k=args.k, params=params)
-        except RegistryError as exc:
-            raise InputError(str(exc)) from exc
-        extras = {
-            "first_integral": ex.first_integral,
-            "mero_numerator": ex.mero_numerator,
-            "mero_denominator": ex.mero_denominator,
-            "kupka_point": ex.kupka_point,
-            "expected_cone": ex.expected_cone,
-        }
-        return args.example, ex.variables, ex.omega, extras
-    if args.input is None:
-        raise InputError("an input file or --example is required")
+        return build_form_example(example, k=args.k, params=params)
+
+    return _select(args, "form", FORM_EXAMPLES, build, _read_form_file)
+
+
+def _read_form_file(path: str) -> FormExample:
     try:
-        with open(args.input, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read {args.input}: {exc}") from exc
+        raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"{args.input}: invalid JSON: {exc}") from exc
+        raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise InputError(f"{args.input}: expected a JSON object")
+        raise InputError(f"{path}: expected a JSON object")
     variables = data.get("vars", ["x", "y", "z"])
     if not (
         isinstance(variables, list)
@@ -223,37 +209,44 @@ def _load_form(args):
         and all(isinstance(v, str) for v in variables)
         and len(set(variables)) == len(variables)
     ):
-        raise InputError(f'{args.input}: field "vars" must list 2 to 4 distinct names')
+        raise InputError(f'{path}: field "vars" must list 2 to 4 distinct names')
     for name in variables:
         if name[:1] == "d" and name[1:] in variables:
             raise InputError(
-                f'{args.input}: field "vars": {name!r} clashes with '
+                f'{path}: field "vars": {name!r} clashes with '
                 f"the differential of {name[1:]!r}"
             )
     variables = tuple(variables)
     form_text = data.get("form")
     if not isinstance(form_text, str):
-        raise InputError(f'{args.input}: field "form" must be an expression string')
+        raise InputError(f'{path}: field "form" must be an expression string')
     try:
         omega = form_from_string(form_text, variables=variables)
     except ExpressionError as exc:
-        raise InputError(f'{args.input}: field "form": {exc}') from exc
+        raise InputError(f'{path}: field "form": {exc}') from exc
     if not isinstance(omega, PForm1):
-        raise InputError(f'{args.input}: field "form" must be a 1-form')
-    extras = {}
+        raise InputError(f'{path}: field "form" must be a 1-form')
+    polys = {}
     for key in ("integral", "numerator", "denominator"):
         if key in data:
             if not isinstance(data[key], str):
-                raise InputError(f'{args.input}: field "{key}" must be an expression string')
+                raise InputError(f'{path}: field "{key}" must be an expression string')
             try:
-                extras[key] = poly_from_string(data[key], variables=variables)
+                polys[key] = poly_from_string(data[key], variables=variables)
             except ExpressionError as exc:
-                raise InputError(f'{args.input}: field "{key}": {exc}') from exc
-    return args.input, variables, omega, extras
+                raise InputError(f'{path}: field "{key}": {exc}') from exc
+    return FormExample(
+        variables=variables,
+        omega=omega,
+        first_integral=polys.get("integral"),
+        mero_numerator=polys.get("numerator"),
+        mero_denominator=polys.get("denominator"),
+    )
 
 
 def cmd_forms(args) -> int:
-    source, variables, omega, extras = _load_form(args)
+    source, form = _load_form(args)
+    variables, omega = form.variables, form.omega
     payload = {
         "command": f"forms {args.subcommand}",
         "input": source,
@@ -274,11 +267,10 @@ def cmd_forms(args) -> int:
         verdict = not cone.dicritical
 
     elif args.subcommand == "kupka":
-        point = None
         if args.point:
             point = _parse_point(args.point, len(variables))
-        elif extras.get("kupka_point") is not None:
-            point = extras["kupka_point"]
+        elif form.kupka_point is not None:
+            point = form.kupka_point
         else:
             raise InputError("kupka needs --point x,y,... coordinates")
         verdict = kupka_test(omega, point)
@@ -288,14 +280,7 @@ def cmd_forms(args) -> int:
         payload["kupka"] = verdict
 
     elif args.subcommand == "first-integral":
-        if args.example is not None:
-            integral = extras.get("first_integral")
-            num = extras.get("mero_numerator")
-            den = extras.get("mero_denominator")
-        else:
-            integral = extras.get("integral")
-            num = extras.get("numerator")
-            den = extras.get("denominator")
+        integral, num, den = form.first_integral, form.mero_numerator, form.mero_denominator
         if integral is not None:
             verdict = first_integral_check(omega, integral)
             payload["kind"] = "holomorphic"
@@ -404,8 +389,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("certify", "linearize") and args.order is None:
-        args.order = None if args.input else DEFAULT_ORDER
     try:
         return args.func(args)
     except InputError as exc:

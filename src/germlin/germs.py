@@ -148,6 +148,10 @@ def iterate(f: Germ, n: int) -> Germ:
     return result
 
 
+# The most letters Word.from_list expands an input word to.
+MAX_WORD_LETTERS = 1024
+
+
 @dataclass(frozen=True)
 class Word:
     """A word over 1-based generator indices with exponents +1 or -1."""
@@ -174,10 +178,10 @@ class Word:
     @classmethod
     def from_list(cls, letters) -> "Word":
         """A word from [index, exponent] pairs; exponent e stands for |e|
-        letters of its sign.  Both entries must be ints (not bools)."""
+        letters of its sign.  Both entries must be ints (not bools), and the
+        letters number at most MAX_WORD_LETTERS, counted before expanding."""
         if not isinstance(letters, (list, tuple)):
             raise ValueError("a word must be a list of [index, exponent] pairs")
-        out = []
         for letter in letters:
             if not (
                 isinstance(letter, (list, tuple))
@@ -185,11 +189,12 @@ class Word:
                 and all(isinstance(v, int) and not isinstance(v, bool) for v in letter)
             ):
                 raise ValueError(f"letter {letter!r} is not an [index, exponent] integer pair")
-            idx, exp = letter
-            if exp == 0:
-                continue
-            sign = 1 if exp > 0 else -1
-            out.extend((idx, sign) for _ in range(abs(exp)))
+        total = sum(abs(exp) for _, exp in letters)
+        if total > MAX_WORD_LETTERS:
+            raise ValueError(f"a word has at most {MAX_WORD_LETTERS} letters, got {total}")
+        out = []
+        for idx, exp in letters:
+            out.extend([(idx, 1 if exp > 0 else -1)] * abs(exp))
         return cls(tuple(out))
 
     def to_json(self) -> list[list[int]]:

@@ -22,7 +22,9 @@ Presentation files are JSON::
       "witnesses": {"(2,1)": [[1, 1], [2, 1]]} }
 
 Constraints are solved by enumerating roots of unity; every solution yields
-its own presentation, and reports are produced per solution.
+its own presentation, and reports are produced per solution.  The bundled
+examples of :mod:`germlin.registry` are such specs and load through the same
+checks, including the limits MAX_ORDER, MAX_CONDUCTOR and MAX_WORD_LETTERS.
 """
 
 from __future__ import annotations
@@ -65,6 +67,10 @@ __all__ = [
 ]
 
 DEFAULT_MAX_WORD_LEN = 8
+# Input limits of the presentation loader: the truncation order N, and the
+# conductor n, for which the field tables hold n x phi(n) integers.
+MAX_ORDER = 256
+MAX_CONDUCTOR = 360
 
 
 class PresentationError(ValueError):
@@ -344,9 +350,13 @@ class LoadedPresentation:
 _PAIR_RE = re.compile(r"^\((\d+),(\d+)\)$")
 
 
-def _is_positive_int(value) -> bool:
+def _bounded_int(value, name: str, cap: int) -> int:
     # JSON true and false load as bool, a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
+        raise PresentationError(f'field "{name}" must be a positive integer')
+    if value > cap:
+        raise PresentationError(f'field "{name}" must be at most {cap}')
+    return value
 
 
 def _parse_witnesses(raw: dict) -> dict[tuple[int, int], Word]:
@@ -371,21 +381,24 @@ def load_presentation_text(
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PresentationError(f"invalid JSON: {exc}") from exc
+    return _load_presentation_data(data, order)
+
+
+def _load_presentation_data(data, order: Optional[int]) -> list[LoadedPresentation]:
+    """The presentations of a decoded file or registry spec; a given
+    ``order`` overrides the spec's."""
     if not isinstance(data, dict):
         raise PresentationError("presentation file must hold a JSON object")
     gens_raw = data.get("generators")
     if not isinstance(gens_raw, list) or len(gens_raw) < 2:
         raise PresentationError('field "generators" must list at least two expressions')
     n_order = order if order is not None else data.get("order", DEFAULT_ORDER)
-    if not _is_positive_int(n_order):
-        raise PresentationError('field "order" must be a positive integer')
+    _bounded_int(n_order, "order", MAX_ORDER)
 
     field_spec = data.get("field") or {}
     if not isinstance(field_spec, dict):
         raise PresentationError('field "field" must be a JSON object')
-    conductor = field_spec.get("conductor", 1)
-    if not _is_positive_int(conductor):
-        raise PresentationError('field "field.conductor" must be a positive integer')
+    conductor = _bounded_int(field_spec.get("conductor", 1), "field.conductor", MAX_CONDUCTOR)
     constraints = field_spec.get("constraints", [])
     if isinstance(constraints, str):
         constraints = [constraints]

@@ -92,7 +92,7 @@ def _power_table(g, d: int, N: int, n: int) -> list:
 
 def _weighted_sum(w, powers, N: int, n: int) -> list:
     """sum_e w_e * powers[e] truncated at degree N, for powers[e] = g^e with
-    g(0) = 0; powers may be a dict holding only the e with w_e != 0."""
+    g(0) = 0; powers must reach the last e with w_e != 0."""
     out = [None] * (N + 1)
     for e, we in enumerate(w):
         if we.is_zero:
@@ -306,21 +306,16 @@ def jet_compose(f: Jet, g: Jet) -> Jet:
     """The composition f(g(z)) truncated at the common order.
 
     g must have zero constant term, otherwise the truncated composition is not
-    well defined.  The result is the triangular sum  sum_e f_e g^e.  An outer
-    series with at most four terms takes each power it needs by binary
-    powering; any other builds the powers of g up to the degree of f.
+    well defined.  The result is the triangular sum  sum_e f_e g^e  over the
+    powers of g up to the degree of f.
     """
     a, b = f._common(g)
     if not b.coeffs[0].is_zero:
         raise ValueError("inner series must have zero constant term")
     N, n = a.order, a.conductor
-    fc, gc = a.coeffs, b.coeffs
-    support = [i for i, c in enumerate(fc) if not c.is_zero]
-    if len(support) <= 4:
-        powers = {e: _pow_coeffs(gc, e, N, n) for e in support}
-    else:
-        powers = _power_table(gc, support[-1], N, n)
-    return Jet(_weighted_sum(fc, powers, N, n), order=N, conductor=n)
+    degree = max((e for e, c in enumerate(a.coeffs) if not c.is_zero), default=0)
+    powers = _power_table(b.coeffs, degree, N, n)
+    return Jet(_weighted_sum(a.coeffs, powers, N, n), order=N, conductor=n)
 
 
 def jet_comp_inverse(f: Jet) -> Jet:

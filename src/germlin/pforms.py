@@ -109,6 +109,15 @@ class MultiPoly:
         self.nvars = nvars
         self.terms = clean
 
+    @classmethod
+    def _clean(cls, nvars: int, terms: dict) -> "MultiPoly":
+        """Wraps a dict already in the checked form: exponent tuples of length
+        nvars to nonzero scalars.  Arithmetic results come through here."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
+
     # -- constructors -----------------------------------------------------------
 
     @classmethod
@@ -153,7 +162,7 @@ class MultiPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             _accumulate(out, e, c, sign)
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._clean(self.nvars, out)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -161,7 +170,7 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._clean(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self._combine(other, -1)
@@ -173,7 +182,7 @@ class MultiPoly:
         if isinstance(other, (int, Fraction, CycloElem)):
             if _is_zero(_sc(other)):
                 return MultiPoly.zero(self.nvars)
-            return MultiPoly(
+            return MultiPoly._clean(
                 self.nvars, {e: c * other for e, c in self.terms.items()}
             )
         if not isinstance(other, MultiPoly):
@@ -189,7 +198,7 @@ class MultiPoly:
                     out.pop(e, None)
                 else:
                     out[e] = s
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._clean(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -224,7 +233,7 @@ class MultiPoly:
                 ne = list(e)
                 ne[i] -= 1
                 out[tuple(ne)] = c * e[i]
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._clean(self.nvars, out)
 
     def evaluate(self, point: Sequence) -> Scalar:
         total: Scalar = Fraction(0)
@@ -243,7 +252,7 @@ class MultiPoly:
         for e, c in self.terms.items():
             key = e[:i] + (0,) + e[i + 1 :]
             _accumulate(out, key, c * value ** e[i] if e[i] else c)
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._clean(self.nvars, out)
 
     def min_total_degree(self) -> Optional[int]:
         if not self.terms:
@@ -251,7 +260,7 @@ class MultiPoly:
         return min(sum(e) for e in self.terms)
 
     def homogeneous_part(self, d: int) -> "MultiPoly":
-        return MultiPoly(
+        return MultiPoly._clean(
             self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d}
         )
 
@@ -269,7 +278,7 @@ class MultiPoly:
             ne = list(e)
             ne[i] -= m
             out[tuple(ne)] = c
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._clean(self.nvars, out)
 
     def __repr__(self):
         return poly_to_string(self)
@@ -508,7 +517,7 @@ def _blowup_substitute(p: MultiPoly, c: int) -> MultiPoly:
     out: dict = {}
     for e, coef in p.terms.items():
         _accumulate(out, e[:c] + (sum(e),) + e[c + 1 :], coef)
-    return MultiPoly(p.nvars, out)
+    return MultiPoly._clean(p.nvars, out)
 
 
 def blowup_chart_pullback(omega: PForm1, chart) -> tuple[int, PForm1]:

@@ -1,9 +1,11 @@
 """Built-in registry of the bundled group and foliation examples.
 
-Group entries construct presentations over exactly pinned cyclotomic scalars;
-where a scalar is pinned by polynomial constraints, every root of unity
-satisfying them yields its own presentation, and callers are expected to run
-their checks against all of them.
+Each group entry is a presentation spec, the dict a presentation file holds
+(``field.conductor``, ``field.constraints``, ``generators`` and optional
+``witnesses``), and loads through the file loader of :mod:`germlin.group_cert`
+with the same checks and limits.  Where a scalar is pinned by polynomial
+constraints, every root of unity satisfying them yields its own presentation,
+and callers are expected to run their checks against all of them.
 
 Group ids:
 
@@ -15,9 +17,10 @@ Group ids:
                      generators and the constraints a^3+a, a, a^3+a^2,
                      a^5+a^3+a, a, a^5+a^4+a^3 = 1/(1-a) respectively.
 * ``ex4.3``          the pair f = z/(1-z^p)^(1/p), f^-1 = z/(1+z^p)^(1/p),
-                     parameterized by p; extras carry the rotation
+                     parameterized by p (default 1); the rotation
                      h(z) = zeta_{2p} z conjugating f^-1 to f in the ambient
-                     group and the closed form of the iterates.
+                     group and the closed form of the iterates are
+                     ex43_ambient_conjugator and ex43_iterate_expr.
 
 Form ids:
 
@@ -34,14 +37,13 @@ Form ids:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cyclotomic import format_scalar, solve_root_constraints, zeta
-from .expressions import series_from_string
-from .germs import Germ, Word
-from .group_cert import GroupPresentation, LoadedPresentation
+from .cyclotomic import zeta
+from .germs import Germ
+from .group_cert import LoadedPresentation, _load_presentation_data
 from .jets import DEFAULT_ORDER, Jet
 from .pforms import MultiPoly, PForm1, form_from_string, poly_from_string
 
@@ -62,81 +64,53 @@ class RegistryError(ValueError):
     """Raised for unknown example ids or bad example parameters."""
 
 
-@dataclass
-class _GroupFamily:
-    count: int  # number of basic generators
-    conductor: int
-    constraint: str
-
-    def expressions(self) -> list[str]:
-        last = self.count - 1  # exponent in z/(a - a^(last) z)
-        return (
-            ["z/a"] * (self.count - 2)
-            + ["z/(a + z)", f"z/(a - a^{last}*z)"]
-        )
+def _family(count: int, constraint: str) -> dict:
+    """count generators z/a (count - 2 times), z/(a + z), z/(a - a^(count-1) z)
+    over the roots a of unity of conductor count pinned by the constraint."""
+    return {
+        "field": {"conductor": count, "constraints": [constraint]},
+        "generators": ["z/a"] * (count - 2) + ["z/(a + z)", f"z/(a - a^{count - 1}*z)"],
+    }
 
 
 _FAMILIES = {
-    "ex4.1": _GroupFamily(6, 6, "a = 1/(1 - a)"),
-    "g10": _GroupFamily(10, 10, "a^3 + a = 1/(1 - a)"),
-    "g12": _GroupFamily(12, 12, "a = 1/(1 - a)"),
-    "g12p": _GroupFamily(12, 12, "a^3 + a^2 = 1/(1 - a)"),
-    "g14": _GroupFamily(14, 14, "a^5 + a^3 + a = 1/(1 - a)"),
-    "g18": _GroupFamily(18, 18, "a = 1/(1 - a)"),
-    "g18p": _GroupFamily(18, 18, "a^5 + a^4 + a^3 = 1/(1 - a)"),
+    "ex4.1": {
+        **_family(6, "a = 1/(1 - a)"),
+        # g_1 = f_1 o f_5 o f_1^4 conjugates the pair (5, 1)
+        "witnesses": {"(5,1)": [[1, 1], [5, 1], [1, 4]]},
+    },
+    "g10": _family(10, "a^3 + a = 1/(1 - a)"),
+    "g12": _family(12, "a = 1/(1 - a)"),
+    "g12p": _family(12, "a^3 + a^2 = 1/(1 - a)"),
+    "g14": _family(14, "a^5 + a^3 + a = 1/(1 - a)"),
+    "g18": _family(18, "a = 1/(1 - a)"),
+    "g18p": _family(18, "a^5 + a^4 + a^3 = 1/(1 - a)"),
 }
 
 GROUP_EXAMPLES = tuple(list(_FAMILIES) + ["ex4.3"])
 FORM_EXAMPLES = ("ex6.1", "ex6.2")
 
-# The witness g_1 = f_1 o f_5 o f_1^4 conjugating the pair (5, 1) of ex4.1.
-_EX41_WITNESS = {(5, 1): Word.from_list([[1, 1], [5, 1], [1, 4]])}
-
 
 def build_group_example(
-    example_id: str, order: int = DEFAULT_ORDER, p: Optional[int] = None
+    example_id: str, order: Optional[int] = None, p: Optional[int] = None
 ) -> list[LoadedPresentation]:
-    """Construct a registry group example; one presentation per pinned root."""
-    if example_id in _FAMILIES:
-        fam = _FAMILIES[example_id]
-        roots = solve_root_constraints(fam.conductor, [fam.constraint])
-        if not roots:
-            raise RegistryError(f"{example_id}: constraint has no solutions")
-        out = []
-        witnesses = _EX41_WITNESS if example_id == "ex4.1" else None
-        for a in roots:
-            env = {"a": a}
-            gens = [
-                Germ(series_from_string(expr, env, order=order))
-                for expr in fam.expressions()
-            ]
-            out.append(
-                LoadedPresentation(
-                    label=f"a={format_scalar(a)}",
-                    scalars=dict(env),
-                    presentation=GroupPresentation(gens, witnesses, order=order),
-                )
-            )
-        return out
+    """Load a registry group example; one presentation per pinned root.
+
+    ``order`` defaults to DEFAULT_ORDER, as in a presentation file.
+    """
     if example_id == "ex4.3":
-        if p is None:
-            p = 1
+        p = 1 if p is None else p
         if p < 1:
             raise RegistryError("ex4.3 needs p >= 1")
-        f_expr = f"z / pow(1 - z^{p}, 1/{p})"
-        finv_expr = f"z / pow(1 + z^{p}, 1/{p})"
-        gens = [
-            Germ(series_from_string(f_expr, {}, order=order)),
-            Germ(series_from_string(finv_expr, {}, order=order)),
-        ]
-        return [
-            LoadedPresentation(
-                label=f"p={p}",
-                scalars={},
-                presentation=GroupPresentation(gens, None, order=order),
-            )
-        ]
-    raise RegistryError(f"unknown group example {example_id!r}")
+        spec = {"generators": [f"z / pow(1 {sign} z^{p}, 1/{p})" for sign in "-+"]}
+    elif example_id in _FAMILIES:
+        spec = _FAMILIES[example_id]
+    else:
+        raise RegistryError(f"unknown group example {example_id!r}")
+    loaded = _load_presentation_data(spec, order)
+    if example_id == "ex4.3":
+        loaded[0].label = f"p={p}"
+    return loaded
 
 
 def ex43_ambient_conjugator(p: int, order: int = DEFAULT_ORDER) -> Germ:
@@ -152,7 +126,6 @@ def ex43_iterate_expr(p: int, n: int) -> str:
 
 @dataclass
 class FormExample:
-    label: str
     variables: tuple[str, ...]
     omega: PForm1
     first_integral: Optional[MultiPoly] = None
@@ -160,7 +133,6 @@ class FormExample:
     mero_denominator: Optional[MultiPoly] = None
     kupka_point: Optional[tuple] = None
     expected_cone: Optional[MultiPoly] = None
-    params: dict = field(default_factory=dict)
 
 
 def default_parameter_sets(k: int) -> list[tuple]:
@@ -227,13 +199,11 @@ def build_form_example(
         omega, q = _kupka_family(k, tuple(params))
         x = MultiPoly.variable(4, 0)
         return FormExample(
-            label=f"k={k}",
             variables=("x", "y", "z", "w"),
             omega=omega,
             mero_numerator=q,
             mero_denominator=x ** (k + 1),
             kupka_point=(0, 1, -1, 0),
-            params={"k": k, "params": [str(v) for v in params]},
         )
     if example_id == "ex6.2":
         variables = ("x", "y", "z")
@@ -247,7 +217,6 @@ def build_form_example(
         )
         cone = poly_from_string("2*x*(y^2 + z^2)", variables=variables)
         return FormExample(
-            label="ex6.2",
             variables=variables,
             omega=omega,
             first_integral=integral,

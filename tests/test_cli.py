@@ -349,3 +349,46 @@ def test_forms_vars_clashing_with_a_differential(tmp_path, capsys, names):
     code, out, err = run(capsys, "forms", "integrable", str(path))
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and '"vars"' in err
+
+
+@pytest.mark.parametrize("order", ["0", "-3"])
+@pytest.mark.parametrize("command", ["certify", "linearize"])
+def test_bad_order_is_one_message_for_examples_and_files(tmp_path, capsys, command, order):
+    # a bundled example goes through the file loader, so both name the field
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"generators": ["z", "z"]}))
+    for source in (["--example", "ex4.1"], [str(path)]):
+        code, out, err = run(capsys, command, *source, "--order", order)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and '"order"' in err, err
+
+
+def test_limits_are_input_errors(tmp_path, capsys):
+    from germlin.germs import MAX_WORD_LETTERS
+    from germlin.group_cert import MAX_CONDUCTOR, MAX_ORDER
+
+    def fails(argv, spec, field):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and field in err, err
+
+    too_long = str(MAX_ORDER + 1)
+    for source in (["--example", "ex4.1"], ["--example", "ex4.3"]):
+        code, out, err = run(capsys, "certify", *source, "--order", too_long)
+        assert code == 2 and out == "" and err.count("\n") == 1 and '"order"' in err
+    fails(["linearize"], {"order": MAX_ORDER + 1, "generators": ["z", "z"]}, '"order"')
+    fails(["certify", "--order", too_long], {"generators": ["z", "z"]}, '"order"')
+    fails(
+        ["certify"],
+        {"field": {"conductor": MAX_CONDUCTOR + 1, "constraints": ["a^2 = 1"]},
+         "generators": ["z", "z"]},
+        '"field.conductor"',
+    )
+    for word in ([[1, MAX_WORD_LETTERS + 1]], [[1, MAX_WORD_LETTERS], [2, -1]]):
+        fails(
+            ["certify"],
+            {"order": 4, "generators": ["z", "z"], "witnesses": {"(1,2)": word}},
+            "witness",
+        )

@@ -122,6 +122,15 @@ def test_word_basics():
             Word.from_list(bad)
 
 
+def test_word_letter_limit():
+    from germlin.germs import MAX_WORD_LETTERS
+
+    assert len(Word.from_list([[1, MAX_WORD_LETTERS - 1], [2, -1]])) == MAX_WORD_LETTERS
+    for letters in ([[1, MAX_WORD_LETTERS + 1]], [[1, MAX_WORD_LETTERS], [2, -1]]):
+        with pytest.raises(ValueError, match="at most"):
+            Word.from_list(letters)
+
+
 def test_evaluate_word_examples():
     rng = random.Random(19)
     gens = [_random_germ(rng, 10) for _ in range(3)]

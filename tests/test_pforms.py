@@ -67,6 +67,30 @@ def test_multipoly_basics():
         MultiPoly(3, {(1, 2): 1})
 
 
+def test_arithmetic_results_are_what_the_checking_constructor_builds():
+    # results skip the public constructor's checks; they must not need them
+    from germlin.cyclotomic import zeta
+
+    rng = random.Random(41)
+    for nvars in (2, 3, 4):
+        for _ in range(20):
+            p = _random_poly(rng, nvars)
+            q = _random_poly(rng, nvars) * rng.choice((1, Fraction(2, 3), zeta(6)))
+            i = rng.randrange(nvars)
+            results = [
+                p + q, p - q, p - p, -q, 3 - p, p * q, p * 0, p * Fraction(-1, 2),
+                q * zeta(3), p.partial(i), q.substitute(i, rng.randint(-2, 2)),
+                p.homogeneous_part(rng.randint(0, 6)),
+                (p * MultiPoly.variable(nvars, i) ** 2).shift_down(i, 2),
+            ]
+            results += blowup_chart_pullback(PForm1(nvars, [p] * nvars), i)[1].coeffs.values()
+            for r in results:
+                checked = MultiPoly(r.nvars, r.terms)
+                assert r.terms == checked.terms
+                assert all(type(e) is tuple and len(e) == nvars for e in r.terms)
+                assert all(type(c) is type(checked.terms[e]) for e, c in r.terms.items())
+
+
 def test_exterior_d_examples():
     const = MultiPoly.constant(3, Fraction(7))
     assert exterior_d(const).is_zero
