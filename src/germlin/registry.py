@@ -25,9 +25,9 @@ Group ids:
 Form ids:
 
 * ``ex6.1``          the degree-k family in four variables with parameters
-                     (a, b, c, alpha, beta, gamma); extras carry the
-                     polynomial Q with Omega = -(k+1) Q dx + x dQ and the
-                     meromorphic first integral Q / x^(k+1).  The default
+                     (a, b, c, alpha, beta, gamma); it carries the
+                     meromorphic first integral Q / x^(k+1), where
+                     Omega = -(k+1) Q dx + x dQ.  The default
                      parameter sets pin beta = (-1)^k alpha so that
                      (0, 1, -1, 0) is a singular point for every k.
 * ``ex6.2``          the three-variable integrable form with polynomial
