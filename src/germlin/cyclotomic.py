@@ -218,6 +218,23 @@ def _reindex(x: "CycloElem", m: int, step: int) -> "CycloElem":
     return _normalize(m, _reduce_product(m, prod), x.den)
 
 
+def _power(base, e: int, one):
+    """base ** e for an integer e >= 0 by repeated squaring, for any type with
+    an associative ``*`` whose identity is ``one`` (returned for e == 0).
+
+    The one repeated-squaring loop: cyclotomic scalars, jets, polynomials and
+    germs under composition all take their powers here.
+    """
+    result = None
+    while e:
+        if e & 1:
+            result = base if result is None else result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return one if result is None else result
+
+
 class CycloElem:
     """An element of Q(zeta_n) in reduced power-basis coordinates.
 
@@ -386,17 +403,10 @@ class CycloElem:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
-        base = self
+        one = CycloElem.from_rational(1, self.n)
         if k < 0:
-            base = self.inverse()
-            k = -k
-        acc = CycloElem.from_rational(1, self.n)
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+            return _power(self.inverse(), -k, one)
+        return _power(self, k, one)
 
     # -- comparison and hashing -----------------------------------------------
 

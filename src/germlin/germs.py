@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, NamedTuple, Optional, Sequence
 
-from .cyclotomic import CycloElem
+from .cyclotomic import CycloElem, _power
 from .jets import Jet, jet_comp_inverse, jet_compose
 
 __all__ = [
@@ -137,15 +137,7 @@ def iterate(f: Germ, n: int) -> Germ:
     """The n-fold composition of f, by repeated squaring."""
     if n < 0:
         return iterate(~f, -n)
-    result = identity_germ(f.order, f.conductor)
-    base = f
-    while n:
-        if n & 1:
-            result = result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
+    return _power(f, n, identity_germ(f.order, f.conductor))
 
 
 # The most letters Word.from_list expands an input word to.

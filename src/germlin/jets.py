@@ -10,8 +10,12 @@ conductor per jet.  Construction accepts ints, Fractions and mixed-conductor
 elements and lifts everything to the lcm conductor, so rational jets live at
 conductor 1.
 
-Composition f(g) and the compositional inverse share one kernel: a table of
-truncated powers of g and the triangular sum  sum_e f_e g^e  over it.
+Products, powers, composition and rational powers share one kernel, the
+triangular weighted sum  sum_e w_e P_e  over rows P_e that vanish below
+degree e.  A product a*b weighs the shifts z^i b by a_i; the composition f(g)
+and the compositional inverse weigh a table of truncated powers of g by f_e;
+(1 + u)^r weighs the powers of u by the binomial coefficients C(r, e).
+Integer powers square through the product.
 
 The textual form is ``jet(N=4)[0, 1, 1, 0, 0]``, meaning z + z^2 at order 4.
 """
@@ -21,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .cyclotomic import CycloElem, cyclo_embed, format_scalar, parse_scalar
+from .cyclotomic import CycloElem, _power, cyclo_embed, format_scalar, parse_scalar
 
 __all__ = [
     "Jet",
@@ -49,37 +53,14 @@ def _zero(n: int) -> CycloElem:
 
 
 def _mul_coeffs(a: list, b: list, N: int, n: int) -> list:
-    """Coefficients of a*b truncated at degree N, skipping zero terms."""
-    out = [_zero(n)] * (N + 1)
-    for i, ai in enumerate(a):
-        if i > N:
-            break
-        if ai.is_zero:
-            continue
-        top = N - i
-        for j, bj in enumerate(b):
-            if j > top:
-                break
-            if not bj.is_zero:
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _pow_coeffs(base: list, e: int, N: int, n: int) -> list:
-    """base**e truncated at degree N by binary powering."""
-    result = [_zero(n)] * (N + 1)
-    result[0] = cyclo_embed(1, n)
-    if e == 0:
-        return result
-    acc = None
-    b = list(base)
-    while e:
-        if e & 1:
-            acc = list(b) if acc is None else _mul_coeffs(acc, b, N, n)
-        e >>= 1
-        if e:
-            b = _mul_coeffs(b, b, N, n)
-    return acc
+    """Coefficients of a*b truncated at degree N, for a and b of N+1
+    coefficients: the weighted sum of the shifts z^i b over the nonzero a_i."""
+    zero = _zero(n)
+    shifts = [
+        None if ai.is_zero else [zero] * i + list(b[: N + 1 - i])
+        for i, ai in enumerate(a)
+    ]
+    return _weighted_sum(a, shifts, N, n)
 
 
 def _power_table(g, d: int, N: int, n: int) -> list:
@@ -91,8 +72,11 @@ def _power_table(g, d: int, N: int, n: int) -> list:
 
 
 def _weighted_sum(w, powers, N: int, n: int) -> list:
-    """sum_e w_e * powers[e] truncated at degree N, for powers[e] = g^e with
-    g(0) = 0; powers must reach the last e with w_e != 0."""
+    """sum_e w_e * powers[e] truncated at degree N, for rows powers[e] that
+    vanish below degree e (g^e with g(0) = 0, or a shift z^e b); powers must
+    reach the last e with w_e != 0.  Products, powers and compositions all
+    accumulate here; only the triangular solves of the two inverses
+    (jet_mul_inverse, RightComposer.inverse) keep their own loops."""
     out = [None] * (N + 1)
     for e, we in enumerate(w):
         if we.is_zero:
@@ -248,11 +232,7 @@ class Jet:
             return NotImplemented
         if e < 0:
             return jet_mul_inverse(self) ** (-e)
-        return Jet(
-            _pow_coeffs(list(self.coeffs), e, self.order, self.conductor),
-            order=self.order,
-            conductor=self.conductor,
-        )
+        return _power(self, e, Jet.constant(1, self.order, self.conductor))
 
     def __eq__(self, other):
         if not isinstance(other, Jet):
@@ -361,31 +341,26 @@ def jet_derivative(f: Jet) -> Jet:
 def jet_rational_power(f: Jet, r) -> Jet:
     """f**r for rational r via the binomial series on f = 1 + u.
 
-    Requires constant term exactly 1; the result is
+    Requires constant term exactly 1; the result is the weighted sum
     sum_k C(r, k) u^k with generalized binomial coefficients, exact because
-    u has positive valuation.
+    u has positive valuation v: u^k vanishes for k > N // v, and the sum
+    stops at the first C(r, k) = 0 (r a nonnegative integer).
     """
     r = Fraction(r)
     N, n = f.order, f.conductor
     if not f.coeffs[0].is_one:
         raise ValueError("rational powers require constant term 1")
-    u = [c for c in f.coeffs]
-    u[0] = u[0] - 1
-    out = [_zero(n)] * (N + 1)
-    out[0] = cyclo_embed(1, n)
-    upow = None
+    u = [_zero(n)] + list(f.coeffs[1:])
+    v = next((t for t, c in enumerate(u) if not c.is_zero), None)
+    binoms = [cyclo_embed(1, n)]
     binom = Fraction(1)
-    for k in range(1, N + 1):
+    for k in range(1, 0 if v is None else N // v + 1):
         binom *= Fraction(r.numerator - (k - 1) * r.denominator, k * r.denominator)
         if binom == 0:
             break
-        upow = list(u) if upow is None else _mul_coeffs(upow, u, N, n)
-        if all(c.is_zero for c in upow):
-            break
-        for t in range(k, N + 1):
-            if not upow[t].is_zero:
-                out[t] = out[t] + upow[t] * binom
-    return Jet(out, order=N, conductor=n)
+        binoms.append(cyclo_embed(binom, n))
+    powers = _power_table(u, len(binoms) - 1, N, n)
+    return Jet(_weighted_sum(binoms, powers, N, n), order=N, conductor=n)
 
 
 class RightComposer:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .cyclotomic import CycloElem, format_scalar
+from .cyclotomic import CycloElem, _power, format_scalar
 from .expressions import ExpressionError, parse_expression
 
 __all__ = [
@@ -205,15 +205,7 @@ class MultiPoly:
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = MultiPoly.constant(self.nvars, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, e, MultiPoly.constant(self.nvars, 1))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, CycloElem)):

@@ -1,7 +1,8 @@
 """Independent oracles used to freeze expected values in the tests.
 
 Everything here recomputes results along a different route than the library
-kernels: naive polynomial substitution instead of power-table composition,
+kernels: schoolbook products instead of weighted sums of shifted rows, naive
+polynomial substitution instead of power-table composition,
 Lagrange inversion instead of the triangular inverse solve, symbolic
 chain-rule differentiation instead of series composition, and a reduced-word
 search over all 2m letters with direct witness checks instead of the shared
@@ -51,6 +52,18 @@ def naive_poly_compose(f: Jet, g: Jet) -> Jet:
         for t in range(min(N + 1, len(power))):
             acc[t] = acc[t] + ce * power[t]
     return Jet(acc, order=N, conductor=n)
+
+
+def naive_jet_product(a: Jet, b: Jet) -> Jet:
+    """a*b by the full schoolbook product of the coefficient lists, then
+    truncating, instead of the weighted sum of shifted rows."""
+    n = a.conductor * b.conductor // gcd(a.conductor, b.conductor)
+    al, bl = a.lift(n).coeffs, b.lift(n).coeffs
+    full = [cyclo_embed(0, n)] * (len(al) + len(bl) - 1)
+    for i, x in enumerate(al):
+        for j, y in enumerate(bl):
+            full[i + j] = full[i + j] + x * y
+    return Jet(full[: a.order + 1], order=a.order, conductor=n)
 
 
 def geometric_quotient(a, N: int) -> Jet:

@@ -190,8 +190,29 @@ def test_rational_power_examples():
         Jet([1, 0, -1, 0, 0, 0]), Fraction(-1, 2)
     )
     assert got == Jet([0, 1, 0, Fraction(1, 2), 0, Fraction(3, 8)])
+    # (1 - z^2)^2 and (1 + z^3)^(1/3): the sums end at C(2, 3) = 0 and at N // 3
+    assert jet_rational_power(Jet([1, 0, -1, 0, 0, 0]), 2) == Jet([1, 0, -2, 0, 1, 0])
+    assert jet_rational_power(Jet([1, 0, 0, 1, 0, 0, 0]), Fraction(1, 3)) == Jet(
+        [1, 0, 0, Fraction(1, 3), 0, 0, Fraction(-1, 9)]
+    )
     with pytest.raises(ValueError):
         jet_rational_power(Jet([2, 0, 0]), Fraction(1, 2))
+
+
+def test_rational_power_at_integers_is_the_integer_power():
+    # f == 1 has no u, and f - 1 of valuation v bounds the binomial sum at
+    # N // v; a nonnegative k stops it at C(k, k + 1) = 0
+    N = 9
+    rng = random.Random(37)
+    fs = [Jet.constant(1, N), Jet.constant(1, N, conductor=6)]
+    for v, conductor in ((1, 1), (2, 1), (3, 6), (2, 9)):
+        tail = random_jet(rng, N, conductor=conductor).coeffs[v + 1 :]
+        fs.append(Jet([1] + [0] * (v - 1) + [Fraction(-2, v)] + list(tail), order=N))
+    fs.append(Jet([1, 0, 0, 0, 0, Fraction(1, 3)], order=N))
+    for f in fs:
+        for k in range(-3, 6):
+            assert jet_rational_power(f, k) == f ** k, (f, k)
+            assert jet_rational_power(f, Fraction(k)) == f ** k
 
 
 def test_rational_power_is_consistent_with_squaring():
