@@ -28,7 +28,7 @@ of a variable and ``*`` acting as the wedge on forms.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .cyclotomic import CycloElem, _power, format_scalar
 from .expressions import ExpressionError, parse_expression
@@ -460,21 +460,11 @@ def lowest_jet(omega: PForm1) -> tuple[int, PForm1]:
     return nu, omega.map_coeffs(lambda p: p.homogeneous_part(nu))
 
 
-class TangentCone(tuple):
+class TangentCone(NamedTuple):
     """(dicritical, cone): cone is the defining polynomial, None if dicritical."""
 
-    __slots__ = ()
-
-    def __new__(cls, dicritical: bool, cone: Optional[MultiPoly]):
-        return super().__new__(cls, (dicritical, cone))
-
-    @property
-    def dicritical(self) -> bool:
-        return self[0]
-
-    @property
-    def cone(self) -> Optional[MultiPoly]:
-        return self[1]
+    dicritical: bool
+    cone: Optional[MultiPoly]
 
 
 def tangent_cone(omega: PForm1) -> TangentCone:

@@ -175,6 +175,8 @@ def test_tangent_cone_examples():
     tc = tangent_cone(ex62.omega)
     assert not tc.dicritical
     assert tc.cone == ex62.expected_cone
+    dicritical, cone = tc
+    assert dicritical is False and cone is tc.cone and tc == (False, cone)
     f = poly_from_string("x^2 + y^2 + z^2", variables=V3)
     tcf = tangent_cone(exterior_d(f))
     assert not tcf.dicritical and tcf.cone == f * 2
