@@ -90,7 +90,15 @@ def _select(args, kind: str, examples: tuple, build, load):
     return args.input, load(args.input)
 
 
+def _only_for(args, example: str, *options: str) -> None:
+    """Refuse an option that every input but ``--example example`` ignores."""
+    for option in options:
+        if getattr(args, option) is not None and args.example != example:
+            raise InputError(f"--{option} applies only to --example {example}")
+
+
 def _load_presentations(args) -> tuple[str, list[LoadedPresentation]]:
+    _only_for(args, "ex4.3", "p")
     return _select(
         args,
         "group",
@@ -189,6 +197,7 @@ def _load_form(args) -> tuple[str, FormExample]:
         params = _parse_params(args.params) if args.params else None
         return build_form_example(example, k=args.k, params=params)
 
+    _only_for(args, "ex6.1", "k", "params")
     return _select(args, "form", FORM_EXAMPLES, build, _read_form_file)
 
 

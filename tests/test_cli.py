@@ -392,3 +392,28 @@ def test_limits_are_input_errors(tmp_path, capsys):
             {"order": 4, "generators": ["z", "z"], "witnesses": {"(1,2)": word}},
             "witness",
         )
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["certify", "--example", "ex4.1", "--p", "5"], "--p"),
+        (["linearize", "--example", "g10", "--p", "2"], "--p"),
+        (["certify", "FILE", "--p", "2"], "--p"),
+        (["forms", "integrable", "FILE", "--k", "7"], "--k"),
+        (["forms", "integrable", "FILE", "--params", "1,2,3,4,5,6"], "--params"),
+        (["forms", "--k", "3", "cone", "--example", "ex6.2"], "--k"),
+        (["forms", "kupka", "--example", "ex6.2", "--params", "1,2,3,4,5,6"], "--params"),
+    ],
+)
+def test_options_the_input_would_ignore_are_input_errors(tmp_path, capsys, argv, option):
+    # --p belongs to ex4.3 and --k/--params to ex6.1; elsewhere they did nothing
+    path = tmp_path / "in.json"
+    if argv[0] == "forms":
+        path.write_text(json.dumps({"form": "y*dx + x*dy", "integral": "x*y"}))
+    else:
+        path.write_text(json.dumps({"generators": ["z", "z"]}))
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    code, out, err = run(capsys, *argv, *(["--order", "4"] if argv[0] != "forms" else []))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and option in err and "applies only" in err, err
