@@ -13,6 +13,12 @@ sigma_u: zeta -> zeta^u both re-index into it.  The inverse of x is the
 product of its other conjugates sigma_u(x), u != 1, divided by the rational
 norm x * prod sigma_u(x); no linear system is solved.
 
+One helper forms the unreduced integer product of two coordinate vectors (of
+length 2 phi(n) - 1); a single product reduces and normalizes it at once, and
+the one accumulator for sums of products, which every jet product,
+composition and triangular solve uses, adds such products over a running
+common denominator and reduces and normalizes once per sum.
+
 Rationals are plain ``fractions.Fraction`` values; ``Rational`` is an alias.
 Mixed arithmetic coerces ints and Fractions into the cyclotomic operand's
 field, and operands at different conductors are lifted to the lcm conductor.
@@ -70,6 +76,7 @@ def factorize(m: int) -> dict[int, int]:
     return out
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     phi = 1
     for p, e in factorize(n).items():
@@ -190,6 +197,47 @@ def _normalize(n: int, num: list[int], den: int) -> "CycloElem":
     el.num = tuple(num)
     el._hash = None
     return el
+
+
+def _add_product(acc: list[int], an, bn, scale: int = 1) -> list[int]:
+    """Add scale * (the unreduced integer product of the coordinate vectors
+    an and bn), the coefficients of sum_{i,j} a_i b_j zeta^(i+j), into acc of
+    length 2 phi(n) - 1, and return acc."""
+    for i, ai in enumerate(an):
+        if ai:
+            if scale != 1:
+                ai *= scale
+            for j, bj in enumerate(bn, i):
+                if bj:
+                    acc[j] += ai * bj
+    return acc
+
+
+def _sum_of_products(n: int, pairs: list) -> "CycloElem":
+    """sum a * b over the pairs (a, b) of elements of Q(zeta_n).
+
+    The unreduced products accumulate over a running common denominator (one
+    gcd per term whose denominator differs from it), and the sum is reduced
+    modulo Phi_n and normalized once.  An empty or cancelling sum is zero with
+    denominator 1.
+    """
+    phi_n = euler_phi(n)
+    if not pairs:
+        return _normalize(n, [0] * phi_n, 1)
+    acc = [0] * (2 * phi_n - 1)
+    den = 1
+    for a, b in pairs:
+        d = a.den * b.den
+        if d == den:
+            _add_product(acc, a.num, b.num)
+            continue
+        g = gcd(den, d)
+        if g != d:  # d does not divide den: scale up to the lcm
+            up = d // g
+            acc = [c * up for c in acc]
+            den *= up
+        _add_product(acc, a.num, b.num, den // d)
+    return _normalize(n, _reduce_product(n, acc), den)
 
 
 def _reduce_product(n: int, prod: list[int]) -> list[int]:
@@ -355,15 +403,9 @@ class CycloElem:
         if b is NotImplemented:
             return NotImplemented
         an, bn = a.num, b.num
-        phi_n = len(an)
-        if phi_n == 1:
+        if len(an) == 1:
             return _normalize(a.n, [an[0] * bn[0]], a.den * b.den)
-        prod = [0] * (2 * phi_n - 1)
-        for i, ai in enumerate(an):
-            if ai:
-                for j, bj in enumerate(bn):
-                    if bj:
-                        prod[i + j] += ai * bj
+        prod = _add_product([0] * (2 * len(an) - 1), an, bn)
         return _normalize(a.n, _reduce_product(a.n, prod), a.den * b.den)
 
     __rmul__ = __mul__

@@ -17,6 +17,14 @@ and the compositional inverse weigh a table of truncated powers of g by f_e;
 (1 + u)^r weighs the powers of u by the binomial coefficients C(r, e).
 Integer powers square through the product.
 
+Every sum of coefficient products goes through one accumulator,
+``cyclotomic._sum_of_products``: the kernel scatters the products of each
+output degree into one list, and the triangular solves of the two inverses
+(jet_mul_inverse, RightComposer.inverse) gather one list per coefficient.  The
+accumulator adds unreduced integer products over a common denominator and
+reduces modulo Phi_n and normalizes once per coefficient, not once per
+product.
+
 The textual form is ``jet(N=4)[0, 1, 1, 0, 0]``, meaning z + z^2 at order 4.
 """
 
@@ -25,7 +33,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .cyclotomic import CycloElem, _power, cyclo_embed, format_scalar, parse_scalar
+from .cyclotomic import (
+    CycloElem,
+    _power,
+    _sum_of_products,
+    cyclo_embed,
+    format_scalar,
+    parse_scalar,
+)
 
 __all__ = [
     "Jet",
@@ -75,22 +90,19 @@ def _weighted_sum(w, powers, N: int, n: int) -> list:
     """sum_e w_e * powers[e] truncated at degree N, for rows powers[e] that
     vanish below degree e (g^e with g(0) = 0, or a shift z^e b); powers must
     reach the last e with w_e != 0.  Products, powers and compositions all
-    accumulate here; only the triangular solves of the two inverses
-    (jet_mul_inverse, RightComposer.inverse) keep their own loops."""
-    out = [None] * (N + 1)
+    accumulate here: the products w_e * powers[e][t] are scattered to the
+    terms of degree t, and each degree is summed by the one accumulator
+    _sum_of_products, reduced and normalized once."""
+    terms = [[] for _ in range(N + 1)]
     for e, we in enumerate(w):
         if we.is_zero:
             continue
         pw = powers[e]
-        unit = we.is_one
         for t in range(e, N + 1):
             pt = pw[t]
-            if not pt.is_zero:
-                term = pt if unit else we * pt
-                ot = out[t]
-                out[t] = term if ot is None else ot + term
-    zero = _zero(n)
-    return [zero if c is None else c for c in out]
+            if any(pt.num):  # is_zero without the property call: the inner loop
+                terms[t].append((we, pt))
+    return [_sum_of_products(n, pairs) for pairs in terms]
 
 
 class Jet:
@@ -317,12 +329,16 @@ def jet_mul_inverse(f: Jet) -> Jet:
         raise ValueError("reciprocal needs a nonzero constant term")
     inv0 = cyclo_embed(1, n) / a0
     b = [inv0] + [_zero(n)] * N
+    a = f.coeffs
     for m in range(1, N + 1):
-        s = _zero(n)
-        for k in range(1, m + 1):
-            ak = f.coeffs[k]
-            if not ak.is_zero and not b[m - k].is_zero:
-                s = s + ak * b[m - k]
+        s = _sum_of_products(
+            n,
+            [
+                (a[k], b[m - k])
+                for k in range(1, m + 1)
+                if not a[k].is_zero and not b[m - k].is_zero
+            ],
+        )
         b[m] = -s * inv0
     return Jet(b, order=N, conductor=n)
 
@@ -400,11 +416,13 @@ class RightComposer:
         b[1] = inv_a1
         for m in range(2, N + 1):
             inv_pow = inv_pow * inv_a1
-            s = _zero(n)
-            for j in range(1, m):
-                if not b[j].is_zero:
-                    pjm = powers[j][m]
-                    if not pjm.is_zero:
-                        s = s + b[j] * pjm
+            s = _sum_of_products(
+                n,
+                [
+                    (b[j], powers[j][m])
+                    for j in range(1, m)
+                    if not b[j].is_zero and not powers[j][m].is_zero
+                ],
+            )
             b[m] = -s * inv_pow
         return Jet(b, order=N, conductor=n)

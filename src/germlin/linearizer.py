@@ -43,7 +43,13 @@ from math import comb
 from typing import Callable, Optional, Sequence
 
 from .affine import AffineMap
-from .cyclotomic import CycloElem, cyclo_embed, format_scalar, root_of_unity_order
+from .cyclotomic import (
+    CycloElem,
+    _sum_of_products,
+    cyclo_embed,
+    format_scalar,
+    root_of_unity_order,
+)
 from .germs import Germ
 from .group_cert import GroupPresentation
 from .jets import Jet, _power_table, _weighted_sum, _zero
@@ -202,14 +208,14 @@ def _binomials(k: int, c: CycloElem, N: int) -> Callable[[int, int], CycloElem]:
 def _right_compose_elementary(x: list, k: int, term: Callable) -> list:
     """x o h for the step conjugator h = z + c z^(k+1), ``term`` from
     :func:`_binomials`: sum_e x_e sum_i C(e,i) c^i z^(e+ik)."""
-    N = len(x) - 1
-    out = list(x)
+    N, n = len(x) - 1, x[0].n
+    terms = [[] for _ in x]
     for e, xe in enumerate(x):
         if xe.is_zero:
             continue
         for i in range(1, min(e, (N - e) // k) + 1):
-            out[e + i * k] = out[e + i * k] + xe * term(e, i)
-    return out
+            terms[e + i * k].append((xe, term(e, i)))
+    return [xt + _sum_of_products(n, pairs) if pairs else xt for xt, pairs in zip(x, terms)]
 
 
 def _conjugate_by_elementary(g: Jet, k: int, coef: list, term: Callable) -> Jet:
@@ -236,14 +242,14 @@ def _conjugate_by_elementary(g: Jet, k: int, coef: list, term: Callable) -> Jet:
     x = [_zero(n)] * (N + 1)
     x[0] = A[0]
     for m in range(1, N + 1):
-        s = A[m]
+        pairs = []
         j, i = m - k, 1
         while j >= i:  # C(j,i) = 0 once i > j
             if not x[j].is_zero:
-                s = s - x[j] * term(j, i)
+                pairs.append((x[j], term(j, i)))
             j -= k
             i += 1
-        x[m] = s
+        x[m] = A[m] - _sum_of_products(n, pairs) if pairs else A[m]
     return Jet(x, order=N, conductor=n)
 
 

@@ -1,7 +1,8 @@
 """Independent oracles used to freeze expected values in the tests.
 
 Everything here recomputes results along a different route than the library
-kernels: schoolbook products instead of weighted sums of shifted rows, naive
+kernels: schoolbook products instead of weighted sums of shifted rows, the
+geometric series instead of the reciprocal recurrence, naive
 polynomial substitution instead of power-table composition,
 Lagrange inversion instead of the triangular inverse solve, symbolic
 chain-rule differentiation instead of series composition, and a reduced-word
@@ -64,6 +65,20 @@ def naive_jet_product(a: Jet, b: Jet) -> Jet:
         for j, y in enumerate(bl):
             full[i + j] = full[i + j] + x * y
     return Jet(full[: a.order + 1], order=a.order, conductor=n)
+
+
+def naive_reciprocal(f: Jet) -> Jet:
+    """1/f as the geometric series (1/a0) sum_k (-u)^k in u = f/a0 - 1, with
+    schoolbook products, instead of the triangular recurrence."""
+    N, n = f.order, f.conductor
+    inv0 = cyclo_embed(1, n) / f.coeffs[0]
+    minus_u = Jet([0] + [-c * inv0 for c in f.coeffs[1:]], order=N, conductor=n)
+    total = Jet.constant(1, N, n)
+    power = Jet.constant(1, N, n)
+    for _ in range(N):
+        power = naive_jet_product(power, minus_u)
+        total = total + power
+    return Jet([c * inv0 for c in total.coeffs], order=N, conductor=n)
 
 
 def geometric_quotient(a, N: int) -> Jet:

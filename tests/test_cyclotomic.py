@@ -20,7 +20,7 @@ from germlin.cyclotomic import (
     solve_root_constraints,
     zeta,
 )
-from germlin.cyclotomic import _monomials
+from germlin.cyclotomic import _monomials, _sum_of_products
 
 
 KNOWN_PHI = {
@@ -249,3 +249,51 @@ def test_solve_root_constraints_example_families():
         assert sols, (m, constraint)
         assert all(root_of_unity_order(a) == order for a in sols)
         assert len(sols) == euler_phi(order)
+
+
+# -- the one accumulator of unreduced products -------------------------------------
+
+
+@st.composite
+def _product_sums(draw):
+    """(n, pairs): up to six products at one conductor, with coordinate
+    denominators up to 12 so that terms of coprime denominators take the lcm
+    path; half the time each product is followed, somewhere, by its negation,
+    so the sum cancels to exactly zero."""
+    n = draw(st.sampled_from([1, 2, 6, 9, 10, 12, 18]))
+    height = draw(st.sampled_from([9, 10**20]))
+    coord = st.fractions(min_value=-height, max_value=height, max_denominator=12)
+    elem = st.lists(coord, min_size=euler_phi(n), max_size=euler_phi(n)).map(
+        lambda cs: CycloElem(n, cs)
+    )
+    pairs = draw(st.lists(st.tuples(elem, elem), max_size=6))
+    if draw(st.booleans()):
+        pairs = draw(st.permutations(pairs + [(-a, b) for a, b in pairs]))
+    return n, pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(_product_sums())
+def test_accumulator_is_the_sum_of_products(case):
+    n, pairs = case
+    expected = cyclo_embed(0, n)
+    for a, b in pairs:
+        expected = expected + a * b
+    got = _sum_of_products(n, pairs)
+    assert got.n == n
+    assert (got.num, got.den) == (expected.num, expected.den)  # both normalized
+    if expected.is_zero:
+        assert got.den == 1 and got.num == (0,) * euler_phi(n)
+
+
+def test_accumulator_scales_to_the_lcm_of_denominators():
+    # denominators 4, 6 and 9: neither divides the running one, so the
+    # accumulator scales up twice; the zero operand and the cancelling pair
+    # change the denominator without changing the value
+    x, y = zeta(9) + Fraction(1, 4), zeta(9) ** 2 * Fraction(5, 6) - 1
+    z = CycloElem(9, [Fraction(1, 9), 0, 0, 2, 0, Fraction(-7, 9)])
+    zero = cyclo_embed(0, 9)
+    pairs = [(x, x), (y, x), (z, y), (zero, z), (z, z), (-z, z)]
+    assert _sum_of_products(9, pairs) == x * x + y * x + z * y
+    assert _sum_of_products(9, [(x, y), (-x, y)]) == zero
+    assert _sum_of_products(9, []).den == 1 and _sum_of_products(9, []) == zero

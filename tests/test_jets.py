@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from germlin.cyclotomic import cyclo_embed, zeta
+from germlin.cyclotomic import CycloElem, cyclo_embed, euler_phi, zeta
 from germlin.jets import (
     Jet,
     RightComposer,
@@ -21,7 +21,9 @@ from oracles import (
     faa_di_bruno_derivative,
     geometric_quotient,
     lagrange_inverse,
+    naive_jet_product,
     naive_poly_compose,
+    naive_reciprocal,
     random_jet,
 )
 
@@ -299,3 +301,86 @@ def test_serialization():
     assert Jet.from_json(f.to_json()) == f
     g = Jet([0, zeta(6)], order=3)
     assert Jet.from_json(g.to_json()) == g
+
+
+# -- the accumulator against the oracles at conductors 1, 9, 10 and 18 ---------------
+
+ORACLE_CONDUCTORS = (1, 9, 10, 18)
+ORACLE_ORDER = 8
+
+
+def _mixed_jet(rng, N, n, zero_constant=False, unit_linear=False):
+    """A jet over Q(zeta_n) whose coordinates carry distinct denominators,
+    with about a quarter of its coefficients zero and some exactly 1, so the
+    weighted sums see unit weights, zero row entries and the lcm path."""
+    phi_n = euler_phi(n)
+    coeffs = []
+    for _ in range(N + 1):
+        r = rng.random()
+        if r < 0.25:
+            coeffs.append(0)
+        elif r < 0.4:
+            coeffs.append(1)
+        else:
+            coords = [
+                Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 7, 9)))
+                for _ in range(phi_n)
+            ]
+            coeffs.append(CycloElem(n, coords))
+    if zero_constant:
+        coeffs[0] = 0
+    if unit_linear:
+        coeffs[1] = 1
+    return Jet(coeffs, order=N, conductor=n)
+
+
+@pytest.mark.parametrize("n", ORACLE_CONDUCTORS)
+def test_products_match_schoolbook_at_each_conductor(n):
+    rng = random.Random(700 + n)
+    for _ in range(4):
+        f, g = _mixed_jet(rng, ORACLE_ORDER, n), _mixed_jet(rng, ORACLE_ORDER, n)
+        assert f * g == naive_jet_product(f, g)
+        assert f * f == naive_jet_product(f, f)
+
+
+@pytest.mark.parametrize("n", ORACLE_CONDUCTORS)
+def test_compose_and_right_composer_match_substitution_at_each_conductor(n):
+    rng = random.Random(710 + n)
+    for _ in range(3):
+        g = _mixed_jet(rng, ORACLE_ORDER, n, zero_constant=True)
+        rc = RightComposer(g)
+        for f in (_mixed_jet(rng, ORACLE_ORDER, n), Jet([1] * (ORACLE_ORDER + 1), conductor=n)):
+            expected = naive_poly_compose(f, g)
+            assert jet_compose(f, g) == expected
+            assert rc(f) == expected
+
+
+@pytest.mark.parametrize("n", ORACLE_CONDUCTORS)
+def test_inverses_match_oracles_at_each_conductor(n):
+    rng = random.Random(720 + n)
+    identity = Jet.identity(ORACLE_ORDER, n)
+    for unit_linear in (True, False, False):
+        g = _mixed_jet(rng, ORACLE_ORDER, n, zero_constant=True, unit_linear=unit_linear)
+        if not g.linear_term.is_zero:
+            inverse = RightComposer(g).inverse()
+            assert inverse == lagrange_inverse(g)
+            assert naive_poly_compose(g, inverse) == identity
+        f = _mixed_jet(rng, ORACLE_ORDER, n)
+        if not f.constant_term.is_zero:
+            reciprocal = jet_mul_inverse(f)
+            assert reciprocal == naive_reciprocal(f)
+            assert naive_jet_product(f, reciprocal) == Jet.constant(1, ORACLE_ORDER, n)
+
+
+@pytest.mark.parametrize("n", ORACLE_CONDUCTORS)
+def test_rational_powers_match_schoolbook_products_at_each_conductor(n):
+    rng = random.Random(730 + n)
+    one = Jet.constant(1, ORACLE_ORDER, n)
+    for _ in range(2):
+        f = Jet([1] + list(_mixed_jet(rng, ORACLE_ORDER, n).coeffs[1:]), conductor=n)
+        assert jet_rational_power(f, 3) == naive_jet_product(naive_jet_product(f, f), f)
+        assert naive_jet_product(jet_rational_power(f, -2), naive_jet_product(f, f)) == one
+        half = jet_rational_power(f, Fraction(1, 2))
+        assert naive_jet_product(half, half) == f
+        third = jet_rational_power(f, Fraction(-1, 3))
+        assert naive_jet_product(naive_jet_product(third, third), naive_jet_product(third, f)) == one
