@@ -327,6 +327,15 @@ def cmd_forms(args) -> int:
     return EXIT_OK if verdict else EXIT_REFUTED
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors follow the exit-code contract: one
+    stderr line, ``germlin: error: ...``, and exit 2, without the usage
+    block.  Subparsers inherit the class."""
+
+    def error(self, message: str):
+        self.exit(EXIT_INPUT, f"germlin: error: {message}\n")
+
+
 def _add_common(parser: argparse.ArgumentParser, with_search: bool = False):
     parser.add_argument("input", nargs="?", help="presentation JSON file")
     parser.add_argument("--example", help="built-in example id")
@@ -368,7 +377,7 @@ def _add_form_options(parser: argparse.ArgumentParser, default=None):
 
 @functools.cache  # one parser per process: building it costs more than a forms check
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="germlin",
         description="Exact certification and linearization of germ groups, "
         "and polynomial differential-form checks.",

@@ -417,3 +417,33 @@ def test_options_the_input_would_ignore_are_input_errors(tmp_path, capsys, argv,
     code, out, err = run(capsys, *argv, *(["--order", "4"] if argv[0] != "forms" else []))
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and option in err and "applies only" in err, err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["certify", "--example", "ex4.1", "--order", "abc"], "invalid int value: 'abc'"),
+        (["linearize", "--example", "ex4.1", "--max-word-len", "3"], "unrecognized arguments"),
+        (["forms", "integrable", "--example", "ex6.2", "--k", "x"], "invalid int value: 'x'"),
+        ([], "the following arguments are required: command"),
+        (["forms", "--example", "ex6.2"], "the following arguments are required: subcommand"),
+    ],
+)
+def test_malformed_options_are_one_line_input_errors(capsys, argv, message):
+    # a bad int, an unknown option and a missing (sub)command: exit 2 with
+    # one stderr line and no usage block
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert out.err.count("\n") == 1, out.err
+    assert out.err.startswith("germlin: error: ") and message in out.err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["certify", "-h"], ["forms", "cone", "--help"]])
+def test_help_still_prints_usage_and_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 0 and out.err == ""
+    assert out.out.startswith("usage: germlin")
