@@ -42,6 +42,7 @@ from .group_cert import (
     GroupPresentation,
     IrreducibilityReport,
     certify,
+    certify_roots,
     check_conjugacy_witness,
     check_product_identity,
     load_presentation_file,

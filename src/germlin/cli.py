@@ -27,7 +27,7 @@ from .group_cert import (
     DEFAULT_MAX_WORD_LEN,
     LoadedPresentation,
     PresentationError,
-    certify,
+    certify_roots,
     load_presentation_file,
 )
 from .jets import DEFAULT_ORDER
@@ -116,10 +116,10 @@ def cmd_certify(args) -> int:
     if args.max_word_len < 0:
         raise InputError(f"--max-word-len must be >= 0, got {args.max_word_len}")
     source, loaded = _load_presentations(args)
+    reports = certify_roots([item.presentation for item in loaded], args.max_word_len)
     solutions = []
     all_ok = True
-    for item in loaded:
-        report = certify(item.presentation, max_len=args.max_word_len)
+    for item, report in zip(loaded, reports):
         all_ok = all_ok and report.certified
         solutions.append(
             {

@@ -32,6 +32,7 @@ field elements; :func:`format_scalar` / :func:`parse_scalar` round-trip both.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -266,6 +267,19 @@ def _reindex(x: "CycloElem", m: int, step: int) -> "CycloElem":
     return _normalize(m, _reduce_product(m, prod), x.den)
 
 
+def _rational_hash(p: int, q: int) -> int:
+    """hash(Fraction(p, q)) for coprime p and q > 0, without the Fraction: the
+    numeric-hash rule of the Python reference (modulus P, inf when P | q)."""
+    P = sys.hash_info.modulus
+    if q % P == 0:
+        h = sys.hash_info.inf
+    else:
+        h = abs(p) % P * pow(q, -1, P) % P
+    if p < 0:
+        h = -h
+    return -2 if h == -1 else h
+
+
 def _power(base, e: int, one):
     """base ** e for an integer e >= 0 by repeated squaring, for any type with
     an associative ``*`` whose identity is ``one`` (returned for e == 0).
@@ -399,6 +413,10 @@ class CycloElem:
         return _normalize(self.n, [-c for c in self.num], self.den)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):  # scale: no product to reduce
+            return _normalize(
+                self.n, [c * other.numerator for c in self.num], self.den * other.denominator
+            )
         a, b = self._pair(other)
         if b is NotImplemented:
             return NotImplemented
@@ -462,18 +480,16 @@ class CycloElem:
             return self.is_rational and self.to_fraction() == other
         return NotImplemented
 
-    def _normalized_trace(self) -> Fraction:
-        tr = _trace_vector(self.n)
-        return Fraction(
-            sum(c * t for c, t in zip(self.num, tr)), self.den * euler_phi(self.n)
-        )
-
     def __hash__(self):
-        # Normalized trace is invariant under conductor lifting and equals the
-        # value itself on rationals, keeping hash consistent with __eq__.
+        # The normalized trace p/q is invariant under conductor lifting and
+        # equals the value itself on rationals, so hashing it as Python hashes
+        # the rational p/q keeps hash consistent with __eq__.
         h = self._hash
         if h is None:
-            h = hash(self._normalized_trace())
+            p = sum(c * t for c, t in zip(self.num, _trace_vector(self.n)))
+            q = self.den * euler_phi(self.n)
+            g = gcd(p, q)
+            h = _rational_hash(p // g, q // g)
             self._hash = h
         return h
 

@@ -25,6 +25,21 @@ Constraints are solved by enumerating roots of unity; every solution yields
 its own presentation, and reports are produced per solution.  The bundled
 examples of :mod:`germlin.registry` are such specs and load through the same
 checks, including the limits MAX_ORDER, MAX_CONDUCTOR and MAX_WORD_LETTERS.
+The loader evaluates each distinct generator expression once per solution.
+
+:func:`certify_roots` certifies the presentations of all the solutions and
+searches each Galois orbit of them once.  A presentation is taken for the
+image of an earlier searched one under sigma_u: zeta -> zeta^u only when
+every generator equals sigma_u of the earlier generator in its position,
+coefficient for coefficient.  Then the earlier search outcomes transfer, keyed
+by the value pairs of the new presentation.  Each transferred found word is
+checked again with :func:`check_conjugacy_witness`, and the pair is searched
+if the check fails.  A transferred "not-found-up-to" is exact as it stands:
+sigma_u is a field automorphism that commutes with composition and inversion
+of jets and is injective, so it maps the letters, the reduced-word tree and
+its deduplication of the earlier search onto those of the new one node for
+node.  Witnesses and the product identity are still checked on every
+solution.
 """
 
 from __future__ import annotations
@@ -61,6 +76,7 @@ __all__ = [
     "check_conjugacy_witness",
     "search_conjugator",
     "certify",
+    "certify_roots",
     "load_presentation_text",
     "load_presentation_file",
     "LoadedPresentation",
@@ -282,7 +298,10 @@ def _lookup_witness(pres: GroupPresentation, i: int, j: int) -> Optional[Word]:
 
 
 def certify(
-    pres: GroupPresentation, max_len: int = DEFAULT_MAX_WORD_LEN
+    pres: GroupPresentation,
+    max_len: int = DEFAULT_MAX_WORD_LEN,
+    *,
+    transferred: Optional[dict[tuple, Optional[Word]]] = None,
 ) -> IrreducibilityReport:
     """Run all certification checks and assemble the report.
 
@@ -291,6 +310,12 @@ def certify(
     those values.  The finiteness criterion is marked applicable only when
     the product identity, multiplier equality, every conjugacy, and the
     prime-power condition on the multiplier order all hold.
+
+    ``transferred`` maps such value pairs to the outcome of a search at
+    ``max_len`` in a presentation of which ``pres`` is a Galois image,
+    generator by generator (see :func:`certify_roots`); those pairs are not
+    searched again.  A transferred word is used only if it passes the
+    witness check here, and None stands as "not-found-up-to".
     """
     product_ok = check_product_identity(pres)
     mults = [g.multiplier for g in pres.gens]
@@ -310,7 +335,7 @@ def certify(
                 continue
             pair = (keys[i - 1], keys[j - 1])
             if pair not in searched:
-                searched[pair] = search_conjugator(pres, i, j, max_len)
+                searched[pair] = _transfer_or_search(pres, i, j, max_len, pair, transferred)
             found = searched[pair]
             if found is not None:
                 conjugacy[(i, j)] = ConjugacyResolution("found-by-search", word=found)
@@ -335,6 +360,69 @@ def certify(
         theorem_a_applicable=applicable,
         prime_power=pp if applicable else None,
     )
+
+
+def _transfer_or_search(
+    pres: GroupPresentation, i: int, j: int, max_len: int, pair, transferred
+) -> Optional[Word]:
+    if transferred and pair in transferred:
+        w = transferred[pair]
+        if w is None or check_conjugacy_witness(pres, i, j, w):
+            return w
+    return search_conjugator(pres, i, j, max_len)
+
+
+def _galois_unit(earlier: GroupPresentation, pres: GroupPresentation) -> Optional[int]:
+    """A unit u mod the conductor of ``pres`` such that each generator of
+    ``pres`` is sigma_u of the generator of ``earlier`` in its position,
+    coefficient for coefficient, or None.  Each distinct value is compared
+    once."""
+    n = pres.conductor
+    if earlier.order != pres.order or len(earlier) != len(pres) or n % earlier.conductor:
+        return None
+    images: dict = {}  # earlier value -> value in pres at the same positions
+    for f, g in zip(earlier.gens, pres.gens):
+        if images.setdefault(f.jet.key(), g.jet.key()) != g.jet.key():
+            return None
+    lifted = [(tuple(c.lift(n) for c in k), image) for k, image in images.items()]
+    for u in range(1, n + 1):
+        if gcd(u, n) == 1 and all(
+            all(c._galois(u) == d for c, d in zip(k, image)) for k, image in lifted
+        ):
+            return u
+    return None
+
+
+def certify_roots(
+    presentations: Sequence[GroupPresentation], max_len: int = DEFAULT_MAX_WORD_LEN
+) -> list[IrreducibilityReport]:
+    """:func:`certify` on each presentation, searching each Galois orbit once.
+
+    A presentation that is sigma_u of an earlier searched one, generator by
+    generator, takes over that one's search outcomes by value pair; any
+    other presentation is searched.  The reports equal those of
+    :func:`certify` run on each presentation alone.
+    """
+    reports: list[IrreducibilityReport] = []
+    searched: list[tuple[GroupPresentation, IrreducibilityReport]] = []
+    for pres in presentations:
+        transferred = None
+        for earlier, report in searched:
+            if _galois_unit(earlier, pres) is not None:
+                # the value pairs of pres are the sigma_u images of the
+                # earlier ones, position by position
+                keys = [g.jet.key() for g in pres.gens]
+                transferred = {
+                    (keys[i - 1], keys[j - 1]): res.word
+                    for (i, j), res in report.conjugacy.items()
+                    if res.status != "verified-by-witness"
+                }
+                break
+        report = certify(pres, max_len, transferred=transferred)
+        if transferred is None:
+            searched.append((pres, report))
+        reports.append(report)
+    return reports
 
 
 # -- presentation files ---------------------------------------------------------
@@ -423,16 +511,17 @@ def _load_presentation_data(data, order: Optional[int]) -> list[LoadedPresentati
     witnesses = _parse_witnesses(raw_witnesses)
     out = []
     for env, label in envs:
-        gens = []
+        germs: dict[str, Germ] = {}  # by expression: repeats are evaluated once
         for idx, expr in enumerate(gens_raw, start=1):
             if not isinstance(expr, str):
                 raise PresentationError(f"generator {idx} must be an expression string")
+            if expr in germs:
+                continue
             try:
-                jet = series_from_string(expr, env, order=n_order)
-                germ = Germ(jet)
+                germs[expr] = Germ(series_from_string(expr, env, order=n_order))
             except (ExpressionError, ValueError) as exc:
                 raise PresentationError(f"generator {idx} ({expr!r}): {exc}") from exc
-            gens.append(germ)
+        gens = [germs[expr] for expr in gens_raw]
         out.append(
             LoadedPresentation(
                 label=label,

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -196,10 +197,44 @@ def test_mixed_conductor_operators_lift():
     assert prod == zeta(12) ** 2 * zeta(12) ** 3
 
 
+HASH_CONDUCTORS = (1, 6, 9, 10, 18)
+
+
 def test_rational_hash_agreement():
     q = Fraction(-7, 3)
     assert cyclo_embed(q, 6) == q
     assert hash(cyclo_embed(q, 6)) == hash(q)
+    # the hash follows Python's numeric-hash rule, including the inf case of
+    # a denominator divisible by the hash modulus and the -1 -> -2 case
+    P = sys.hash_info.modulus
+    rng = random.Random(41)
+    qs = [Fraction(0), Fraction(-1), Fraction(1, P), Fraction(-3, 2 * P), Fraction(P + 1, P - 1)]
+    qs += [Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**30)) for _ in range(30)]
+    for n in HASH_CONDUCTORS:
+        for q in qs:
+            assert hash(CycloElem.from_rational(q, n)) == hash(q)
+        for _ in range(10):
+            x = _random_elem(rng, n, 10**20, 10**20)
+            for m in (2 * n, 3 * n):
+                assert x.lift(m) == x and hash(x.lift(m)) == hash(x)
+    # one value built at three conductors
+    half_i = zeta(4) / 2
+    for other in (half_i.lift(12), CycloElem(36, [0] * 9 + [Fraction(1, 2)] + [0] * 2)):
+        assert other == half_i and hash(other) == hash(half_i)
+    assert hash(zeta(18) ** 3) == hash(zeta(6)) and hash(zeta(9)) == hash(zeta(18) ** 2)
+
+
+@pytest.mark.parametrize("n", HASH_CONDUCTORS)
+def test_scaling_by_a_rational_is_the_field_product(n):
+    rng = random.Random(500 + n)
+    scalars = [0, 1, -1, 7, -12, Fraction(-5, 3), Fraction(9, 4), Fraction(-1, 10**20 + 3), True]
+    for _ in range(10):
+        x = _random_elem(rng, n, 10**12, 10**6)
+        for q in scalars:
+            expected = x * CycloElem.from_rational(q, n)
+            for got in (x * q, q * x):
+                assert got == expected
+                assert (got.num, got.den) == (expected.num, expected.den)
 
 
 @settings(max_examples=60, deadline=None)

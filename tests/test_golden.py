@@ -5,7 +5,10 @@ bundled group example at small orders, ``forms`` on the bundled form examples,
 three presentation files under ``tests/golden/`` that reach the
 conjugation steps of the linearizer, and deeper word searches on families
 whose generators repeat values (``repeated_letters.json`` has two equal
-generators and one equal to another's inverse).  ``roundtripM.json`` holds two
+generators and one equal to another's inverse).  ``two_orbits.json`` pins
+a^4 = 1 at conductor 12: its roots i and -i are one Galois orbit, and 1 and
+-1 are two more, so ``certify`` both transfers and searches.
+``roundtripM.json`` holds two
 copies of f = H o (zeta_M z) o H^-1 at N=32 with H = h1 o h0, h0 = z (1 - z^p)^(-1/p)
 and h1 = z/(1 - s z), so ``linearize`` conjugates through every order;
 ``roundtrip3_obstruction.json`` adds z^12 to the second copy, so the scan stops
@@ -68,6 +71,7 @@ CASES = (
         "certify --example ex4.1 --order 12 --max-word-len 3",
         "certify --example ex4.3 --order 48 --max-word-len 10 --p 2",
         "certify repeated_letters.json --max-word-len 4",
+        "certify two_orbits.json --max-word-len 3",
     ]
     + [
         f"linearize {name}.json"

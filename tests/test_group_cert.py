@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -13,15 +14,17 @@ from germlin.group_cert import (
     GroupPresentation,
     PresentationError,
     certify,
+    certify_roots,
     check_conjugacy_witness,
     check_product_identity,
     load_presentation_text,
     search_conjugator,
 )
 from germlin.jets import Jet
+from germlin.registry import GROUP_EXAMPLES, build_group_example
 
 from oracles import lagrange_inverse, random_jet
-from test_golden import _golden_path, _run
+from test_golden import GOLDEN_DIR, _golden_path, _run
 
 
 def _germ(coeffs, order, conductor=1):
@@ -137,7 +140,10 @@ def test_witness_check_computes_no_inverse(monkeypatch):
     command = "certify --example ex4.1 --order 12 --max-word-len 3"
     with open(_golden_path(command), encoding="utf-8") as fh:
         assert _run(command) == fh.read()
-    assert state["checks"] == 2  # one witness check per root of the constraint
+    # one witness check per root of the constraint, plus one re-check of each
+    # of the 4 found words the second root (a Galois image of the first)
+    # takes over from the first root's searches
+    assert state["checks"] == 6
     assert state["inverses"] == 0
 
 
@@ -298,3 +304,109 @@ def test_load_presentation_errors():
             '{"field": {"conductor": 4, "constraints": ["a = 3"]},'
             ' "generators": ["a*z", "a*z"]}'
         )
+
+
+def _reports_json(reports):
+    return [json.dumps(r.to_json()) for r in reports]
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(group_cert, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(group_cert, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "example, order, max_len",
+    [(ex, 4, 1) for ex in GROUP_EXAMPLES] + [("ex4.1", 12, 3)],
+)
+def test_orbit_transfer_equals_independent_certify(example, order, max_len):
+    pres = [item.presentation for item in build_group_example(example, order=order)]
+    alone = [certify(p, max_len) for p in pres]
+    assert _reports_json(certify_roots(pres, max_len)) == _reports_json(alone)
+
+
+def test_one_search_per_orbit_of_roots(monkeypatch):
+    # the six roots of g18p are one Galois orbit: 4 searches, not 6 x 4
+    pres = [item.presentation for item in build_group_example("g18p", order=4)]
+    assert len(pres) == 6
+    searches = _counting(monkeypatch, "search_conjugator")
+    certify_roots(pres, 1)
+    assert len(searches) == 4
+
+
+def test_two_orbits_file_transfers_only_within_an_orbit(monkeypatch):
+    # a^4 = 1 at conductor 12: roots 1, i, -1, -i; only -i is sigma_7(i)
+    with open(os.path.join(GOLDEN_DIR, "two_orbits.json"), encoding="utf-8") as fh:
+        loaded = load_presentation_text(fh.read())
+    assert [item.label for item in loaded] == [
+        "a=1", "a=cyclo(12)[0,0,0,1]", "a=-1", "a=cyclo(12)[0,0,0,-1]"
+    ]
+    pres = [item.presentation for item in loaded]
+    assert group_cert._galois_unit(pres[1], pres[3]) == 7
+    assert group_cert._galois_unit(pres[0], pres[2]) is None
+    calls = _counting(monkeypatch, "certify")
+    certify_roots(pres, 3)
+    assert [kwargs["transferred"] is not None for _, kwargs in calls] == [
+        False, False, False, True
+    ]
+
+
+def test_forced_wrong_transfer_is_searched(monkeypatch):
+    # f_1, f_2, f_3 of the second presentation are sigma_7 images of the
+    # first's, but f_4 = z/i is not (sigma_7(z/i) = z/(-i)): no transfer
+    N = 6
+    i = zeta(12) ** 3
+    first = ["a*z", "a*z/(1 + z)", "z/a", "z/a"]
+    pres1 = GroupPresentation(
+        [Germ(series_from_string(e, {"a": i}, order=N)) for e in first], order=N
+    )
+    images = [Germ(series_from_string(e, {"a": -i}, order=N)) for e in first[:3]]
+    pres2 = GroupPresentation(
+        images + [Germ(series_from_string("z/a", {"a": i}, order=N))], order=N
+    )
+
+    def is_image(k):
+        pairs = zip(pres1.generator(k).jet.coeffs, pres2.generator(k).jet.coeffs)
+        return all(c._galois(7) == d for c, d in pairs)
+
+    assert [is_image(k) for k in range(1, 5)] == [True, True, True, False]
+    assert group_cert._galois_unit(pres1, pres2) is None
+    alone = certify(pres2, 3)
+    searches = _counting(monkeypatch, "search_conjugator")
+    reports = certify_roots([pres1, pres2], 3)
+    assert _reports_json(reports[1:]) == _reports_json([alone])
+    assert any(args[0] is pres2 for args, _ in searches)
+
+
+def test_transferred_word_failing_its_check_is_searched_again():
+    # a transferred word that is no witness here is re-searched; a transferred
+    # None stands as not-found-up-to, unchecked, though a search finds a word
+    pres = _ex41(order=8)[0][1]
+    keys = [g.jet.key() for g in pres.gens]
+    bogus = Word.from_list([[6, 1]])
+    assert not check_conjugacy_witness(pres, 1, 6, bogus)
+    alone = certify(pres, 2)
+    assert alone.conjugacy[(1, 6)].status == "found-by-search"
+    rep = certify(pres, 2, transferred={(keys[0], keys[5]): bogus})
+    assert _reports_json([rep]) == _reports_json([alone])
+    rep = certify(pres, 2, transferred={(keys[0], keys[5]): None})
+    assert rep.conjugacy[(1, 6)].status == "not-found-up-to"
+
+
+def test_loader_evaluates_each_distinct_expression_once(monkeypatch):
+    evaluations = _counting(monkeypatch, "series_from_string")
+    loaded = build_group_example("g10", order=4)
+    # z/a (8 times), z/(a + z) and z/(a - a^9*z), at each of the 4 roots
+    assert len(loaded) == 4 and len(evaluations) == 12
+    for item in loaded:
+        gens = item.presentation.gens
+        assert all(g.jet == gens[0].jet for g in gens[:8])
+    with pytest.raises(PresentationError, match="generator 2 "):
+        load_presentation_text('{"generators": ["z", "z + q", "z", "z + q"]}')
