@@ -114,15 +114,17 @@ def affine_conjugator_search(
         raise ValueError("generator index out of range")
     fi, fj = gens[i - 1], gens[j - 1]
     pairs = [(g, g.inverse()) for g in gens]
+    # an affine composition is two scalar products: no sketch, every child
+    # is composed and tested when it is generated
     letters = [
-        (letter, lambda h, g=g: h.compose(g))
+        (letter, lambda h, g=g: h.compose(g), lambda s: None)
         for letter, g in distinct_letters(pairs, AffineMap.key)
     ]
-    # the payload a = h_i o h follows each node h
     return reduced_word_search(
-        (AffineMap.identity(), fi),
+        (AffineMap.identity(), None),
         letters,
         AffineMap.key,
-        lambda h, a: a == h.compose(fj),
+        lambda s: True,
+        lambda h: fi.compose(h) == h.compose(fj),
         max_len,
     )

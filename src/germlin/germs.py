@@ -12,7 +12,10 @@ All equality statements are congruences to the shared order N.
 
 Words over the generators and one breadth-first enumerator of reduced words
 (:func:`reduced_word_search`) live here too; the conjugator searches of
-``group_cert`` and ``affine`` are thin wrappers around it.
+``group_cert`` and ``affine`` are thin wrappers around it.  Its nodes are
+lazy: a child is tested through a cheap sketch when it is generated, and its
+full value is composed only when the sketch cannot rule it out or when the
+child is popped from the FIFO queue, where it is deduplicated.
 """
 
 from __future__ import annotations
@@ -221,48 +224,67 @@ def distinct_letters(pairs: Sequence, key: Callable[[object], Hashable]) -> list
 
 def reduced_word_search(
     start: tuple,
-    letters: Sequence[tuple[tuple[int, int], Callable]],
+    letters: Sequence[tuple[tuple[int, int], Callable, Callable]],
     key: Callable[[object], Hashable],
-    is_witness: Callable[[object, object], bool],
+    may_be_witness: Callable[[object], bool],
+    is_witness: Callable[[object], bool],
     max_len: int,
 ) -> Optional[Word]:
-    """Breadth-first search for the first reduced word whose node is a witness.
+    """Breadth-first search for the first reduced word whose value is a witness.
 
-    A node is (value, payload); ``start`` is the node of the empty word.
-    ``letters`` holds (letter, act) pairs, ``act`` taking a value to its
-    composition with the letter on the right; the payload is carried by the
-    same act, so a payload u o v follows the node of value v for a fixed u.
-    Words are enumerated shortest first, then in the order of ``letters``,
-    skipping a letter right after its own inverse.  Nodes are deduplicated by
-    ``key(value)``: the payload and ``is_witness(value, payload)`` are
-    computed once per distinct value.  Returns the first witness word of
-    length <= max_len; None means only "not found up to max_len".
+    A node is (value, sketch); ``start`` is the node of the empty word.
+    ``letters`` holds (letter, act, advance) triples: ``act`` takes a value to
+    its composition with the letter on the right, and ``advance`` takes a
+    node's sketch to that of its child by the letter.  A sketch is a cheap
+    summary of a node, and ``may_be_witness(sketch)`` must hold for every
+    witness; only where it holds, at the start node as at any other, is the
+    node's value composed and ``is_witness(value)`` asked.  Words are
+    enumerated shortest first, then in the order of ``letters``, skipping a
+    letter right after its own inverse.
+
+    Nodes are lazy.  Every child is tested when it is generated, but it is
+    queued as (word, parent value, act, sketch) and its value is composed
+    when it is popped, once per queued node (a child composed for the exact
+    test is queued with its value).  A popped node is deduplicated by
+    ``key(value)`` and expanded only if its value is new; a child of length
+    ``max_len`` is never queued.  The result equals that of the eager search
+    that composes and deduplicates each child as it is generated: the queue
+    is FIFO, so of several equal values the first generated is the first
+    popped, and the verdict depends only on the value, so a later copy's
+    verdict is that of its first copy, which was tested earlier.  Returns the
+    first witness word of length <= max_len; None means only "not found up
+    to max_len".
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
-    value, payload = start
-    if is_witness(value, payload):
+    value, sketch = start
+    if may_be_witness(sketch) and is_witness(value):
         return Word.empty()
-    seen = {key(value)}
-    queue = deque([((), value, payload)])
+    seen: set = set()
+    queue = deque([((), value, None, sketch)] if max_len else [])
     while queue:
-        word, value, payload = queue.popleft()
-        if len(word) >= max_len:
+        word, value, pending, sketch = queue.popleft()
+        if pending is not None:
+            value = pending(value)  # the one full composition of the node
+        k = key(value)
+        if k in seen:
             continue
+        seen.add(k)
+        queue_children = len(word) + 1 < max_len
         last = word[-1] if word else None
-        for letter, act in letters:
+        for letter, act, advance in letters:
             if last is not None and letter == (last[0], -last[1]):
                 continue  # skip immediate cancellation: reduced words only
-            child = act(value)
-            k = key(child)
-            if k in seen:
-                continue
-            seen.add(k)
-            child_payload = act(payload)
+            child_sketch = advance(sketch)
             new_word = word + (letter,)
-            if is_witness(child, child_payload):
-                return Word(new_word)
-            queue.append((new_word, child, child_payload))
+            if may_be_witness(child_sketch):
+                child = act(value)
+                if is_witness(child):
+                    return Word(new_word)
+                if queue_children:
+                    queue.append((new_word, child, None, child_sketch))
+            elif queue_children:
+                queue.append((new_word, value, act, child_sketch))
     return None
 
 

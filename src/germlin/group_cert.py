@@ -9,8 +9,14 @@ order, optionally with conjugacy witness words.  Certification checks
   bounded breadth-first search over reduced words (value-deduplicated at
   order N).  The search letters keep one letter per distinct value of the
   generators and their inverses, and one search result serves every pair
-  (i, j) with the same values of f_i and f_j.  A failed search is recorded as
-  "not-found-up-to", never as a proof of non-conjugacy,
+  (i, j) with the same values of f_i and f_j.  A node h is composed in full
+  only when it is expanded or when f_i o h and h o f_j agree in their
+  coefficients of degree <= K, which come from the parent's through the
+  first K + 1 rows of the power tables; as h(0) = 0 these are the jets' own
+  low coefficients, so a mismatch there is exact.  K = min(N, max(2,
+  k_i + 1, k_j + 1)), with k the tangency order of f_i or f_j where it is
+  flat.  A failed search is recorded as "not-found-up-to", never as a proof
+  of non-conjugacy,
 * applicability of the finiteness criterion (multiplier order 1 or a prime
   power, with every other check positive).
 
@@ -64,6 +70,7 @@ from .germs import (
     distinct_letters,
     identity_germ,
     reduced_word_search,
+    tangency_data,
 )
 from .jets import DEFAULT_ORDER, Jet, RightComposer, jet_compose
 
@@ -210,22 +217,51 @@ def search_conjugator(
     keeps one letter per distinct value; candidates are deduplicated by their
     order-N jet, so only one word per group-element value is ever expanded.
     The result depends only on the values of f_i and f_j, so :func:`certify`
-    shares it between pairs with equal values.  The returned word satisfies
+    shares it between pairs with equal values.
+
+    Each node h carries the parts of degree <= K of h and of f_i o h; a child
+    h o l gets both from its parent's through the first K + 1 rows of the
+    letter's power table (:meth:`RightComposer.prefix`).  The witness side
+    h o f_j to degree K comes the same way from f_j's table.  Since h(0) =
+    f_j(0) = 0, these are the exact coefficients of degree <= K of the order-N
+    jets, so a mismatch of the prefixes is a mismatch of the jets and rules
+    the node out.  Only where they agree is h composed in full and the test
+    completed exactly, f_i o h == h o f_j to order N.  K is the
+    :func:`_filter_degree` of f_i and f_j.  The returned word satisfies
     :func:`check_conjugacy_witness` by construction; None means only "not
     found up to max_len".
     """
     pres._check_index(i)
     pres._check_index(j)
+    fi = pres.generator(i).jet
     compose_fj = pres.composer(pres.generator(j))
+    K = _filter_degree(pres.generator(i), pres.generator(j))
     ident = identity_germ(pres.order, pres.conductor).jet
-    # the payload a = f_i o h follows each node h, one right composition per node
+    # a sketch is (h, f_i o h) to degree K
+    letters = [
+        (letter, comp, lambda s, c=comp: (c.prefix(s[0]), c.prefix(s[1])))
+        for letter, comp in pres.letters()
+    ]
     return reduced_word_search(
-        (ident, pres.generator(i).jet),
-        pres.letters(),
+        (ident, (list(ident.coeffs[: K + 1]), list(fi.coeffs[: K + 1]))),
+        letters,
         Jet.key,
-        lambda h, a: a == compose_fj(h),
+        lambda s: s[1] == compose_fj.prefix(s[0]),
+        lambda h: jet_compose(fi, h) == compose_fj(h),
         max_len,
     )
+
+
+def _filter_degree(fi: Germ, fj: Germ) -> int:
+    """K = min(N, max(2, k_i + 1, k_j + 1)), counting only the tangency
+    orders k of flat generators (multiplier 1).
+
+    A flat f = z + t z^(k+1) + ... gives f o h = h and h o f = h through
+    degree k for every h, so the two sides of the witness test can first
+    differ at degree k_i + 1 or k_j + 1; a smaller K would pass every node.
+    """
+    ks = [t.k + 1 for t in map(tangency_data, (fi, fj)) if t.flat and t.k is not None]
+    return min(fi.order, max([2] + ks))
 
 
 @dataclass(frozen=True)

@@ -385,7 +385,8 @@ class RightComposer:
     Holds the power table g^0 .. g^N, so each call is the triangular sum
     sum_e w_e g^e with no further products; this pays off when many
     compositions share the same inner series (word evaluation, conjugator
-    search).  The same table gives the compositional inverse of g.
+    search).  The same table gives the compositional inverse of g, and its
+    first K + 1 rows read to degree K give w(g) to degree K (:meth:`prefix`).
     """
 
     def __init__(self, g: Jet):
@@ -401,6 +402,14 @@ class RightComposer:
         wl = w.lift(self.conductor) if w.conductor != self.conductor else w
         N, n = self.order, self.conductor
         return Jet(_weighted_sum(wl.coeffs, self.powers, N, n), order=N, conductor=n)
+
+    def prefix(self, w: list) -> list:
+        """The coefficients of w(g) through degree K, from those of w through
+        degree K = len(w) - 1 <= N.  Since g(0) = 0, the powers g^e with
+        e > K and the terms of w beyond z^K add nothing below z^(K+1), so this
+        is the weighted sum over the first K + 1 rows of the table, read to
+        degree K: O(K^2) products."""
+        return _weighted_sum(w, self.powers, len(w) - 1, self.conductor)
 
     def inverse(self) -> Jet:
         """The compositional inverse of g from the triangular system

@@ -1,9 +1,11 @@
 """The reduced-word search against a naive reference BFS.
 
-The library searches over value-deduplicated letters and shares one search
-between all pairs (i, j) with equal values of f_i and f_j; the oracle in
-``oracles.naive_conjugator_search`` uses all 2m letters, composes directly
-and shares nothing.  Both must return the same words.
+The library searches over value-deduplicated letters, composes a node only
+when it is popped or when its low-degree prefixes pass the witness filter,
+and shares one search between all pairs (i, j) with equal values of f_i and
+f_j; the oracle in ``oracles.naive_conjugator_search`` uses all 2m letters,
+composes every word in full and shares nothing.  Both must return the same
+words.
 """
 
 import random
@@ -21,7 +23,7 @@ from germlin.group_cert import (
     check_conjugacy_witness,
     search_conjugator,
 )
-from germlin.jets import Jet, jet_compose
+from germlin.jets import Jet, RightComposer, jet_compose
 from germlin.registry import build_group_example
 
 from oracles import lagrange_inverse, naive_conjugator_search, random_fraction, random_jet
@@ -181,3 +183,115 @@ def test_one_search_per_distinct_value_pair(monkeypatch, example, N, L, searches
         assert len(pres.letters()) == 6
         # f_1 = f_2 = z/a: one inverse serves both
         assert pres.inverse_generator(1) is pres.inverse_generator(2)
+
+
+def _flat(rng: random.Random, k: int, N: int) -> Germ:
+    """z + c z^(k+1) + random higher terms, c != 0: flat of tangency order k."""
+    c = Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+    higher = [random_fraction(rng, 2) for _ in range(N - k - 1)]
+    return Germ(Jet([0, 1] + [0] * (k - 1) + [c] + higher, order=N))
+
+
+def _flat_presentation(seed: int, N: int = 5) -> GroupPresentation:
+    """Flat f and g of tangency orders 3 and 2, r with multiplier -1, and the
+    conjugates g f g^-1 and r f r^-1, in a seeded order."""
+    rng = random.Random(seed)
+    f, g = _flat(rng, 3, N), _flat(rng, 2, N)
+    r = Germ(Jet([0, -1] + [random_fraction(rng, 2) for _ in range(N - 1)], order=N))
+    gens = [f, g, r, g * f * ~g, r * f * ~r]
+    rng.shuffle(gens)
+    return GroupPresentation(gens, order=N)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_flat_presentations_match_oracle(seed):
+    # tangency orders k = 2, 3 give filter degrees K = 3, 4; r alone gives 2
+    pres = _flat_presentation(seed)
+    m = len(pres)
+    degrees = {
+        group_cert._filter_degree(pres.generator(i), pres.generator(j))
+        for i in range(1, m + 1)
+        for j in range(1, m + 1)
+    }
+    assert degrees == {2, 3, 4}
+    L = 3
+    inverses = _inverses(pres)
+    found = []
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            w = search_conjugator(pres, i, j, L)
+            assert w == _oracle(pres, i, j, L, inverses)
+            found.append(w)
+    # g and r conjugate f to g f g^-1 and r f r^-1: some words are non-empty
+    assert any(w for w in found)
+
+
+def _counting_search(monkeypatch) -> dict:
+    """Counts, over the searches that follow, of popped nodes (``key`` is
+    asked once per pop), filter passes and full right compositions
+    (``RightComposer.__call__``), and the values given the exact test."""
+    counts = {"popped": 0, "passed": 0, "composed": 0, "exact": []}
+    engine = group_cert.reduced_word_search
+
+    def counting_engine(start, letters, key, may_be_witness, is_witness, max_len):
+        def counted_key(value):
+            counts["popped"] += 1
+            return key(value)
+
+        def counted_filter(sketch):
+            passed = may_be_witness(sketch)
+            counts["passed"] += passed
+            return passed
+
+        def counted_exact(value):
+            counts["exact"].append(value)
+            return is_witness(value)
+
+        return engine(start, letters, counted_key, counted_filter, counted_exact, max_len)
+
+    compose = RightComposer.__call__
+
+    def counting_compose(self, w):
+        counts["composed"] += 1
+        return compose(self, w)
+
+    monkeypatch.setattr(group_cert, "reduced_word_search", counting_engine)
+    monkeypatch.setattr(RightComposer, "__call__", counting_compose)
+    return counts
+
+
+def test_prefix_match_is_completed_exactly(monkeypatch):
+    # f = z + z^3 and g = z + z^3 + z^5 are flat with k = 2, so K = 3.  At
+    # the node h = f, f o f = z + 2z^3 + 3z^5 + .. and f o g = z + 2z^3 +
+    # 4z^5 + .. agree through z^4: the filter passes and only the exact test
+    # rejects the node.
+    N = 6
+    f = Germ(Jet([0, 1, 0, 1], order=N))
+    g = Germ(Jet([0, 1, 0, 1, 0, 1], order=N))
+    pres = GroupPresentation([f, g], order=N)
+    assert group_cert._filter_degree(f, g) == 3
+    assert jet_compose(f.jet, f.jet).coeffs[:5] == jet_compose(f.jet, g.jet).coeffs[:5]
+    assert jet_compose(f.jet, f.jet) != jet_compose(f.jet, g.jet)
+    pres.letters()
+    counts = _counting_search(monkeypatch)
+    for L in (1, 3):
+        counts.update(passed=0, exact=[])
+        assert search_conjugator(pres, 1, 2, L) == _oracle(pres, 1, 2, L)
+        assert f.jet in counts["exact"]
+        assert len(counts["exact"]) == counts["passed"]
+
+
+def test_one_full_composition_per_popped_node(monkeypatch):
+    pres = build_group_example("g14", order=8)[0].presentation
+    pres.letters()  # build the letters and their composers before counting
+    counts = _counting_search(monkeypatch)
+    assert search_conjugator(pres, 1, 13, 3) is None
+    assert counts["composed"] <= counts["popped"] + counts["passed"]
+    # 1 + 6 + 6 x 5 nodes are popped; the 150 children of length 3 are tested
+    # by their prefixes only
+    assert counts["popped"] == 37
+    # at max_len 1 every child has length max_len and fails the filter, as
+    # does the start node: nothing is composed
+    counts.update(popped=0, passed=0, composed=0, exact=[])
+    assert search_conjugator(pres, 1, 13, 1) is None
+    assert counts == {"popped": 1, "passed": 0, "composed": 0, "exact": []}
