@@ -116,7 +116,7 @@ def cmd_certify(args) -> int:
     if args.max_word_len < 0:
         raise InputError(f"--max-word-len must be >= 0, got {args.max_word_len}")
     source, loaded = _load_presentations(args)
-    reports = certify_roots([item.presentation for item in loaded], args.max_word_len)
+    reports = certify_roots(loaded, args.max_word_len)
     solutions = []
     all_ok = True
     for item, report in zip(loaded, reports):

@@ -52,6 +52,7 @@ __all__ = [
     "prime_power_order",
     "factorize",
     "solve_root_constraints",
+    "solve_root_orbits",
     "format_scalar",
     "parse_scalar",
 ]
@@ -575,37 +576,41 @@ def prime_power_order(m: int) -> tuple[int | None, int] | None:
     return None
 
 
-def solve_root_constraints(
-    m: int, constraints, var: str = "a"
-) -> list[CycloElem]:
-    """All m-th roots of unity zeta_m^k in Q(zeta_m) satisfying the constraints.
+def solve_root_orbits(m: int, constraints, var: str = "a") -> list[tuple[int, int, int]]:
+    """(k, d, u) for each m-th root of unity zeta_m^k satisfying the
+    constraints, in increasing k: zeta^k = sigma_u(zeta^d), where d = gcd(k, m)
+    mod m is the least exponent of its Galois orbit, and u = 1 when k = d.
 
-    Each constraint is an equation string such as ``"a = 1/(1 - a)"``; a
-    candidate for which some side is undefined (division by zero) fails that
-    constraint.  Candidates are returned in order of increasing exponent k.
+    Each constraint is an equation string such as ``"a = 1/(1 - a)"``; a root
+    at which some side is undefined (division by zero) fails it.  They are
+    tested at zeta^d alone, one candidate per divisor of m.  This is exact:
+    with integer literals and the one name ``var``, each side at sigma_u(x) is
+    sigma_u of the side at x, so it is defined, and equal, exactly when that is.
     """
     from . import expressions  # deferred: expressions builds on this module
 
     if isinstance(constraints, str):
         constraints = [constraints]
     parsed = [expressions.parse_constraint(c) for c in constraints]
-    mons = _monomials(m)
-    solutions = []
-    for k in range(m):
-        cand = _normalize(m, list(mons[k]), 1)
-        env = {var: cand}
-        ok = True
-        for lhs, rhs in parsed:
-            try:
-                if expressions.eval_scalar(lhs, env) != expressions.eval_scalar(rhs, env):
-                    ok = False
-                    break
-            except ZeroDivisionError:
-                ok = False
-                break
-        if ok:
-            solutions.append(cand)
-    return solutions
+    ev = expressions.eval_scalar
+    roots: dict[int, tuple[int, int]] = {}  # k -> (d, u)
+    for d in (g % m for g in _divisors(m)):
+        env = {var: _normalize(m, list(_monomials(m)[d]), 1)}
+        try:
+            if any(ev(lhs, env) != ev(rhs, env) for lhs, rhs in parsed):
+                continue
+        except ZeroDivisionError:
+            continue
+        # units in descending order, so that each k keeps its least u
+        roots.update({u * d % m: (d, u) for u in range(m, 0, -1) if gcd(u, m) == 1})
+    return [(k, *roots[k]) for k in sorted(roots)]
+
+
+def solve_root_constraints(m: int, constraints, var: str = "a") -> list[CycloElem]:
+    """All m-th roots of unity zeta_m^k in Q(zeta_m) satisfying the
+    constraints, in increasing k (see :func:`solve_root_orbits`)."""
+    roots = solve_root_orbits(m, constraints, var)
+    return [_normalize(m, list(_monomials(m)[k]), 1) for k, _, _ in roots]
 
 
 # -- serialization ---------------------------------------------------------------

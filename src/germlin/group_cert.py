@@ -27,23 +27,28 @@ Presentation files are JSON::
       "generators": ["z/a", "z/(a + z)"],
       "witnesses": {"(2,1)": [[1, 1], [2, 1]]} }
 
-Constraints are solved by enumerating roots of unity; every solution yields
-its own presentation, and reports are produced per solution.  The bundled
-examples of :mod:`germlin.registry` are such specs and load through the same
-checks, including the limits MAX_ORDER, MAX_CONDUCTOR and MAX_WORD_LETTERS.
-The loader evaluates each distinct generator expression once per solution.
+Constraints pin the scalar ``a`` (``field.var``) to roots of unity zeta^k of
+the conductor; every solution yields its own presentation, and reports are
+produced per solution.  The bundled examples of :mod:`germlin.registry` are
+such specs and load through the same checks, including the limits MAX_ORDER,
+MAX_CONDUCTOR and MAX_WORD_LETTERS.
 
-:func:`certify_roots` certifies the presentations of all the solutions and
-searches each Galois orbit of them once.  A presentation is taken for the
-image of an earlier searched one under sigma_u: zeta -> zeta^u only when
-every generator equals sigma_u of the earlier generator in its position,
-coefficient for coefficient.  Then the earlier search outcomes transfer, keyed
-by the value pairs of the new presentation.  Each transferred found word is
-checked again with :func:`check_conjugacy_witness`, and the pair is searched
-if the check fails.  A transferred "not-found-up-to" is exact as it stands:
-sigma_u is a field automorphism that commutes with composition and inversion
-of jets and is injective, so it maps the letters, the reduced-word tree and
-its deduplication of the earlier search onto those of the new one node for
+The solutions fall into Galois orbits: zeta^k = sigma_u(zeta^d) for the
+automorphism sigma_u: zeta -> zeta^u, with d the least exponent of the orbit.
+The loader evaluates each distinct generator expression once, at the first
+root of each orbit, and builds every other root's generators as sigma_u of
+those, coefficient by coefficient.  Since the expressions have only integer
+literals and the one scalar, that is what evaluating at zeta^k would give.
+It records the orbit's first root as ``image_of``.
+
+:func:`certify_roots` searches only the first root of each orbit.  Every
+other root takes over its search outcomes, keyed by its own value pairs.
+Each transferred found word is checked again with
+:func:`check_conjugacy_witness`, and the pair is searched if the check
+fails.  A transferred "not-found-up-to" is exact as it stands: sigma_u is a
+field automorphism that commutes with composition and inversion of jets and
+is injective, so it maps the letters, the reduced-word tree and its
+deduplication of the first root's search onto those of the image node for
 node.  Witnesses and the product identity are still checked on every
 solution.
 """
@@ -61,7 +66,8 @@ from .cyclotomic import (
     format_scalar,
     prime_power_order,
     root_of_unity_order,
-    solve_root_constraints,
+    solve_root_orbits,
+    zeta,
 )
 from .expressions import ExpressionError, series_from_string
 from .germs import (
@@ -408,56 +414,31 @@ def _transfer_or_search(
     return search_conjugator(pres, i, j, max_len)
 
 
-def _galois_unit(earlier: GroupPresentation, pres: GroupPresentation) -> Optional[int]:
-    """A unit u mod the conductor of ``pres`` such that each generator of
-    ``pres`` is sigma_u of the generator of ``earlier`` in its position,
-    coefficient for coefficient, or None.  Each distinct value is compared
-    once."""
-    n = pres.conductor
-    if earlier.order != pres.order or len(earlier) != len(pres) or n % earlier.conductor:
-        return None
-    images: dict = {}  # earlier value -> value in pres at the same positions
-    for f, g in zip(earlier.gens, pres.gens):
-        if images.setdefault(f.jet.key(), g.jet.key()) != g.jet.key():
-            return None
-    lifted = [(tuple(c.lift(n) for c in k), image) for k, image in images.items()]
-    for u in range(1, n + 1):
-        if gcd(u, n) == 1 and all(
-            all(c._galois(u) == d for c, d in zip(k, image)) for k, image in lifted
-        ):
-            return u
-    return None
-
-
 def certify_roots(
-    presentations: Sequence[GroupPresentation], max_len: int = DEFAULT_MAX_WORD_LEN
+    loaded: Sequence["LoadedPresentation"], max_len: int = DEFAULT_MAX_WORD_LEN
 ) -> list[IrreducibilityReport]:
-    """:func:`certify` on each presentation, searching each Galois orbit once.
+    """:func:`certify` on each loaded presentation, searching each Galois orbit
+    of roots once.
 
-    A presentation that is sigma_u of an earlier searched one, generator by
-    generator, takes over that one's search outcomes by value pair; any
-    other presentation is searched.  The reports equal those of
-    :func:`certify` run on each presentation alone.
+    A presentation with ``image_of`` set is sigma_u of that earlier one,
+    generator by generator, as the loader builds it; it takes over that one's
+    search outcomes by value pair.  The reports equal those of :func:`certify`
+    run on each presentation alone.
     """
     reports: list[IrreducibilityReport] = []
-    searched: list[tuple[GroupPresentation, IrreducibilityReport]] = []
-    for pres in presentations:
+    for item in loaded:
+        pres = item.presentation
         transferred = None
-        for earlier, report in searched:
-            if _galois_unit(earlier, pres) is not None:
-                # the value pairs of pres are the sigma_u images of the
-                # earlier ones, position by position
-                keys = [g.jet.key() for g in pres.gens]
-                transferred = {
-                    (keys[i - 1], keys[j - 1]): res.word
-                    for (i, j), res in report.conjugacy.items()
-                    if res.status != "verified-by-witness"
-                }
-                break
-        report = certify(pres, max_len, transferred=transferred)
-        if transferred is None:
-            searched.append((pres, report))
-        reports.append(report)
+        if item.image_of is not None:
+            # the value pairs of pres are the sigma_u images of the first
+            # root's, position by position
+            keys = [g.jet.key() for g in pres.gens]
+            transferred = {
+                (keys[i - 1], keys[j - 1]): res.word
+                for (i, j), res in reports[item.image_of].conjugacy.items()
+                if res.status != "verified-by-witness"
+            }
+        reports.append(certify(pres, max_len, transferred=transferred))
     return reports
 
 
@@ -469,9 +450,12 @@ class LoadedPresentation:
     label: str
     scalars: dict[str, CycloElem]
     presentation: GroupPresentation
+    # index of the first root of this root's Galois orbit; None for a first root
+    image_of: Optional[int] = None
 
 
 _PAIR_RE = re.compile(r"^\((\d+),(\d+)\)$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _bounded_int(value, name: str, cap: int) -> int:
@@ -529,42 +513,47 @@ def _load_presentation_data(data, order: Optional[int]) -> list[LoadedPresentati
     if not isinstance(constraints, list) or not all(isinstance(c, str) for c in constraints):
         raise PresentationError('field "field.constraints" must list equation strings')
     var = field_spec.get("var", "a")
-    if not isinstance(var, str):
-        raise PresentationError('field "field.var" must be a string')
+    # z is the series variable, so a scalar named z would never reach a generator
+    if not (isinstance(var, str) and _NAME_RE.fullmatch(var)) or var == "z":
+        raise PresentationError('field "field.var" must be a name other than "z"')
     if constraints:
-        solutions = solve_root_constraints(conductor, constraints, var=var)
-        if not solutions:
+        roots = solve_root_orbits(conductor, constraints, var=var)
+        if not roots:
             raise PresentationError(
                 f"no root of unity of conductor {conductor} satisfies the constraints"
             )
-        envs = [({var: sol}, f"{var}={format_scalar(sol)}") for sol in solutions]
     else:
-        envs = [({}, "")]
+        roots = [(None, None, 1)]  # one presentation, no scalar
 
     raw_witnesses = data.get("witnesses") or {}
     if not isinstance(raw_witnesses, dict):
         raise PresentationError('field "witnesses" must be a JSON object')
     witnesses = _parse_witnesses(raw_witnesses)
-    out = []
-    for env, label in envs:
-        germs: dict[str, Germ] = {}  # by expression: repeats are evaluated once
-        for idx, expr in enumerate(gens_raw, start=1):
-            if not isinstance(expr, str):
-                raise PresentationError(f"generator {idx} must be an expression string")
-            if expr in germs:
-                continue
-            try:
-                germs[expr] = Germ(series_from_string(expr, env, order=n_order))
-            except (ExpressionError, ValueError) as exc:
-                raise PresentationError(f"generator {idx} ({expr!r}): {exc}") from exc
-        gens = [germs[expr] for expr in gens_raw]
-        out.append(
-            LoadedPresentation(
-                label=label,
-                scalars=dict(env),
-                presentation=GroupPresentation(gens, witnesses, order=n_order),
-            )
-        )
+    out: list[LoadedPresentation] = []
+    orbits: dict = {}  # least exponent d -> (index of its first root, its germs)
+    for k, d, u in roots:
+        env = {} if k is None else {var: zeta(conductor) ** k}
+        if k != d:
+            image_of, first = orbits[d]
+            germs = {
+                expr: Germ(Jet([c._galois(u) for c in g.jet.coeffs], order=n_order))
+                for expr, g in first.items()
+            }
+        else:
+            image_of, germs = None, {}  # by expression: repeats are evaluated once
+            orbits[d] = (len(out), germs)
+            for idx, expr in enumerate(gens_raw, start=1):
+                if not isinstance(expr, str):
+                    raise PresentationError(f"generator {idx} must be an expression string")
+                if expr in germs:
+                    continue
+                try:
+                    germs[expr] = Germ(series_from_string(expr, env, order=n_order))
+                except (ExpressionError, ValueError) as exc:
+                    raise PresentationError(f"generator {idx} ({expr!r}): {exc}") from exc
+        label = f"{var}={format_scalar(env[var])}" if env else ""
+        pres = GroupPresentation([germs[expr] for expr in gens_raw], witnesses, order=n_order)
+        out.append(LoadedPresentation(label, env, pres, image_of))
     return out
 
 

@@ -8,7 +8,9 @@ Lagrange inversion instead of the triangular inverse solve, symbolic
 chain-rule differentiation instead of series composition, and a reduced-word
 search over all 2m letters with direct witness checks instead of the shared
 search engine with value-deduplicated letters and results shared between
-pairs, and determinants of coefficient matrices instead of the wedge kernel.
+pairs, a scan of the constraints over every root of unity and evaluation of
+every generator at every root instead of one evaluation per Galois orbit,
+and determinants of coefficient matrices instead of the wedge kernel.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from itertools import combinations, permutations
 from math import gcd
 from math import factorial
 
-from germlin.cyclotomic import CycloElem, cyclo_embed, zeta
+from germlin.cyclotomic import CycloElem, cyclo_embed, format_scalar, zeta
+from germlin.expressions import eval_scalar, parse_constraint, series_from_string
 from germlin.jets import Jet, jet_mul_inverse
 from germlin.pforms import MultiPoly
 
@@ -209,6 +212,37 @@ def naive_conjugator_search(gens, inverses, i, j, max_len, identity, compose, ke
                 return word + (letter,)
             queue.append((word + (letter,), child))
     return None
+
+
+def naive_root_scan(m: int, constraints, var: str = "a") -> list[CycloElem]:
+    """The roots zeta_m^k, k = 0 .. m-1, at which every constraint is defined
+    and holds, each candidate evaluated on its own."""
+    parsed = [parse_constraint(c) for c in constraints]
+    out = []
+    for k in range(m):
+        env = {var: zeta(m) ** k}
+        try:
+            if all(eval_scalar(lhs, env) == eval_scalar(rhs, env) for lhs, rhs in parsed):
+                out.append(env[var])
+        except ZeroDivisionError:
+            pass
+    return out
+
+
+def per_root_presentations(spec: dict, order: int) -> list:
+    """(label, scalars, generator jets) of a presentation spec, one per root
+    of :func:`naive_root_scan`, every generator evaluated at every root."""
+    field = spec.get("field") or {}
+    var = field.get("var", "a")
+    constraints = field.get("constraints", [])
+    envs = [({}, "")]
+    if constraints:
+        roots = naive_root_scan(field.get("conductor", 1), constraints, var)
+        envs = [({var: a}, f"{var}={format_scalar(a)}") for a in roots]
+    return [
+        (label, env, [series_from_string(e, env, order=order) for e in spec["generators"]])
+        for env, label in envs
+    ]
 
 
 def wedge_minors(forms) -> dict:

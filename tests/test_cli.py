@@ -392,6 +392,32 @@ def test_limits_are_input_errors(tmp_path, capsys):
             {"order": 4, "generators": ["z", "z"], "witnesses": {"(1,2)": word}},
             "witness",
         )
+    # the scalar must be a name an expression can use: z is the series
+    # variable, so a scalar z never reaches a generator
+    for var, constraint in (("z", "z^4 = 1"), ("", "1 = 1"), ("a b", "1 = 1")):
+        fails(
+            ["certify"],
+            {"field": {"conductor": 4, "constraints": [constraint], "var": var},
+             "generators": ["z/(1 - z)", "z"]},
+            '"field.var"',
+        )
+
+
+@pytest.mark.parametrize(
+    "constraint, generator, message",
+    [
+        # fails at the root -1 alone, an orbit of its own
+        ("a^4 = 1", "z/(a+1)",
+         "generator 1 ('z/(a+1)'): series division needs a divisor with nonzero constant term"),
+        ("a^4 = b", "a*z", "unknown scalar name 'b'"),
+    ],
+)
+def test_root_errors_keep_their_message(tmp_path, capsys, constraint, generator, message):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(
+        {"field": {"conductor": 4, "constraints": [constraint]}, "generators": [generator, "z"]}
+    ))
+    assert run(capsys, "certify", str(path)) == (2, "", f"germlin: error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -39,9 +39,11 @@ JSON_VALUES = st.recursive(
     | st.integers(-3, 400)
     | st.floats(allow_nan=True, allow_infinity=True)
     | st.text(max_size=6)
-    | st.sampled_from(["z", "a*z", "z/(1 - z)", "x*dy", "y*dx - x*dy", "x", "a^2 = 1"]),
+    | st.sampled_from(["z", "", "a*z", "z/(1 - z)", "x*dy", "y*dx - x*dy", "x", "a^2 = 1"]),
     lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.sampled_from(["conductor", "constraints", "(1,2)", "x"]), inner, max_size=2),
+    | st.dictionaries(
+        st.sampled_from(["conductor", "constraints", "var", "(1,2)", "x"]), inner, max_size=2
+    ),
     max_leaves=5,
 )
 

@@ -19,9 +19,12 @@ from germlin.cyclotomic import (
     prime_power_order,
     root_of_unity_order,
     solve_root_constraints,
+    solve_root_orbits,
     zeta,
 )
 from germlin.cyclotomic import _monomials, _sum_of_products
+
+from oracles import naive_root_scan
 
 
 KNOWN_PHI = {
@@ -284,6 +287,35 @@ def test_solve_root_constraints_example_families():
         assert sols, (m, constraint)
         assert all(root_of_unity_order(a) == order for a in sols)
         assert len(sols) == euler_phi(order)
+
+
+@pytest.mark.parametrize("m", list(range(1, 61)) + [120, 360])
+def test_solve_root_constraints_equals_a_scan_of_every_root(m):
+    cases = [
+        ["a^4 = 1"],
+        ["a^6 = 1", "a^2 + a + 1 = 0"],
+        ["a + 1/a = 1"],
+        # undefined where a^180 = -1
+        ["1/(a^180 + 1) = 1/2"],
+        ["1 = 1"],
+    ]
+    if m < 360:  # at 360 the scan inverts these dense divisors at 360 roots: 13 s
+        # the second is undefined at a = 1 and at a = -1
+        cases += [["a^3 + a = 1/(1 - a)"], ["1/(a - 1) = 1/(a^2 - 1)"]]
+    for constraints in cases:
+        assert solve_root_constraints(m, constraints) == naive_root_scan(m, constraints)
+
+
+@pytest.mark.parametrize("m", [1, 2, 12, 18, 30, 360])
+def test_solve_root_orbits_names_each_root_an_image(m):
+    roots = solve_root_orbits(m, [])
+    assert [k for k, _, _ in roots] == list(range(m))
+    z = zeta(m)
+    for k, d, u in roots:
+        assert d == gcd(k, m) % m and gcd(u, m) == 1
+        assert (z**d)._galois(u) == z**k
+        # the least such unit, so u = 1 when k = d
+        assert all(u2 * d % m != k for u2 in range(1, u) if gcd(u2, m) == 1)
 
 
 # -- the one accumulator of unreduced products -------------------------------------

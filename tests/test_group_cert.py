@@ -2,13 +2,15 @@ import itertools
 import json
 import os
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from germlin.cyclotomic import solve_root_constraints, zeta
 from germlin.expressions import series_from_string
-from germlin import germs, group_cert, jets
+from germlin import germs, group_cert, jets, registry
+from germlin.expressions import ExpressionError
 from germlin.germs import Germ, Word, evaluate_word, identity_germ
 from germlin.group_cert import (
     GroupPresentation,
@@ -23,7 +25,7 @@ from germlin.group_cert import (
 from germlin.jets import Jet
 from germlin.registry import GROUP_EXAMPLES, build_group_example
 
-from oracles import lagrange_inverse, random_jet
+from oracles import lagrange_inverse, per_root_presentations, random_jet
 from test_golden import GOLDEN_DIR, _golden_path, _run
 
 
@@ -327,17 +329,17 @@ def _counting(monkeypatch, name):
     [(ex, 4, 1) for ex in GROUP_EXAMPLES] + [("ex4.1", 12, 3)],
 )
 def test_orbit_transfer_equals_independent_certify(example, order, max_len):
-    pres = [item.presentation for item in build_group_example(example, order=order)]
-    alone = [certify(p, max_len) for p in pres]
-    assert _reports_json(certify_roots(pres, max_len)) == _reports_json(alone)
+    loaded = build_group_example(example, order=order)
+    alone = [certify(item.presentation, max_len) for item in loaded]
+    assert _reports_json(certify_roots(loaded, max_len)) == _reports_json(alone)
 
 
 def test_one_search_per_orbit_of_roots(monkeypatch):
     # the six roots of g18p are one Galois orbit: 4 searches, not 6 x 4
-    pres = [item.presentation for item in build_group_example("g18p", order=4)]
-    assert len(pres) == 6
+    loaded = build_group_example("g18p", order=4)
+    assert len(loaded) == 6
     searches = _counting(monkeypatch, "search_conjugator")
-    certify_roots(pres, 1)
+    certify_roots(loaded, 1)
     assert len(searches) == 4
 
 
@@ -348,41 +350,76 @@ def test_two_orbits_file_transfers_only_within_an_orbit(monkeypatch):
     assert [item.label for item in loaded] == [
         "a=1", "a=cyclo(12)[0,0,0,1]", "a=-1", "a=cyclo(12)[0,0,0,-1]"
     ]
-    pres = [item.presentation for item in loaded]
-    assert group_cert._galois_unit(pres[1], pres[3]) == 7
-    assert group_cert._galois_unit(pres[0], pres[2]) is None
+    assert [item.image_of for item in loaded] == [None, None, None, 1]
     calls = _counting(monkeypatch, "certify")
-    certify_roots(pres, 3)
+    certify_roots(loaded, 3)
     assert [kwargs["transferred"] is not None for _, kwargs in calls] == [
         False, False, False, True
     ]
 
 
-def test_forced_wrong_transfer_is_searched(monkeypatch):
-    # f_1, f_2, f_3 of the second presentation are sigma_7 images of the
-    # first's, but f_4 = z/i is not (sigma_7(z/i) = z/(-i)): no transfer
-    N = 6
-    i = zeta(12) ** 3
-    first = ["a*z", "a*z/(1 + z)", "z/a", "z/a"]
-    pres1 = GroupPresentation(
-        [Germ(series_from_string(e, {"a": i}, order=N)) for e in first], order=N
-    )
-    images = [Germ(series_from_string(e, {"a": -i}, order=N)) for e in first[:3]]
-    pres2 = GroupPresentation(
-        images + [Germ(series_from_string("z/a", {"a": i}, order=N))], order=N
-    )
+def _assert_equals_per_root_evaluation(spec, order):
+    """The loader's presentations, the later roots of each orbit built by
+    sigma_u, equal those of evaluating every generator at every root."""
+    try:
+        expected = per_root_presentations(spec, order)
+    except ExpressionError as exc:
+        # the first failing root and generator, and the message, are the same
+        with pytest.raises(PresentationError, match=re.escape(f"): {exc}")):
+            group_cert._load_presentation_data(spec, order)
+        return False
+    loaded = group_cert._load_presentation_data(spec, order)
+    assert [(item.label, item.scalars) for item in loaded] == [
+        (label, scalars) for label, scalars, _ in expected
+    ]
+    for item, (_, _, jets) in zip(loaded, expected):
+        pres = item.presentation
+        assert [g.jet for g in pres.gens] == [j.lift(pres.conductor) for j in jets]
+    return True
 
-    def is_image(k):
-        pairs = zip(pres1.generator(k).jet.coeffs, pres2.generator(k).jet.coeffs)
-        return all(c._galois(7) == d for c, d in pairs)
 
-    assert [is_image(k) for k in range(1, 5)] == [True, True, True, False]
-    assert group_cert._galois_unit(pres1, pres2) is None
-    alone = certify(pres2, 3)
-    searches = _counting(monkeypatch, "search_conjugator")
-    reports = certify_roots([pres1, pres2], 3)
-    assert _reports_json(reports[1:]) == _reports_json([alone])
-    assert any(args[0] is pres2 for args, _ in searches)
+@pytest.mark.parametrize("order", [4, 12])
+@pytest.mark.parametrize("example", GROUP_EXAMPLES)
+def test_orbit_loader_equals_per_root_evaluation(monkeypatch, example, order):
+    specs = []
+    load = registry._load_presentation_data
+    monkeypatch.setattr(
+        registry, "_load_presentation_data", lambda spec, n: specs.append(spec) or load(spec, n)
+    )
+    build_group_example(example, order=order)
+    assert _assert_equals_per_root_evaluation(specs[0], order)
+
+
+# generators over the scalar {v}: zero constant term, nonzero linear term
+_TEMPLATES = (
+    "{c}*{v}^{e}*z",
+    "{v}^{e}*z/(1 + {c}*{v}*z)",
+    "z/({v}^{e} + {c}*z)",
+    "{v}^{e}*z + {c}*{v}^{f}*z^2",
+    "{v}^{e}*z*pow(1 + {c}*{v}^{f}*z, 1/2)",
+    "z/({v}^{e} + 1)",  # undefined where v^e = -1
+)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_orbit_loader_equals_per_root_evaluation_on_random_files(seed):
+    # 3 to 6 Galois orbits of roots per file
+    rng = random.Random(seed)
+    conductor, constraint = rng.choice(
+        [(12, "a^4 = 1"), (18, "a^6 = 1"), (12, "a^12 = 1"), (20, "a^10 = 1")]
+    )
+    v = rng.choice(["a", "t"])
+    gens = [
+        rng.choice(_TEMPLATES).format(
+            v=v, c=rng.choice([-2, -1, 1, 3]), e=rng.randint(0, 5), f=rng.randint(1, 5)
+        )
+        for _ in range(rng.randint(2, 4))
+    ]
+    spec = {
+        "field": {"conductor": conductor, "constraints": [constraint.replace("a", v)], "var": v},
+        "generators": gens + [rng.choice(gens)],
+    }
+    _assert_equals_per_root_evaluation(spec, 6)
 
 
 def test_transferred_word_failing_its_check_is_searched_again():
@@ -403,10 +440,17 @@ def test_transferred_word_failing_its_check_is_searched_again():
 def test_loader_evaluates_each_distinct_expression_once(monkeypatch):
     evaluations = _counting(monkeypatch, "series_from_string")
     loaded = build_group_example("g10", order=4)
-    # z/a (8 times), z/(a + z) and z/(a - a^9*z), at each of the 4 roots
-    assert len(loaded) == 4 and len(evaluations) == 12
+    # z/a (8 times), z/(a + z) and z/(a - a^9*z), at the first of the 4 roots:
+    # the 4 roots are one Galois orbit
+    assert len(loaded) == 4 and len(evaluations) == 3
     for item in loaded:
         gens = item.presentation.gens
         assert all(g.jet == gens[0].jet for g in gens[:8])
+    # a^4 = 1 at conductor 12: 3 expressions at the first root of each of the
+    # 3 orbits {1}, {i, -i} and {-1}
+    del evaluations[:]
+    with open(os.path.join(GOLDEN_DIR, "two_orbits.json"), encoding="utf-8") as fh:
+        assert len(load_presentation_text(fh.read())) == 4
+    assert len(evaluations) == 9
     with pytest.raises(PresentationError, match="generator 2 "):
         load_presentation_text('{"generators": ["z", "z + q", "z", "z + q"]}')
