@@ -67,13 +67,7 @@ class AffineMap:
         return (self.linear, self.translation)
 
     def __repr__(self):
-        a = format_scalar(self.linear) if not isinstance(self.linear, int) else str(self.linear)
-        b = (
-            format_scalar(self.translation)
-            if not isinstance(self.translation, int)
-            else str(self.translation)
-        )
-        return f"AffineMap({a}, {b})"
+        return f"AffineMap({format_scalar(self.linear)}, {format_scalar(self.translation)})"
 
 
 def affine_compose(f: AffineMap, g: AffineMap) -> AffineMap:

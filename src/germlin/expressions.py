@@ -27,7 +27,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .cyclotomic import CycloElem
 from .jets import Jet, jet_mul_inverse, jet_rational_power
 
 __all__ = [
@@ -204,10 +203,6 @@ def eval_scalar(node, env: dict):
             return a - b
         if op == "mul":
             return a * b
-        if isinstance(b, Fraction) and b == 0:
-            raise ZeroDivisionError("division by zero")
-        if isinstance(b, CycloElem) and b.is_zero:
-            raise ZeroDivisionError("division by zero")
         return a / b
     if op == "ipow":
         return eval_scalar(node[1], env) ** node[2]

@@ -74,12 +74,6 @@ class Germ:
     def lift(self, conductor: int) -> "Germ":
         return Germ(self.jet.lift(conductor))
 
-    def truncate(self, order: int) -> "Germ":
-        return Germ(self.jet.truncate(order))
-
-    def is_identity(self) -> bool:
-        return self.jet == Jet.identity(self.order, self.conductor)
-
     def __mul__(self, other: "Germ") -> "Germ":
         if not isinstance(other, Germ):
             return NotImplemented

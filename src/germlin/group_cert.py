@@ -8,15 +8,16 @@ order, optionally with conjugacy witness words.  Certification checks
 * pairwise conjugacy inside the group: supplied witness words first, then a
   bounded breadth-first search over reduced words (value-deduplicated at
   order N).  The search letters keep one letter per distinct value of the
-  generators and their inverses, and one search result serves every pair
-  (i, j) with the same values of f_i and f_j.  A node h is composed in full
-  only when it is expanded or when f_i o h and h o f_j agree in their
-  coefficients of degree <= K, which come from the parent's through the
-  first K + 1 rows of the power tables; as h(0) = 0 these are the jets' own
-  low coefficients, so a mismatch there is exact.  K = min(N, max(2,
-  k_i + 1, k_j + 1)), with k the tangency order of f_i or f_j where it is
-  flat.  A failed search is recorded as "not-found-up-to", never as a proof
-  of non-conjugacy,
+  generators and their inverses.  Generators with equal order-N values form
+  one class, numbered by its first generator (``classes``), and one search
+  result serves every pair (i, j) in the same pair of classes.  A node h is
+  composed in full only when it is expanded or when f_i o h and h o f_j
+  agree in their coefficients of degree <= K, which come from the parent's
+  through the first K + 1 rows of the power tables; as h(0) = 0 these are
+  the jets' own low coefficients, so a mismatch there is exact.  K = min(N,
+  max(2, k_i + 1, k_j + 1)), with k the tangency order of f_i or f_j where
+  it is flat.  A failed search is recorded as "not-found-up-to", never as a
+  proof of non-conjugacy,
 * applicability of the finiteness criterion (multiplier order 1 or a prime
   power, with every other check positive).
 
@@ -42,15 +43,17 @@ literals and the one scalar, that is what evaluating at zeta^k would give.
 It records the orbit's first root as ``image_of``.
 
 :func:`certify_roots` searches only the first root of each orbit.  Every
-other root takes over its search outcomes, keyed by its own value pairs.
-Each transferred found word is checked again with
-:func:`check_conjugacy_witness`, and the pair is searched if the check
-fails.  A transferred "not-found-up-to" is exact as it stands: sigma_u is a
-field automorphism that commutes with composition and inversion of jets and
-is injective, so it maps the letters, the reduced-word tree and its
-deduplication of the first root's search onto those of the image node for
-node.  Witnesses and the product identity are still checked on every
-solution.
+other root takes over its search outcomes position by position: sigma_u maps
+generator i of the first root to generator i of the image, and since it is
+injective the two roots have the same ``classes``, so pair (i, j) of the
+image reads pair (i, j) of the first root's report.  Each transferred found
+word is checked again with :func:`check_conjugacy_witness`, and the pair is
+searched if the check fails.  A transferred "not-found-up-to" is exact as it
+stands: sigma_u is a field automorphism that commutes with composition and
+inversion of jets and is injective, so it maps the letters, the reduced-word
+tree and its deduplication of the first root's search onto those of the
+image node for node.  Witnesses and the product identity are still checked
+on every solution.
 """
 
 from __future__ import annotations
@@ -129,6 +132,12 @@ class GroupPresentation:
         self.order = order
         self.gens: tuple[Germ, ...] = tuple(g.lift(conductor) for g in gens)
         self.conductor = conductor
+        # classes[i]: the 0-based index of the first generator whose order-N
+        # value equals that of generator i + 1
+        first: dict = {}
+        self.classes: tuple[int, ...] = tuple(
+            first.setdefault(g.jet.key(), idx) for idx, g in enumerate(self.gens)
+        )
         self.witnesses: dict[tuple[int, int], Word] = dict(witnesses or {})
         for (i, j), w in self.witnesses.items():
             self._check_index(i)
@@ -136,7 +145,7 @@ class GroupPresentation:
             if not isinstance(w, Word):
                 raise PresentationError("witnesses must be Word values")
         self._composers: dict = {}
-        self._inverses: dict = {}  # by generator value
+        self._inverses: dict = {}  # by class
         self._letters: Optional[tuple] = None
 
     def _check_index(self, i: int):
@@ -153,13 +162,12 @@ class GroupPresentation:
         return self.gens[i - 1]
 
     def inverse_generator(self, i: int) -> Germ:
-        """f_i^-1, cached by value: equal generators share one inverse."""
+        """f_i^-1, cached by class: equal generators share one inverse."""
         self._check_index(i)
-        g = self.gens[i - 1]
-        key = g.jet.key()
-        inv = self._inverses.get(key)
+        c = self.classes[i - 1]
+        inv = self._inverses.get(c)
         if inv is None:
-            inv = self._inverses[key] = Germ(self.composer(g).inverse())
+            inv = self._inverses[c] = Germ(self.composer(self.gens[c]).inverse())
         return inv
 
     def letters(self) -> tuple:
@@ -223,7 +231,7 @@ def search_conjugator(
     keeps one letter per distinct value; candidates are deduplicated by their
     order-N jet, so only one word per group-element value is ever expanded.
     The result depends only on the values of f_i and f_j, so :func:`certify`
-    shares it between pairs with equal values.
+    shares it between pairs with equal classes.
 
     Each node h carries the parts of degree <= K of h and of f_i o h; a child
     h o l gets both from its parent's through the first K + 1 rows of the
@@ -343,21 +351,22 @@ def certify(
     pres: GroupPresentation,
     max_len: int = DEFAULT_MAX_WORD_LEN,
     *,
-    transferred: Optional[dict[tuple, Optional[Word]]] = None,
+    transferred: Optional[IrreducibilityReport] = None,
 ) -> IrreducibilityReport:
     """Run all certification checks and assemble the report.
 
     Witnesses are consulted first; bounded search is the fallback, run once
-    per distinct (value of f_i, value of f_j) and shared by every pair with
-    those values.  The finiteness criterion is marked applicable only when
-    the product identity, multiplier equality, every conjugacy, and the
-    prime-power condition on the multiplier order all hold.
+    per pair of classes (:attr:`GroupPresentation.classes`) and shared by
+    every pair (i, j) in those classes.  The finiteness criterion is marked
+    applicable only when the product identity, multiplier equality, every
+    conjugacy, and the prime-power condition on the multiplier order all
+    hold.
 
-    ``transferred`` maps such value pairs to the outcome of a search at
-    ``max_len`` in a presentation of which ``pres`` is a Galois image,
-    generator by generator (see :func:`certify_roots`); those pairs are not
-    searched again.  A transferred word is used only if it passes the
-    witness check here, and None stands as "not-found-up-to".
+    ``transferred`` is the report at ``max_len`` of a presentation of which
+    ``pres`` is a Galois image, generator by generator (see
+    :func:`certify_roots`); the outcome of pair (i, j) is read from its pair
+    (i, j).  A transferred word is used only if it passes the witness check
+    here, else the pair is searched; a transferred "not-found-up-to" stands.
     """
     product_ok = check_product_identity(pres)
     mults = [g.multiplier for g in pres.gens]
@@ -366,8 +375,8 @@ def certify(
     order = root_of_unity_order(mult)
 
     conjugacy: dict[tuple[int, int], ConjugacyResolution] = {}
-    keys = [g.jet.key() for g in pres.gens]
-    searched: dict[tuple, Optional[Word]] = {}  # by (value of f_i, value of f_j)
+    classes = pres.classes
+    searched: dict[tuple[int, int], Optional[Word]] = {}  # by (class of i, class of j)
     m = len(pres.gens)
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
@@ -375,9 +384,17 @@ def certify(
             if w is not None and check_conjugacy_witness(pres, i, j, w):
                 conjugacy[(i, j)] = ConjugacyResolution("verified-by-witness", word=w)
                 continue
-            pair = (keys[i - 1], keys[j - 1])
+            pair = (classes[i - 1], classes[j - 1])
             if pair not in searched:
-                searched[pair] = _transfer_or_search(pres, i, j, max_len, pair, transferred)
+                prior = transferred.conjugacy[(i, j)] if transferred else None
+                # a transferred word counts only if it passes the check here;
+                # a transferred not-found-up-to (no word) stands
+                if prior is not None and (
+                    prior.word is None or check_conjugacy_witness(pres, i, j, prior.word)
+                ):
+                    searched[pair] = prior.word
+                else:
+                    searched[pair] = search_conjugator(pres, i, j, max_len)
             found = searched[pair]
             if found is not None:
                 conjugacy[(i, j)] = ConjugacyResolution("found-by-search", word=found)
@@ -404,16 +421,6 @@ def certify(
     )
 
 
-def _transfer_or_search(
-    pres: GroupPresentation, i: int, j: int, max_len: int, pair, transferred
-) -> Optional[Word]:
-    if transferred and pair in transferred:
-        w = transferred[pair]
-        if w is None or check_conjugacy_witness(pres, i, j, w):
-            return w
-    return search_conjugator(pres, i, j, max_len)
-
-
 def certify_roots(
     loaded: Sequence["LoadedPresentation"], max_len: int = DEFAULT_MAX_WORD_LEN
 ) -> list[IrreducibilityReport]:
@@ -422,23 +429,13 @@ def certify_roots(
 
     A presentation with ``image_of`` set is sigma_u of that earlier one,
     generator by generator, as the loader builds it; it takes over that one's
-    search outcomes by value pair.  The reports equal those of :func:`certify`
+    search outcomes pair by pair.  The reports equal those of :func:`certify`
     run on each presentation alone.
     """
     reports: list[IrreducibilityReport] = []
     for item in loaded:
-        pres = item.presentation
-        transferred = None
-        if item.image_of is not None:
-            # the value pairs of pres are the sigma_u images of the first
-            # root's, position by position
-            keys = [g.jet.key() for g in pres.gens]
-            transferred = {
-                (keys[i - 1], keys[j - 1]): res.word
-                for (i, j), res in reports[item.image_of].conjugacy.items()
-                if res.status != "verified-by-witness"
-            }
-        reports.append(certify(pres, max_len, transferred=transferred))
+        first = None if item.image_of is None else reports[item.image_of]
+        reports.append(certify(item.presentation, max_len, transferred=first))
     return reports
 
 

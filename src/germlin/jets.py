@@ -135,10 +135,6 @@ class Jet:
     # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int, conductor: int = 1) -> "Jet":
-        return cls([], order=order, conductor=conductor)
-
-    @classmethod
     def identity(cls, order: int, conductor: int = 1) -> "Jet":
         """The series z."""
         if order < 1:

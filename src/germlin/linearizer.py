@@ -270,16 +270,22 @@ def linearize(pres: GroupPresentation) -> LinearizationResult:
 
 
 def _scan(pres: GroupPresentation, mu: CycloElem) -> LinearizationResult:
-    """The loop over k = 1 .. N-1: outcome linearized or obstruction."""
+    """The loop over k = 1 .. N-1: outcome linearized or obstruction.
+
+    Conjugation keeps equal generators equal and unequal ones unequal, so
+    one jet per class of ``pres.classes`` is carried and conjugated.
+    """
     order = pres.order
-    current: list[Jet] = [g.jet for g in pres.gens]
+    classes = pres.classes
+    current: dict[int, Jet] = {rep: pres.gens[rep].jet for rep in classes}  # by class
     steps: list[StepRecord] = []
     recorded: list[tuple[int, Callable]] = []  # (k, binomial terms) per conjugated step
     mu_pow = [cyclo_embed(1, mu.n), mu]  # mu^0 .. mu^(k+1), extended as k grows
     outcome = OUTCOME_LINEARIZED
     for k in range(1, order):
         mu_pow.append(mu_pow[-1] * mu)
-        c, record = _step(k, tuple(jet.coeffs[k + 1] for jet in current), mu, mu_pow[k])
+        t = tuple(current[rep].coeffs[k + 1] for rep in classes)
+        c, record = _step(k, t, mu, mu_pow[k])
         steps.append(record)
         if record.action == ACTION_OBSTRUCTION:
             outcome = OUTCOME_OBSTRUCTION
@@ -289,16 +295,9 @@ def _scan(pres: GroupPresentation, mu: CycloElem) -> LinearizationResult:
             recorded.append((k, term))
             top = min(k + 1, (order - k - 1) // k)
             coef = [c * comb(k + 1, i) * mu_pow[k + 1 - i] for i in range(top + 1)]
-            cache: dict = {}
-            new: list[Jet] = []
-            for jet in current:
-                key = jet.key()
-                res = cache.get(key)
-                if res is None:
-                    res = _conjugate_by_elementary(jet, k, coef, term)
-                    cache[key] = res
-                new.append(res)
-            current = new
+            current = {
+                rep: _conjugate_by_elementary(jet, k, coef, term) for rep, jet in current.items()
+            }
     H = list(Jet.identity(order, pres.conductor).coeffs)
     for k, term in reversed(recorded):
         H = _right_compose_elementary(H, k, term)

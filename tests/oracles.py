@@ -10,7 +10,9 @@ search over all 2m letters with direct witness checks instead of the shared
 search engine with value-deduplicated letters and results shared between
 pairs, a scan of the constraints over every root of unity and evaluation of
 every generator at every root instead of one evaluation per Galois orbit,
-and determinants of coefficient matrices instead of the wedge kernel.
+pairwise jet equality instead of a table of keys for the classes of equal
+generators, and determinants of coefficient matrices instead of the wedge
+kernel.
 """
 
 from __future__ import annotations
@@ -212,6 +214,11 @@ def naive_conjugator_search(gens, inverses, i, j, max_len, identity, compose, ke
                 return word + (letter,)
             queue.append((word + (letter,), child))
     return None
+
+
+def naive_classes(jets) -> tuple:
+    """For each jet, the 0-based index of the first jet equal to it."""
+    return tuple(next(k for k, other in enumerate(jets) if other == jet) for jet in jets)
 
 
 def naive_root_scan(m: int, constraints, var: str = "a") -> list[CycloElem]:

@@ -420,6 +420,14 @@ def test_root_errors_keep_their_message(tmp_path, capsys, constraint, generator,
     assert run(capsys, "certify", str(path)) == (2, "", f"germlin: error: {message}\n")
 
 
+def test_linearize_unequal_multipliers_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"generators": ["2*z", "z/2"]}))
+    assert run(capsys, "linearize", str(path)) == (
+        2, "", f"germlin: error: {path}: generators have unequal multipliers; certify first\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, option",
     [

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -13,6 +14,7 @@ from germlin import germs, group_cert, jets, registry
 from germlin.expressions import ExpressionError
 from germlin.germs import Germ, Word, evaluate_word, identity_germ
 from germlin.group_cert import (
+    ConjugacyResolution,
     GroupPresentation,
     PresentationError,
     certify,
@@ -25,7 +27,7 @@ from germlin.group_cert import (
 from germlin.jets import Jet
 from germlin.registry import GROUP_EXAMPLES, build_group_example
 
-from oracles import lagrange_inverse, per_root_presentations, random_jet
+from oracles import lagrange_inverse, naive_classes, per_root_presentations, random_jet
 from test_golden import GOLDEN_DIR, _golden_path, _run
 
 
@@ -351,6 +353,7 @@ def test_two_orbits_file_transfers_only_within_an_orbit(monkeypatch):
         "a=1", "a=cyclo(12)[0,0,0,1]", "a=-1", "a=cyclo(12)[0,0,0,-1]"
     ]
     assert [item.image_of for item in loaded] == [None, None, None, 1]
+    _assert_image_roots_share_classes(loaded)
     calls = _counting(monkeypatch, "certify")
     certify_roots(loaded, 3)
     assert [kwargs["transferred"] is not None for _, kwargs in calls] == [
@@ -375,7 +378,17 @@ def _assert_equals_per_root_evaluation(spec, order):
     for item, (_, _, jets) in zip(loaded, expected):
         pres = item.presentation
         assert [g.jet for g in pres.gens] == [j.lift(pres.conductor) for j in jets]
+        assert pres.classes == naive_classes(jets)
+    _assert_image_roots_share_classes(loaded)
     return True
+
+
+def _assert_image_roots_share_classes(loaded):
+    """certify_roots reads pair (i, j) of an image root from pair (i, j) of
+    its first root, which needs the same classes at both."""
+    for item in loaded:
+        if item.image_of is not None:
+            assert item.presentation.classes == loaded[item.image_of].presentation.classes
 
 
 @pytest.mark.parametrize("order", [4, 12])
@@ -422,19 +435,29 @@ def test_orbit_loader_equals_per_root_evaluation_on_random_files(seed):
     _assert_equals_per_root_evaluation(spec, 6)
 
 
-def test_transferred_word_failing_its_check_is_searched_again():
-    # a transferred word that is no witness here is re-searched; a transferred
-    # None stands as not-found-up-to, unchecked, though a search finds a word
+def test_transferred_word_failing_its_check_is_searched_again(monkeypatch):
+    # a transferred found word that is no witness here is re-searched; a
+    # transferred not-found-up-to stands, unchecked, though a search finds a
+    # word.  (1, 6) is the first pair of its classes (0, 5), which (2, 6),
+    # (3, 6) and (4, 6) share.
     pres = _ex41(order=8)[0][1]
-    keys = [g.jet.key() for g in pres.gens]
+    assert pres.classes == (0, 0, 0, 0, 4, 5)
     bogus = Word.from_list([[6, 1]])
     assert not check_conjugacy_witness(pres, 1, 6, bogus)
     alone = certify(pres, 2)
     assert alone.conjugacy[(1, 6)].status == "found-by-search"
-    rep = certify(pres, 2, transferred={(keys[0], keys[5]): bogus})
+
+    def first_root(resolution):
+        return dataclasses.replace(alone, conjugacy={**alone.conjugacy, (1, 6): resolution})
+
+    searches = _counting(monkeypatch, "search_conjugator")
+    rep = certify(pres, 2, transferred=first_root(ConjugacyResolution("found-by-search", bogus)))
     assert _reports_json([rep]) == _reports_json([alone])
-    rep = certify(pres, 2, transferred={(keys[0], keys[5]): None})
-    assert rep.conjugacy[(1, 6)].status == "not-found-up-to"
+    assert [args[1:3] for args, _ in searches] == [(1, 6)]
+    del searches[:]
+    rep = certify(pres, 2, transferred=first_root(ConjugacyResolution("not-found-up-to", max_len=2)))
+    assert [rep.conjugacy[(i, 6)].status for i in range(1, 5)] == ["not-found-up-to"] * 4
+    assert searches == []
 
 
 def test_loader_evaluates_each_distinct_expression_once(monkeypatch):

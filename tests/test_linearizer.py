@@ -279,6 +279,37 @@ def test_linearize_records_match_step_operation():
     assert res.steps[0].to_json() == rec.to_json()
 
 
+@pytest.mark.parametrize(
+    "classes, outcome, conjugated",
+    [
+        # equal through z^4, unequal at z^5: conjugated at k = 1, 2, 3, then
+        # an obstruction at k = 4 (mu^4 != 1)
+        ((0, 1, 0, 0, 1), "obstruction", [1, 2, 3]),
+        # one round trip f = h o (zeta_5 z) o h^-1, three times; mu^5 = 1 at k = 5
+        ((0, 0, 0), "linearized", [1, 2, 3, 4, 6]),
+    ],
+)
+def test_scan_conjugates_one_jet_per_class(monkeypatch, classes, outcome, conjugated):
+    N = 7
+    mu = zeta(5)
+    if outcome == "obstruction":
+        f = _germ([0, mu, 1, 1, 1, 1], N, 5)
+        g = _germ([0, mu, 1, 1, 1, 2], N, 5)
+        gens = [(f, g)[c] for c in classes]
+    else:
+        h = _germ([0, 1, 1, -2, 3], N)
+        gens = [conjugate(h, _rotation(mu, N))] * 3
+    pres = GroupPresentation(gens, order=N)
+    assert pres.classes == classes
+    res, calls = _linearize_with_steps(monkeypatch, pres)
+    assert res.outcome == outcome
+    steps = [rec.k for rec in res.steps if rec.action == "conjugated"]
+    assert steps == conjugated
+    assert sorted(k for k, _, _ in calls) == sorted(steps * len(set(classes)))
+    # the t-vector still has one entry per generator
+    assert all(len(rec.t) == len(gens) for rec in res.steps)
+
+
 def test_result_serialization():
     N = 10
     mu = zeta(4)

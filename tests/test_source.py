@@ -29,6 +29,26 @@ def _referenced_names(stmt):
     return names
 
 
+def test_no_unused_imports():
+    # __init__.py imports names to re-export them
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    # "import a.b" binds a
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == [], "imported names the module never uses"
+
+
 def test_no_unused_private_module_names():
     # one entry per top-level statement of every module: (where, defines, uses)
     statements = []

@@ -26,7 +26,13 @@ from germlin.group_cert import (
 from germlin.jets import Jet, RightComposer, jet_compose
 from germlin.registry import build_group_example
 
-from oracles import lagrange_inverse, naive_conjugator_search, random_fraction, random_jet
+from oracles import (
+    lagrange_inverse,
+    naive_classes,
+    naive_conjugator_search,
+    random_fraction,
+    random_jet,
+)
 
 
 def _inverses(pres: GroupPresentation) -> list:
@@ -78,6 +84,14 @@ def _random_presentation(seed: int, N: int = 5) -> GroupPresentation:
     gens = [f, g, ~f, g * f * ~g, f, ~g]
     rng.shuffle(gens)
     return GroupPresentation(gens, order=N)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_classes_match_pairwise_equality(seed):
+    # f twice among six generators: five classes, the second f in the first's
+    pres = _random_presentation(seed)
+    assert pres.classes == naive_classes([g.jet for g in pres.gens])
+    assert len(set(pres.classes)) == 5
 
 
 @pytest.mark.parametrize(
