@@ -14,10 +14,11 @@ product of its other conjugates sigma_u(x), u != 1, divided by the rational
 norm x * prod sigma_u(x); no linear system is solved.
 
 One helper forms the unreduced integer product of two coordinate vectors (of
-length 2 phi(n) - 1); a single product reduces and normalizes it at once, and
-the one accumulator for sums of products, which every jet product,
-composition and triangular solve uses, adds such products over a running
-common denominator and reduces and normalizes once per sum.
+length 2 phi(n) - 1); a single product reduces and normalizes it at once.
+Sums of products add such unreduced products over a running common
+denominator and reduce and normalize once per sum: the gathers of the jet
+triangular solves here, in one accumulator, and the jet products and
+compositions in the scatter kernel ``jets._weighted_sum``.
 
 Rationals are plain ``fractions.Fraction`` values; ``Rational`` is an alias.
 Mixed arithmetic coerces ints and Fractions into the cyclotomic operand's
@@ -216,12 +217,16 @@ def _add_product(acc: list[int], an, bn, scale: int = 1) -> list[int]:
 
 
 def _sum_of_products(n: int, pairs: list) -> "CycloElem":
-    """sum a * b over the pairs (a, b) of elements of Q(zeta_n).
+    """sum a * b over the pairs (a, b) of elements of Q(zeta_n): the gather
+    of the jet triangular solves (jet_mul_inverse, RightComposer.inverse and
+    the linearizer's), one list of pairs per coefficient.
 
     The unreduced products accumulate over a running common denominator (one
     gcd per term whose denominator differs from it), and the sum is reduced
     modulo Phi_n and normalized once.  An empty or cancelling sum is zero with
-    denominator 1.
+    denominator 1.  Jet products and compositions do not come here: the
+    scatter ``jets._weighted_sum`` adds each product into its output degree's
+    own accumulator by the same rule.
     """
     phi_n = euler_phi(n)
     if not pairs:

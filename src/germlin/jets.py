@@ -11,19 +11,23 @@ elements and lifts everything to the lcm conductor, so rational jets live at
 conductor 1.
 
 Products, powers, composition and rational powers share one kernel, the
-triangular weighted sum  sum_e w_e P_e  over rows P_e that vanish below
-degree e.  A product a*b weighs the shifts z^i b by a_i; the composition f(g)
-and the compositional inverse weigh a table of truncated powers of g by f_e;
-(1 + u)^r weighs the powers of u by the binomial coefficients C(r, e).
-Integer powers square through the product.
+weighted sum  sum w * z^s * P  over (weight, shift, row) terms.  A row is
+sparse: the list of its nonzero coefficients as (degree, integer coordinates,
+denominator) in increasing degree.  A product a*b weighs one sparse copy of b
+by a_i at shift i; the composition f(g) and the compositional inverse weigh
+the sparse rows of a table of truncated powers of g by f_e; (1 + u)^r weighs
+the powers of u by the binomial coefficients C(r, e).  Integer powers square
+through the product.
 
-Every sum of coefficient products goes through one accumulator,
-``cyclotomic._sum_of_products``: the kernel scatters the products of each
-output degree into one list, and the triangular solves of the two inverses
-(jet_mul_inverse, RightComposer.inverse) gather one list per coefficient.  The
-accumulator adds unreduced integer products over a common denominator and
-reduces modulo Phi_n and normalizes once per coefficient, not once per
-product.
+The kernel scatters: each product of a weight with a row entry is added, as
+an unreduced integer product of coordinate vectors, in place into the one
+accumulator of its output degree, over that degree's running common
+denominator, and a row is read no further than degree N.  No product is
+formed as a field element.  The triangular solves of the two inverses
+(jet_mul_inverse, RightComposer.inverse) gather instead: one list of pairs
+per coefficient, summed by ``cyclotomic._sum_of_products`` with the same
+in-place integer accumulation.  Either way each coefficient is reduced
+modulo Phi_n and normalized once, not once per product.
 
 The textual form is ``jet(N=4)[0, 1, 1, 0, 0]``, meaning z + z^2 at order 4.
 """
@@ -31,13 +35,18 @@ The textual form is ``jet(N=4)[0, 1, 1, 0, 0]``, meaning z + z^2 at order 4.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import repeat
 from math import gcd
 
 from .cyclotomic import (
     CycloElem,
+    _normalize,
     _power,
+    _reduce_product,
     _sum_of_products,
     cyclo_embed,
+    euler_phi,
     format_scalar,
     parse_scalar,
 )
@@ -63,46 +72,129 @@ def _as_cyclo(value, n: int) -> CycloElem:
     return cyclo_embed(value, n)
 
 
+@lru_cache(maxsize=None)
 def _zero(n: int) -> CycloElem:
     return cyclo_embed(0, n)
 
 
-def _mul_coeffs(a: list, b: list, N: int, n: int) -> list:
-    """Coefficients of a*b truncated at degree N, for a and b of N+1
-    coefficients: the weighted sum of the shifts z^i b over the nonzero a_i."""
-    zero = _zero(n)
-    shifts = [
-        None if ai.is_zero else [zero] * i + list(b[: N + 1 - i])
-        for i, ai in enumerate(a)
+@lru_cache(maxsize=None)
+def _one(n: int) -> CycloElem:
+    return cyclo_embed(1, n)
+
+
+def _sparse_row(coeffs) -> list:
+    """The nonzero entries of a coefficient list as (degree, integer
+    coordinates, denominator), in increasing degree: the row format of
+    :func:`_weighted_sum`.  The coordinates are the (index, value) pairs of
+    the nonzero power-basis coordinates of the numerator."""
+    return [
+        (t, [(j, b) for j, b in enumerate(c.num) if b], c.den)
+        for t, c in enumerate(coeffs)
+        if any(c.num)
     ]
-    return _weighted_sum(a, shifts, N, n)
+
+
+def _mul_coeffs(a, b, N: int, n: int) -> list:
+    """Coefficients of a*b truncated at degree N, for a and b of N+1
+    coefficients: the weighted sum of the shifts z^i b over the nonzero a_i,
+    all reading one sparse copy of b."""
+    row = _sparse_row(b)
+    return _weighted_sum([(ai, i, row) for i, ai in enumerate(a)], N, n)
 
 
 def _power_table(g, d: int, N: int, n: int) -> list:
     """[g^0, g^1, .., g^d] truncated at degree N, each power from the last."""
-    table = [[cyclo_embed(1, n)] + [_zero(n)] * N, list(g)]
-    for _ in range(2, d + 1):
-        table.append(_mul_coeffs(table[-1], g, N, n))
+    table = [[_one(n)] + [_zero(n)] * N, list(g)]
+    row = _sparse_row(g)
+    for e in range(2, d + 1):  # g^(e-1) vanishes below degree e - 1
+        terms = [(c, i, row) for i, c in enumerate(table[-1][e - 1 :], e - 1)]
+        table.append(_weighted_sum(terms, N, n))
     return table[: d + 1]
 
 
-def _weighted_sum(w, powers, N: int, n: int) -> list:
-    """sum_e w_e * powers[e] truncated at degree N, for rows powers[e] that
-    vanish below degree e (g^e with g(0) = 0, or a shift z^e b); powers must
-    reach the last e with w_e != 0.  Products, powers and compositions all
-    accumulate here: the products w_e * powers[e][t] are scattered to the
-    terms of degree t, and each degree is summed by the one accumulator
-    _sum_of_products, reduced and normalized once."""
-    terms = [[] for _ in range(N + 1)]
-    for e, we in enumerate(w):
-        if we.is_zero:
+def _weighted_sum(terms, N: int, n: int) -> list:
+    """sum weight * z^shift * row over the (weight, shift, row) terms,
+    truncated at degree N, for sparse rows (:func:`_sparse_row`).
+
+    Products, powers and compositions all accumulate here.  Each product of
+    the weight with a row entry is added, as an unreduced integer product of
+    coordinate vectors, into the accumulator of its output degree in place;
+    each accumulator keeps a running denominator, rescaled to the lcm when a
+    product's denominator does not divide it.  A row is read only up to
+    degree N - shift, and each output degree is reduced modulo Phi_n and
+    normalized once.  Where phi(n) = 1 (conductors 1 and 2) every
+    coefficient is rational, and each degree accumulates one integer
+    numerator in place of a coordinate list.
+    """
+    width = 2 * euler_phi(n) - 1
+    zero = _zero(n)
+    if width == 1:  # rational coordinates: one integer numerator per degree
+        nums = [0] * (N + 1)
+        dens = [0] * (N + 1)
+        for w, shift, row in terms:
+            (c,) = w.num
+            if not c:
+                continue
+            wd = w.den
+            for t, ((_, b),), bd in row:  # the one coordinate, index 0
+                t += shift
+                if t > N:
+                    break
+                d = wd * bd
+                den = dens[t]
+                if d == den:
+                    nums[t] += c * b
+                elif not den:
+                    nums[t] = c * b
+                    dens[t] = d
+                else:
+                    g = gcd(den, d)
+                    if g != d:  # d does not divide den: scale up to the lcm
+                        up = d // g
+                        nums[t] *= up
+                        dens[t] = den = den * up
+                    nums[t] += c * b * (den // d)
+        return [
+            _normalize(n, [num], den) if den else zero for num, den in zip(nums, dens)
+        ]
+    accs = [None] * (N + 1)
+    dens = [1] * (N + 1)
+    for w, shift, row in terms:
+        wnz = [(i, c) for i, c in enumerate(w.num) if c]
+        if not wnz:
             continue
-        pw = powers[e]
-        for t in range(e, N + 1):
-            pt = pw[t]
-            if any(pt.num):  # is_zero without the property call: the inner loop
-                terms[t].append((we, pt))
-    return [_sum_of_products(n, pairs) for pairs in terms]
+        wd = w.den
+        for t, bn, bd in row:
+            t += shift
+            if t > N:
+                break
+            acc = accs[t]
+            d = wd * bd
+            if acc is None:
+                acc = accs[t] = [0] * width
+                dens[t] = d
+            elif d != dens[t]:
+                den = dens[t]
+                g = gcd(den, d)
+                if g != d:  # d does not divide den: scale up to the lcm
+                    up = d // g
+                    for j in range(width):
+                        acc[j] *= up
+                    dens[t] = den = den * up
+                if den != d:
+                    scale = den // d
+                    for i, c in wnz:
+                        c *= scale
+                        for j, bj in bn:
+                            acc[i + j] += c * bj
+                    continue
+            for i, c in wnz:
+                for j, bj in bn:
+                    acc[i + j] += c * bj
+    return [
+        zero if acc is None else _normalize(n, _reduce_product(n, acc), den)
+        for acc, den in zip(accs, dens)
+    ]
 
 
 class Jet:
@@ -228,7 +320,7 @@ class Jet:
             )
         a, b = self._common(other)
         return Jet(
-            _mul_coeffs(list(a.coeffs), list(b.coeffs), a.order, a.conductor),
+            _mul_coeffs(a.coeffs, b.coeffs, a.order, a.conductor),
             order=a.order,
             conductor=a.conductor,
         )
@@ -303,7 +395,8 @@ def jet_compose(f: Jet, g: Jet) -> Jet:
     N, n = a.order, a.conductor
     degree = max((e for e, c in enumerate(a.coeffs) if not c.is_zero), default=0)
     powers = _power_table(b.coeffs, degree, N, n)
-    return Jet(_weighted_sum(a.coeffs, powers, N, n), order=N, conductor=n)
+    terms = [(fe, 0, _sparse_row(pe)) for fe, pe in zip(a.coeffs, powers)]
+    return Jet(_weighted_sum(terms, N, n), order=N, conductor=n)
 
 
 def jet_comp_inverse(f: Jet) -> Jet:
@@ -323,7 +416,7 @@ def jet_mul_inverse(f: Jet) -> Jet:
     a0 = f.coeffs[0]
     if a0.is_zero:
         raise ValueError("reciprocal needs a nonzero constant term")
-    inv0 = cyclo_embed(1, n) / a0
+    inv0 = _one(n) / a0
     b = [inv0] + [_zero(n)] * N
     a = f.coeffs
     for m in range(1, N + 1):
@@ -364,7 +457,7 @@ def jet_rational_power(f: Jet, r) -> Jet:
         raise ValueError("rational powers require constant term 1")
     u = [_zero(n)] + list(f.coeffs[1:])
     v = next((t for t, c in enumerate(u) if not c.is_zero), None)
-    binoms = [cyclo_embed(1, n)]
+    binoms = [_one(n)]
     binom = Fraction(1)
     for k in range(1, 0 if v is None else N // v + 1):
         binom *= Fraction(r.numerator - (k - 1) * r.denominator, k * r.denominator)
@@ -372,17 +465,19 @@ def jet_rational_power(f: Jet, r) -> Jet:
             break
         binoms.append(cyclo_embed(binom, n))
     powers = _power_table(u, len(binoms) - 1, N, n)
-    return Jet(_weighted_sum(binoms, powers, N, n), order=N, conductor=n)
+    terms = [(bk, 0, _sparse_row(pk)) for bk, pk in zip(binoms, powers)]
+    return Jet(_weighted_sum(terms, N, n), order=N, conductor=n)
 
 
 class RightComposer:
     """Right composition w -> w(g) against a fixed inner series g.
 
-    Holds the power table g^0 .. g^N, so each call is the triangular sum
-    sum_e w_e g^e with no further products; this pays off when many
-    compositions share the same inner series (word evaluation, conjugator
-    search).  The same table gives the compositional inverse of g, and its
-    first K + 1 rows read to degree K give w(g) to degree K (:meth:`prefix`).
+    Holds the power table g^0 .. g^N (``powers``) and its sparse rows
+    (``rows``), so each call is the weighted sum  sum_e w_e g^e  over the
+    rows with no further products; this pays off when many compositions share
+    the same inner series (word evaluation, conjugator search).  The dense
+    table gives the compositional inverse of g, and the first K + 1 rows read
+    to degree K give w(g) to degree K (:meth:`prefix`).
     """
 
     def __init__(self, g: Jet):
@@ -391,13 +486,15 @@ class RightComposer:
         self.order = g.order
         self.conductor = g.conductor
         self.powers = _power_table(g.coeffs, g.order, g.order, g.conductor)
+        self.rows = [_sparse_row(p) for p in self.powers]
 
     def __call__(self, w: Jet) -> Jet:
         if w.order != self.order:
             raise ValueError("order mismatch in right composition")
         wl = w.lift(self.conductor) if w.conductor != self.conductor else w
         N, n = self.order, self.conductor
-        return Jet(_weighted_sum(wl.coeffs, self.powers, N, n), order=N, conductor=n)
+        terms = zip(wl.coeffs, repeat(0), self.rows)
+        return Jet(_weighted_sum(terms, N, n), order=N, conductor=n)
 
     def prefix(self, w: list) -> list:
         """The coefficients of w(g) through degree K, from those of w through
@@ -405,7 +502,7 @@ class RightComposer:
         e > K and the terms of w beyond z^K add nothing below z^(K+1), so this
         is the weighted sum over the first K + 1 rows of the table, read to
         degree K: O(K^2) products."""
-        return _weighted_sum(w, self.powers, len(w) - 1, self.conductor)
+        return _weighted_sum(zip(w, repeat(0), self.rows), len(w) - 1, self.conductor)
 
     def inverse(self) -> Jet:
         """The compositional inverse of g from the triangular system
@@ -415,7 +512,7 @@ class RightComposer:
         powers = self.powers
         if N < 1 or powers[1][1].is_zero:
             raise ValueError("compositional inverse needs an invertible linear term")
-        inv_a1 = cyclo_embed(1, n) / powers[1][1]
+        inv_a1 = _one(n) / powers[1][1]
         inv_pow = inv_a1  # a1^(-m), maintained incrementally
         b = [_zero(n)] * (N + 1)
         b[1] = inv_a1

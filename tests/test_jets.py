@@ -9,6 +9,8 @@ from germlin.cyclotomic import CycloElem, cyclo_embed, euler_phi, zeta
 from germlin.jets import (
     Jet,
     RightComposer,
+    _sparse_row,
+    _weighted_sum,
     jet_comp_inverse,
     jet_compose,
     jet_derivative,
@@ -303,9 +305,9 @@ def test_serialization():
     assert Jet.from_json(g.to_json()) == g
 
 
-# -- the accumulator against the oracles at conductors 1, 9, 10 and 18 ---------------
+# -- the accumulator against the oracles at conductors 1, 6, 9, 10 and 18 ------------
 
-ORACLE_CONDUCTORS = (1, 9, 10, 18)
+ORACLE_CONDUCTORS = (1, 6, 9, 10, 18)
 ORACLE_ORDER = 8
 
 
@@ -356,6 +358,17 @@ def test_compose_and_right_composer_match_substitution_at_each_conductor(n):
 
 
 @pytest.mark.parametrize("n", ORACLE_CONDUCTORS)
+def test_right_composer_prefix_is_the_head_of_the_full_composition(n):
+    rng = random.Random(715 + n)
+    for _ in range(2):
+        rc = RightComposer(_mixed_jet(rng, ORACLE_ORDER, n, zero_constant=True))
+        w = _mixed_jet(rng, ORACLE_ORDER, n)
+        full = list(rc(w).coeffs)
+        for K in range(ORACLE_ORDER + 1):
+            assert rc.prefix(list(w.coeffs[: K + 1])) == full[: K + 1]
+
+
+@pytest.mark.parametrize("n", ORACLE_CONDUCTORS)
 def test_inverses_match_oracles_at_each_conductor(n):
     rng = random.Random(720 + n)
     identity = Jet.identity(ORACLE_ORDER, n)
@@ -384,3 +397,87 @@ def test_rational_powers_match_schoolbook_products_at_each_conductor(n):
         assert naive_jet_product(half, half) == f
         third = jet_rational_power(f, Fraction(-1, 3))
         assert naive_jet_product(naive_jet_product(third, third), naive_jet_product(third, f)) == one
+
+
+# -- the sparse-row kernel against the schoolbook oracles ----------------------------
+
+SPARSE_ORDER = 48
+
+
+def _naive_weighted_sum(terms, N, n):
+    """sum weight * z^shift * row by schoolbook products of dense jets."""
+    total = Jet.constant(0, N, n)
+    for weight, shift, row in terms:
+        if shift <= N:
+            monomial = Jet([0] * shift + [weight], order=N, conductor=n)
+            total = total + naive_jet_product(monomial, Jet(row, order=N, conductor=n))
+    return list(total.coeffs)
+
+
+@pytest.mark.parametrize("p", (2, 3, 4, 5))
+def test_sparse_rows_of_the_ex43_generator(p):
+    # f = z (1 - z^p)^(-1/p): every power f^e is nonzero only at degrees
+    # congruent to e mod p, so its sparse row keeps about 1/p of the entries
+    N = SPARSE_ORDER
+    z = Jet.identity(N)
+    f = z * jet_rational_power(Jet.constant(1, N) - z**p, Fraction(-1, p))
+    power = Jet.constant(1, N)
+    for _ in range(p):
+        power = naive_jet_product(power, f)
+    assert naive_jet_product(power, Jet.constant(1, N) - z**p) == z**p
+    rng = random.Random(740 + p)
+    for n in (1, 2 * p):
+        g = f.lift(n)
+        rc = RightComposer(g)
+        w = _mixed_jet(rng, N, n)
+        power, expected = Jet.constant(1, N, n), Jet.constant(0, N, n)
+        for e, row in enumerate(rc.rows):
+            assert row == _sparse_row(power.coeffs)
+            assert all((t - e) % p == 0 for t, _, _ in row)
+            expected = expected + power * w.coeffs[e]
+            power = naive_jet_product(power, g)
+        assert rc(w) == expected
+        assert g * w == naive_jet_product(g, w)
+        assert g * g == naive_jet_product(g, g)
+        head = Jet(list(w.coeffs[:7]), order=N, conductor=n)
+        assert rc(head) == naive_poly_compose(head, g)
+        assert jet_compose(head, g) == naive_poly_compose(head, g)
+
+
+def _terms(rng, n, N, shifts, weights):
+    """(weight, shift, dense row) terms with random rows over Q(zeta_n)."""
+    return [
+        (cyclo_embed(1, n) * w, s, list(_mixed_jet(rng, N, n).coeffs))
+        for w, s in zip(weights, shifts)
+    ]
+
+
+@pytest.mark.parametrize("n", ORACLE_CONDUCTORS)
+def test_weighted_sum_truncates_shifted_rows_and_skips_zero_weights(n):
+    rng = random.Random(750 + n)
+    N = ORACLE_ORDER
+    w = _mixed_jet(rng, 3, n).coeffs
+    # every entry of the second and third rows lands past N, and only the
+    # constant entry of the fourth reaches degree N
+    terms = _terms(rng, n, N, (0, N + 1, 2 * N, N, 3, 1), (w[1], w[2], 1, w[3], 0, w[0]))
+    sparse = [(we, s, _sparse_row(row)) for we, s, row in terms]
+    assert _weighted_sum(sparse, N, n) == _naive_weighted_sum(terms, N, n)
+    beyond = [t for t in sparse if t[1] > N]
+    assert _weighted_sum(beyond, N, n) == [cyclo_embed(0, n)] * (N + 1)
+    zero_weights = [(cyclo_embed(0, n), s, row) for _, s, row in sparse]
+    assert _weighted_sum(zero_weights, N, n) == [cyclo_embed(0, n)] * (N + 1)
+    assert _weighted_sum([], N, n) == [cyclo_embed(0, n)] * (N + 1)
+
+
+@pytest.mark.parametrize("n", ORACLE_CONDUCTORS)
+def test_weighted_sum_rescales_to_the_lcm_of_denominators(n):
+    # weights over 2, 3, 6 and 4 on integral rows that share every degree:
+    # 3 does not divide 2 (rescale to 6), 6 divides 6, 4 does not (to 12)
+    N = 6
+    x = zeta(n) if n > 2 else cyclo_embed(-3, n)
+    row = [cyclo_embed(0, n)] + [x + k for k in range(1, N + 1)]
+    weights = [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6) * x, Fraction(3, 4)]
+    terms = [(cyclo_embed(1, n) * q, 0, row) for q in weights]
+    sparse = [(we, s, _sparse_row(r)) for we, s, r in terms]
+    got = _weighted_sum(sparse, N, n)
+    assert got == _naive_weighted_sum(terms, N, n)
