@@ -112,6 +112,13 @@ def _power_table(g, d: int, N: int, n: int) -> list:
     return table[: d + 1]
 
 
+def _power_sum(weights, g, N: int, n: int) -> list:
+    """sum_e weights[e] g^e truncated at degree N, over the sparse rows of the
+    power table of g up to the last weight."""
+    powers = _power_table(g, len(weights) - 1, N, n)
+    return _weighted_sum([(w, 0, _sparse_row(p)) for w, p in zip(weights, powers)], N, n)
+
+
 def _weighted_sum(terms, N: int, n: int) -> list:
     """sum weight * z^shift * row over the (weight, shift, row) terms,
     truncated at degree N, for sparse rows (:func:`_sparse_row`).
@@ -394,9 +401,8 @@ def jet_compose(f: Jet, g: Jet) -> Jet:
         raise ValueError("inner series must have zero constant term")
     N, n = a.order, a.conductor
     degree = max((e for e, c in enumerate(a.coeffs) if not c.is_zero), default=0)
-    powers = _power_table(b.coeffs, degree, N, n)
-    terms = [(fe, 0, _sparse_row(pe)) for fe, pe in zip(a.coeffs, powers)]
-    return Jet(_weighted_sum(terms, N, n), order=N, conductor=n)
+    coeffs = _power_sum(a.coeffs[: degree + 1], b.coeffs, N, n)
+    return Jet(coeffs, order=N, conductor=n)
 
 
 def jet_comp_inverse(f: Jet) -> Jet:
@@ -464,9 +470,7 @@ def jet_rational_power(f: Jet, r) -> Jet:
         if binom == 0:
             break
         binoms.append(cyclo_embed(binom, n))
-    powers = _power_table(u, len(binoms) - 1, N, n)
-    terms = [(bk, 0, _sparse_row(pk)) for bk, pk in zip(binoms, powers)]
-    return Jet(_weighted_sum(terms, N, n), order=N, conductor=n)
+    return Jet(_power_sum(binoms, u, N, n), order=N, conductor=n)
 
 
 class RightComposer:

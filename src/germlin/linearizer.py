@@ -52,7 +52,7 @@ from .cyclotomic import (
 )
 from .germs import Germ
 from .group_cert import GroupPresentation
-from .jets import Jet, _power_table, _sparse_row, _weighted_sum, _zero
+from .jets import Jet, _power_sum, _zero
 
 __all__ = [
     "StepRecord",
@@ -234,8 +234,7 @@ def _conjugate_by_elementary(g: Jet, k: int, coef: list, term: Callable) -> Jet:
     N, n = g.order, g.conductor
     M = N - k - 1  # g^(k+1)/z^(k+1) is needed through degree M
     v = [_zero(n)] + list(g.coeffs[2 : M + 2])
-    powers = _power_table(v, len(coef) - 1, M, n)
-    tail = _weighted_sum([(ci, 0, _sparse_row(p)) for ci, p in zip(coef, powers)], M, n)
+    tail = _power_sum(coef, v, M, n)
     A = list(g.coeffs)
     for d, s in enumerate(tail):
         if not s.is_zero:

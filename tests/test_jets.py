@@ -474,10 +474,11 @@ def test_weighted_sum_rescales_to_the_lcm_of_denominators(n):
     # weights over 2, 3, 6 and 4 on integral rows that share every degree:
     # 3 does not divide 2 (rescale to 6), 6 divides 6, 4 does not (to 12)
     N = 6
-    x = zeta(n) if n > 2 else cyclo_embed(-3, n)
+    x = zeta(n) if n > 2 else cyclo_embed(5, n)  # 5/6 * x keeps denominator 6
     row = [cyclo_embed(0, n)] + [x + k for k in range(1, N + 1)]
     weights = [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6) * x, Fraction(3, 4)]
     terms = [(cyclo_embed(1, n) * q, 0, row) for q in weights]
+    assert [we.den for we, _, _ in terms] == [2, 3, 6, 4]
     sparse = [(we, s, _sparse_row(r)) for we, s, r in terms]
     got = _weighted_sum(sparse, N, n)
     assert got == _naive_weighted_sum(terms, N, n)
