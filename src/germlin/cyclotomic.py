@@ -16,9 +16,10 @@ norm x * prod sigma_u(x); no linear system is solved.
 One helper forms the unreduced integer product of two coordinate vectors (of
 length 2 phi(n) - 1); a single product reduces and normalizes it at once.
 Sums of products add such unreduced products over a running common
-denominator and reduce and normalize once per sum: the gathers of the jet
-triangular solves here, in one accumulator, and the jet products and
-compositions in the scatter kernel ``jets._weighted_sum``.
+denominator and reduce and normalize once per sum: the gathers of the
+reciprocal of a jet and of the linearizer here, in one accumulator, and the
+jet products, compositions and compositional inverses in the scatter kernel
+``jets._weighted_sum``.
 
 Rationals are plain ``fractions.Fraction`` values; ``Rational`` is an alias.
 Mixed arithmetic coerces ints and Fractions into the cyclotomic operand's
@@ -194,10 +195,16 @@ def _normalize(n: int, num: list[int], den: int) -> "CycloElem":
     if g > 1:
         den //= g
         num = [c // g for c in num]
+    return _element(n, tuple(num), den)
+
+
+def _element(n: int, num: tuple, den: int) -> "CycloElem":
+    """The element num / den of Q(zeta_n) for reduced coordinates that are
+    already normalized (no common factor with den > 0): no gcd is taken."""
     el = CycloElem.__new__(CycloElem)
     el.n = n
     el.den = den
-    el.num = tuple(num)
+    el.num = num
     el._hash = None
     return el
 
@@ -218,15 +225,15 @@ def _add_product(acc: list[int], an, bn, scale: int = 1) -> list[int]:
 
 def _sum_of_products(n: int, pairs: list) -> "CycloElem":
     """sum a * b over the pairs (a, b) of elements of Q(zeta_n): the gather
-    of the jet triangular solves (jet_mul_inverse, RightComposer.inverse and
-    the linearizer's), one list of pairs per coefficient.
+    of the triangular solves of jet_mul_inverse and the linearizer, one list
+    of pairs per coefficient.
 
     The unreduced products accumulate over a running common denominator (one
     gcd per term whose denominator differs from it), and the sum is reduced
     modulo Phi_n and normalized once.  An empty or cancelling sum is zero with
-    denominator 1.  Jet products and compositions do not come here: the
-    scatter ``jets._weighted_sum`` adds each product into its output degree's
-    own accumulator by the same rule.
+    denominator 1.  Jet products, compositions and compositional inverses do
+    not come here: the scatter ``jets._weighted_sum`` adds each product into
+    its output degree's own accumulator by the same rule.
     """
     phi_n = euler_phi(n)
     if not pairs:

@@ -10,14 +10,17 @@ order, optionally with conjugacy witness words.  Certification checks
   order N).  The search letters keep one letter per distinct value of the
   generators and their inverses.  Generators with equal order-N values form
   one class, numbered by its first generator (``classes``), and one search
-  result serves every pair (i, j) in the same pair of classes.  A node h is
-  composed in full only when it is expanded or when f_i o h and h o f_j
-  agree in their coefficients of degree <= K, which come from the parent's
-  through the first K + 1 rows of the power tables; as h(0) = 0 these are
-  the jets' own low coefficients, so a mismatch there is exact.  K = min(N,
-  max(2, k_i + 1, k_j + 1)), with k the tangency order of f_i or f_j where
-  it is flat.  A failed search is recorded as "not-found-up-to", never as a
-  proof of non-conjugacy,
+  result serves every pair (i, j) in the same pair of classes, and so does
+  one resolution and its JSON.  The search, the witness check and the
+  product identity compose in the canonical sparse rows of ``jets``, so a
+  node's value is a row, which is also its dedup key, and no field element
+  is built on the way.  A node h is composed in full only when it is
+  expanded or when f_i o h and h o f_j agree in their coefficients of
+  degree <= K, which come from the parent's through the first K + 1 rows of
+  the power tables; as h(0) = 0 these are the jets' own low coefficients,
+  so a mismatch there is exact.  K = min(N, max(2, k_i + 1, k_j + 1)), with
+  k the tangency order of f_i or f_j where it is flat.  A failed search is
+  recorded as "not-found-up-to", never as a proof of non-conjugacy,
 * applicability of the finiteness criterion (multiplier order 1 or a prime
   power, with every other check positive).
 
@@ -77,11 +80,10 @@ from .germs import (
     Germ,
     Word,
     distinct_letters,
-    identity_germ,
     reduced_word_search,
     tangency_data,
 )
-from .jets import DEFAULT_ORDER, Jet, RightComposer, jet_compose
+from .jets import DEFAULT_ORDER, Jet, RightComposer, _compose_rows, _sparse_row
 
 __all__ = [
     "GroupPresentation",
@@ -144,7 +146,8 @@ class GroupPresentation:
             self._check_index(j)
             if not isinstance(w, Word):
                 raise PresentationError("witnesses must be Word values")
-        self._composers: dict = {}
+        self._composers: dict = {}  # by order-N value
+        self._letter_composers: dict = {}  # by (class, sign)
         self._inverses: dict = {}  # by class
         self._letters: Optional[tuple] = None
 
@@ -172,17 +175,28 @@ class GroupPresentation:
 
     def letters(self) -> tuple:
         """(letter, right composer) for f_1, f_1^-1, f_2, f_2^-1, ..., keeping
-        only the first letter of each distinct order-N value; built once."""
+        only the first letter of each distinct order-N value; built once,
+        together with the composer of every letter."""
         if self._letters is None:
             pairs = [
-                (g, self.inverse_generator(idx))
-                for idx, g in enumerate(self.gens, start=1)
+                (self.letter_composer(idx, 1), self.letter_composer(idx, -1))
+                for idx in range(1, len(self.gens) + 1)
             ]
-            self._letters = tuple(
-                (letter, self.composer(value))
-                for letter, value in distinct_letters(pairs, lambda g: g.jet.key())
-            )
+            # composer() keeps one composer per order-N value, so the
+            # composers' identities tell the values apart
+            self._letters = tuple(distinct_letters(pairs, id))
         return self._letters
+
+    def letter_composer(self, idx: int, sign: int) -> RightComposer:
+        """The right composer of f_idx (sign 1) or f_idx^-1 (sign -1), cached
+        by class and sign."""
+        self._check_index(idx)
+        key = (self.classes[idx - 1], sign)
+        comp = self._letter_composers.get(key)
+        if comp is None:
+            letter = self.gens[key[0]] if sign == 1 else self.inverse_generator(idx)
+            comp = self._letter_composers[key] = self.composer(letter)
+        return comp
 
     def composer(self, germ: Germ) -> RightComposer:
         """Cached right-composition operator for a fixed inner germ."""
@@ -194,12 +208,17 @@ class GroupPresentation:
         return comp
 
 
+def _identity_row(pres: GroupPresentation) -> tuple:
+    """The row of z at the presentation's order and conductor."""
+    return _sparse_row(Jet.identity(pres.order, pres.conductor).coeffs)
+
+
 def check_product_identity(pres: GroupPresentation) -> bool:
     """True iff the ordered composition of all generators is z to order N."""
-    acc = pres.gens[0].jet
-    for g in pres.gens[1:]:
-        acc = pres.composer(g)(acc)
-    return acc == Jet.identity(pres.order, pres.conductor)
+    acc = _sparse_row(pres.gens[0].jet.coeffs)
+    for idx in range(2, len(pres.gens) + 1):
+        acc = pres.letter_composer(idx, 1).compose(acc)
+    return acc == _identity_row(pres)
 
 
 def check_conjugacy_witness(
@@ -207,18 +226,19 @@ def check_conjugacy_witness(
 ) -> bool:
     """True iff f_i o g = g o f_j to order N, where g is the word's value.
 
-    The word is evaluated left to right with the presentation's cached
-    inverses and right composers, so no inverse is recomputed.
+    The word is evaluated left to right, as a row, with the presentation's
+    cached right composers, so no inverse is recomputed.
     """
     pres._check_index(i)
     pres._check_index(j)
     if not isinstance(w, Word):
         w = Word.from_list(w)
-    g = identity_germ(pres.order, pres.conductor).jet
+    g = _identity_row(pres)
     for idx, exp in w.letters:
-        letter = pres.generator(idx) if exp == 1 else pres.inverse_generator(idx)
-        g = pres.composer(letter)(g)
-    return jet_compose(pres.generator(i).jet, g) == pres.composer(pres.generator(j))(g)
+        g = pres.letter_composer(idx, exp).compose(g)
+    fi = _sparse_row(pres.generator(i).jet.coeffs)
+    N, n = pres.order, pres.conductor
+    return _compose_rows(fi, g, N, n) == pres.letter_composer(j, 1).compose(g)
 
 
 def search_conjugator(
@@ -229,41 +249,50 @@ def search_conjugator(
     Words are enumerated shortest first and lexicographically by
     (generator index, sign) over :meth:`GroupPresentation.letters`, which
     keeps one letter per distinct value; candidates are deduplicated by their
-    order-N jet, so only one word per group-element value is ever expanded.
+    order-N value, so only one word per group-element value is ever expanded.
     The result depends only on the values of f_i and f_j, so :func:`certify`
     shares it between pairs with equal classes.
 
-    Each node h carries the parts of degree <= K of h and of f_i o h; a child
-    h o l gets both from its parent's through the first K + 1 rows of the
-    letter's power table (:meth:`RightComposer.prefix`).  The witness side
-    h o f_j to degree K comes the same way from f_j's table.  Since h(0) =
-    f_j(0) = 0, these are the exact coefficients of degree <= K of the order-N
-    jets, so a mismatch of the prefixes is a mismatch of the jets and rules
-    the node out.  Only where they agree is h composed in full and the test
-    completed exactly, f_i o h == h o f_j to order N.  K is the
-    :func:`_filter_degree` of f_i and f_j.  The returned word satisfies
+    Nodes are the canonical rows of their order-N values (``jets``), so a
+    row is its own dedup key and the exact test compares rows.  Each node h
+    carries the rows to degree K of h and of f_i o h; a child h o l gets
+    both from its parent's through the first K + 1 rows of the letter's
+    power table (:meth:`RightComposer.prefix`).  The witness side h o f_j to
+    degree K comes the same way from f_j's table.  Since h(0) = f_j(0) = 0,
+    these are the exact coefficients of degree <= K of the order-N jets, so
+    a mismatch of the two rows is a mismatch of the jets and rules the node
+    out.  Only where they agree is h composed in full and the test completed
+    exactly, f_i o h == h o f_j to order N.  K is the :func:`_filter_degree`
+    of f_i and f_j.  The returned word satisfies
     :func:`check_conjugacy_witness` by construction; None means only "not
     found up to max_len".
     """
     pres._check_index(i)
     pres._check_index(j)
-    fi = pres.generator(i).jet
-    compose_fj = pres.composer(pres.generator(j))
+    N, n = pres.order, pres.conductor
     K = _filter_degree(pres.generator(i), pres.generator(j))
-    ident = identity_germ(pres.order, pres.conductor).jet
-    # a sketch is (h, f_i o h) to degree K
+    fi = pres.generator(i).jet.coeffs
+    fi_row = _sparse_row(fi)
+    compose_fj = pres.letter_composer(j, 1)
+    ident = _identity_row(pres)
+    # a sketch is the pair of rows (h, f_i o h) to degree K
     letters = [
-        (letter, comp, lambda s, c=comp: (c.prefix(s[0]), c.prefix(s[1])))
+        (letter, comp.compose, lambda s, c=comp: (c.prefix(s[0], K), c.prefix(s[1], K)))
         for letter, comp in pres.letters()
     ]
     return reduced_word_search(
-        (ident, (list(ident.coeffs[: K + 1]), list(fi.coeffs[: K + 1]))),
+        (ident, (ident, _sparse_row(fi[: K + 1]))),
         letters,
-        Jet.key,
-        lambda s: s[1] == compose_fj.prefix(s[0]),
-        lambda h: jet_compose(fi, h) == compose_fj(h),
+        _row_key,
+        lambda s: s[1] == compose_fj.prefix(s[0], K),
+        lambda h: _compose_rows(fi_row, h, N, n) == compose_fj.compose(h),
         max_len,
     )
+
+
+def _row_key(row: tuple) -> tuple:
+    """A canonical row is its own dedup key."""
+    return row
 
 
 def _filter_degree(fi: Germ, fj: Germ) -> int:
@@ -317,10 +346,15 @@ class IrreducibilityReport:
         return self.product_ok and self.all_conjugacies_positive
 
     def to_json(self) -> dict:
-        conj = {
-            f"({i},{j})": self.conjugacy[(i, j)].to_json()
-            for (i, j) in sorted(self.conjugacy)
-        }
+        # pairs that share a resolution object share its JSON dict too
+        shared: dict[int, dict] = {}
+        conj = {}
+        for i, j in sorted(self.conjugacy):
+            r = self.conjugacy[(i, j)]
+            out = shared.get(id(r))
+            if out is None:
+                out = shared[id(r)] = r.to_json()
+            conj[f"({i},{j})"] = out
         pp = None
         if self.prime_power is not None:
             pp = {"p": self.prime_power[0], "s": self.prime_power[1]}
@@ -376,7 +410,8 @@ def certify(
 
     conjugacy: dict[tuple[int, int], ConjugacyResolution] = {}
     classes = pres.classes
-    searched: dict[tuple[int, int], Optional[Word]] = {}  # by (class of i, class of j)
+    # one resolution per (class of i, class of j), shared by its pairs
+    resolved: dict[tuple[int, int], ConjugacyResolution] = {}
     m = len(pres.gens)
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
@@ -385,23 +420,23 @@ def certify(
                 conjugacy[(i, j)] = ConjugacyResolution("verified-by-witness", word=w)
                 continue
             pair = (classes[i - 1], classes[j - 1])
-            if pair not in searched:
+            resolution = resolved.get(pair)
+            if resolution is None:
                 prior = transferred.conjugacy[(i, j)] if transferred else None
                 # a transferred word counts only if it passes the check here;
                 # a transferred not-found-up-to (no word) stands
                 if prior is not None and (
                     prior.word is None or check_conjugacy_witness(pres, i, j, prior.word)
                 ):
-                    searched[pair] = prior.word
+                    found = prior.word
                 else:
-                    searched[pair] = search_conjugator(pres, i, j, max_len)
-            found = searched[pair]
-            if found is not None:
-                conjugacy[(i, j)] = ConjugacyResolution("found-by-search", word=found)
-            else:
-                conjugacy[(i, j)] = ConjugacyResolution(
-                    "not-found-up-to", max_len=max_len
-                )
+                    found = search_conjugator(pres, i, j, max_len)
+                if found is not None:
+                    resolution = ConjugacyResolution("found-by-search", word=found)
+                else:
+                    resolution = ConjugacyResolution("not-found-up-to", max_len=max_len)
+                resolved[pair] = resolution
+            conjugacy[(i, j)] = resolution
 
     pp = prime_power_order(order) if order is not None else None
     applicable = (

@@ -11,21 +11,32 @@ elements and lifts everything to the lcm conductor, so rational jets live at
 conductor 1.
 
 Products, powers, composition and rational powers share one kernel, the
-weighted sum  sum w * z^s * P  over (weight, shift, row) terms.  A row is
-sparse: the list of its nonzero coefficients as (degree, integer coordinates,
-denominator) in increasing degree.  A product a*b weighs one sparse copy of b
-by a_i at shift i; the composition f(g) and the compositional inverse weigh
-the sparse rows of a table of truncated powers of g by f_e; (1 + u)^r weighs
-the powers of u by the binomial coefficients C(r, e).  Integer powers square
-through the product.
+weighted sum  sum w * z^s * P  over (weight, shift, row) terms, and it works
+on one format, the row.  A row is the tuple of the nonzero coefficients of a
+series as (degree, coordinates, denominator) entries in increasing degree;
+the coordinates are the (index, value) pairs of the nonzero integer
+power-basis coordinates of the numerator.  A weight is an entry without its
+degree.  Every row the kernel returns is canonical: each entry reduced
+modulo Phi_n, without a common factor and over a positive denominator, and
+zero entries left out.  So equal series have equal rows, and a row is
+hashable and serves as its own key.  A product a*b weighs the row of b by
+a_i at shift i; the composition f(g) weighs the rows of a table of truncated
+powers of g by f_e, each power built from the row of the one before;
+(1 + u)^r weighs the powers of u by the binomial coefficients C(r, e).
+Integer powers square through the product.  Callers that stay in the row
+format (the conjugator search, word evaluation) pass rows from one
+composition to the next; field elements are built only where a result
+leaves as a Jet (:func:`_row_coeffs`).
 
 The kernel scatters: each product of a weight with a row entry is added, as
 an unreduced integer product of coordinate vectors, in place into the one
 accumulator of its output degree, over that degree's running common
 denominator, and a row is read no further than degree N.  No product is
-formed as a field element.  The triangular solves of the two inverses
-(jet_mul_inverse, RightComposer.inverse) gather instead: one list of pairs
-per coefficient, summed by ``cyclotomic._sum_of_products`` with the same
+formed as a field element.  The triangular solve of the compositional
+inverse (RightComposer.inverse) gathers each coefficient through the same
+kernel, with the entries of one column of the power table as one-entry
+rows.  The reciprocal (jet_mul_inverse) gathers one list of pairs per
+coefficient, summed by ``cyclotomic._sum_of_products`` with the same
 in-place integer accumulation.  Either way each coefficient is reduced
 modulo Phi_n and normalized once, not once per product.
 
@@ -36,12 +47,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from math import gcd
 
 from .cyclotomic import (
     CycloElem,
-    _normalize,
+    _element,
     _power,
     _reduce_product,
     _sum_of_products,
@@ -82,67 +92,101 @@ def _one(n: int) -> CycloElem:
     return cyclo_embed(1, n)
 
 
-def _sparse_row(coeffs) -> list:
-    """The nonzero entries of a coefficient list as (degree, integer
-    coordinates, denominator), in increasing degree: the row format of
-    :func:`_weighted_sum`.  The coordinates are the (index, value) pairs of
-    the nonzero power-basis coordinates of the numerator."""
-    return [
-        (t, [(j, b) for j, b in enumerate(c.num) if b], c.den)
-        for t, c in enumerate(coeffs)
-        if any(c.num)
-    ]
+def _entry(c: CycloElem) -> tuple:
+    """(coordinates, denominator) of c: the (index, value) pairs of the
+    nonzero power-basis coordinates of its numerator, over its denominator."""
+    return tuple((j, b) for j, b in enumerate(c.num) if b), c.den
+
+
+def _sparse_row(coeffs) -> tuple:
+    """The row of a coefficient list: its nonzero entries as (degree,
+    coordinates, denominator) in increasing degree (see :func:`_entry`)."""
+    return tuple((t,) + _entry(c) for t, c in enumerate(coeffs) if any(c.num))
+
+
+def _entry_elem(n: int, coords, den: int) -> CycloElem:
+    """The element of Q(zeta_n) of a row entry's coordinates and denominator;
+    entries are normalized, so no gcd is taken."""
+    phi_n = euler_phi(n)
+    if phi_n == 1:
+        return _element(n, (coords[0][1],), den)
+    num = [0] * phi_n
+    for j, b in coords:
+        num[j] = b
+    return _element(n, tuple(num), den)
+
+
+def _row_coeffs(row, N: int, n: int) -> list:
+    """The N + 1 coefficients of a row over Q(zeta_n): where jet results
+    leave the row format."""
+    out = [_zero(n)] * (N + 1)
+    for t, coords, den in row:
+        out[t] = _entry_elem(n, coords, den)
+    return out
 
 
 def _mul_coeffs(a, b, N: int, n: int) -> list:
     """Coefficients of a*b truncated at degree N, for a and b of N+1
     coefficients: the weighted sum of the shifts z^i b over the nonzero a_i,
-    all reading one sparse copy of b."""
+    all reading one row of b."""
     row = _sparse_row(b)
-    return _weighted_sum([(ai, i, row) for i, ai in enumerate(a)], N, n)
+    terms = [((c, d), i, row) for i, c, d in _sparse_row(a)]
+    return _row_coeffs(_weighted_sum(terms, N, n), N, n)
 
 
-def _power_table(g, d: int, N: int, n: int) -> list:
-    """[g^0, g^1, .., g^d] truncated at degree N, each power from the last."""
-    table = [[_one(n)] + [_zero(n)] * N, list(g)]
-    row = _sparse_row(g)
-    for e in range(2, d + 1):  # g^(e-1) vanishes below degree e - 1
-        terms = [(c, i, row) for i, c in enumerate(table[-1][e - 1 :], e - 1)]
-        table.append(_weighted_sum(terms, N, n))
-    return table[: d + 1]
+def _power_rows(g, d: int, N: int, n: int) -> list:
+    """The rows of g^0, g^1, .., g^d truncated at degree N, for the row g (to
+    degree N) of a series with g(0) = 0: each power is the weighted sum of
+    the shifts of g by the entries of the power before it."""
+    rows = [((0, ((0, 1),), 1),), g]
+    for _ in range(2, d + 1):
+        rows.append(_weighted_sum([((c, den), t, g) for t, c, den in rows[-1]], N, n))
+    return rows[: d + 1]
+
+
+def _substitute(w, rows, N: int, n: int) -> tuple:
+    """The row of sum_e w_e g^e truncated at degree N, for the row w and the
+    power rows of g (:func:`_power_rows`) up to the degree of w."""
+    return _weighted_sum([((c, d), 0, rows[e]) for e, c, d in w], N, n)
+
+
+def _compose_rows(w, g, N: int, n: int) -> tuple:
+    """The row of w(g) truncated at degree N, for rows w and g with g(0) = 0,
+    over the powers of g up to the degree of w."""
+    return _substitute(w, _power_rows(g, w[-1][0] if w else 0, N, n), N, n)
 
 
 def _power_sum(weights, g, N: int, n: int) -> list:
-    """sum_e weights[e] g^e truncated at degree N, over the sparse rows of the
-    power table of g up to the last weight."""
-    powers = _power_table(g, len(weights) - 1, N, n)
-    return _weighted_sum([(w, 0, _sparse_row(p)) for w, p in zip(weights, powers)], N, n)
+    """The coefficients of sum_e weights[e] g^e truncated at degree N, for
+    coefficient lists with g[0] = 0."""
+    return _row_coeffs(_compose_rows(_sparse_row(weights), _sparse_row(g), N, n), N, n)
 
 
-def _weighted_sum(terms, N: int, n: int) -> list:
-    """sum weight * z^shift * row over the (weight, shift, row) terms,
-    truncated at degree N, for sparse rows (:func:`_sparse_row`).
+def _weighted_sum(terms, N: int, n: int) -> tuple:
+    """The row of sum weight * z^shift * row over the (weight, shift, row)
+    terms, truncated at degree N.  A weight is a row entry without its degree,
+    (coordinates, denominator).
 
     Products, powers and compositions all accumulate here.  Each product of
     the weight with a row entry is added, as an unreduced integer product of
     coordinate vectors, into the accumulator of its output degree in place;
     each accumulator keeps a running denominator, rescaled to the lcm when a
     product's denominator does not divide it.  A row is read only up to
-    degree N - shift, and each output degree is reduced modulo Phi_n and
-    normalized once.  Where phi(n) = 1 (conductors 1 and 2) every
+    degree N - shift.  Each output degree is reduced modulo Phi_n and
+    normalized once, and the result is a canonical row: every entry without
+    a common factor and over a positive denominator, zero entries left out,
+    in increasing degree.  Where phi(n) = 1 (conductors 1 and 2) every
     coefficient is rational, and each degree accumulates one integer
     numerator in place of a coordinate list.
     """
     width = 2 * euler_phi(n) - 1
-    zero = _zero(n)
     if width == 1:  # rational coordinates: one integer numerator per degree
         nums = [0] * (N + 1)
         dens = [0] * (N + 1)
-        for w, shift, row in terms:
-            (c,) = w.num
-            if not c:
+        for (wc, wd), shift, row in terms:
+            if not wc:
                 continue
-            wd = w.den
+            ((_, c),) = wc
             for t, ((_, b),), bd in row:  # the one coordinate, index 0
                 t += shift
                 if t > N:
@@ -161,16 +205,18 @@ def _weighted_sum(terms, N: int, n: int) -> list:
                         nums[t] *= up
                         dens[t] = den = den * up
                     nums[t] += c * b * (den // d)
-        return [
-            _normalize(n, [num], den) if den else zero for num, den in zip(nums, dens)
-        ]
+        out = []
+        for t, num in enumerate(nums):
+            if num:
+                den = dens[t]
+                g = gcd(num, den)
+                out.append((t, ((0, num // g),), den // g))
+        return tuple(out)
     accs = [None] * (N + 1)
     dens = [1] * (N + 1)
-    for w, shift, row in terms:
-        wnz = [(i, c) for i, c in enumerate(w.num) if c]
-        if not wnz:
+    for (wc, wd), shift, row in terms:
+        if not wc:
             continue
-        wd = w.den
         for t, bn, bd in row:
             t += shift
             if t > N:
@@ -190,18 +236,28 @@ def _weighted_sum(terms, N: int, n: int) -> list:
                     dens[t] = den = den * up
                 if den != d:
                     scale = den // d
-                    for i, c in wnz:
+                    for i, c in wc:
                         c *= scale
                         for j, bj in bn:
                             acc[i + j] += c * bj
                     continue
-            for i, c in wnz:
+            for i, c in wc:
                 for j, bj in bn:
                     acc[i + j] += c * bj
-    return [
-        zero if acc is None else _normalize(n, _reduce_product(n, acc), den)
-        for acc, den in zip(accs, dens)
-    ]
+    out = []
+    for t, acc in enumerate(accs):
+        if acc is None:
+            continue
+        num = _reduce_product(n, acc)
+        if not any(num):
+            continue
+        den = dens[t]
+        g = gcd(den, *num)
+        if g > 1:
+            den //= g
+            num = [c // g for c in num]
+        out.append((t, tuple((j, c) for j, c in enumerate(num) if c), den))
+    return tuple(out)
 
 
 class Jet:
@@ -400,9 +456,7 @@ def jet_compose(f: Jet, g: Jet) -> Jet:
     if not b.coeffs[0].is_zero:
         raise ValueError("inner series must have zero constant term")
     N, n = a.order, a.conductor
-    degree = max((e for e, c in enumerate(a.coeffs) if not c.is_zero), default=0)
-    coeffs = _power_sum(a.coeffs[: degree + 1], b.coeffs, N, n)
-    return Jet(coeffs, order=N, conductor=n)
+    return Jet(_power_sum(a.coeffs, b.coeffs, N, n), order=N, conductor=n)
 
 
 def jet_comp_inverse(f: Jet) -> Jet:
@@ -424,17 +478,10 @@ def jet_mul_inverse(f: Jet) -> Jet:
         raise ValueError("reciprocal needs a nonzero constant term")
     inv0 = _one(n) / a0
     b = [inv0] + [_zero(n)] * N
-    a = f.coeffs
+    nonzero = [(k, c) for k, c in enumerate(f.coeffs) if k and not c.is_zero]
     for m in range(1, N + 1):
-        s = _sum_of_products(
-            n,
-            [
-                (a[k], b[m - k])
-                for k in range(1, m + 1)
-                if not a[k].is_zero and not b[m - k].is_zero
-            ],
-        )
-        b[m] = -s * inv0
+        pairs = [(c, b[m - k]) for k, c in nonzero if k <= m and not b[m - k].is_zero]
+        b[m] = -_sum_of_products(n, pairs) * inv0
     return Jet(b, order=N, conductor=n)
 
 
@@ -476,12 +523,13 @@ def jet_rational_power(f: Jet, r) -> Jet:
 class RightComposer:
     """Right composition w -> w(g) against a fixed inner series g.
 
-    Holds the power table g^0 .. g^N (``powers``) and its sparse rows
-    (``rows``), so each call is the weighted sum  sum_e w_e g^e  over the
-    rows with no further products; this pays off when many compositions share
-    the same inner series (word evaluation, conjugator search).  The dense
-    table gives the compositional inverse of g, and the first K + 1 rows read
-    to degree K give w(g) to degree K (:meth:`prefix`).
+    Holds the rows of the power table g^0 .. g^N (``rows``), so each
+    composition is the weighted sum  sum_e w_e g^e  over the rows with no
+    further products; this pays off when many compositions share the same
+    inner series (word evaluation, conjugator search).  :meth:`compose` and
+    :meth:`prefix` take and return rows, for callers that stay in that
+    format; calling the composer on a jet converts at both ends.  The rows
+    also give the compositional inverse of g (:meth:`inverse`).
     """
 
     def __init__(self, g: Jet):
@@ -489,46 +537,53 @@ class RightComposer:
             raise ValueError("inner series must have zero constant term")
         self.order = g.order
         self.conductor = g.conductor
-        self.powers = _power_table(g.coeffs, g.order, g.order, g.conductor)
-        self.rows = [_sparse_row(p) for p in self.powers]
+        self.rows = _power_rows(_sparse_row(g.coeffs), g.order, g.order, g.conductor)
 
     def __call__(self, w: Jet) -> Jet:
         if w.order != self.order:
             raise ValueError("order mismatch in right composition")
         wl = w.lift(self.conductor) if w.conductor != self.conductor else w
         N, n = self.order, self.conductor
-        terms = zip(wl.coeffs, repeat(0), self.rows)
-        return Jet(_weighted_sum(terms, N, n), order=N, conductor=n)
+        return Jet(_row_coeffs(self.compose(_sparse_row(wl.coeffs)), N, n), order=N, conductor=n)
 
-    def prefix(self, w: list) -> list:
-        """The coefficients of w(g) through degree K, from those of w through
-        degree K = len(w) - 1 <= N.  Since g(0) = 0, the powers g^e with
-        e > K and the terms of w beyond z^K add nothing below z^(K+1), so this
-        is the weighted sum over the first K + 1 rows of the table, read to
-        degree K: O(K^2) products."""
-        return _weighted_sum(zip(w, repeat(0), self.rows), len(w) - 1, self.conductor)
+    def compose(self, w) -> tuple:
+        """The row of w(g) to degree N, for the row w of an order-N jet."""
+        return _substitute(w, self.rows, self.order, self.conductor)
+
+    def prefix(self, w, K: int) -> tuple:
+        """The row of w(g) to degree K <= N, for the row w of a jet to degree
+        K.  Since g(0) = 0, the powers g^e with e > K and the terms of w
+        beyond z^K add nothing below z^(K+1), so this is the weighted sum
+        over the first K + 1 rows of the table, read to degree K: O(K^2)
+        products."""
+        return _substitute(w, self.rows, K, self.conductor)
 
     def inverse(self) -> Jet:
         """The compositional inverse of g from the triangular system
-        sum_m b_m [z^t] g^m = [t == 1], whose diagonal [z^m] g^m = a1^m needs
-        a single inversion of the linear coefficient a1."""
+        sum_j b_j [z^m] g^j = [m == 1], whose diagonal [z^j] g^j = a1^j needs
+        a single inversion of the linear coefficient a1.  Each b_m is
+        gathered by the kernel from the entries [z^m] g^j, j < m, of the
+        rows, weighted by the b_j found before it."""
         N, n = self.order, self.conductor
-        powers = self.powers
-        if N < 1 or powers[1][1].is_zero:
+        rows = self.rows
+        if N < 1 or not rows[1] or rows[1][0][0] != 1:
             raise ValueError("compositional inverse needs an invertible linear term")
-        inv_a1 = _one(n) / powers[1][1]
+        # column m: the entries [z^m] g^j of the rows j = 1 .. m - 1 (after
+        # the diagonal one at degree j), each as a one-entry row at degree 0
+        cols = [[] for _ in range(N + 1)]
+        for j in range(1, N):
+            for t, coords, den in rows[j][1:]:
+                cols[t].append((j, ((0, coords, den),)))
+        _, coords, den = rows[1][0]
+        inv_a1 = _one(n) / _entry_elem(n, coords, den)
         inv_pow = inv_a1  # a1^(-m), maintained incrementally
         b = [_zero(n)] * (N + 1)
         b[1] = inv_a1
+        weights = [None, _entry(inv_a1)] + [None] * (N - 1)  # the nonzero b_j as weights
         for m in range(2, N + 1):
             inv_pow = inv_pow * inv_a1
-            s = _sum_of_products(
-                n,
-                [
-                    (b[j], powers[j][m])
-                    for j in range(1, m)
-                    if not b[j].is_zero and not powers[j][m].is_zero
-                ],
-            )
-            b[m] = -s * inv_pow
+            terms = [(weights[j], 0, cell) for j, cell in cols[m] if weights[j]]
+            for _, coords, den in _weighted_sum(terms, 0, n):  # none if the sum is 0
+                b[m] = -_entry_elem(n, coords, den) * inv_pow
+                weights[m] = _entry(b[m])
         return Jet(b, order=N, conductor=n)

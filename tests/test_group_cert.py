@@ -477,3 +477,20 @@ def test_loader_evaluates_each_distinct_expression_once(monkeypatch):
     assert len(evaluations) == 9
     with pytest.raises(PresentationError, match="generator 2 "):
         load_presentation_text('{"generators": ["z", "z + q", "z", "z + q"]}')
+
+
+def test_pairs_of_one_class_pair_share_one_resolution_and_its_json():
+    # g18p: generators 1..16 are equal, so 153 pairs fall into 4 class pairs
+    pres = build_group_example("g18p", order=4)[0].presentation
+    report = certify(pres, 1)
+    out = report.to_json()["conjugacy"]
+    first: dict = {}
+    for (i, j), r in report.conjugacy.items():
+        pair = (pres.classes[i - 1], pres.classes[j - 1])
+        i0, j0 = first.setdefault(pair, (i, j))
+        assert r is report.conjugacy[(i0, j0)]
+        assert out[f"({i},{j})"] is out[f"({i0},{j0})"]
+    assert len(report.conjugacy) == 153 and len(first) == 4
+    # the shared dicts serialize as separate copies would
+    copies = {key: dict(value) for key, value in out.items()}
+    assert json.dumps(out, sort_keys=True) == json.dumps(copies, sort_keys=True)

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,10 @@ from germlin.cyclotomic import CycloElem, cyclo_embed, euler_phi, zeta
 from germlin.jets import (
     Jet,
     RightComposer,
+    _compose_rows,
+    _entry,
+    _power_rows,
+    _row_coeffs,
     _sparse_row,
     _weighted_sum,
     jet_comp_inverse,
@@ -365,7 +371,8 @@ def test_right_composer_prefix_is_the_head_of_the_full_composition(n):
         w = _mixed_jet(rng, ORACLE_ORDER, n)
         full = list(rc(w).coeffs)
         for K in range(ORACLE_ORDER + 1):
-            assert rc.prefix(list(w.coeffs[: K + 1])) == full[: K + 1]
+            head = rc.prefix(_sparse_row(w.coeffs[: K + 1]), K)
+            assert _row_coeffs(head, K, n) == full[: K + 1]
 
 
 @pytest.mark.parametrize("n", ORACLE_CONDUCTORS)
@@ -460,13 +467,13 @@ def test_weighted_sum_truncates_shifted_rows_and_skips_zero_weights(n):
     # every entry of the second and third rows lands past N, and only the
     # constant entry of the fourth reaches degree N
     terms = _terms(rng, n, N, (0, N + 1, 2 * N, N, 3, 1), (w[1], w[2], 1, w[3], 0, w[0]))
-    sparse = [(we, s, _sparse_row(row)) for we, s, row in terms]
-    assert _weighted_sum(sparse, N, n) == _naive_weighted_sum(terms, N, n)
+    sparse = [(_entry(we), s, _sparse_row(row)) for we, s, row in terms]
+    assert _row_coeffs(_weighted_sum(sparse, N, n), N, n) == _naive_weighted_sum(terms, N, n)
     beyond = [t for t in sparse if t[1] > N]
-    assert _weighted_sum(beyond, N, n) == [cyclo_embed(0, n)] * (N + 1)
-    zero_weights = [(cyclo_embed(0, n), s, row) for _, s, row in sparse]
-    assert _weighted_sum(zero_weights, N, n) == [cyclo_embed(0, n)] * (N + 1)
-    assert _weighted_sum([], N, n) == [cyclo_embed(0, n)] * (N + 1)
+    assert _row_coeffs(_weighted_sum(beyond, N, n), N, n) == [cyclo_embed(0, n)] * (N + 1)
+    zero_weights = [(_entry(cyclo_embed(0, n)), s, row) for _, s, row in sparse]
+    assert _row_coeffs(_weighted_sum(zero_weights, N, n), N, n) == [cyclo_embed(0, n)] * (N + 1)
+    assert _row_coeffs(_weighted_sum([], N, n), N, n) == [cyclo_embed(0, n)] * (N + 1)
 
 
 @pytest.mark.parametrize("n", ORACLE_CONDUCTORS)
@@ -479,6 +486,92 @@ def test_weighted_sum_rescales_to_the_lcm_of_denominators(n):
     weights = [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6) * x, Fraction(3, 4)]
     terms = [(cyclo_embed(1, n) * q, 0, row) for q in weights]
     assert [we.den for we, _, _ in terms] == [2, 3, 6, 4]
-    sparse = [(we, s, _sparse_row(r)) for we, s, r in terms]
-    got = _weighted_sum(sparse, N, n)
+    sparse = [(_entry(we), s, _sparse_row(r)) for we, s, r in terms]
+    got = _row_coeffs(_weighted_sum(sparse, N, n), N, n)
     assert got == _naive_weighted_sum(terms, N, n)
+
+
+# -- the row format at conductors 1, 6, 9, 10 and 18 ---------------------------------
+
+
+def _ex43_generator(p, N):
+    """z (1 - z^p)^(-1/p): its powers are nonzero only at degrees congruent
+    to the exponent mod p."""
+    z = Jet.identity(N)
+    return z * jet_rational_power(Jet.constant(1, N) - z**p, Fraction(-1, p))
+
+
+def _assert_canonical(row, N, n):
+    """Entries in increasing degree <= N; in each, the nonzero coordinates in
+    increasing index below phi(n) over a positive denominator, with no
+    common factor."""
+    degrees = [t for t, _, _ in row]
+    assert degrees == sorted(set(degrees)) and all(0 <= t <= N for t in degrees)
+    for _, coords, den in row:
+        index = [j for j, _ in coords]
+        assert coords and den > 0 and all(b for _, b in coords)
+        assert index == sorted(set(index)) and index[-1] < euler_phi(n)
+        assert gcd(den, *(b for _, b in coords)) == 1
+
+
+@pytest.mark.parametrize("n", ORACLE_CONDUCTORS)
+def test_rows_are_canonical_at_each_conductor(n):
+    rng = random.Random(760 + n)
+    N = ORACLE_ORDER
+    f = _mixed_jet(rng, N, n)
+    g, h = (_mixed_jet(rng, N, n, zero_constant=True) for _ in range(2))
+    fr, gr, hr = (_sparse_row(x.coeffs) for x in (f, g, h))
+    # one value reached along two paths, f o (g o h) and (f o g) o h
+    gh = _compose_rows(gr, hr, N, n)
+    inner = _compose_rows(fr, gh, N, n)
+    outer = _compose_rows(_compose_rows(fr, gr, N, n), hr, N, n)
+    assert inner == outer
+    assert _row_coeffs(inner, N, n) == list(naive_poly_compose(f, naive_poly_compose(g, h)).coeffs)
+    # sums that cancel in whole or in part, and two halves of a unit weight
+    one, minus = _entry(cyclo_embed(1, n)), _entry(cyclo_embed(-1, n))
+    half = _entry(cyclo_embed(Fraction(1, 2), n))
+    partial = _weighted_sum([(one, 0, gr), (one, 0, hr), (minus, 0, hr)], N, n)
+    halves = _weighted_sum([(half, 0, gr), (half, 0, gr)], N, n)
+    cancelled = _weighted_sum([(one, 1, gr), (minus, 1, gr)], N, n)
+    assert partial == halves == gr and cancelled == ()
+    rows = [fr, gr, hr, gh, _compose_rows(hr, gr, N, n), inner, outer, partial, halves, cancelled]
+    for row in rows:
+        _assert_canonical(row, N, n)
+    for a, b in product(rows, repeat=2):
+        assert (a == b) == (_row_coeffs(a, N, n) == _row_coeffs(b, N, n))
+
+
+@pytest.mark.parametrize("n", ORACLE_CONDUCTORS)
+def test_power_rows_match_schoolbook_powers_at_each_conductor(n):
+    rng = random.Random(770 + n)
+    N = ORACLE_ORDER
+    inner = [_mixed_jet(rng, N, n, zero_constant=True), _ex43_generator(3, N).lift(n)]
+    # valuation k > 1, as the linearizer's v = g/z - mu at step k
+    for k in (2, 3):
+        tail = _mixed_jet(rng, N - k, n).coeffs
+        inner.append(Jet([0] * k + [1] + list(tail[1:]), order=N, conductor=n))
+    for g in inner:
+        rows = _power_rows(_sparse_row(g.coeffs), N, N, n)
+        assert RightComposer(g).rows == rows
+        power = Jet.constant(1, N, n)
+        for row in rows:
+            _assert_canonical(row, N, n)
+            assert row == _sparse_row(power.coeffs)
+            power = naive_jet_product(power, g)
+
+
+@pytest.mark.parametrize("n", ORACLE_CONDUCTORS)
+def test_inverse_read_from_rows_matches_oracles_at_each_conductor(n):
+    rng = random.Random(780 + n)
+    N = ORACLE_ORDER
+    identity = Jet.identity(N, n)
+    sparse = [_ex43_generator(p, N).lift(n) for p in (2, 3)]
+    scaled = Jet([0, zeta(n) if n > 2 else 3, 0, 0, Fraction(1, 2)], order=N, conductor=n)
+    for g in sparse + [scaled, _mixed_jet(rng, N, n, zero_constant=True, unit_linear=True)]:
+        rc = RightComposer(g)
+        assert not hasattr(rc, "powers")
+        inverse = rc.inverse()
+        assert inverse == lagrange_inverse(g)
+        assert naive_poly_compose(g, inverse) == identity == naive_poly_compose(inverse, g)
+    with pytest.raises(ValueError):
+        RightComposer(Jet([0, 0, 1], order=N, conductor=n)).inverse()
