@@ -35,6 +35,7 @@ from .linearizer import group_order, linearize
 from .pforms import (
     PForm1,
     blowup_chart_pullback,
+    check_form_degree,
     cone_matches_chart_pullback,
     first_integral_check,
     form_from_string,
@@ -46,6 +47,7 @@ from .pforms import (
     poly_to_string,
     restrict_to_exceptional,
     tangent_cone,
+    total_degree,
 )
 from .registry import (
     FORM_EXAMPLES,
@@ -244,6 +246,15 @@ def _read_form_file(path: str) -> FormExample:
                 polys[key] = poly_from_string(data[key], variables=variables)
             except ExpressionError as exc:
                 raise InputError(f'{path}: field "{key}": {exc}') from exc
+    if "numerator" in polys and "denominator" in polys:
+        # the meromorphic check builds Q dP - P dQ
+        degree = total_degree(polys["numerator"]) + total_degree(polys["denominator"]) - 1
+        try:
+            check_form_degree(degree)
+        except ExpressionError as exc:
+            raise InputError(
+                f'{path}: fields "numerator" and "denominator": Q dP - P dQ: {exc}'
+            ) from exc
     return FormExample(
         variables=variables,
         omega=omega,

@@ -20,14 +20,28 @@ part (identically zero iff the exceptional divisor is not invariant); the
 chart pullback offers an independent route, and the two are cross-checked on
 the built-in examples by :func:`cone_matches_chart_pullback`.
 
+Every product of two polynomials goes through one kernel, a signed sum of
+products  sum +-p*q  (``_product_sum``): ``MultiPoly.__mul__`` is its one-term
+case, :func:`wedge` makes one call per output basis index with every signed
+product that lands there, and the meromorphic check builds each coefficient
+Q d_iP - P d_iQ in one call.  Over Fractions the kernel writes each distinct
+operand once as integer numerators over its lcm denominator, adds every
+product into one accumulator of ints over the lcm L of the operand
+denominator products, and builds one Fraction(v, L) per nonzero output term.
+Coefficients that are not all Fractions (CycloElems) take the same sum in
+their own arithmetic.
+
 Forms parse from expression strings such as ``"y*dx - x*dy"`` over the
 variables x, y, z, w (or any given names), with ``d<name>`` the differential
-of a variable and ``*`` acting as the wedge on forms.
+of a variable and ``*`` acting as the wedge on forms.  Every product and
+power an expression builds is checked against MAX_FORM_DEGREE first.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .cyclotomic import CycloElem, _power, format_scalar
@@ -39,6 +53,7 @@ __all__ = [
     "PForm2",
     "PForm3",
     "DEFAULT_VARS",
+    "MAX_FORM_DEGREE",
     "exterior_d",
     "wedge",
     "integrability_check",
@@ -52,6 +67,8 @@ __all__ = [
     "kupka_test",
     "first_integral_check",
     "meromorphic_first_integral_check",
+    "total_degree",
+    "check_form_degree",
     "eval_form",
     "form_from_string",
     "poly_from_string",
@@ -60,6 +77,11 @@ __all__ = [
 ]
 
 DEFAULT_VARS = ("x", "y", "z", "w")
+
+# the largest total degree of a coefficient that a form expression may build:
+# eval_form checks each product and power before forming it, and the form
+# file loader checks deg P + deg Q - 1 of a meromorphic pair P/Q
+MAX_FORM_DEGREE = 8
 
 Scalar = Union[Fraction, CycloElem]
 
@@ -188,17 +210,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if _is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return MultiPoly._clean(self.nvars, out)
+        return _product_sum(self.nvars, ((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -274,6 +286,67 @@ class MultiPoly:
 
     def __repr__(self):
         return poly_to_string(self)
+
+
+def _integer_terms(p: MultiPoly):
+    """(D, [(exponents, D * c)]) with D the lcm of the denominators of p's
+    coefficients, or None when some coefficient is not a Fraction."""
+    terms = p.terms
+    for c in terms.values():
+        if type(c) is not Fraction:
+            return None
+    d = lcm(*[c.denominator for c in terms.values()])
+    return d, [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()]
+
+
+def _product_sum(nvars: int, products) -> MultiPoly:
+    """The signed sum of products  sum sign * p * q  over the (sign, p, q) in
+    products, sign = +1 or -1: the one place where this module multiplies
+    polynomials.
+
+    Over Fractions every distinct operand is written once as integer
+    numerators over its lcm denominator D; each product adds
+    sign * (L / (D_p D_q)) * a * b into one dict of ints, L the lcm of the
+    D_p D_q, and each nonzero sum becomes one Fraction(v, L).  Any other
+    coefficient (a CycloElem) takes the scalar loop instead.
+    """
+    rows: dict = {}
+    scaled = []
+    for sign, p, q in products:
+        rp = rows.get(id(p))
+        if rp is None:
+            rp = rows[id(p)] = _integer_terms(p)
+        rq = rows.get(id(q))
+        if rq is None:
+            rq = rows[id(q)] = _integer_terms(q)
+        if rp is None or rq is None:
+            return _scalar_product_sum(nvars, products)
+        scaled.append((sign, rp, rq))
+    denom = lcm(*[rp[0] * rq[0] for _, rp, rq in scaled])
+    acc: dict = {}
+    get = acc.get
+    for sign, (dp, tp), (dq, tq) in scaled:
+        scale = sign * (denom // (dp * dq))
+        if len(tp) > len(tq):  # the longer operand in the inner loop
+            tp, tq = tq, tp
+        for e1, a in tp:
+            sa = scale * a
+            for e2, b in tq:
+                e = tuple(map(add, e1, e2))
+                acc[e] = get(e, 0) + sa * b
+    return MultiPoly._clean(
+        nvars, {e: Fraction(v, denom) for e, v in acc.items() if v}
+    )
+
+
+def _scalar_product_sum(nvars: int, products) -> MultiPoly:
+    """_product_sum in the coefficients' own arithmetic, for CycloElems."""
+    out: dict = {}
+    for sign, p, q in products:
+        for e1, c1 in p.terms.items():
+            for e2, c2 in q.terms.items():
+                _accumulate(out, tuple(map(add, e1, e2)), c1 * c2, sign)
+    return MultiPoly._clean(nvars, out)
 
 
 class Form:
@@ -427,14 +500,18 @@ def wedge(u: Form, v: Form) -> Form:
     if v.nvars != u.nvars:
         raise ValueError("variable-count mismatch")
     cls = _form_type(u.degree + v.degree)
-    out: dict = {}
+    products: dict = {}
     for I, p in u.coeffs.items():
         for J, q in v.coeffs.items():
             if any(j in I for j in J):
                 continue
             inv = sum(1 for i in I for j in J if i > j)
-            _accumulate(out, tuple(sorted(I + J)), p * q, -1 if inv & 1 else 1)
-    return cls(u.nvars, out)
+            products.setdefault(tuple(sorted(I + J)), []).append(
+                (-1 if inv & 1 else 1, p, q)
+            )
+    return cls(
+        u.nvars, {K: _product_sum(u.nvars, terms) for K, terms in products.items()}
+    )
 
 
 def integrability_check(omega: PForm1) -> bool:
@@ -446,10 +523,10 @@ def integrability_check(omega: PForm1) -> bool:
 
 def radial_contraction(omega: PForm1) -> MultiPoly:
     """The pairing sum x_i a_i of omega with the radial vector field."""
-    total = MultiPoly.zero(omega.nvars)
-    for (i,), p in omega.coeffs.items():
-        total = total + MultiPoly.variable(omega.nvars, i) * p
-    return total
+    n = omega.nvars
+    return _product_sum(
+        n, [(1, MultiPoly.variable(n, i), p) for (i,), p in omega.coeffs.items()]
+    )
 
 
 def lowest_jet(omega: PForm1) -> tuple[int, PForm1]:
@@ -578,11 +655,36 @@ def meromorphic_first_integral_check(
     of denominators)."""
     if Q.is_zero:
         raise ValueError("the denominator must be nonzero")
-    num = exterior_d(P).scale(Q) - exterior_d(Q).scale(P)
+    n = omega.nvars
+    if P.nvars != n or Q.nvars != n:
+        raise ValueError("variable-count mismatch")
+    num = PForm1(
+        n,
+        [
+            _product_sum(n, ((1, Q, P.partial(i)), (-1, P, Q.partial(i))))
+            for i in range(n)
+        ],
+    )
     return wedge(omega, num).is_zero
 
 
 # -- expression input and canonical text output ----------------------------------------
+
+
+def total_degree(value: AnyForm) -> int:
+    """The largest total degree among the terms of a polynomial or of a
+    form's coefficients, 0 for zero."""
+    polys = [value] if isinstance(value, MultiPoly) else value.coeffs.values()
+    return max((sum(e) for p in polys for e in p.terms), default=0)
+
+
+def check_form_degree(degree: int) -> None:
+    """ExpressionError if a coefficient of this total degree is above
+    MAX_FORM_DEGREE."""
+    if degree > MAX_FORM_DEGREE:
+        raise ExpressionError(
+            f"total degree {degree} is above the limit of {MAX_FORM_DEGREE}"
+        )
 
 
 def eval_form(node, env: dict, variables: Sequence[str]):
@@ -612,6 +714,7 @@ def eval_form(node, env: dict, variables: Sequence[str]):
     if op == "mul":
         a = eval_form(node[1], env, variables)
         b = eval_form(node[2], env, variables)
+        check_form_degree(total_degree(a) + total_degree(b))
         if isinstance(a, MultiPoly) and isinstance(b, MultiPoly):
             return a * b
         if isinstance(a, MultiPoly):
@@ -639,6 +742,7 @@ def eval_form(node, env: dict, variables: Sequence[str]):
             raise ExpressionError("only polynomials take integer powers")
         if node[2] < 0:
             raise ExpressionError("polynomial powers must be nonnegative")
+        check_form_degree(node[2] * total_degree(a))
         return a ** node[2]
     if op == "rpow":
         raise ExpressionError("pow(..., p/q) is only defined for series")

@@ -11,8 +11,9 @@ search engine with value-deduplicated letters and results shared between
 pairs, a scan of the constraints over every root of unity and evaluation of
 every generator at every root instead of one evaluation per Galois orbit,
 pairwise jet equality instead of a table of keys for the classes of equal
-generators, and determinants of coefficient matrices instead of the wedge
-kernel.
+generators, and determinants of coefficient matrices, expanded with schoolbook
+polynomial products over the term dicts, instead of the integer product
+kernel of the wedge.
 """
 
 from __future__ import annotations
@@ -252,21 +253,45 @@ def per_root_presentations(spec: dict, order: int) -> list:
     ]
 
 
+def naive_poly_product(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """The schoolbook product of two polynomials over their term dicts, in
+    the coefficients' own + and * and never in MultiPoly arithmetic; the
+    checking constructor drops the sums that cancel."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return MultiPoly(p.nvars, out)
+
+
+def naive_poly_sum(nvars: int, polys) -> MultiPoly:
+    """The sum of polynomials, term by term in the coefficients' own +."""
+    out = {}
+    for p in polys:
+        for e, c in p.terms.items():
+            out[e] = out[e] + c if e in out else c
+    return MultiPoly(nvars, out)
+
+
 def wedge_minors(forms) -> dict:
     """Coefficients of u_1 ^ ... ^ u_k for 1-forms u_r: the coefficient at
     the index tuple I is the I-minor det [a_(r, I_c)] of the coefficient
-    matrix, expanded by the Leibniz formula over all permutations."""
+    matrix, expanded by the Leibniz formula over all permutations, with
+    products and sums from :func:`naive_poly_product` and
+    :func:`naive_poly_sum`."""
     nvars = forms[0].nvars
     k = len(forms)
     out = {}
     for key in combinations(range(nvars), k):
-        total = MultiPoly.zero(nvars)
+        terms = []
         for perm in permutations(range(k)):
             inversions = sum(1 for a, b in combinations(perm, 2) if a > b)
             term = MultiPoly.constant(nvars, (-1) ** inversions)
             for row, col in enumerate(perm):
-                term = term * forms[row].coefficient((key[col],))
-            total = total + term
+                term = naive_poly_product(term, forms[row].coefficient((key[col],)))
+            terms.append(term)
+        total = naive_poly_sum(nvars, terms)
         if not total.is_zero:
             out[key] = total
     return out

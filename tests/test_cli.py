@@ -366,6 +366,7 @@ def test_bad_order_is_one_message_for_examples_and_files(tmp_path, capsys, comma
 def test_limits_are_input_errors(tmp_path, capsys):
     from germlin.germs import MAX_WORD_LETTERS
     from germlin.group_cert import MAX_CONDUCTOR, MAX_ORDER
+    from germlin.pforms import MAX_FORM_DEGREE
 
     def fails(argv, spec, field):
         path = tmp_path / "p.json"
@@ -392,6 +393,28 @@ def test_limits_are_input_errors(tmp_path, capsys):
             {"order": 4, "generators": ["z", "z"], "witnesses": {"(1,2)": word}},
             "witness",
         )
+    # form degrees are checked before each product and power is formed, and
+    # deg P + deg Q - 1 for the meromorphic pair
+    top = MAX_FORM_DEGREE
+    pair = '"numerator" and "denominator"'
+    for sub, spec, field in (
+        ("integrable", {"form": f"(x + y + z + 1)^{top + 1}*dx"}, '"form"'),
+        ("integrable", {"form": "(x + y + z + 1)^200*dx"}, '"form"'),
+        ("cone", {"form": f"x^{top}*(y + 1)*dx"}, '"form"'),
+        ("first-integral", {"form": "y*dx", "integral": f"y*x^{top}"}, '"integral"'),
+        ("first-integral", {"form": "y*dx", "numerator": f"x^{top}", "denominator": "y^2"}, pair),
+    ):
+        fails(["forms", sub], spec, field)
+    for spec in (
+        {"form": f"(x + y + z + 1)^{top}*dx"},
+        {"form": f"x^{top - 1}*(y + 1)*dx"},
+        {"form": "y*dx", "numerator": f"x^{top}", "denominator": "y"},
+    ):
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(spec))
+        sub = "first-integral" if "numerator" in spec else "integrable"
+        code, out, err = run(capsys, "forms", sub, str(path))
+        assert code in (0, 1) and err == "", err
     # the scalar must be a name an expression can use: z is the series
     # variable, so a scalar z never reaches a generator
     for var, constraint in (("z", "z^4 = 1"), ("", "1 = 1"), ("a b", "1 = 1")):

@@ -311,10 +311,19 @@ def test_serialization():
     assert Jet.from_json(g.to_json()) == g
 
 
-# -- the accumulator against the oracles at conductors 1, 6, 9, 10 and 18 ------------
+# -- the accumulator against the oracles at conductors 1, 6, 9, 10, 18 and beyond -----
 
 ORACLE_CONDUCTORS = (1, 6, 9, 10, 18)
 ORACLE_ORDER = 8
+# the row tests also run across the loader's conductor range, at a lower
+# order: a prime, a power of 2, the first Phi_n with a coefficient -2
+# (n = 105) and the largest conductor, 360, where phi = 96
+WIDE_CONDUCTORS = (7, 8, 105, 360)
+WIDE_ORDER = 6
+
+
+def _row_order(n):
+    return ORACLE_ORDER if n in ORACLE_CONDUCTORS else WIDE_ORDER
 
 
 def _mixed_jet(rng, N, n, zero_constant=False, unit_linear=False):
@@ -514,10 +523,10 @@ def _assert_canonical(row, N, n):
         assert gcd(den, *(b for _, b in coords)) == 1
 
 
-@pytest.mark.parametrize("n", ORACLE_CONDUCTORS)
+@pytest.mark.parametrize("n", ORACLE_CONDUCTORS + WIDE_CONDUCTORS)
 def test_rows_are_canonical_at_each_conductor(n):
     rng = random.Random(760 + n)
-    N = ORACLE_ORDER
+    N = _row_order(n)
     f = _mixed_jet(rng, N, n)
     g, h = (_mixed_jet(rng, N, n, zero_constant=True) for _ in range(2))
     fr, gr, hr = (_sparse_row(x.coeffs) for x in (f, g, h))
@@ -541,10 +550,10 @@ def test_rows_are_canonical_at_each_conductor(n):
         assert (a == b) == (_row_coeffs(a, N, n) == _row_coeffs(b, N, n))
 
 
-@pytest.mark.parametrize("n", ORACLE_CONDUCTORS)
+@pytest.mark.parametrize("n", ORACLE_CONDUCTORS + WIDE_CONDUCTORS)
 def test_power_rows_match_schoolbook_powers_at_each_conductor(n):
     rng = random.Random(770 + n)
-    N = ORACLE_ORDER
+    N = _row_order(n)
     inner = [_mixed_jet(rng, N, n, zero_constant=True), _ex43_generator(3, N).lift(n)]
     # valuation k > 1, as the linearizer's v = g/z - mu at step k
     for k in (2, 3):
@@ -560,10 +569,10 @@ def test_power_rows_match_schoolbook_powers_at_each_conductor(n):
             power = naive_jet_product(power, g)
 
 
-@pytest.mark.parametrize("n", ORACLE_CONDUCTORS)
+@pytest.mark.parametrize("n", ORACLE_CONDUCTORS + WIDE_CONDUCTORS)
 def test_inverse_read_from_rows_matches_oracles_at_each_conductor(n):
     rng = random.Random(780 + n)
-    N = ORACLE_ORDER
+    N = _row_order(n)
     identity = Jet.identity(N, n)
     sparse = [_ex43_generator(p, N).lift(n) for p in (2, 3)]
     scaled = Jet([0, zeta(n) if n > 2 else 3, 0, 0, Fraction(1, 2)], order=N, conductor=n)

@@ -4,6 +4,8 @@ from itertools import combinations
 
 import pytest
 
+import germlin.pforms
+from germlin.cyclotomic import zeta
 from germlin.pforms import (
     MultiPoly,
     PForm1,
@@ -25,10 +27,11 @@ from germlin.pforms import (
     restrict_to_exceptional,
     tangent_cone,
     wedge,
+    _product_sum,
 )
 from germlin.registry import build_form_example, default_parameter_sets
 
-from oracles import wedge_minors
+from oracles import naive_poly_product, naive_poly_sum, wedge_minors
 
 V2 = ("x", "y")
 V3 = ("x", "y", "z")
@@ -372,3 +375,129 @@ def test_multi_letter_variable_differentials():
     x1, x2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
     assert omega == PForm1(2, [x2, -x1])
     assert form_from_string(form_to_string(omega, names), variables=names) == omega
+
+
+# -- the integer product kernel against the schoolbook oracle ------------------------
+
+KERNEL_DENOMINATORS = (4, 6, 9)  # pairwise lcms 12, 36, 18: every product rescales
+
+
+def _kernel_poly(rng, nvars, kind, terms=4, max_deg=2):
+    """A polynomial whose coefficients are Fractions over 4, 6 and 9
+    ("fraction"), cyclotomic ("cyclo"), both ("mixed"), or no terms ("zero")."""
+    if kind == "zero":
+        return MultiPoly.zero(nvars)
+    out = {}
+    for t in range(terms):
+        exps = tuple(rng.randint(0, max_deg) for _ in range(nvars))
+        c = Fraction(rng.choice((-5, -1, 1, 2, 7)), rng.choice(KERNEL_DENOMINATORS))
+        if kind == "cyclo" or (kind == "mixed" and t % 2):
+            c = c * zeta(rng.choice((3, 6))) + rng.randint(-1, 1)
+        out[exps] = c
+    return MultiPoly(nvars, out)
+
+
+KERNEL_KINDS = ("fraction", "zero", "cyclo", "mixed")
+
+
+def _assert_same_poly(got, want):
+    assert got == want and got.terms == want.terms
+    assert all(type(c) is type(want.terms[e]) for e, c in got.terms.items())
+
+
+@pytest.mark.parametrize("nvars", (2, 3, 4))
+def test_products_match_the_schoolbook_oracle(nvars):
+    rng = random.Random(900 + nvars)
+    for kp in KERNEL_KINDS:
+        for kq in KERNEL_KINDS:
+            p, q = _kernel_poly(rng, nvars, kp), _kernel_poly(rng, nvars, kq)
+            want = naive_poly_product(p, q)
+            _assert_same_poly(p * q, want)
+            _assert_same_poly(q * p, want)
+            if "fraction" == kp == kq:
+                assert all(type(c) is Fraction for c in want.terms.values())
+                assert any(c.denominator > 1 for c in want.terms.values())
+
+
+@pytest.mark.parametrize("nvars", (2, 3, 4))
+def test_signed_product_sums_match_the_schoolbook_oracle(nvars):
+    rng = random.Random(910 + nvars)
+    minus = MultiPoly.constant(nvars, -1)
+    for kinds in (("fraction",) * 4, ("fraction", "zero", "fraction", "cyclo"),
+                  ("mixed", "fraction", "cyclo", "mixed")):
+        p, q, r, s = (_kernel_poly(rng, nvars, k) for k in kinds)
+        # sums that cancel to the empty dict, in whole and by pairs
+        assert _product_sum(nvars, [(1, p, q), (-1, q, p)]).terms == {}
+        assert _product_sum(nvars, [(1, p, p), (-1, p, p), (1, r, s), (-1, s, r)]).terms == {}
+        assert _product_sum(nvars, []).terms == {}
+        signed = [(1, p, q), (-1, r, s), (1, p, p), (-1, q, s)]
+        want = naive_poly_sum(
+            nvars,
+            [
+                naive_poly_product(a, b) if sign > 0
+                else naive_poly_product(minus, naive_poly_product(a, b))
+                for sign, a, b in signed
+            ],
+        )
+        assert _product_sum(nvars, signed) == want
+
+
+@pytest.mark.parametrize("nvars", (2, 3, 4))
+def test_wedge_matches_the_minor_oracle_on_every_coefficient_kind(nvars):
+    rng = random.Random(920 + nvars)
+    for kinds in (("fraction",) * 4, ("zero", "fraction"), ("cyclo", "mixed"),
+                  ("mixed", "fraction", "zero", "cyclo")):
+        forms = [
+            PForm1(nvars, [_kernel_poly(rng, nvars, kinds[(r + i) % len(kinds)])
+                           for i in range(nvars)])
+            for r in range(3)
+        ]
+        assert wedge(forms[0], forms[1]) == PForm2(nvars, wedge_minors(forms[:2]))
+        assert wedge(forms[0], forms[0]).is_zero
+        if nvars > 2:
+            want = PForm3(nvars, wedge_minors(forms))
+            assert wedge(wedge(forms[0], forms[1]), forms[2]) == want
+            assert wedge(forms[0], wedge(forms[1], forms[2])) == want
+
+
+FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
+
+
+def _forbid_fraction_arithmetic(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic on the integer product path")
+
+    for name in FRACTION_ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, forbidden)
+
+
+def test_fraction_wedges_stay_on_integers(monkeypatch):
+    rng = random.Random(931)
+    u, v = (PForm1(4, [_kernel_poly(rng, 4, "fraction") for _ in range(4)]) for _ in range(2))
+    P, Q = _kernel_poly(rng, 4, "fraction"), _kernel_poly(rng, 4, "fraction", max_deg=1)
+    integrable = PForm1(4, [Q * P.partial(i) - P * Q.partial(i) for i in range(4)])
+    want_uv = PForm2(4, wedge_minors([u, v]))
+    # omega ^ d(omega) = sum_i omega ^ d(a_i) ^ dx_i
+    want_int = {}
+    for omega in (u, integrable):
+        parts = [wedge_minors([omega, exterior_d(a), PForm1.basis(4, i)])
+                 for (i,), a in omega.coeffs.items()]
+        keys = {key for part in parts for key in part}
+        want_int[id(omega)] = PForm3(4, {
+            key: naive_poly_sum(4, [part[key] for part in parts if key in part])
+            for key in keys
+        })
+    seen = []
+
+    def guarded_wedge(a, b):
+        with monkeypatch.context() as m:
+            _forbid_fraction_arithmetic(m)
+            out = wedge(a, b)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(germlin.pforms, "wedge", guarded_wedge)
+    assert guarded_wedge(u, v) == want_uv
+    assert integrability_check(u) is False and seen[-1] == want_int[id(u)]
+    assert integrability_check(integrable) is True and seen[-1] == want_int[id(integrable)]
+    assert seen[-1].is_zero and not want_int[id(u)].is_zero

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "germlin"
+README = SRC.parent.parent / "README.md"
 
 
 def _defined_names(stmt):
@@ -68,3 +69,30 @@ def test_no_unused_private_module_names():
             ):
                 unused.append(f"{where} {name}")
     assert unused == [], "private names used nowhere but in their definition"
+
+
+def _limits_table_constants():
+    """The constant column of the README table headed | limit | value | constant |."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| limit | value | constant |")
+    constants = set()
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        constants.add(line.rstrip(" |").rsplit("|", 1)[1].strip().strip("`"))
+    return constants
+
+
+def test_every_limit_is_in_the_readme_table():
+    limits = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        limits += [
+            f"{path.stem}.{name}"
+            for stmt in tree.body
+            for name in _defined_names(stmt)
+            if name.startswith("MAX_")
+        ]
+    assert {"group_cert.MAX_ORDER", "pforms.MAX_FORM_DEGREE"} <= set(limits)
+    missing = sorted(set(limits) - _limits_table_constants())
+    assert missing == [], "MAX_* constants missing from the README limits table"
