@@ -20,6 +20,9 @@ Grammar (integer literals only; rationals are built by division)::
 
 ``pow(f, p/q)`` is the rational power of a series with constant term 1.
 Constraints are equations ``lhs = rhs`` (or ``==``).
+
+Every integer power ``b^e`` is checked against MAX_POWER_BITS before it is
+formed, in all three domains.
 """
 
 from __future__ import annotations
@@ -27,10 +30,13 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .cyclotomic import CycloElem
 from .jets import Jet, jet_mul_inverse, jet_rational_power
 
 __all__ = [
     "ExpressionError",
+    "MAX_POWER_BITS",
+    "check_power_bits",
     "parse_expression",
     "parse_constraint",
     "eval_scalar",
@@ -42,6 +48,30 @@ __all__ = [
 
 class ExpressionError(ValueError):
     """Raised for unparseable input or an operation invalid in the domain."""
+
+
+# the largest |e| * b for a power base^e, b the largest bit length of a
+# numerator or denominator among the base's coefficients: a one-coefficient
+# base then yields numerators and denominators of at most this many bits
+MAX_POWER_BITS = 16384
+
+
+def _height(c) -> int:
+    """The largest numerator or denominator of a scalar, in absolute value."""
+    if isinstance(c, CycloElem):
+        return max(c.den, *map(abs, c.num))
+    return max(abs(c.numerator), c.denominator)
+
+
+def check_power_bits(coefficients, e: int) -> None:
+    """ExpressionError if |e| times the largest bit length of a numerator or
+    denominator among the coefficients of a base is above MAX_POWER_BITS."""
+    bits = max(map(_height, coefficients), default=0).bit_length()
+    if abs(e) * bits > MAX_POWER_BITS:
+        raise ExpressionError(
+            f"power ^{e} of a base with {bits}-bit coefficients is above the "
+            f"limit of {MAX_POWER_BITS} bits"
+        )
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(.))")
@@ -205,7 +235,9 @@ def eval_scalar(node, env: dict):
             return a * b
         return a / b
     if op == "ipow":
-        return eval_scalar(node[1], env) ** node[2]
+        base = eval_scalar(node[1], env)
+        check_power_bits((base,), node[2])
+        return base ** node[2]
     if op == "rpow":
         raise ExpressionError("pow(..., p/q) is only defined for series")
     raise ExpressionError(f"bad AST node {op!r}")
@@ -249,6 +281,7 @@ def eval_series(node, env: dict, order: int) -> Jet:
     if op == "ipow":
         base = eval_series(node[1], env, order)
         e = node[2]
+        check_power_bits(base.coeffs, e)
         if e < 0:
             if base.constant_term.is_zero:
                 raise ExpressionError(

@@ -29,23 +29,39 @@ operand once as integer numerators over its lcm denominator, adds every
 product into one accumulator of ints over the lcm L of the operand
 denominator products, and builds one Fraction(v, L) per nonzero output term.
 Coefficients that are not all Fractions (CycloElems) take the same sum in
-their own arithmetic.
+their own arithmetic.  A power of a one-term polynomial is written down,
+(c x^a)^e = c^e x^(e a), without products.
+
+The checks that only ask whether a wedge vanishes (integrability and both
+first-integral checks) build part of it.  For a 1-form omega != 0 and a
+k-form v, ``_wedge_vanishes`` takes a pivot p with omega_p != 0 and builds
+only the components (omega ^ v)_K with p in K.  This is exact: omega ^ omega
+= 0 gives omega ^ (omega ^ v) = 0, and for p not in K its component at
+K + {p} is +-omega_p (omega ^ v)_K plus a signed sum of terms
+omega_j (omega ^ v)_(K + {p} - {j}), each at an index that contains p.  Once
+those vanish, omega_p (omega ^ v)_K = 0, and polynomials over Q(zeta_n) have
+no zero divisors, so (omega ^ v)_K = 0.  In four variables this builds 3 of
+the 6 components of the wedge of two 1-forms, and 3 of the 4 components of
+omega ^ d(omega).
 
 Forms parse from expression strings such as ``"y*dx - x*dy"`` over the
 variables x, y, z, w (or any given names), with ``d<name>`` the differential
 of a variable and ``*`` acting as the wedge on forms.  Every product and
-power an expression builds is checked against MAX_FORM_DEGREE first.
+power an expression builds is checked against MAX_FORM_DEGREE first, and
+every power also against ``expressions.MAX_POWER_BITS``, which bounds the
+powers of constants that the degree limit cannot see.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from operator import add
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .cyclotomic import CycloElem, _power, format_scalar
-from .expressions import ExpressionError, parse_expression
+from .expressions import ExpressionError, check_power_bits, parse_expression
 
 __all__ = [
     "MultiPoly",
@@ -217,6 +233,9 @@ class MultiPoly:
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
+        if len(self.terms) == 1:  # (c x^a)^e = c^e x^(e a)
+            ((exps, c),) = self.terms.items()
+            return MultiPoly._clean(self.nvars, {tuple(x * e for x in exps): c**e})
         return _power(self, e, MultiPoly.constant(self.nvars, 1))
 
     def __eq__(self, other):
@@ -514,11 +533,37 @@ def wedge(u: Form, v: Form) -> Form:
     )
 
 
+def _wedge_vanishes(omega: PForm1, v: Form) -> bool:
+    """True iff omega ^ v = 0 for a 1-form omega and a k-form v, decided from
+    the components of omega ^ v at the indices that contain one pivot p.
+
+    p is the index of the nonzero coefficient of omega with the fewest terms.
+    The component at K is sum_i (-1)^pos(i) omega_i v_(K - i) over the i in K,
+    pos(i) the place of i in K; each is built with one kernel call, and the
+    first nonzero one decides.
+    """
+    if not omega.coeffs:
+        return True
+    (p,), _ = min(omega.coeffs.items(), key=lambda item: len(item[1].terms))
+    n, get_a, get_b = omega.nvars, omega.coeffs.get, v.coeffs.get
+    for K in combinations(range(n), v.degree + 1):
+        if p not in K:
+            continue
+        products = []
+        for pos, i in enumerate(K):
+            a, b = get_a((i,)), get_b(K[:pos] + K[pos + 1 :])
+            if a is not None and b is not None:
+                products.append((-1 if pos & 1 else 1, a, b))
+        if _product_sum(n, products).terms:
+            return False
+    return True
+
+
 def integrability_check(omega: PForm1) -> bool:
     """True iff omega ^ d(omega) vanishes identically (always true in 2 vars)."""
     if omega.nvars == 2:
         return True
-    return wedge(omega, exterior_d(omega)).is_zero
+    return _wedge_vanishes(omega, exterior_d(omega))
 
 
 def radial_contraction(omega: PForm1) -> MultiPoly:
@@ -645,7 +690,7 @@ def first_integral_check(omega: PForm1, f: MultiPoly) -> bool:
     """True iff df ^ omega = 0 exactly."""
     if f.nvars != omega.nvars:
         raise ValueError("variable-count mismatch")
-    return wedge(exterior_d(f), omega).is_zero
+    return _wedge_vanishes(omega, exterior_d(f))
 
 
 def meromorphic_first_integral_check(
@@ -665,7 +710,7 @@ def meromorphic_first_integral_check(
             for i in range(n)
         ],
     )
-    return wedge(omega, num).is_zero
+    return _wedge_vanishes(omega, num)
 
 
 # -- expression input and canonical text output ----------------------------------------
@@ -743,6 +788,7 @@ def eval_form(node, env: dict, variables: Sequence[str]):
         if node[2] < 0:
             raise ExpressionError("polynomial powers must be nonnegative")
         check_form_degree(node[2] * total_degree(a))
+        check_power_bits(a.terms.values(), node[2])
         return a ** node[2]
     if op == "rpow":
         raise ExpressionError("pow(..., p/q) is only defined for series")

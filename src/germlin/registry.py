@@ -146,6 +146,14 @@ def default_parameter_sets(k: int) -> list[tuple]:
 
 
 def _kupka_family(k: int, params: tuple) -> tuple[PForm1, MultiPoly]:
+    """omega and Q of ex6.1, written term by term.  With (u, s, t) running
+    over (y, a, alpha), (z, b, beta) and (w, c, gamma):
+
+        omega = sum (t u^(k+1) - s x^2 u^(k-1)) dx + sum x u^(k-2) (s x^2 - t u^2) du,
+        Q     = x^(k+1) + sum (s x^2 u^(k-1) / (k-1) - t u^(k+1) / (k+1)).
+
+    No two terms of one coefficient share a monomial, so none cancels.
+    """
     if k < 2:
         raise RegistryError("ex6.1 needs k >= 2")
     if len(params) != 6:
@@ -153,39 +161,23 @@ def _kupka_family(k: int, params: tuple) -> tuple[PForm1, MultiPoly]:
     a, b, c, al, be, ga = (Fraction(v) for v in params)
     if any(v == 0 for v in (a, b, c, al, be, ga)):
         raise RegistryError("ex6.1 parameters must be nonzero")
-    n = 4
-    x = MultiPoly.variable(n, 0)
-    y = MultiPoly.variable(n, 1)
-    z = MultiPoly.variable(n, 2)
-    w = MultiPoly.variable(n, 3)
-    dx_coeff = (
-        -(x**2) * (y ** (k - 1) * a + z ** (k - 1) * b + w ** (k - 1) * c)
-        + y ** (k + 1) * al
-        + z ** (k + 1) * be
-        + w ** (k + 1) * ga
-    )
-    omega = PForm1(
-        n,
-        [
-            dx_coeff,
-            x * y ** (k - 2) * (x**2 * a - y**2 * al),
-            x * z ** (k - 2) * (x**2 * b - z**2 * be),
-            x * w ** (k - 2) * (x**2 * c - w**2 * ga),
-        ],
-    )
-    q = (
-        x**2
-        * (
-            y ** (k - 1) * Fraction(a, k - 1)
-            + z ** (k - 1) * Fraction(b, k - 1)
-            + w ** (k - 1) * Fraction(c, k - 1)
-        )
-        - y ** (k + 1) * Fraction(al, k + 1)
-        - z ** (k + 1) * Fraction(be, k + 1)
-        - w ** (k + 1) * Fraction(ga, k + 1)
-        + x ** (k + 1)
-    )
-    return omega, q
+
+    def mono(ex: int, u: int, eu: int) -> tuple:
+        """The exponents of x^ex * (variable u)^eu, u = 1, 2, 3."""
+        exps = [ex, 0, 0, 0]
+        exps[u] = eu
+        return tuple(exps)
+
+    dx: dict = {}
+    coeffs = [dx]
+    q = {(k + 1, 0, 0, 0): Fraction(1)}
+    for u, (s, t) in enumerate(((a, al), (b, be), (c, ga)), start=1):
+        dx[mono(2, u, k - 1)] = -s
+        dx[mono(0, u, k + 1)] = t
+        coeffs.append({mono(3, u, k - 2): s, mono(1, u, k): -t})
+        q[mono(2, u, k - 1)] = s / (k - 1)
+        q[mono(0, u, k + 1)] = -t / (k + 1)
+    return PForm1(4, [MultiPoly(4, terms) for terms in coeffs]), MultiPoly(4, q)
 
 
 def build_form_example(

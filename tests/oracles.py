@@ -13,13 +13,16 @@ every generator at every root instead of one evaluation per Galois orbit,
 pairwise jet equality instead of a table of keys for the classes of equal
 generators, and determinants of coefficient matrices, expanded with schoolbook
 polynomial products over the term dicts, instead of the integer product
-kernel of the wedge.
+kernel of the wedge and the pivot components of the form checks, and ex6.1
+built from its defining products and powers instead of its closed-form
+monomials.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from functools import reduce
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
@@ -28,7 +31,7 @@ from math import factorial
 from germlin.cyclotomic import CycloElem, cyclo_embed, format_scalar, zeta
 from germlin.expressions import eval_scalar, parse_constraint, series_from_string
 from germlin.jets import Jet, jet_mul_inverse
-from germlin.pforms import MultiPoly
+from germlin.pforms import MultiPoly, PForm1
 
 
 def naive_poly_compose(f: Jet, g: Jet) -> Jet:
@@ -295,3 +298,55 @@ def wedge_minors(forms) -> dict:
         if not total.is_zero:
             out[key] = total
     return out
+
+
+def kupka_family_by_products(k: int, params) -> tuple:
+    """(omega, Q, x^(k+1)) of the registry example ex6.1, built from its
+    defining formulas as schoolbook products and sums of polynomials, each
+    power a repeated product, instead of from its closed-form monomials."""
+    n = 4
+    a, b, c, al, be, ga = (Fraction(v) for v in params)
+    x, y, z, w = (MultiPoly.variable(n, i) for i in range(n))
+
+    def mul(*factors):
+        return reduce(naive_poly_product, factors, MultiPoly.constant(n, 1))
+
+    def pw(p, e):
+        return mul(*[p] * e)
+
+    def add(*terms):
+        return naive_poly_sum(n, terms)
+
+    def sc(coef, p):
+        return naive_poly_product(MultiPoly.constant(n, coef), p)
+
+    dx_coeff = add(
+        sc(-1, mul(pw(x, 2), add(sc(a, pw(y, k - 1)), sc(b, pw(z, k - 1)), sc(c, pw(w, k - 1))))),
+        sc(al, pw(y, k + 1)),
+        sc(be, pw(z, k + 1)),
+        sc(ga, pw(w, k + 1)),
+    )
+    omega = PForm1(
+        n,
+        [
+            dx_coeff,
+            mul(x, pw(y, k - 2), add(sc(a, pw(x, 2)), sc(-al, pw(y, 2)))),
+            mul(x, pw(z, k - 2), add(sc(b, pw(x, 2)), sc(-be, pw(z, 2)))),
+            mul(x, pw(w, k - 2), add(sc(c, pw(x, 2)), sc(-ga, pw(w, 2)))),
+        ],
+    )
+    q = add(
+        mul(
+            pw(x, 2),
+            add(
+                sc(Fraction(a, k - 1), pw(y, k - 1)),
+                sc(Fraction(b, k - 1), pw(z, k - 1)),
+                sc(Fraction(c, k - 1), pw(w, k - 1)),
+            ),
+        ),
+        sc(-Fraction(al, k + 1), pw(y, k + 1)),
+        sc(-Fraction(be, k + 1), pw(z, k + 1)),
+        sc(-Fraction(ga, k + 1), pw(w, k + 1)),
+        pw(x, k + 1),
+    )
+    return omega, q, pw(x, k + 1)

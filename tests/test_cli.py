@@ -364,6 +364,7 @@ def test_bad_order_is_one_message_for_examples_and_files(tmp_path, capsys, comma
 
 
 def test_limits_are_input_errors(tmp_path, capsys):
+    from germlin.expressions import MAX_POWER_BITS
     from germlin.germs import MAX_WORD_LETTERS
     from germlin.group_cert import MAX_CONDUCTOR, MAX_ORDER
     from germlin.pforms import MAX_FORM_DEGREE
@@ -405,10 +406,33 @@ def test_limits_are_input_errors(tmp_path, capsys):
         ("first-integral", {"form": "y*dx", "numerator": f"x^{top}", "denominator": "y^2"}, pair),
     ):
         fails(["forms", sub], spec, field)
+    # a power b^e needs |e| times the bit length of b's coefficients (2 for 3)
+    # within MAX_POWER_BITS, checked before it is formed, which the degree
+    # limit cannot see for a constant; the same holds in group files
+    at, above = MAX_POWER_BITS // 2, MAX_POWER_BITS // 2 + 1
+    for e in (above, 30000000):
+        fails(["forms", "integrable"], {"form": f"3^{e}*dx + y*dy"}, '"form"')
+        fails(["forms", "integrable"], {"form": f"(3*x)^{e}*dx"}, '"form"')
+        fails(["forms", "integrable"], {"form": f"(-3)^{e}*dx + y*dy"}, '"form"')
+        fails(["certify"], {"generators": [f"z/3^{e}", "z"]}, "generator 1")
+        fails(
+            ["certify"],
+            {"field": {"conductor": 4, "constraints": [f"a^4 = 3^{e}/3^{e}"]},
+             "generators": ["z", "z"]},
+            "power",
+        )
+    fails(["forms", "integrable"], {"form": f"(3^{at}*x)^2*dx"}, '"form"')
+    group_at = {"order": 4, "generators": [f"z/3^{at}", "z/(1 - z)"],
+                "field": {"conductor": 4, "constraints": [f"a^4 = 3^{at}/3^{at}"]}}
+    path = tmp_path / "at.json"
+    path.write_text(json.dumps(group_at))
+    code, out, err = run(capsys, "certify", "--max-word-len", "1", str(path))
+    assert code in (0, 1) and err == "", err
     for spec in (
         {"form": f"(x + y + z + 1)^{top}*dx"},
         {"form": f"x^{top - 1}*(y + 1)*dx"},
         {"form": "y*dx", "numerator": f"x^{top}", "denominator": "y"},
+        {"form": f"3^{at}*dx + y*dy"},
     ):
         path = tmp_path / "ok.json"
         path.write_text(json.dumps(spec))

@@ -85,6 +85,8 @@ def test_arithmetic_results_are_what_the_checking_constructor_builds():
                 q * zeta(3), p.partial(i), q.substitute(i, rng.randint(-2, 2)),
                 p.homogeneous_part(rng.randint(0, 6)),
                 (p * MultiPoly.variable(nvars, i) ** 2).shift_down(i, 2),
+                MultiPoly.monomial(nvars, (1,) * nvars, rng.choice((Fraction(-7, 3), zeta(6) - 2)))
+                ** rng.randint(0, 4),
             ]
             results += blowup_chart_pullback(PForm1(nvars, [p] * nvars), i)[1].coeffs.values()
             for r in results:
@@ -460,6 +462,43 @@ def test_wedge_matches_the_minor_oracle_on_every_coefficient_kind(nvars):
             assert wedge(forms[0], wedge(forms[1], forms[2])) == want
 
 
+@pytest.mark.parametrize("nvars", (2, 3, 4))
+def test_pivot_components_decide_the_wedge(nvars):
+    # omega ^ v vanishes iff its components at the indices holding the pivot do
+    vanishes = germlin.pforms._wedge_vanishes
+    rng = random.Random(940 + nvars)
+    lam = _kernel_poly(rng, nvars, "mixed", terms=2, max_deg=1)
+    for kinds in (("fraction",), ("cyclo",), ("mixed", "fraction"), ("zero",),
+                  ("fraction", "zero"), ("cyclo", "zero", "zero"), ("zero", "mixed", "cyclo")):
+        omega, u, t = (
+            PForm1(nvars, [_kernel_poly(rng, nvars, kinds[(r + i) % len(kinds)])
+                           for i in range(nvars)])
+            for r in range(3)
+        )
+        # u and t cut down to omega's support, where every component of
+        # omega ^ u at an index outside it vanishes but others need not
+        u_on, t_on = (PForm1(nvars, {key: c for key, c in f.coeffs.items() if key in omega.coeffs})
+                      for f in (u, t))
+        # 1-forms, against the 2x2 minors: v = u, v = lambda omega, v = omega
+        for v in (u, u_on, omega.scale(lam), omega):
+            want = not wedge_minors([omega, v])
+            assert vanishes(omega, v) is want is wedge(omega, v).is_zero
+        # 2-forms: u ^ t against the 3x3 minors, (lambda omega) ^ u, d(omega)
+        # and a random 2-form
+        for a, b in ((u, t), (u_on, t_on)):
+            ab = wedge(a, b)
+            want = not wedge_minors([omega, a, b])
+            assert vanishes(omega, ab) is want is wedge(omega, ab).is_zero
+        assert vanishes(omega, wedge(omega.scale(lam), u))
+        for v in (exterior_d(omega), _random_kform(rng, nvars, 2)):
+            assert vanishes(omega, v) is wedge(omega, v).is_zero
+        assert vanishes(omega, PForm2.zero(nvars)) and vanishes(PForm1.zero(nvars), u)
+    # an integrable omega = Q dP - P dQ, where every pivot component is built
+    P, Q = _kernel_poly(rng, nvars, "fraction"), _kernel_poly(rng, nvars, "mixed", max_deg=1)
+    omega = PForm1(nvars, [Q * P.partial(i) - P * Q.partial(i) for i in range(nvars)])
+    assert vanishes(omega, exterior_d(omega)) and wedge(omega, exterior_d(omega)).is_zero
+
+
 FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
 
 
@@ -487,17 +526,23 @@ def test_fraction_wedges_stay_on_integers(monkeypatch):
             key: naive_poly_sum(4, [part[key] for part in parts if key in part])
             for key in keys
         })
-    seen = []
+    vanishes, verdicts = germlin.pforms._wedge_vanishes, []
 
-    def guarded_wedge(a, b):
+    def banned(fn, *args):
         with monkeypatch.context() as m:
             _forbid_fraction_arithmetic(m)
-            out = wedge(a, b)
-        seen.append(out)
-        return out
+            return fn(*args)
 
-    monkeypatch.setattr(germlin.pforms, "wedge", guarded_wedge)
-    assert guarded_wedge(u, v) == want_uv
-    assert integrability_check(u) is False and seen[-1] == want_int[id(u)]
-    assert integrability_check(integrable) is True and seen[-1] == want_int[id(integrable)]
-    assert seen[-1].is_zero and not want_int[id(u)].is_zero
+    def guarded_vanishes(omega, v):
+        verdicts.append(banned(vanishes, omega, v))
+        return verdicts[-1]
+
+    assert banned(wedge, u, v) == want_uv
+    for omega in (u, integrable):
+        assert banned(wedge, omega, exterior_d(omega)) == want_int[id(omega)]
+    # the checks decide the wedge from its pivot components, on integers too
+    monkeypatch.setattr(germlin.pforms, "_wedge_vanishes", guarded_vanishes)
+    assert integrability_check(u) is False
+    assert integrability_check(integrable) is True
+    assert verdicts == [False, True]
+    assert want_int[id(integrable)].is_zero and not want_int[id(u)].is_zero

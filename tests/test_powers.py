@@ -61,10 +61,19 @@ def test_polynomial_powers_are_repeated_products():
     x = MultiPoly.monomial(3, (1, 0, 0), 1)
     p = x * 2 + MultiPoly.monomial(3, (0, 1, 1), Fraction(-1, 3)) + 1
     one = MultiPoly.constant(3, 1)
-    for e in EXPONENTS:
-        assert p ** e == _fold(MultiPoly.__mul__, p, e, one)
-    with pytest.raises(ValueError):
-        p ** -1
+    # one-term bases take their power in closed form, c^e x^(e a)
+    one_term = [
+        x,
+        MultiPoly.constant(3, Fraction(-3, 2)),
+        MultiPoly.monomial(3, (2, 0, 3), Fraction(5, -4)),
+        MultiPoly.monomial(3, (0, 1, 1), zeta(6) * Fraction(2, 3) - 1),
+    ]
+    for base in [p] + one_term:
+        for e in EXPONENTS:
+            got, want = base ** e, _fold(MultiPoly.__mul__, base, e, one)
+            assert got == want and got.terms == want.terms
+        with pytest.raises(ValueError):
+            base ** -1
 
 
 @pytest.mark.parametrize("conductor", [1, 6])

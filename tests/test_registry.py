@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from germlin.group_cert import check_product_identity
@@ -10,6 +12,8 @@ from germlin.registry import (
     build_group_example,
     default_parameter_sets,
 )
+
+from oracles import kupka_family_by_products
 
 
 def test_every_group_example_constructs():
@@ -54,3 +58,22 @@ def test_default_parameter_sets_put_reference_point_on_singular_locus():
         for params in default_parameter_sets(k):
             ex = build_form_example("ex6.1", k=k, params=params)
             assert kupka_test(ex.omega, (0, 1, -1, 0)), (k, params)
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_ex61_closed_form_matches_its_products(k):
+    # written from its monomials, ex6.1 must equal the product-built example
+    # term for term, Fraction for Fraction
+    odd = [(Fraction(1, 2), -3, Fraction(-5, 7), 2, Fraction(1, 3), -1),
+           (-1, Fraction(2, 9), 4, Fraction(-3, 4), -6, Fraction(7, 5))]
+    for params in default_parameter_sets(k) + odd:
+        ex = build_form_example("ex6.1", k=k, params=params)
+        omega, q, denominator = kupka_family_by_products(k, params)
+        got = [ex.mero_numerator, ex.mero_denominator] + [
+            ex.omega.coefficient((i,)) for i in range(4)
+        ]
+        want = [q, denominator] + [omega.coefficient((i,)) for i in range(4)]
+        for g, w in zip(got, want):
+            assert g.terms == w.terms
+            assert all(type(c) is Fraction for c in g.terms.values())
+        assert set(ex.omega.coeffs) == set(omega.coeffs) == {(0,), (1,), (2,), (3,)}
