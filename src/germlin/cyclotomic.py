@@ -14,12 +14,10 @@ product of its other conjugates sigma_u(x), u != 1, divided by the rational
 norm x * prod sigma_u(x); no linear system is solved.
 
 One helper forms the unreduced integer product of two coordinate vectors (of
-length 2 phi(n) - 1); a single product reduces and normalizes it at once.
-Sums of products add such unreduced products over a running common
-denominator and reduce and normalize once per sum: the gathers of the
-reciprocal of a jet and of the linearizer here, in one accumulator, and the
-jet products, compositions and compositional inverses in the scatter kernel
-``jets._weighted_sum``.
+length 2 phi(n) - 1), which a single product reduces and normalizes at once.
+Sums of products (every jet product, composition and triangular solve) do
+not come here: the jet kernel ``jets._weighted_sum`` adds unreduced products
+over a running common denominator and reduces and normalizes once per sum.
 
 Rationals are plain ``fractions.Fraction`` values; ``Rational`` is an alias.
 Mixed arithmetic coerces ints and Fractions into the cyclotomic operand's
@@ -209,49 +207,16 @@ def _element(n: int, num: tuple, den: int) -> "CycloElem":
     return el
 
 
-def _add_product(acc: list[int], an, bn, scale: int = 1) -> list[int]:
-    """Add scale * (the unreduced integer product of the coordinate vectors
-    an and bn), the coefficients of sum_{i,j} a_i b_j zeta^(i+j), into acc of
-    length 2 phi(n) - 1, and return acc."""
+def _add_product(acc: list[int], an, bn) -> list[int]:
+    """Add the unreduced integer product of the coordinate vectors an and bn,
+    the coefficients of sum_{i,j} a_i b_j zeta^(i+j), into acc of length
+    2 phi(n) - 1, and return acc."""
     for i, ai in enumerate(an):
         if ai:
-            if scale != 1:
-                ai *= scale
             for j, bj in enumerate(bn, i):
                 if bj:
                     acc[j] += ai * bj
     return acc
-
-
-def _sum_of_products(n: int, pairs: list) -> "CycloElem":
-    """sum a * b over the pairs (a, b) of elements of Q(zeta_n): the gather
-    of the triangular solves of jet_mul_inverse and the linearizer, one list
-    of pairs per coefficient.
-
-    The unreduced products accumulate over a running common denominator (one
-    gcd per term whose denominator differs from it), and the sum is reduced
-    modulo Phi_n and normalized once.  An empty or cancelling sum is zero with
-    denominator 1.  Jet products, compositions and compositional inverses do
-    not come here: the scatter ``jets._weighted_sum`` adds each product into
-    its output degree's own accumulator by the same rule.
-    """
-    phi_n = euler_phi(n)
-    if not pairs:
-        return _normalize(n, [0] * phi_n, 1)
-    acc = [0] * (2 * phi_n - 1)
-    den = 1
-    for a, b in pairs:
-        d = a.den * b.den
-        if d == den:
-            _add_product(acc, a.num, b.num)
-            continue
-        g = gcd(den, d)
-        if g != d:  # d does not divide den: scale up to the lcm
-            up = d // g
-            acc = [c * up for c in acc]
-            den *= up
-        _add_product(acc, a.num, b.num, den // d)
-    return _normalize(n, _reduce_product(n, acc), den)
 
 
 def _reduce_product(n: int, prod: list[int]) -> list[int]:
@@ -635,15 +600,19 @@ def _format_fraction(q: Fraction) -> str:
 def format_scalar(x) -> str:
     """Canonical string form: ``p/q`` for rational values (including
     rational-valued field elements), ``cyclo(n)[...]`` otherwise."""
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
-        return _format_fraction(x)
-    if isinstance(x, CycloElem):
-        if x.is_rational:
-            return _format_fraction(x.to_fraction())
-        inner = ",".join(_format_fraction(c) for c in x.coeffs)
-        return f"cyclo({x.n})[{inner}]"
+    try:
+        if isinstance(x, int):
+            return str(x)
+        if isinstance(x, Fraction):
+            return _format_fraction(x)
+        if isinstance(x, CycloElem):
+            if x.is_rational:
+                return _format_fraction(x.to_fraction())
+            inner = ",".join(_format_fraction(c) for c in x.coeffs)
+            return f"cyclo({x.n})[{inner}]"
+    except ValueError:  # the interpreter's digit limit, kept: the conversion is quadratic
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"a number to print has more than {limit} decimal digits") from None
     raise TypeError(f"not a scalar: {x!r}")
 
 

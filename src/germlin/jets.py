@@ -24,21 +24,20 @@ a_i at shift i; the composition f(g) weighs the rows of a table of truncated
 powers of g by f_e, each power built from the row of the one before;
 (1 + u)^r weighs the powers of u by the binomial coefficients C(r, e).
 Integer powers square through the product.  Callers that stay in the row
-format (the conjugator search, word evaluation) pass rows from one
-composition to the next; field elements are built only where a result
-leaves as a Jet (:func:`_row_coeffs`).
+format (the conjugator search, word evaluation, the linearizer's scan) pass
+rows from one composition to the next; field elements are built only where
+a result leaves as a Jet (:func:`_row_coeffs`).
 
 The kernel scatters: each product of a weight with a row entry is added, as
 an unreduced integer product of coordinate vectors, in place into the one
 accumulator of its output degree, over that degree's running common
 denominator, and a row is read no further than degree N.  No product is
-formed as a field element.  The triangular solve of the compositional
-inverse (RightComposer.inverse) gathers each coefficient through the same
-kernel, with the entries of one column of the power table as one-entry
-rows.  The reciprocal (jet_mul_inverse) gathers one list of pairs per
-coefficient, summed by ``cyclotomic._sum_of_products`` with the same
-in-place integer accumulation.  Either way each coefficient is reduced
-modulo Phi_n and normalized once, not once per product.
+formed as a field element.  Triangular solves gather through the same
+kernel, one coefficient per call at degree 0 over one-entry rows: the
+compositional inverse (RightComposer.inverse) over the entries of one column
+of the power table, the reciprocal (jet_mul_inverse) over the entries of
+-f/f_0.  Either way each coefficient is reduced modulo Phi_n and normalized
+once, not once per product.
 
 The textual form is ``jet(N=4)[0, 1, 1, 0, 0]``, meaning z + z^2 at order 4.
 """
@@ -54,7 +53,6 @@ from .cyclotomic import (
     _element,
     _power,
     _reduce_product,
-    _sum_of_products,
     cyclo_embed,
     euler_phi,
     format_scalar,
@@ -471,18 +469,24 @@ def jet_comp_inverse(f: Jet) -> Jet:
 
 
 def jet_mul_inverse(f: Jet) -> Jet:
-    """The reciprocal series g with f*g = 1 to order N (nonzero constant term)."""
+    """The reciprocal series g with f*g = 1 to order N (nonzero constant term).
+
+    g_0 = 1/f_0, and g_m = sum_k g_(m-k) (-f_k/f_0) over k = 1 .. m: each g_m
+    is gathered by the kernel from the entries of the row of -f/f_0, each as
+    a one-entry row at degree 0, weighted by the g_j found before it."""
     N, n = f.order, f.conductor
     a0 = f.coeffs[0]
     if a0.is_zero:
         raise ValueError("reciprocal needs a nonzero constant term")
     inv0 = _one(n) / a0
-    b = [inv0] + [_zero(n)] * N
-    nonzero = [(k, c) for k, c in enumerate(f.coeffs) if k and not c.is_zero]
+    scaled = _weighted_sum([(_entry(-inv0), 0, _sparse_row(f.coeffs))], N, n)  # -f/f_0
+    cells = [(k, ((0, coords, den),)) for k, coords, den in scaled[1:]]
+    weights = [_entry(inv0)] + [None] * N  # the nonzero g_j as weights
     for m in range(1, N + 1):
-        pairs = [(c, b[m - k]) for k, c in nonzero if k <= m and not b[m - k].is_zero]
-        b[m] = -_sum_of_products(n, pairs) * inv0
-    return Jet(b, order=N, conductor=n)
+        terms = [(weights[m - k], 0, cell) for k, cell in cells if k <= m and weights[m - k]]
+        for _, coords, den in _weighted_sum(terms, 0, n):  # none if the sum is 0
+            weights[m] = coords, den
+    return Jet([_entry_elem(n, *w) if w else _zero(n) for w in weights], order=N, conductor=n)
 
 
 def jet_derivative(f: Jet) -> Jet:

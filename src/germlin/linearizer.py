@@ -15,13 +15,14 @@ The branch condition is mu^k = 1 exactly (the hypothesis the additive
 morphism needs), recorded per step so coarser divisibility conditions can be
 audited.
 
-The scan never reads the accumulated conjugator, so it only records each
-conjugated step (k, c_k).  When the scan returns, on the linearized and on the
-obstruction path, H = h_K o ... o h_1 is built once: starting from z, right
-composition by each h_k, newest first.  Right composition by h_k needs no jet
-product, because the powers of h_k are binomials,
-h_k^e = sum_i C(e,i) c_k^i z^(e + ik).  Composition of jets with zero constant
-term is exactly associative, so H equals the jet that accumulating
+The scan carries the generators as rows of the kernel ``jets._weighted_sum``
+and never reads the accumulated conjugator, so it only records each
+conjugated step (k, c_k).  When it returns, on the linearized and on the
+obstruction path, H = h_K o ... o h_1 is built once: from z, right
+composition by each h_k, newest first.  The powers of h_k are binomials,
+h_k^e = sum_i C(e,i) c_k^i z^(e + ik), so with each C(e,i) c_k^i as a
+one-entry row, x o h_k is one kernel call.  Composition of jets with zero
+constant term is exactly associative, so H equals the jet that accumulating
 H <- h_k o H would give.  A "linearized" outcome means conjugation by H maps
 every generator to mu*z.
 
@@ -37,22 +38,26 @@ identity).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from math import comb
 from typing import Callable, Optional, Sequence
 
 from .affine import AffineMap
-from .cyclotomic import (
-    CycloElem,
-    _sum_of_products,
-    cyclo_embed,
-    format_scalar,
-    root_of_unity_order,
-)
+from .cyclotomic import CycloElem, cyclo_embed, format_scalar, root_of_unity_order
 from .germs import Germ
 from .group_cert import GroupPresentation
-from .jets import Jet, _power_sum, _zero
+from .jets import (
+    Jet,
+    _entry,
+    _entry_elem,
+    _power_rows,
+    _row_coeffs,
+    _sparse_row,
+    _weighted_sum,
+    _zero,
+)
 
 __all__ = [
     "StepRecord",
@@ -76,6 +81,8 @@ OUTCOME_LINEARIZED = "linearized"
 OUTCOME_OBSTRUCTION = "obstruction"
 OUTCOME_FLAT_TRIVIAL = "flat_trivial"
 OUTCOME_FLAT_INCONSISTENT = "flat_inconsistent"
+
+_ONE = ((0, 1),), 1  # the weight 1 in the kernel's terms
 
 
 def _require_linear_below(f: Germ, k: int, what: str):
@@ -196,61 +203,75 @@ def linearize_step(
     return Germ(_elementary(k, c, gens[0].order, gens[0].conductor)), record
 
 
-def _binomials(k: int, c: CycloElem, N: int) -> Callable[[int, int], CycloElem]:
-    """term(j, i) = C(j,i) c^i, the coefficient of z^(j+ik) in h^j for the
-    step conjugator h = z + c z^(k+1); each term is computed on first use."""
+def _binomials(k: int, c: CycloElem, N: int) -> Callable[[int, int], tuple]:
+    """cell(j, i): C(j,i) c^i, the coefficient of z^(j+ik) in h^j for the
+    step conjugator h = z + c z^(k+1), as a one-entry row at degree 0 (not
+    reduced: the kernel normalizes its sums); each is built on first use."""
     cpow = [cyclo_embed(1, c.n)]
     for _ in range(N // (k + 1)):  # i <= j and j + ik <= N give i <= N/(k+1)
         cpow.append(cpow[-1] * c)
-    return cache(lambda j, i: cpow[i] * comb(j, i))
+    cpow = [_entry(x) for x in cpow]
+
+    def cell(j: int, i: int) -> tuple:
+        (coords, den), b = cpow[i], comb(j, i)
+        return ((0, tuple((x, y * b) for x, y in coords), den),)
+
+    return cache(cell)
 
 
-def _right_compose_elementary(x: list, k: int, term: Callable) -> list:
-    """x o h for the step conjugator h = z + c z^(k+1), ``term`` from
-    :func:`_binomials`: sum_e x_e sum_i C(e,i) c^i z^(e+ik)."""
-    N, n = len(x) - 1, x[0].n
-    terms = [[] for _ in x]
-    for e, xe in enumerate(x):
-        if xe.is_zero:
-            continue
-        for i in range(1, min(e, (N - e) // k) + 1):
-            terms[e + i * k].append((xe, term(e, i)))
-    return [xt + _sum_of_products(n, pairs) if pairs else xt for xt, pairs in zip(x, terms)]
+def _compose_elementary(a: tuple, k: int, cell, N: int, n: int, solve=False) -> tuple:
+    """The row of a o h, or with ``solve`` the row of the y with y o h = a,
+    for a row a to degree N, the step conjugator h = z + c z^(k+1) and its
+    ``cell`` from :func:`_binomials`.
+
+    y o h = sum_j y_j h^j = y + sum_j sum_(i>=1) C(j,i) c^i y_j z^(j+ik), so
+    a o h is one kernel call over a and the cells weighted by the a_j.  In
+    the solve y_m = a_m - (the terms of the y_j, j <= m - k), so each block
+    lo .. lo + k - 1 of y is one kernel call over that block of a and the
+    cells weighted by the -y_j found before it.
+    """
+    if not solve:
+        terms = [(_ONE, 0, a)]
+        for j, c, d in a:
+            terms += [((c, d), j + i * k, cell(j, i)) for i in range(1, min(j, (N - j) // k) + 1)]
+        return _weighted_sum(terms, N, n)
+    y, minus = [], []  # minus: the (j, -y_j as a weight) found so far
+    for lo in range(0, N + 1, k):
+        hi = min(lo + k, N + 1)
+        terms = [(_ONE, 0, a[bisect_left(a, (lo,)) : bisect_left(a, (hi,))])]
+        for j, w in minus:
+            i = (lo - j + k - 1) // k  # the one i >= 1 with lo <= j + ik < lo + k
+            if i <= j and j + i * k < hi:
+                terms.append((w, j + i * k, cell(j, i)))
+        block = _weighted_sum(terms, hi - 1, n) if len(terms) > 1 else terms[0][2]
+        y += block
+        minus += [(j, (tuple((x, -b) for x, b in c), d)) for j, c, d in block]
+    return tuple(y)
 
 
-def _conjugate_by_elementary(g: Jet, k: int, coef: list, term: Callable) -> Jet:
-    """h o g o h^{-1} for the step conjugator h = z + c z^(k+1), where g is
-    mu*z through order k.
+def _conjugate_by_elementary(g: tuple, k: int, coef: list, cell, N: int, n: int) -> tuple:
+    """The row of h o g o h^{-1} for the step conjugator h = z + c z^(k+1),
+    where g is the row (to degree N) of a series that is mu*z through order k.
 
     A = h o g = g + c g^(k+1) needs no dense power of g: with v = g/z - mu of
     valuation >= k, g^(k+1) = z^(k+1) sum_i C(k+1,i) mu^(k+1-i) v^i, and only
     the terms with ik <= N-k-1, so i <= min(k+1, (N-k-1)/k), survive
-    truncation (none with i >= 1 once k > (N-1)/2).  ``coef`` holds
-    c C(k+1,i) mu^(k+1-i) for those i.  Then, without forming h^{-1},
-    x o h = A is solved coefficient by coefficient: over the terms
-    C(j,i) c^i of the powers of h (shared with the right composition that
-    builds H) the system is triangular with unit diagonal.
+    truncation (none with i >= 1 once k > (N-1)/2).  ``coef`` holds the
+    weights c C(k+1,i) mu^(k+1-i) for those i, so A is one kernel call over g
+    and the rows of the powers of v.  Then y o h = A is solved for y by
+    :func:`_compose_elementary`, without forming h^{-1}.
     """
-    N, n = g.order, g.conductor
     M = N - k - 1  # g^(k+1)/z^(k+1) is needed through degree M
-    v = [_zero(n)] + list(g.coeffs[2 : M + 2])
-    tail = _power_sum(coef, v, M, n)
-    A = list(g.coeffs)
-    for d, s in enumerate(tail):
-        if not s.is_zero:
-            A[k + 1 + d] = A[k + 1 + d] + s
-    x = [_zero(n)] * (N + 1)
-    x[0] = A[0]
-    for m in range(1, N + 1):
-        pairs = []
-        j, i = m - k, 1
-        while j >= i:  # C(j,i) = 0 once i > j
-            if not x[j].is_zero:
-                pairs.append((x[j], term(j, i)))
-            j -= k
-            i += 1
-        x[m] = A[m] - _sum_of_products(n, pairs) if pairs else A[m]
-    return Jet(x, order=N, conductor=n)
+    v = tuple((t - 1, coords, den) for t, coords, den in g if 2 <= t <= M + 1)
+    powers = _power_rows(v, len(coef) - 1, M, n)
+    terms = [(_ONE, 0, g)] + [(w, k + 1, powers[i]) for i, w in enumerate(coef)]
+    return _compose_elementary(_weighted_sum(terms, N, n), k, cell, N, n, solve=True)
+
+
+def _coefficient(row: tuple, t: int, n: int) -> CycloElem:
+    """The coefficient of z^t in a row over Q(zeta_n)."""
+    i = bisect_left(row, (t,))
+    return _entry_elem(n, *row[i][1:]) if i < len(row) and row[i][0] == t else _zero(n)
 
 
 def linearize(pres: GroupPresentation) -> LinearizationResult:
@@ -273,35 +294,36 @@ def _scan(pres: GroupPresentation, mu: CycloElem) -> LinearizationResult:
     """The loop over k = 1 .. N-1: outcome linearized or obstruction.
 
     Conjugation keeps equal generators equal and unequal ones unequal, so
-    one jet per class of ``pres.classes`` is carried and conjugated.
+    one row per class of ``pres.classes`` is carried and conjugated.
     """
-    order = pres.order
+    order, n = pres.order, pres.conductor
     classes = pres.classes
-    current: dict[int, Jet] = {rep: pres.gens[rep].jet for rep in classes}  # by class
+    current = {rep: _sparse_row(pres.gens[rep].jet.coeffs) for rep in classes}  # by class
     steps: list[StepRecord] = []
-    recorded: list[tuple[int, Callable]] = []  # (k, binomial terms) per conjugated step
+    recorded: list[tuple[int, Callable]] = []  # (k, binomial cells) per conjugated step
     mu_pow = [cyclo_embed(1, mu.n), mu]  # mu^0 .. mu^(k+1), extended as k grows
     outcome = OUTCOME_LINEARIZED
     for k in range(1, order):
         mu_pow.append(mu_pow[-1] * mu)
-        t = tuple(current[rep].coeffs[k + 1] for rep in classes)
+        t = tuple(_coefficient(current[rep], k + 1, n) for rep in classes)
         c, record = _step(k, t, mu, mu_pow[k])
         steps.append(record)
         if record.action == ACTION_OBSTRUCTION:
             outcome = OUTCOME_OBSTRUCTION
             break
         if c is not None:
-            term = _binomials(k, c, order)
-            recorded.append((k, term))
+            cell = _binomials(k, c, order)
+            recorded.append((k, cell))
             top = min(k + 1, (order - k - 1) // k)
-            coef = [c * comb(k + 1, i) * mu_pow[k + 1 - i] for i in range(top + 1)]
+            coef = [_entry(c * comb(k + 1, i) * mu_pow[k + 1 - i]) for i in range(top + 1)]
             current = {
-                rep: _conjugate_by_elementary(jet, k, coef, term) for rep, jet in current.items()
+                rep: _conjugate_by_elementary(row, k, coef, cell, order, n)
+                for rep, row in current.items()
             }
-    H = list(Jet.identity(order, pres.conductor).coeffs)
-    for k, term in reversed(recorded):
-        H = _right_compose_elementary(H, k, term)
-    H = Germ(Jet(H, order=order, conductor=pres.conductor))
+    H = ((1, *_ONE),)  # the row of z
+    for k, cell in reversed(recorded):
+        H = _compose_elementary(H, k, cell, order, n)
+    H = Germ(Jet(_row_coeffs(H, order, n), order=order, conductor=n))
     return LinearizationResult(outcome, mu, steps, H)
 
 

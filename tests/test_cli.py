@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -528,3 +529,29 @@ def test_help_still_prints_usage_and_exits_zero(capsys, argv):
     out = capsys.readouterr()
     assert exc.value.code == 0 and out.err == ""
     assert out.out.startswith("usage: germlin")
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="the interpreter does not limit int-to-string conversion",
+)
+@pytest.mark.parametrize(
+    "argv, spec",
+    [
+        (["forms", "cone"], {"form": "3^8192*3^8192*dx + y*dy"}),
+        (["certify", "--order", "4", "--max-word-len", "1"],
+         {"generators": ["3^8000*3^8000*z", "z"]}),
+    ],
+)
+def test_numbers_past_the_digit_limit_are_one_line_input_errors(tmp_path, capsys, argv, spec):
+    # each power is within MAX_POWER_BITS, but their product prints to more
+    # decimal digits than the interpreter converts; the message is germlin's
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, *argv, str(path))
+    limit = sys.get_int_max_str_digits()
+    assert code == 2 and out == ""
+    assert err == f"germlin: error: a number to print has more than {limit} decimal digits\n"
+    if argv[0] == "forms":  # the verdict alone prints no coefficient
+        code, out, err = run(capsys, "forms", "integrable", str(path))
+        assert code == 0 and err == "" and json.loads(out)["integrable"] is True

@@ -22,7 +22,8 @@ from germlin.cyclotomic import (
     solve_root_orbits,
     zeta,
 )
-from germlin.cyclotomic import _monomials, _sum_of_products
+from germlin.cyclotomic import _monomials
+from germlin.jets import _entry, _row_coeffs, _sparse_row, _weighted_sum
 
 from oracles import naive_root_scan
 
@@ -318,7 +319,14 @@ def test_solve_root_orbits_names_each_root_an_image(m):
         assert all(u2 * d % m != k for u2 in range(1, u) if gcd(u2, m) == 1)
 
 
-# -- the one accumulator of unreduced products -------------------------------------
+# -- the jet kernel as a gather: one output degree, one-entry rows ------------------
+
+
+def _gather(n, pairs):
+    """sum a * b over the pairs (a, b) of elements of Q(zeta_n), through the
+    jet kernel at degree 0: each b as a one-entry row weighted by a."""
+    row = _weighted_sum([(_entry(a), 0, _sparse_row([b])) for a, b in pairs], 0, n)
+    return _row_coeffs(row, 0, n)[0]
 
 
 @st.composite
@@ -341,12 +349,12 @@ def _product_sums(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(_product_sums())
-def test_accumulator_is_the_sum_of_products(case):
+def test_kernel_gather_sums_the_products(case):
     n, pairs = case
     expected = cyclo_embed(0, n)
     for a, b in pairs:
         expected = expected + a * b
-    got = _sum_of_products(n, pairs)
+    got = _gather(n, pairs)
     assert got.n == n
     assert (got.num, got.den) == (expected.num, expected.den)  # both normalized
     if expected.is_zero:
@@ -361,6 +369,6 @@ def test_accumulator_scales_to_the_lcm_of_denominators():
     z = CycloElem(9, [Fraction(1, 9), 0, 0, 2, 0, Fraction(-7, 9)])
     zero = cyclo_embed(0, 9)
     pairs = [(x, x), (y, x), (z, y), (zero, z), (z, z), (-z, z)]
-    assert _sum_of_products(9, pairs) == x * x + y * x + z * y
-    assert _sum_of_products(9, [(x, y), (-x, y)]) == zero
-    assert _sum_of_products(9, []).den == 1 and _sum_of_products(9, []) == zero
+    assert _gather(9, pairs) == x * x + y * x + z * y
+    assert _gather(9, [(x, y), (-x, y)]) == zero
+    assert _gather(9, []).den == 1 and _gather(9, []) == zero

@@ -403,6 +403,34 @@ def test_orbit_loader_equals_per_root_evaluation(monkeypatch, example, order):
     assert _assert_equals_per_root_evaluation(specs[0], order)
 
 
+# ex4.1's generators with 7 in place of 6, at conductor 105: the first
+# cyclotomic polynomial with a coefficient -2, so the loader's sigma_u and
+# the row kernel reduce through Phi_105 itself
+CONDUCTOR_105_SPEC = {
+    "field": {"conductor": 105, "constraints": ["a^7 = 1"]},
+    "generators": ["z/a", "z/a", "z/(a + z)", "z/(a - a^6*z)"],
+}
+
+
+@pytest.mark.parametrize("order", [4, 8])
+def test_conductor_105_presentation_certifies_with_checked_witnesses(order):
+    # seven roots in two Galois orbits, 1 and the primitive 7th roots
+    assert _assert_equals_per_root_evaluation(CONDUCTOR_105_SPEC, order)
+    loaded = load_presentation_text(json.dumps(CONDUCTOR_105_SPEC), order)
+    assert [item.image_of for item in loaded] == [None, None, 1, 1, 1, 1, 1]
+    found = 0
+    for item, report in zip(loaded, certify_roots(loaded, 2)):
+        pres = item.presentation
+        for (i, j), resolution in report.conjugacy.items():
+            if resolution.word is None:
+                continue
+            found += 1
+            assert check_conjugacy_witness(pres, i, j, resolution.word)
+            g = evaluate_word(resolution.word, pres.gens)
+            assert pres.generator(i) * g == g * pres.generator(j)
+    assert found
+
+
 # generators over the scalar {v}: zero constant term, nonzero linear term
 _TEMPLATES = (
     "{c}*{v}^{e}*z",

@@ -1,6 +1,8 @@
 """Source hygiene checks on ``src/germlin``."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "germlin"
@@ -96,3 +98,18 @@ def test_every_limit_is_in_the_readme_table():
     assert {"group_cert.MAX_ORDER", "pforms.MAX_FORM_DEGREE"} <= set(limits)
     missing = sorted(set(limits) - _limits_table_constants())
     assert missing == [], "MAX_* constants missing from the README limits table"
+
+
+def test_module_references_in_docstrings_resolve():
+    # a double-backquoted ``module.name`` whose module is a germlin module
+    # names an attribute that module has
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    checked, missing = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for module, name in re.findall(r"``(\w+)\.(\w+)``", path.read_text(encoding="utf-8")):
+            if module in modules:
+                checked.add(f"{module}.{name}")
+                if not hasattr(importlib.import_module(f"germlin.{module}"), name):
+                    missing.append(f"{path.name}: {module}.{name}")
+    assert "jets._weighted_sum" in checked
+    assert missing == [], "docstring references to names the module does not have"
