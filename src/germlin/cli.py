@@ -34,9 +34,9 @@ from .jets import DEFAULT_ORDER
 from .linearizer import group_order, linearize
 from .pforms import (
     PForm1,
+    _cone_matches_restriction,
     blowup_chart_pullback,
     check_form_degree,
-    cone_matches_chart_pullback,
     first_integral_check,
     form_from_string,
     form_to_string,
@@ -324,11 +324,10 @@ def cmd_forms(args) -> int:
         m, reduced = blowup_chart_pullback(omega, c)
         payload["chart"] = chart
         payload["exceptional_multiplicity"] = m
+        restricted = restrict_to_exceptional(reduced, c)
         payload["reduced"] = form_to_string(reduced, variables)
-        payload["restriction"] = form_to_string(
-            restrict_to_exceptional(reduced, c), variables
-        )
-        verdict = cone_matches_chart_pullback(omega, c)
+        payload["restriction"] = form_to_string(restricted, variables)
+        verdict = _cone_matches_restriction(omega, c, restricted)
         payload["matches_tangent_cone"] = verdict
 
     else:  # pragma: no cover - argparse restricts choices

@@ -63,10 +63,21 @@ def _height(c) -> int:
     return max(abs(c.numerator), c.denominator)
 
 
+def _row_height(row) -> int:
+    """The largest numerator coordinate or denominator among the entries of
+    a jet's row, in absolute value; 1 for the zero row, as for a zero
+    coefficient."""
+    return max((max(den, *(abs(b) for _, b in coords)) for _, coords, den in row), default=1)
+
+
 def check_power_bits(coefficients, e: int) -> None:
     """ExpressionError if |e| times the largest bit length of a numerator or
     denominator among the coefficients of a base is above MAX_POWER_BITS."""
-    bits = max(map(_height, coefficients), default=0).bit_length()
+    _check_bits(max(map(_height, coefficients), default=0), e)
+
+
+def _check_bits(height: int, e: int) -> None:
+    bits = height.bit_length()
     if abs(e) * bits > MAX_POWER_BITS:
         raise ExpressionError(
             f"power ^{e} of a base with {bits}-bit coefficients is above the "
@@ -174,6 +185,8 @@ class _Parser:
         if self.peek() == "/":
             self.next()
             q = self.expect("int")[1]
+            if not q:
+                raise ExpressionError(f"zero denominator in the exponent of pow in {self.text!r}")
         return Fraction(sign * p, q)
 
     def atom(self):
@@ -281,7 +294,7 @@ def eval_series(node, env: dict, order: int) -> Jet:
     if op == "ipow":
         base = eval_series(node[1], env, order)
         e = node[2]
-        check_power_bits(base.coeffs, e)
+        _check_bits(_row_height(base.row), e)
         if e < 0:
             if base.constant_term.is_zero:
                 raise ExpressionError(

@@ -50,9 +50,10 @@ class Germ:
     def __init__(self, jet: Jet):
         if jet.order < 1:
             raise ValueError("a germ needs order >= 1")
-        if not jet.constant_term.is_zero:
+        lowest = jet.row[0][0] if jet.row else None  # the degree of the first term
+        if lowest == 0:
             raise ValueError("a germ must fix the origin (zero constant term)")
-        if jet.linear_term.is_zero:
+        if lowest != 1:
             raise ValueError("a germ needs an invertible linear coefficient")
         self.jet = jet
 
@@ -72,7 +73,7 @@ class Germ:
         return self.jet.coefficient(k)
 
     def lift(self, conductor: int) -> "Germ":
-        return Germ(self.jet.lift(conductor))
+        return self if conductor == self.conductor else Germ(self.jet.lift(conductor))
 
     def __mul__(self, other: "Germ") -> "Germ":
         if not isinstance(other, Germ):

@@ -41,9 +41,12 @@ The solutions fall into Galois orbits: zeta^k = sigma_u(zeta^d) for the
 automorphism sigma_u: zeta -> zeta^u, with d the least exponent of the orbit.
 The loader evaluates each distinct generator expression once, at the first
 root of each orbit, and builds every other root's generators as sigma_u of
-those, coefficient by coefficient.  Since the expressions have only integer
-literals and the one scalar, that is what evaluating at zeta^k would give.
-It records the orbit's first root as ``image_of``.
+those.  sigma_u maps a jet's row entry by entry: coordinate i of an entry,
+the coefficient of zeta^i, moves to zeta^(iu), read from the cached table of
+the powers of zeta, and each entry is reduced once; no field element is
+built.  Since the expressions have only integer literals and the one scalar,
+that is what evaluating at zeta^k would give.  It records the orbit's first
+root as ``image_of``.
 
 :func:`certify_roots` searches only the first root of each orbit.  Every
 other root takes over its search outcomes position by position: sigma_u maps
@@ -83,7 +86,7 @@ from .germs import (
     reduced_word_search,
     tangency_data,
 )
-from .jets import DEFAULT_ORDER, Jet, RightComposer, _compose_rows, _sparse_row
+from .jets import DEFAULT_ORDER, Jet, RightComposer, _compose_rows
 
 __all__ = [
     "GroupPresentation",
@@ -138,7 +141,7 @@ class GroupPresentation:
         # value equals that of generator i + 1
         first: dict = {}
         self.classes: tuple[int, ...] = tuple(
-            first.setdefault(g.jet.key(), idx) for idx, g in enumerate(self.gens)
+            first.setdefault(g.jet.row, idx) for idx, g in enumerate(self.gens)
         )
         self.witnesses: dict[tuple[int, int], Word] = dict(witnesses or {})
         for (i, j), w in self.witnesses.items():
@@ -146,7 +149,7 @@ class GroupPresentation:
             self._check_index(j)
             if not isinstance(w, Word):
                 raise PresentationError("witnesses must be Word values")
-        self._composers: dict = {}  # by order-N value
+        self._composers: dict = {}  # by row
         self._letter_composers: dict = {}  # by (class, sign)
         self._inverses: dict = {}  # by class
         self._letters: Optional[tuple] = None
@@ -200,22 +203,21 @@ class GroupPresentation:
 
     def composer(self, germ: Germ) -> RightComposer:
         """Cached right-composition operator for a fixed inner germ."""
-        key = germ.jet.key()
-        comp = self._composers.get(key)
+        row = germ.jet.row
+        comp = self._composers.get(row)
         if comp is None:
-            comp = RightComposer(germ.jet)
-            self._composers[key] = comp
+            comp = self._composers[row] = RightComposer(germ.jet)
         return comp
 
 
 def _identity_row(pres: GroupPresentation) -> tuple:
     """The row of z at the presentation's order and conductor."""
-    return _sparse_row(Jet.identity(pres.order, pres.conductor).coeffs)
+    return Jet.identity(pres.order, pres.conductor).row
 
 
 def check_product_identity(pres: GroupPresentation) -> bool:
     """True iff the ordered composition of all generators is z to order N."""
-    acc = _sparse_row(pres.gens[0].jet.coeffs)
+    acc = pres.gens[0].jet.row
     for idx in range(2, len(pres.gens) + 1):
         acc = pres.letter_composer(idx, 1).compose(acc)
     return acc == _identity_row(pres)
@@ -236,7 +238,7 @@ def check_conjugacy_witness(
     g = _identity_row(pres)
     for idx, exp in w.letters:
         g = pres.letter_composer(idx, exp).compose(g)
-    fi = _sparse_row(pres.generator(i).jet.coeffs)
+    fi = pres.generator(i).jet.row
     N, n = pres.order, pres.conductor
     return _compose_rows(fi, g, N, n) == pres.letter_composer(j, 1).compose(g)
 
@@ -271,8 +273,7 @@ def search_conjugator(
     pres._check_index(j)
     N, n = pres.order, pres.conductor
     K = _filter_degree(pres.generator(i), pres.generator(j))
-    fi = pres.generator(i).jet.coeffs
-    fi_row = _sparse_row(fi)
+    fi = pres.generator(i).jet
     compose_fj = pres.letter_composer(j, 1)
     ident = _identity_row(pres)
     # a sketch is the pair of rows (h, f_i o h) to degree K
@@ -281,11 +282,11 @@ def search_conjugator(
         for letter, comp in pres.letters()
     ]
     return reduced_word_search(
-        (ident, (ident, _sparse_row(fi[: K + 1]))),
+        (ident, (ident, fi.truncate(K).row)),
         letters,
         _row_key,
         lambda s: s[1] == compose_fj.prefix(s[0], K),
-        lambda h: _compose_rows(fi_row, h, N, n) == compose_fj.compose(h),
+        lambda h: _compose_rows(fi.row, h, N, n) == compose_fj.compose(h),
         max_len,
     )
 
@@ -567,10 +568,7 @@ def _load_presentation_data(data, order: Optional[int]) -> list[LoadedPresentati
         env = {} if k is None else {var: zeta(conductor) ** k}
         if k != d:
             image_of, first = orbits[d]
-            germs = {
-                expr: Germ(Jet([c._galois(u) for c in g.jet.coeffs], order=n_order))
-                for expr, g in first.items()
-            }
+            germs = {expr: Germ(g.jet._galois(u)) for expr, g in first.items()}
         else:
             image_of, germs = None, {}  # by expression: repeats are evaluated once
             orbits[d] = (len(out), germs)

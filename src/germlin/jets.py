@@ -1,32 +1,37 @@
 """Truncated formal power series in one variable with exact coefficients.
 
-A jet of order N stores the coefficients of z^0 .. z^N; terms beyond z^N are
-unknown rather than zero, and every operation is exact in the quotient ring of
-series modulo z^(N+1).  No operation silently extends the order; binary
-operations require equal orders (truncate the longer operand first).
+A jet of order N stands for the coefficients of z^0 .. z^N; terms beyond z^N
+are unknown rather than zero, and every operation is exact in the quotient
+ring of series modulo z^(N+1).  No operation silently extends the order;
+binary operations require equal orders (truncate the longer operand first).
 
-Coefficients are :class:`~germlin.cyclotomic.CycloElem` values at a single
-conductor per jet.  Construction accepts ints, Fractions and mixed-conductor
-elements and lifts everything to the lcm conductor, so rational jets live at
-conductor 1.
+Coefficients lie in Q(zeta_n) for a single conductor n per jet.
+Construction accepts ints, Fractions and mixed-conductor
+:class:`~germlin.cyclotomic.CycloElem` values and lifts everything to the lcm
+conductor, so rational jets live at conductor 1.
 
-Products, powers, composition and rational powers share one kernel, the
-weighted sum  sum w * z^s * P  over (weight, shift, row) terms, and it works
-on one format, the row.  A row is the tuple of the nonzero coefficients of a
-series as (degree, coordinates, denominator) entries in increasing degree;
-the coordinates are the (index, value) pairs of the nonzero integer
-power-basis coordinates of the numerator.  A weight is an entry without its
-degree.  Every row the kernel returns is canonical: each entry reduced
+A jet is its row.  A row is the tuple of the nonzero coefficients of a series
+as (degree, coordinates, denominator) entries in increasing degree; the
+coordinates are the (index, value) pairs of the nonzero integer power-basis
+coordinates of the numerator.  Every row is canonical: each entry reduced
 modulo Phi_n, without a common factor and over a positive denominator, and
-zero entries left out.  So equal series have equal rows, and a row is
-hashable and serves as its own key.  A product a*b weighs the row of b by
-a_i at shift i; the composition f(g) weighs the rows of a table of truncated
-powers of g by f_e, each power built from the row of the one before;
-(1 + u)^r weighs the powers of u by the binomial coefficients C(r, e).
-Integer powers square through the product.  Callers that stay in the row
-format (the conjugator search, word evaluation, the linearizer's scan) pass
-rows from one composition to the next; field elements are built only where
-a result leaves as a Jet (:func:`_row_coeffs`).
+zero entries left out.  So equal series at one conductor have equal rows, and
+a row is hashable and serves as its own key (:meth:`Jet.key`).  ``Jet.row``
+is the one stored form: equality, the accessors and every operation read it,
+and rows cross module boundaries only as ``Jet.row``.  Field elements are
+built only where a value leaves as a scalar: a single coefficient
+(:meth:`Jet.coefficient`), or the coefficient tuple ``Jet.coeffs``, made on
+first use for printing, serialization and callers that want the list.
+
+Sums, products, powers, composition and rational powers share one kernel,
+the weighted sum  sum w * z^s * P  over (weight, shift, row) terms; a weight
+is a row entry without its degree.  A sum a + b weighs both rows by 1; a
+product a*b weighs the row of b by a_i at shift i; the composition f(g)
+weighs the rows of a table of truncated powers of g by f_e, each power built
+from the row of the one before; (1 + u)^r weighs the powers of u by the
+binomial coefficients C(r, e).  Integer powers square through the product.
+Lifting to a larger conductor and the Galois automorphisms
+sigma_u: zeta -> zeta^u map each entry through the cached table of zeta^e.
 
 The kernel scatters: each product of a weight with a row entry is added, as
 an unreduced integer product of coordinate vectors, in place into the one
@@ -44,6 +49,7 @@ The textual form is ``jet(N=4)[0, 1, 1, 0, 0]``, meaning z + z^2 at order 4.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -51,6 +57,7 @@ from math import gcd
 from .cyclotomic import (
     CycloElem,
     _element,
+    _monomials,
     _power,
     _reduce_product,
     cyclo_embed,
@@ -72,6 +79,11 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 32
+
+_UNIT = ((0, 1),), 1  # the weight 1
+_MINUS = ((0, -1),), 1  # the weight -1
+_ONE_ROW = ((0, ((0, 1),), 1),)  # the row of the constant 1
+_Z_ROW = ((1, ((0, 1),), 1),)  # the row of z
 
 
 def _as_cyclo(value, n: int) -> CycloElem:
@@ -115,28 +127,59 @@ def _entry_elem(n: int, coords, den: int) -> CycloElem:
 
 
 def _row_coeffs(row, N: int, n: int) -> list:
-    """The N + 1 coefficients of a row over Q(zeta_n): where jet results
-    leave the row format."""
+    """The N + 1 coefficients of a row over Q(zeta_n)."""
     out = [_zero(n)] * (N + 1)
     for t, coords, den in row:
         out[t] = _entry_elem(n, coords, den)
     return out
 
 
-def _mul_coeffs(a, b, N: int, n: int) -> list:
-    """Coefficients of a*b truncated at degree N, for a and b of N+1
-    coefficients: the weighted sum of the shifts z^i b over the nonzero a_i,
-    all reading one row of b."""
-    row = _sparse_row(b)
-    terms = [((c, d), i, row) for i, c, d in _sparse_row(a)]
-    return _row_coeffs(_weighted_sum(terms, N, n), N, n)
+def _row_coefficient(row, t: int, n: int) -> CycloElem:
+    """The coefficient of z^t in a row over Q(zeta_n)."""
+    i = bisect_left(row, (t,))
+    return _entry_elem(n, *row[i][1:]) if i < len(row) and row[i][0] == t else _zero(n)
+
+
+def _has_constant(row) -> bool:
+    """Whether the series of a row has a nonzero constant term."""
+    return bool(row) and row[0][0] == 0
+
+
+def _map_row(row, m: int, step: int) -> tuple:
+    """The row over Q(zeta_m) with zeta^i replaced by zeta_m^(i*step) in every
+    entry: with m a multiple of the row's conductor n and step = m/n the
+    embedding Q(zeta_n) -> Q(zeta_m), with m = n and step = u coprime to n
+    the Galois automorphism sigma_u.
+
+    Each coordinate is sent through the cached table of zeta_m^e, so each
+    entry is reduced once.  Both maps fix the rationals, and both keep an
+    entry canonical without a gcd: they send Z[zeta_n] into Z[zeta_m], and
+    Q(zeta_n) meets Z[zeta_m] only in Z[zeta_n], so a prime divides every
+    image coordinate only if it divides every coordinate it came from.
+    """
+    if step % m == 1:
+        return row
+    mons = _monomials(m)
+    phi_m = len(mons[0])
+    out = []
+    for t, coords, den in row:
+        if coords[0][0] == 0 and len(coords) == 1:  # rational: fixed
+            out.append((t, coords, den))
+            continue
+        num = [0] * phi_m
+        for i, b in coords:
+            for j, r in enumerate(mons[i * step % m]):
+                if r:
+                    num[j] += b * r
+        out.append((t, tuple((j, b) for j, b in enumerate(num) if b), den))
+    return tuple(out)
 
 
 def _power_rows(g, d: int, N: int, n: int) -> list:
     """The rows of g^0, g^1, .., g^d truncated at degree N, for the row g (to
     degree N) of a series with g(0) = 0: each power is the weighted sum of
     the shifts of g by the entries of the power before it."""
-    rows = [((0, ((0, 1),), 1),), g]
+    rows = [_ONE_ROW, g]
     for _ in range(2, d + 1):
         rows.append(_weighted_sum([((c, den), t, g) for t, c, den in rows[-1]], N, n))
     return rows[: d + 1]
@@ -154,20 +197,14 @@ def _compose_rows(w, g, N: int, n: int) -> tuple:
     return _substitute(w, _power_rows(g, w[-1][0] if w else 0, N, n), N, n)
 
 
-def _power_sum(weights, g, N: int, n: int) -> list:
-    """The coefficients of sum_e weights[e] g^e truncated at degree N, for
-    coefficient lists with g[0] = 0."""
-    return _row_coeffs(_compose_rows(_sparse_row(weights), _sparse_row(g), N, n), N, n)
-
-
 def _weighted_sum(terms, N: int, n: int) -> tuple:
     """The row of sum weight * z^shift * row over the (weight, shift, row)
     terms, truncated at degree N.  A weight is a row entry without its degree,
     (coordinates, denominator).
 
-    Products, powers and compositions all accumulate here.  Each product of
-    the weight with a row entry is added, as an unreduced integer product of
-    coordinate vectors, into the accumulator of its output degree in place;
+    Sums, products, powers and compositions all accumulate here.  Each product
+    of the weight with a row entry is added, as an unreduced integer product
+    of coordinate vectors, into the accumulator of its output degree in place;
     each accumulator keeps a running denominator, rescaled to the lcm when a
     product's denominator does not divide it.  A row is read only up to
     degree N - shift.  Each output degree is reduced modulo Phi_n and
@@ -259,9 +296,10 @@ def _weighted_sum(terms, N: int, n: int) -> tuple:
 
 
 class Jet:
-    """A truncated series c0 + c1 z + ... + cN z^N, exact modulo z^(N+1)."""
+    """A truncated series c0 + c1 z + ... + cN z^N, exact modulo z^(N+1),
+    stored as its canonical row (``row``) at one order and conductor."""
 
-    __slots__ = ("order", "conductor", "coeffs")
+    __slots__ = ("order", "conductor", "row", "_coeffs")
 
     def __init__(self, coeffs, order: int | None = None, conductor: int = 1):
         coeffs = list(coeffs)
@@ -283,7 +321,19 @@ class Jet:
         coeffs.extend(_zero(n) for _ in range(order + 1 - len(coeffs)))
         self.order = order
         self.conductor = n
-        self.coeffs = tuple(coeffs)
+        self._coeffs = tuple(coeffs)
+        self.row = _sparse_row(coeffs)
+
+    @classmethod
+    def _of(cls, row: tuple, order: int, conductor: int) -> "Jet":
+        """The jet of a canonical row (to degree ``order``), as the kernel
+        returns it; nothing is checked or converted."""
+        jet = object.__new__(cls)
+        jet.order = order
+        jet.conductor = conductor
+        jet.row = row
+        jet._coeffs = None
+        return jet
 
     # -- constructors ----------------------------------------------------------
 
@@ -292,43 +342,72 @@ class Jet:
         """The series z."""
         if order < 1:
             raise ValueError("the identity jet needs order >= 1")
-        return cls([0, 1], order=order, conductor=conductor)
+        if conductor < 1:
+            raise ValueError("conductor must be >= 1")
+        return cls._of(_Z_ROW, order, conductor)
 
     @classmethod
     def constant(cls, value, order: int, conductor: int = 1) -> "Jet":
-        return cls([value], order=order, conductor=conductor)
+        if order < 0:
+            raise ValueError("jet order must be >= 0")
+        c = cls([value], order=0, conductor=conductor)
+        return cls._of(c.row, order, c.conductor)
 
     # -- simple accessors --------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The N + 1 coefficients as field elements, built from the row on
+        first use."""
+        coeffs = self._coeffs
+        if coeffs is None:
+            coeffs = self._coeffs = tuple(_row_coeffs(self.row, self.order, self.conductor))
+        return coeffs
+
+    @property
     def constant_term(self) -> CycloElem:
-        return self.coeffs[0]
+        return self.coefficient(0)
 
     @property
     def linear_term(self) -> CycloElem:
         if self.order < 1:
             raise ValueError("order-0 jet has no linear term")
-        return self.coeffs[1]
+        return self.coefficient(1)
 
     def coefficient(self, k: int) -> CycloElem:
-        return self.coeffs[k]
+        if self._coeffs is not None or not 0 <= k <= self.order:
+            return self.coeffs[k]
+        return _row_coefficient(self.row, k, self.conductor)
 
     def truncate(self, order: int) -> "Jet":
         if order > self.order:
             raise ValueError("cannot extend a jet; compose at the lower order")
-        return Jet(self.coeffs[: order + 1], order=order, conductor=self.conductor)
+        if order < 0:
+            raise ValueError("jet order must be >= 0")
+        row = self.row
+        return Jet._of(row[: bisect_left(row, (order + 1,))], order, self.conductor)
 
     def lift(self, conductor: int) -> "Jet":
-        if conductor == self.conductor:
+        """The jet at the lcm of its conductor and ``conductor``."""
+        n = self.conductor
+        if conductor == n:
             return self
-        return Jet(self.coeffs, order=self.order, conductor=conductor)
+        m = conductor * n // gcd(conductor, n)
+        return Jet._of(_map_row(self.row, m, m // n), self.order, m)
+
+    def _galois(self, u: int) -> "Jet":
+        """sigma_u of every coefficient, for the automorphism
+        zeta_n -> zeta_n^u of its field, gcd(u, n) = 1."""
+        n = self.conductor
+        return Jet._of(_map_row(self.row, n, u % n), self.order, n)
 
     def key(self):
-        """Hashable identity for dedup among jets of one order and conductor."""
-        return self.coeffs
+        """Hashable identity for dedup among jets of one order and conductor:
+        the canonical row."""
+        return self.row
 
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
+        return not self.row
 
     # -- ring structure -----------------------------------------------------------
 
@@ -342,17 +421,22 @@ class Jet:
         n = self.conductor * other.conductor // gcd(self.conductor, other.conductor)
         return self.lift(n), other.lift(n)
 
+    def _with_scalar(self, value) -> tuple["Jet", tuple]:
+        """The jet and a scalar as a weight at one conductor, the lcm."""
+        a = self.lift(value.n) if isinstance(value, CycloElem) else self
+        return a, _entry(_as_cyclo(value, a.conductor))
+
+    def _sum(self, terms) -> "Jet":
+        """The jet of the kernel's weighted sum at this order and conductor."""
+        N, n = self.order, self.conductor
+        return Jet._of(_weighted_sum(terms, N, n), N, n)
+
     def __add__(self, other):
         if isinstance(other, (int, Fraction, CycloElem)):
-            coeffs = list(self.coeffs)
-            coeffs[0] = coeffs[0] + other
-            return Jet(coeffs, order=self.order, conductor=self.conductor)
+            a, w = self._with_scalar(other)
+            return a._sum([(_UNIT, 0, a.row), (w, 0, _ONE_ROW)])
         a, b = self._common(other)
-        return Jet(
-            [x + y for x, y in zip(a.coeffs, b.coeffs)],
-            order=a.order,
-            conductor=a.conductor,
-        )
+        return a._sum([(_UNIT, 0, a.row), (_UNIT, 0, b.row)])
 
     __radd__ = __add__
 
@@ -360,31 +444,21 @@ class Jet:
         if isinstance(other, (int, Fraction, CycloElem)):
             return self + (-1 * other)
         a, b = self._common(other)
-        return Jet(
-            [x - y for x, y in zip(a.coeffs, b.coeffs)],
-            order=a.order,
-            conductor=a.conductor,
-        )
+        return a._sum([(_UNIT, 0, a.row), (_MINUS, 0, b.row)])
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Jet([-c for c in self.coeffs], order=self.order, conductor=self.conductor)
+        row = tuple((t, tuple((j, -b) for j, b in coords), d) for t, coords, d in self.row)
+        return Jet._of(row, self.order, self.conductor)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycloElem)):
-            return Jet(
-                [c * other for c in self.coeffs],
-                order=self.order,
-                conductor=self.conductor,
-            )
+            a, w = self._with_scalar(other)
+            return a._sum([(w, 0, a.row)])
         a, b = self._common(other)
-        return Jet(
-            _mul_coeffs(a.coeffs, b.coeffs, a.order, a.conductor),
-            order=a.order,
-            conductor=a.conductor,
-        )
+        return a._sum([((c, d), t, b.row) for t, c, d in a.row])
 
     __rmul__ = __mul__
 
@@ -400,8 +474,10 @@ class Jet:
             return NotImplemented
         if self.order != other.order:
             return False
+        if self.conductor == other.conductor:
+            return self.row == other.row
         a, b = self._common(other)
-        return a.coeffs == b.coeffs
+        return a.row == b.row
 
     __hash__ = None  # jets are compared by value across conductors; use .key()
 
@@ -451,10 +527,10 @@ def jet_compose(f: Jet, g: Jet) -> Jet:
     powers of g up to the degree of f.
     """
     a, b = f._common(g)
-    if not b.coeffs[0].is_zero:
+    if _has_constant(b.row):
         raise ValueError("inner series must have zero constant term")
     N, n = a.order, a.conductor
-    return Jet(_power_sum(a.coeffs, b.coeffs, N, n), order=N, conductor=n)
+    return Jet._of(_compose_rows(a.row, b.row, N, n), N, n)
 
 
 def jet_comp_inverse(f: Jet) -> Jet:
@@ -463,7 +539,7 @@ def jet_comp_inverse(f: Jet) -> Jet:
     See :meth:`RightComposer.inverse`; a one-sided inverse in the truncated
     composition group is automatically two-sided.
     """
-    if f.order < 1 or not f.coeffs[0].is_zero:
+    if f.order < 1 or _has_constant(f.row):
         raise ValueError("compositional inverse needs zero constant term")
     return RightComposer(f).inverse()
 
@@ -475,29 +551,33 @@ def jet_mul_inverse(f: Jet) -> Jet:
     is gathered by the kernel from the entries of the row of -f/f_0, each as
     a one-entry row at degree 0, weighted by the g_j found before it."""
     N, n = f.order, f.conductor
-    a0 = f.coeffs[0]
-    if a0.is_zero:
+    row = f.row
+    if not _has_constant(row):
         raise ValueError("reciprocal needs a nonzero constant term")
-    inv0 = _one(n) / a0
-    scaled = _weighted_sum([(_entry(-inv0), 0, _sparse_row(f.coeffs))], N, n)  # -f/f_0
+    inv0 = _one(n) / _entry_elem(n, *row[0][1:])
+    scaled = _weighted_sum([(_entry(-inv0), 0, row)], N, n)  # -f/f_0
     cells = [(k, ((0, coords, den),)) for k, coords, den in scaled[1:]]
     weights = [_entry(inv0)] + [None] * N  # the nonzero g_j as weights
     for m in range(1, N + 1):
         terms = [(weights[m - k], 0, cell) for k, cell in cells if k <= m and weights[m - k]]
         for _, coords, den in _weighted_sum(terms, 0, n):  # none if the sum is 0
             weights[m] = coords, den
-    return Jet([_entry_elem(n, *w) if w else _zero(n) for w in weights], order=N, conductor=n)
+    return Jet._of(tuple((m, *w) for m, w in enumerate(weights) if w), N, n)
 
 
 def jet_derivative(f: Jet) -> Jet:
-    """Term-wise derivative; the order drops to N-1 (z^N's image is unknown)."""
+    """Term-wise derivative; the order drops to N-1 (z^N's image is unknown).
+
+    An entry's coordinates have no common factor with its denominator, so
+    t * c_t / d keeps none once gcd(t, d) is divided out."""
     if f.order == 0:
         raise ValueError("cannot differentiate an order-0 jet to a valid order")
-    return Jet(
-        [f.coeffs[i + 1] * (i + 1) for i in range(f.order)],
-        order=f.order - 1,
-        conductor=f.conductor,
-    )
+    row = []
+    for t, coords, den in f.row:
+        if t:
+            g = gcd(t, den)
+            row.append((t - 1, tuple((j, b * (t // g)) for j, b in coords), den // g))
+    return Jet._of(tuple(row), f.order - 1, f.conductor)
 
 
 def jet_rational_power(f: Jet, r) -> Jet:
@@ -510,18 +590,17 @@ def jet_rational_power(f: Jet, r) -> Jet:
     """
     r = Fraction(r)
     N, n = f.order, f.conductor
-    if not f.coeffs[0].is_one:
+    if f.row[:1] != _ONE_ROW:
         raise ValueError("rational powers require constant term 1")
-    u = [_zero(n)] + list(f.coeffs[1:])
-    v = next((t for t, c in enumerate(u) if not c.is_zero), None)
-    binoms = [_one(n)]
+    u = f.row[1:]
+    binoms = [_ONE_ROW[0]]  # the row of sum_k C(r, k) w^k
     binom = Fraction(1)
-    for k in range(1, 0 if v is None else N // v + 1):
+    for k in range(1, N // u[0][0] + 1 if u else 1):
         binom *= Fraction(r.numerator - (k - 1) * r.denominator, k * r.denominator)
         if binom == 0:
             break
-        binoms.append(cyclo_embed(binom, n))
-    return Jet(_power_sum(binoms, u, N, n), order=N, conductor=n)
+        binoms.append((k, ((0, binom.numerator),), binom.denominator))
+    return Jet._of(_compose_rows(tuple(binoms), u, N, n), N, n)
 
 
 class RightComposer:
@@ -531,24 +610,23 @@ class RightComposer:
     composition is the weighted sum  sum_e w_e g^e  over the rows with no
     further products; this pays off when many compositions share the same
     inner series (word evaluation, conjugator search).  :meth:`compose` and
-    :meth:`prefix` take and return rows, for callers that stay in that
-    format; calling the composer on a jet converts at both ends.  The rows
-    also give the compositional inverse of g (:meth:`inverse`).
+    :meth:`prefix` take and return rows; calling the composer on a jet
+    composes its row.  The rows also give the compositional inverse of g
+    (:meth:`inverse`).
     """
 
     def __init__(self, g: Jet):
-        if not g.coeffs[0].is_zero:
+        if _has_constant(g.row):
             raise ValueError("inner series must have zero constant term")
         self.order = g.order
         self.conductor = g.conductor
-        self.rows = _power_rows(_sparse_row(g.coeffs), g.order, g.order, g.conductor)
+        self.rows = _power_rows(g.row, g.order, g.order, g.conductor)
 
     def __call__(self, w: Jet) -> Jet:
         if w.order != self.order:
             raise ValueError("order mismatch in right composition")
-        wl = w.lift(self.conductor) if w.conductor != self.conductor else w
         N, n = self.order, self.conductor
-        return Jet(_row_coeffs(self.compose(_sparse_row(wl.coeffs)), N, n), order=N, conductor=n)
+        return Jet._of(self.compose(w.lift(n).row), N, n)
 
     def compose(self, w) -> tuple:
         """The row of w(g) to degree N, for the row w of an order-N jet."""
@@ -581,13 +659,10 @@ class RightComposer:
         _, coords, den = rows[1][0]
         inv_a1 = _one(n) / _entry_elem(n, coords, den)
         inv_pow = inv_a1  # a1^(-m), maintained incrementally
-        b = [_zero(n)] * (N + 1)
-        b[1] = inv_a1
         weights = [None, _entry(inv_a1)] + [None] * (N - 1)  # the nonzero b_j as weights
         for m in range(2, N + 1):
             inv_pow = inv_pow * inv_a1
             terms = [(weights[j], 0, cell) for j, cell in cols[m] if weights[j]]
             for _, coords, den in _weighted_sum(terms, 0, n):  # none if the sum is 0
-                b[m] = -_entry_elem(n, coords, den) * inv_pow
-                weights[m] = _entry(b[m])
-        return Jet(b, order=N, conductor=n)
+                weights[m] = _entry(-_entry_elem(n, coords, den) * inv_pow)
+        return Jet._of(tuple((m, *w) for m, w in enumerate(weights) if w), N, n)

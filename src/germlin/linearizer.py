@@ -48,16 +48,7 @@ from .affine import AffineMap
 from .cyclotomic import CycloElem, cyclo_embed, format_scalar, root_of_unity_order
 from .germs import Germ
 from .group_cert import GroupPresentation
-from .jets import (
-    Jet,
-    _entry,
-    _entry_elem,
-    _power_rows,
-    _row_coeffs,
-    _sparse_row,
-    _weighted_sum,
-    _zero,
-)
+from .jets import Jet, _UNIT, _Z_ROW, _entry, _power_rows, _row_coefficient, _weighted_sum
 
 __all__ = [
     "StepRecord",
@@ -81,8 +72,6 @@ OUTCOME_LINEARIZED = "linearized"
 OUTCOME_OBSTRUCTION = "obstruction"
 OUTCOME_FLAT_TRIVIAL = "flat_trivial"
 OUTCOME_FLAT_INCONSISTENT = "flat_inconsistent"
-
-_ONE = ((0, 1),), 1  # the weight 1 in the kernel's terms
 
 
 def _require_linear_below(f: Germ, k: int, what: str):
@@ -231,14 +220,14 @@ def _compose_elementary(a: tuple, k: int, cell, N: int, n: int, solve=False) -> 
     cells weighted by the -y_j found before it.
     """
     if not solve:
-        terms = [(_ONE, 0, a)]
+        terms = [(_UNIT, 0, a)]
         for j, c, d in a:
             terms += [((c, d), j + i * k, cell(j, i)) for i in range(1, min(j, (N - j) // k) + 1)]
         return _weighted_sum(terms, N, n)
     y, minus = [], []  # minus: the (j, -y_j as a weight) found so far
     for lo in range(0, N + 1, k):
         hi = min(lo + k, N + 1)
-        terms = [(_ONE, 0, a[bisect_left(a, (lo,)) : bisect_left(a, (hi,))])]
+        terms = [(_UNIT, 0, a[bisect_left(a, (lo,)) : bisect_left(a, (hi,))])]
         for j, w in minus:
             i = (lo - j + k - 1) // k  # the one i >= 1 with lo <= j + ik < lo + k
             if i <= j and j + i * k < hi:
@@ -264,14 +253,8 @@ def _conjugate_by_elementary(g: tuple, k: int, coef: list, cell, N: int, n: int)
     M = N - k - 1  # g^(k+1)/z^(k+1) is needed through degree M
     v = tuple((t - 1, coords, den) for t, coords, den in g if 2 <= t <= M + 1)
     powers = _power_rows(v, len(coef) - 1, M, n)
-    terms = [(_ONE, 0, g)] + [(w, k + 1, powers[i]) for i, w in enumerate(coef)]
+    terms = [(_UNIT, 0, g)] + [(w, k + 1, powers[i]) for i, w in enumerate(coef)]
     return _compose_elementary(_weighted_sum(terms, N, n), k, cell, N, n, solve=True)
-
-
-def _coefficient(row: tuple, t: int, n: int) -> CycloElem:
-    """The coefficient of z^t in a row over Q(zeta_n)."""
-    i = bisect_left(row, (t,))
-    return _entry_elem(n, *row[i][1:]) if i < len(row) and row[i][0] == t else _zero(n)
 
 
 def linearize(pres: GroupPresentation) -> LinearizationResult:
@@ -298,14 +281,14 @@ def _scan(pres: GroupPresentation, mu: CycloElem) -> LinearizationResult:
     """
     order, n = pres.order, pres.conductor
     classes = pres.classes
-    current = {rep: _sparse_row(pres.gens[rep].jet.coeffs) for rep in classes}  # by class
+    current = {rep: pres.gens[rep].jet.row for rep in classes}  # by class
     steps: list[StepRecord] = []
     recorded: list[tuple[int, Callable]] = []  # (k, binomial cells) per conjugated step
     mu_pow = [cyclo_embed(1, mu.n), mu]  # mu^0 .. mu^(k+1), extended as k grows
     outcome = OUTCOME_LINEARIZED
     for k in range(1, order):
         mu_pow.append(mu_pow[-1] * mu)
-        t = tuple(_coefficient(current[rep], k + 1, n) for rep in classes)
+        t = tuple(_row_coefficient(current[rep], k + 1, n) for rep in classes)
         c, record = _step(k, t, mu, mu_pow[k])
         steps.append(record)
         if record.action == ACTION_OBSTRUCTION:
@@ -320,10 +303,10 @@ def _scan(pres: GroupPresentation, mu: CycloElem) -> LinearizationResult:
                 rep: _conjugate_by_elementary(row, k, coef, cell, order, n)
                 for rep, row in current.items()
             }
-    H = ((1, *_ONE),)  # the row of z
+    H = _Z_ROW
     for k, cell in reversed(recorded):
         H = _compose_elementary(H, k, cell, order, n)
-    H = Germ(Jet(_row_coeffs(H, order, n), order=order, conductor=n))
+    H = Germ(Jet._of(H, order, n))
     return LinearizationResult(outcome, mu, steps, H)
 
 

@@ -663,11 +663,16 @@ def cone_matches_chart_pullback(omega: PForm1, chart) -> bool:
     then equal (dehomogenized cone) * dx_c exactly.  Dicritical case: some
     du_j component must survive on the divisor instead.
     """
+    _, reduced = blowup_chart_pullback(omega, chart)
+    return _cone_matches_restriction(omega, chart, restrict_to_exceptional(reduced, chart))
+
+
+def _cone_matches_restriction(omega: PForm1, chart, restricted: PForm1) -> bool:
+    """:func:`cone_matches_chart_pullback` for the restriction to the
+    exceptional divisor of the reduced pullback, already built."""
     n = omega.nvars
     c = _chart_index(n, chart)
     dicritical, cone = tangent_cone(omega)
-    _, reduced = blowup_chart_pullback(omega, chart)
-    restricted = restrict_to_exceptional(reduced, chart)
     if dicritical:
         return any(key != (c,) for key in restricted.coeffs)
     expected = PForm1(n, {(c,): _blowup_substitute(cone, c).substitute(c, 1)})

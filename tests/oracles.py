@@ -1,8 +1,9 @@
 """Independent oracles used to freeze expected values in the tests.
 
 Everything here recomputes results along a different route than the library
-kernels: schoolbook products instead of weighted sums of shifted rows, the
-geometric series instead of the reciprocal recurrence, naive
+kernels: schoolbook products over coefficient lists instead of weighted sums
+of shifted rows, the geometric series instead of the reciprocal recurrence,
+generator expressions evaluated over coefficient lists instead of rows, naive
 polynomial substitution instead of power-table composition,
 Lagrange inversion instead of the triangular inverse solve, symbolic
 chain-rule differentiation instead of series composition, and a reduced-word
@@ -29,7 +30,13 @@ from math import gcd
 from math import factorial
 
 from germlin.cyclotomic import CycloElem, cyclo_embed, format_scalar, zeta
-from germlin.expressions import eval_scalar, parse_constraint, series_from_string
+from germlin.expressions import (
+    ExpressionError,
+    check_power_bits,
+    eval_scalar,
+    parse_constraint,
+    parse_expression,
+)
 from germlin.jets import Jet, jet_mul_inverse
 from germlin.pforms import MultiPoly, PForm1
 
@@ -64,16 +71,32 @@ def naive_poly_compose(f: Jet, g: Jet) -> Jet:
     return Jet(acc, order=N, conductor=n)
 
 
+def _lifted(jets) -> tuple:
+    """The lcm conductor of the jets and their coefficient lists lifted to
+    it one coefficient at a time, in the field's own lift."""
+    n = 1
+    for a in jets:
+        n = n * a.conductor // gcd(n, a.conductor)
+    return n, [[c.lift(n) for c in a.coeffs] for a in jets]
+
+
 def naive_jet_product(a: Jet, b: Jet) -> Jet:
     """a*b by the full schoolbook product of the coefficient lists, then
     truncating, instead of the weighted sum of shifted rows."""
-    n = a.conductor * b.conductor // gcd(a.conductor, b.conductor)
-    al, bl = a.lift(n).coeffs, b.lift(n).coeffs
+    n, (al, bl) = _lifted((a, b))
     full = [cyclo_embed(0, n)] * (len(al) + len(bl) - 1)
     for i, x in enumerate(al):
+        if x.is_zero:
+            continue
         for j, y in enumerate(bl):
             full[i + j] = full[i + j] + x * y
     return Jet(full[: a.order + 1], order=a.order, conductor=n)
+
+
+def naive_jet_sum(a: Jet, b: Jet, sign: int = 1) -> Jet:
+    """a + sign*b coefficient by coefficient."""
+    n, (al, bl) = _lifted((a, b))
+    return Jet([x + sign * y for x, y in zip(al, bl)], order=a.order, conductor=n)
 
 
 def naive_reciprocal(f: Jet) -> Jet:
@@ -82,12 +105,72 @@ def naive_reciprocal(f: Jet) -> Jet:
     N, n = f.order, f.conductor
     inv0 = cyclo_embed(1, n) / f.coeffs[0]
     minus_u = Jet([0] + [-c * inv0 for c in f.coeffs[1:]], order=N, conductor=n)
-    total = Jet.constant(1, N, n)
-    power = Jet.constant(1, N, n)
+    total = power = Jet([1], order=N, conductor=n)
     for _ in range(N):
         power = naive_jet_product(power, minus_u)
-        total = total + power
+        total = naive_jet_sum(total, power)
     return Jet([c * inv0 for c in total.coeffs], order=N, conductor=n)
+
+
+def naive_binomial_power(f: Jet, r: Fraction) -> Jet:
+    """f^r = sum_k C(r, k) u^k for f = 1 + u, each u^k a schoolbook product
+    of the one before, instead of the weighted sum over a power table."""
+    N, n = f.order, f.conductor
+    if f.coeffs[0] != 1:
+        raise ValueError("rational powers require constant term 1")
+    u = Jet([0] + list(f.coeffs[1:]), order=N, conductor=n)
+    total = power = Jet([1], order=N, conductor=n)
+    binom = Fraction(1)
+    for k in range(1, N + 1):
+        binom = binom * (r - k + 1) / k
+        power = naive_jet_product(power, u)
+        total = naive_jet_sum(total, Jet([binom * c for c in power.coeffs], order=N, conductor=n))
+    return total
+
+
+def naive_series(node, env: dict, order: int) -> Jet:
+    """A parsed series expression evaluated over coefficient lists: sums
+    coefficient by coefficient, :func:`naive_jet_product`,
+    :func:`naive_reciprocal` for division and negative powers, integer powers
+    as repeated products and pow(f, r) by :func:`naive_binomial_power`.  It
+    raises the errors of ``expressions.eval_series``, with its messages."""
+    op = node[0]
+    if op == "num":
+        return Jet([node[1]], order=order)
+    if op == "name":
+        if node[1] == "z":
+            return Jet([0, 1], order=order)
+        if node[1] not in env:
+            raise ExpressionError(f"unknown name {node[1]!r} in series expression")
+        return Jet([env[node[1]]], order=order)
+    if op == "neg":
+        a = naive_series(node[1], env, order)
+        return Jet([-c for c in a.coeffs], order=order, conductor=a.conductor)
+    if op in ("add", "sub", "mul", "div"):
+        a = naive_series(node[1], env, order)
+        b = naive_series(node[2], env, order)
+        if op == "mul":
+            return naive_jet_product(a, b)
+        if op == "div":
+            if b.coeffs[0].is_zero:
+                raise ExpressionError("series division needs a divisor with nonzero constant term")
+            return naive_jet_product(a, naive_reciprocal(b))
+        return naive_jet_sum(a, b, 1 if op == "add" else -1)
+    if op == "ipow":
+        base = naive_series(node[1], env, order)
+        e = node[2]
+        check_power_bits(base.coeffs, e)
+        if e < 0:
+            if base.coeffs[0].is_zero:
+                raise ExpressionError("negative powers need a nonzero constant term")
+            base = naive_reciprocal(base)
+        out = Jet([1], order=order, conductor=base.conductor)
+        for _ in range(abs(e)):
+            out = naive_jet_product(out, base)
+        return out
+    if op == "rpow":
+        return naive_binomial_power(naive_series(node[1], env, order), node[2])
+    raise ExpressionError(f"bad AST node {op!r}")
 
 
 def geometric_quotient(a, N: int) -> Jet:
@@ -242,7 +325,8 @@ def naive_root_scan(m: int, constraints, var: str = "a") -> list[CycloElem]:
 
 def per_root_presentations(spec: dict, order: int) -> list:
     """(label, scalars, generator jets) of a presentation spec, one per root
-    of :func:`naive_root_scan`, every generator evaluated at every root."""
+    of :func:`naive_root_scan`, every generator evaluated at every root by
+    :func:`naive_series` (a repeated expression once per root)."""
     field = spec.get("field") or {}
     var = field.get("var", "a")
     constraints = field.get("constraints", [])
@@ -250,10 +334,14 @@ def per_root_presentations(spec: dict, order: int) -> list:
     if constraints:
         roots = naive_root_scan(field.get("conductor", 1), constraints, var)
         envs = [({var: a}, f"{var}={format_scalar(a)}") for a in roots]
-    return [
-        (label, env, [series_from_string(e, env, order=order) for e in spec["generators"]])
-        for env, label in envs
-    ]
+    out = []
+    for env, label in envs:
+        jets: dict = {}
+        for e in spec["generators"]:
+            if e not in jets:
+                jets[e] = naive_series(parse_expression(e), env, order)
+        out.append((label, env, [jets[e] for e in spec["generators"]]))
+    return out
 
 
 def naive_poly_product(p: MultiPoly, q: MultiPoly) -> MultiPoly:

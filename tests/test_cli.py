@@ -555,3 +555,40 @@ def test_numbers_past_the_digit_limit_are_one_line_input_errors(tmp_path, capsys
     if argv[0] == "forms":  # the verdict alone prints no coefficient
         code, out, err = run(capsys, "forms", "integrable", str(path))
         assert code == 0 and err == "" and json.loads(out)["integrable"] is True
+
+
+def test_zero_denominator_in_a_rational_exponent_names_its_input(tmp_path, capsys):
+    spec = {"generators": ["z", "z/pow(1 + z, 1/0)"]}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(spec))
+    assert run(capsys, "certify", str(path)) == (
+        2,
+        "",
+        "germlin: error: generator 2 ('z/pow(1 + z, 1/0)'): zero denominator "
+        "in the exponent of pow in 'z/pow(1 + z, 1/0)'\n",
+    )
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"vars": ["x", "y"], "form": "pow(1 + x, -1/0)*dx"}))
+    assert run(capsys, "forms", "integrable", str(path)) == (
+        2,
+        "",
+        f'germlin: error: {path}: field "form": zero denominator '
+        "in the exponent of pow in 'pow(1 + x, -1/0)*dx'\n",
+    )
+
+
+def test_forms_pullback_builds_the_chart_pullback_once(monkeypatch, capsys):
+    from germlin import cli, pforms
+
+    calls = []
+    pullback = pforms.blowup_chart_pullback
+
+    def counting(*args):
+        calls.append(args)
+        return pullback(*args)
+
+    monkeypatch.setattr(cli, "blowup_chart_pullback", counting)
+    monkeypatch.setattr(pforms, "blowup_chart_pullback", counting)
+    code, out, _ = run(capsys, "forms", "pullback", "--example", "ex6.1", "--k", "8")
+    assert code == 0 and json.loads(out)["matches_tangent_cone"] is True
+    assert len(calls) == 1

@@ -29,6 +29,7 @@ from germlin.registry import GROUP_EXAMPLES, build_group_example
 
 from oracles import lagrange_inverse, naive_classes, per_root_presentations, random_jet
 from test_golden import GOLDEN_DIR, _golden_path, _run
+from test_jets import WIDE_CONDUCTORS
 
 
 def _germ(coeffs, order, conductor=1):
@@ -363,7 +364,9 @@ def test_two_orbits_file_transfers_only_within_an_orbit(monkeypatch):
 
 def _assert_equals_per_root_evaluation(spec, order):
     """The loader's presentations, the later roots of each orbit built by
-    sigma_u, equal those of evaluating every generator at every root."""
+    sigma_u, equal those of evaluating every generator at every root over
+    coefficient lists (``oracles.naive_series``), as rows and as
+    coefficients."""
     try:
         expected = per_root_presentations(spec, order)
     except ExpressionError as exc:
@@ -377,7 +380,10 @@ def _assert_equals_per_root_evaluation(spec, order):
     ]
     for item, (_, _, jets) in zip(loaded, expected):
         pres = item.presentation
-        assert [g.jet for g in pres.gens] == [j.lift(pres.conductor) for j in jets]
+        n = pres.conductor
+        coeffs = [tuple(c.lift(n) for c in j.coeffs) for j in jets]
+        assert [g.jet.coeffs for g in pres.gens] == coeffs
+        assert [g.jet.row for g in pres.gens] == [Jet(c, conductor=n).row for c in coeffs]
         assert pres.classes == naive_classes(jets)
     _assert_image_roots_share_classes(loaded)
     return True
@@ -410,6 +416,18 @@ CONDUCTOR_105_SPEC = {
     "field": {"conductor": 105, "constraints": ["a^7 = 1"]},
     "generators": ["z/a", "z/a", "z/(a + z)", "z/(a - a^6*z)"],
 }
+
+
+@pytest.mark.parametrize("n", WIDE_CONDUCTORS)
+def test_loader_equals_per_root_evaluation_across_the_conductor_range(n):
+    # the roots of a^m = 1 for m = 7 or 8 dividing n: two to four Galois
+    # orbits, the later roots built by sigma_u through Phi_n's reduction
+    m = 7 if n % 7 == 0 else 8
+    spec = {
+        "field": {"conductor": n, "constraints": [f"a^{m} = 1"]},
+        "generators": ["z/a", "z/(a + z)", "a*z/(1 - a^3*z)", "z*pow(1 + a*z, 1/2)"],
+    }
+    assert _assert_equals_per_root_evaluation(spec, 4)
 
 
 @pytest.mark.parametrize("order", [4, 8])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from germlin.cyclotomic import CycloElem, cyclo_embed, euler_phi, zeta
+from germlin.cyclotomic import CycloElem, cyclo_embed, euler_phi, format_scalar, zeta
 from germlin.jets import (
     Jet,
     RightComposer,
@@ -590,3 +590,98 @@ def test_inverse_read_from_rows_matches_oracles_at_each_conductor(n):
         assert naive_poly_compose(g, inverse) == identity == naive_poly_compose(inverse, g)
     with pytest.raises(ValueError):
         RightComposer(Jet([0, 0, 1], order=N, conductor=n)).inverse()
+
+
+# -- the Jet contract: a jet is its row, and its coefficients follow from it -----------
+
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _elements(n):
+    """Zero, one or an element of Q(zeta_n) with small coordinates."""
+    phi_n = euler_phi(n)
+    return st.one_of(
+        st.just(0),
+        st.just(1),
+        st.lists(_SMALL, min_size=phi_n, max_size=phi_n).map(lambda c: CycloElem(n, c)),
+    )
+
+
+@st.composite
+def _coefficient_lists(draw, conductors=ORACLE_CONDUCTORS):
+    """(n, coefficients) of a jet of order 0 .. 6 over Q(zeta_n)."""
+    n = draw(st.sampled_from(conductors))
+    size = draw(st.integers(1, 7))
+    return n, draw(st.lists(_elements(n), min_size=size, max_size=size))
+
+
+def _in_field(coeffs, n):
+    """The coefficients as elements of Q(zeta_n), one at a time."""
+    return tuple(cyclo_embed(c, n) if isinstance(c, int) else c for c in coeffs)
+
+
+def _row_only(jet):
+    """The same jet holding only its row, as the operations return jets."""
+    return Jet._of(jet.row, jet.order, jet.conductor)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_coefficient_lists())
+def test_jet_coefficients_round_trip_through_the_row(case):
+    n, coeffs = case
+    expected = _in_field(coeffs, n)
+    jet = Jet(coeffs, conductor=n)
+    assert jet.coeffs == expected == _row_only(jet).coeffs
+    assert jet.row == _sparse_row(expected)
+    _assert_canonical(jet.row, jet.order, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_coefficient_lists(), st.data())
+def test_jet_keys_are_equal_exactly_when_the_coefficients_are(case, data):
+    n, coeffs = case
+    other = list(coeffs)
+    if data.draw(st.booleans()):  # change one coefficient, perhaps to an equal value
+        k = data.draw(st.integers(0, len(coeffs) - 1))
+        other[k] = data.draw(_elements(n))
+    a, b = Jet(coeffs, conductor=n), Jet(other, conductor=n)
+    same = _in_field(coeffs, n) == _in_field(other, n)
+    assert (a.key() == b.key()) == same == (a == b)
+    assert (_row_only(a) == _row_only(b)) == same
+
+
+@settings(max_examples=80, deadline=None)
+@given(_coefficient_lists(conductors=(1,)), _coefficient_lists(), st.integers(1, 40))
+def test_jet_equals_its_lift_and_its_galois_images_map_each_coefficient(rational, case, u):
+    _, coeffs = rational
+    n, field_coeffs = case
+    jet = Jet(coeffs)
+    lifted = jet.lift(n)
+    assert lifted == jet and jet == lifted and lifted.conductor == n
+    assert lifted.coeffs == _in_field(coeffs, n)
+    # a jet over Q(zeta_n) lifted to 18 n reduces through Phi_(18 n)
+    wide = Jet(field_coeffs, conductor=n)
+    assert wide.lift(18 * n).coeffs == tuple(c.lift(18 * n) for c in wide.coeffs)
+    assert wide.lift(18 * n) == wide
+    if gcd(u, n) == 1:
+        assert wide._galois(u).coeffs == tuple(c._galois(u) for c in wide.coeffs)
+        _assert_canonical(wide._galois(u).row, wide.order, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_coefficient_lists())
+def test_jet_accessors_read_the_row_as_the_coefficient_list(case):
+    n, coeffs = case
+    expected = _in_field(coeffs, n)
+    jet = _row_only(Jet(coeffs, conductor=n))
+    N = jet.order
+    assert jet.is_zero() == all(c.is_zero for c in expected)
+    assert jet.constant_term == expected[0]
+    if N >= 1:
+        assert jet.linear_term == expected[1]
+    assert [jet.coefficient(k) for k in range(N + 1)] == list(expected)
+    for K in range(N + 1):
+        assert jet.truncate(K).coeffs == expected[: K + 1]
+    data = jet.to_json()
+    assert data["coeffs"] == [format_scalar(c) for c in expected]
+    assert Jet.from_json(data) == jet and Jet.from_json(data).coeffs == expected

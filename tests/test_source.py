@@ -113,3 +113,15 @@ def test_module_references_in_docstrings_resolve():
                     missing.append(f"{path.name}: {module}.{name}")
     assert "jets._weighted_sum" in checked
     assert missing == [], "docstring references to names the module does not have"
+
+
+def test_rows_cross_module_boundaries_only_as_jet_row():
+    # the conversions between a coefficient list and a row belong to jets.py;
+    # every other module reads and builds jets through Jet.row and the API
+    names = ("_sparse_row", "_row_coeffs")
+    used = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found = {name for stmt in tree.body for name in _referenced_names(stmt)}
+        used += [f"{path.name} {name}" for name in names if name in found]
+    assert sorted(used) == ["jets.py _row_coeffs", "jets.py _sparse_row"]
