@@ -21,6 +21,11 @@ Grammar (integer literals only; rationals are built by division)::
 ``pow(f, p/q)`` is the rational power of a series with constant term 1.
 Constraints are equations ``lhs = rhs`` (or ``==``).
 
+Constraints and generators share one evaluator, which takes no order for the
+scalar domain and the order of the jets for the series domain.  Constants
+stay exact scalars until they meet ``z``; only then are they lifted into
+jets, so a constant subexpression of a generator is computed in the field.
+
 Every integer power ``b^e`` is checked against MAX_POWER_BITS before it is
 formed, in all three domains.
 """
@@ -57,27 +62,21 @@ MAX_POWER_BITS = 16384
 
 
 def _height(c) -> int:
-    """The largest numerator or denominator of a scalar, in absolute value."""
+    """The largest numerator or denominator of a scalar, or of a coordinate
+    or denominator in a jet's row, in absolute value; 1 for the zero row, as
+    for a zero coefficient."""
+    if isinstance(c, Jet):
+        return max((max(den, *(abs(b) for _, b in coords)) for _, coords, den in c.row), default=1)
     if isinstance(c, CycloElem):
         return max(c.den, *map(abs, c.num))
     return max(abs(c.numerator), c.denominator)
 
 
-def _row_height(row) -> int:
-    """The largest numerator coordinate or denominator among the entries of
-    a jet's row, in absolute value; 1 for the zero row, as for a zero
-    coefficient."""
-    return max((max(den, *(abs(b) for _, b in coords)) for _, coords, den in row), default=1)
-
-
 def check_power_bits(coefficients, e: int) -> None:
     """ExpressionError if |e| times the largest bit length of a numerator or
-    denominator among the coefficients of a base is above MAX_POWER_BITS."""
-    _check_bits(max(map(_height, coefficients), default=0), e)
-
-
-def _check_bits(height: int, e: int) -> None:
-    bits = height.bit_length()
+    denominator among the coefficients of a base is above MAX_POWER_BITS.
+    A jet stands for all of its coefficients."""
+    bits = max(map(_height, coefficients), default=0).bit_length()
     if abs(e) * bits > MAX_POWER_BITS:
         raise ExpressionError(
             f"power ^{e} of a base with {bits}-bit coefficients is above the "
@@ -222,90 +221,82 @@ def parse_constraint(text: str):
     return parse_expression(parts[0]), parse_expression(parts[1])
 
 
-# -- scalar evaluation -----------------------------------------------------------
+# -- evaluation --------------------------------------------------------------------
 
 
-def eval_scalar(node, env: dict):
-    """Evaluate in the scalar domain (Fraction / CycloElem)."""
+def _evaluate(node, env: dict, order: int | None):
+    """Evaluate in the scalar domain (``order`` None: Fraction / CycloElem)
+    or in the series domain (jets of the given order in ``z``).
+
+    Constants stay scalars until they meet ``z``: the operators of Jet and
+    CycloElem lift them then, so ``z/a`` divides by the scalar ``a``."""
     op = node[0]
     if op == "num":
         return Fraction(node[1])
     if op == "name":
         name = node[1]
+        if order is not None and name == "z":
+            return Jet.identity(order)
         if name not in env:
-            raise ExpressionError(f"unknown scalar name {name!r}")
-        return env[name]
+            if order is None:
+                raise ExpressionError(f"unknown scalar name {name!r}")
+            raise ExpressionError(f"unknown name {name!r} in series expression")
+        value = env[name]
+        # an int stays exact under / and negative powers
+        return value if isinstance(value, CycloElem) else Fraction(value)
     if op == "neg":
-        return -eval_scalar(node[1], env)
+        return -_evaluate(node[1], env, order)
     if op in ("add", "sub", "mul", "div"):
-        a = eval_scalar(node[1], env)
-        b = eval_scalar(node[2], env)
+        a = _evaluate(node[1], env, order)
+        b = _evaluate(node[2], env, order)
         if op == "add":
             return a + b
         if op == "sub":
             return a - b
         if op == "mul":
             return a * b
-        return a / b
+        if order is None:
+            return a / b
+        if _vanishes_at_zero(b):
+            raise ExpressionError(
+                "series division needs a divisor with nonzero constant term"
+            )
+        return a * (jet_mul_inverse(b) if isinstance(b, Jet) else 1 / b)
     if op == "ipow":
-        base = eval_scalar(node[1], env)
-        check_power_bits((base,), node[2])
-        return base ** node[2]
+        base = _evaluate(node[1], env, order)
+        e = node[2]
+        check_power_bits((base,), e)
+        if e < 0 and order is not None and _vanishes_at_zero(base):
+            raise ExpressionError("negative powers need a nonzero constant term")
+        return base**e
     if op == "rpow":
-        raise ExpressionError("pow(..., p/q) is only defined for series")
+        if order is None:
+            raise ExpressionError("pow(..., p/q) is only defined for series")
+        base = _evaluate(node[1], env, order)
+        if not isinstance(base, Jet):
+            base = Jet.constant(base, order)
+        return jet_rational_power(base, node[2])
     raise ExpressionError(f"bad AST node {op!r}")
+
+
+def _vanishes_at_zero(value) -> bool:
+    """Whether a scalar is 0, or the constant term of a jet is."""
+    return value.constant_term.is_zero if isinstance(value, Jet) else value == 0
+
+
+def eval_scalar(node, env: dict):
+    """Evaluate in the scalar domain (Fraction / CycloElem)."""
+    return _evaluate(node, env, None)
 
 
 def scalar_from_string(text: str, env: dict | None = None):
     return eval_scalar(parse_expression(text), env or {})
 
 
-# -- series evaluation -------------------------------------------------------------
-
-
 def eval_series(node, env: dict, order: int) -> Jet:
     """Evaluate in the series domain: jets of the given order in ``z``."""
-    op = node[0]
-    if op == "num":
-        return Jet.constant(node[1], order)
-    if op == "name":
-        name = node[1]
-        if name == "z":
-            return Jet.identity(order)
-        if name not in env:
-            raise ExpressionError(f"unknown name {name!r} in series expression")
-        return Jet.constant(env[name], order)
-    if op == "neg":
-        return -eval_series(node[1], env, order)
-    if op in ("add", "sub", "mul", "div"):
-        a = eval_series(node[1], env, order)
-        b = eval_series(node[2], env, order)
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        if op == "mul":
-            return a * b
-        if b.constant_term.is_zero:
-            raise ExpressionError(
-                "series division needs a divisor with nonzero constant term"
-            )
-        return a * jet_mul_inverse(b)
-    if op == "ipow":
-        base = eval_series(node[1], env, order)
-        e = node[2]
-        _check_bits(_row_height(base.row), e)
-        if e < 0:
-            if base.constant_term.is_zero:
-                raise ExpressionError(
-                    "negative powers need a nonzero constant term"
-                )
-            return jet_mul_inverse(base) ** (-e)
-        return base**e
-    if op == "rpow":
-        base = eval_series(node[1], env, order)
-        return jet_rational_power(base, node[2])
-    raise ExpressionError(f"bad AST node {op!r}")
+    value = _evaluate(node, env, order)
+    return value if isinstance(value, Jet) else Jet.constant(value, order)
 
 
 def series_from_string(text: str, env: dict | None = None, order: int = 32) -> Jet:

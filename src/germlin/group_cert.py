@@ -86,7 +86,7 @@ from .germs import (
     reduced_word_search,
     tangency_data,
 )
-from .jets import DEFAULT_ORDER, Jet, RightComposer, _compose_rows
+from .jets import DEFAULT_ORDER, RightComposer, _Z_ROW, _compose_rows
 
 __all__ = [
     "GroupPresentation",
@@ -210,17 +210,12 @@ class GroupPresentation:
         return comp
 
 
-def _identity_row(pres: GroupPresentation) -> tuple:
-    """The row of z at the presentation's order and conductor."""
-    return Jet.identity(pres.order, pres.conductor).row
-
-
 def check_product_identity(pres: GroupPresentation) -> bool:
     """True iff the ordered composition of all generators is z to order N."""
     acc = pres.gens[0].jet.row
     for idx in range(2, len(pres.gens) + 1):
         acc = pres.letter_composer(idx, 1).compose(acc)
-    return acc == _identity_row(pres)
+    return acc == _Z_ROW
 
 
 def check_conjugacy_witness(
@@ -235,7 +230,7 @@ def check_conjugacy_witness(
     pres._check_index(j)
     if not isinstance(w, Word):
         w = Word.from_list(w)
-    g = _identity_row(pres)
+    g = _Z_ROW
     for idx, exp in w.letters:
         g = pres.letter_composer(idx, exp).compose(g)
     fi = pres.generator(i).jet.row
@@ -275,14 +270,13 @@ def search_conjugator(
     K = _filter_degree(pres.generator(i), pres.generator(j))
     fi = pres.generator(i).jet
     compose_fj = pres.letter_composer(j, 1)
-    ident = _identity_row(pres)
     # a sketch is the pair of rows (h, f_i o h) to degree K
     letters = [
         (letter, comp.compose, lambda s, c=comp: (c.prefix(s[0], K), c.prefix(s[1], K)))
         for letter, comp in pres.letters()
     ]
     return reduced_word_search(
-        (ident, (ident, fi.truncate(K).row)),
+        (_Z_ROW, (_Z_ROW, fi.truncate(K).row)),
         letters,
         _row_key,
         lambda s: s[1] == compose_fj.prefix(s[0], K),

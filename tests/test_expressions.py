@@ -60,6 +60,12 @@ def test_series_basic():
     assert series_from_string("-z^2/2", order=3) == Jet(
         [0, 0, Fraction(-1, 2), 0]
     )
+    # constants stay scalars until they meet z: a scalar result is a
+    # constant jet, and a constant that cancels keeps its conductor
+    assert series_from_string("3", order=5) == Jet.constant(3, 5)
+    assert series_from_string("pow(1, 1/2)", order=3) == Jet.constant(1, 3)
+    got = series_from_string("a - a + z", {"a": zeta(6)}, order=4)
+    assert (got, got.conductor) == (Jet.identity(4), 6)
 
 
 def test_series_quotients_and_powers():
@@ -74,6 +80,9 @@ def test_series_quotients_and_powers():
     assert radical == manual
     inv = series_from_string("(1 - z)^-1", order=4)
     assert inv == jet_mul_inverse(Jet([1, -1, 0, 0, 0]))
+    # an int value of a name stays exact under / and negative powers
+    got = series_from_string("z/a + a^-2", {"a": 2}, order=3)
+    assert got == Jet([Fraction(1, 4), Fraction(1, 2), 0, 0])
 
 
 def test_series_errors():
@@ -85,3 +94,11 @@ def test_series_errors():
         series_from_string("z^-1", order=4)
     with pytest.raises(ExpressionError):
         series_from_string("w + z", order=4)
+    with pytest.raises(ValueError):
+        series_from_string("pow(a, 1/2)", {"a": zeta(6)}, order=4)
+    # a scalar 0 as divisor or base of a negative power is the series error,
+    # not ZeroDivisionError
+    with pytest.raises(ExpressionError, match="^series division needs a divisor with nonzero constant term$"):
+        series_from_string("z/(2 - 2)", order=4)
+    with pytest.raises(ExpressionError, match="^negative powers need a nonzero constant term$"):
+        series_from_string("z + 0^-1", order=4)

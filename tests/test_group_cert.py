@@ -457,6 +457,11 @@ _TEMPLATES = (
     "{v}^{e}*z + {c}*{v}^{f}*z^2",
     "{v}^{e}*z*pow(1 + {c}*{v}^{f}*z, 1/2)",
     "z/({v}^{e} + 1)",  # undefined where v^e = -1
+    # the scalar-first paths: a scalar divisor, vanishing where v^e = v^f,
+    # a negative power of a scalar, and pow of a scalar
+    "z/({v}^{e} - {v}^{f})",
+    "{v}^-{e}*z",
+    "z*pow(1, 1/2)",
 )
 
 
