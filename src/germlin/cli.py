@@ -25,6 +25,7 @@ from .cyclotomic import format_scalar, parse_scalar
 from .expressions import ExpressionError
 from .group_cert import (
     DEFAULT_MAX_WORD_LEN,
+    MAX_WORD_LEN,
     LoadedPresentation,
     PresentationError,
     certify_roots,
@@ -115,8 +116,10 @@ def _scalars_json(scalars: dict) -> dict:
 
 
 def cmd_certify(args) -> int:
-    if args.max_word_len < 0:
-        raise InputError(f"--max-word-len must be >= 0, got {args.max_word_len}")
+    if not 0 <= args.max_word_len <= MAX_WORD_LEN:
+        raise InputError(
+            f"--max-word-len must be between 0 and {MAX_WORD_LEN}, got {args.max_word_len}"
+        )
     source, loaded = _load_presentations(args)
     reports = certify_roots(loaded, args.max_word_len)
     solutions = []

@@ -7,8 +7,9 @@ denominator with all common factors removed, so equality of values at the same
 conductor is equality of representations.
 
 One cached table of zeta_n^e, e = 0 .. n-1, is the only place that multiplies
-by zeta and reduces modulo Phi_n.  Products read their reduction rows from it,
-and the embedding into Q(zeta_m) and the Galois automorphisms
+by zeta and reduces modulo Phi_n.  Products read their reduction rows from
+its sparse form (the nonzero coordinates of each zeta_n^e, indexed by e mod
+n), and the embedding into Q(zeta_m) and the Galois automorphisms
 sigma_u: zeta -> zeta^u both re-index into it.  The inverse of x is the
 product of its other conjugates sigma_u(x), u != 1, divided by the rational
 norm x * prod sigma_u(x); no linear system is solved.
@@ -219,17 +220,24 @@ def _add_product(acc: list[int], an, bn) -> list[int]:
     return acc
 
 
+@lru_cache(maxsize=None)
+def _sparse_monomials(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The nonzero coordinates of zeta_n^e as (index, value) pairs, for
+    e = 0 .. n-1: the rows of :func:`_monomials` without their zeros, which
+    every reduction and re-indexing reads, always at e mod n."""
+    return tuple(tuple((j, r) for j, r in enumerate(mon) if r) for mon in _monomials(n))
+
+
 def _reduce_product(n: int, prod: list[int]) -> list[int]:
     """Reduce sum_e prod[e] zeta_n^e (any length) to the power basis."""
-    mons = _monomials(n)
-    phi_n = len(mons[0])
+    mons = _sparse_monomials(n)
+    phi_n = euler_phi(n)
     out = prod[:phi_n]
     for e in range(phi_n, len(prod)):
         c = prod[e]
         if c:
-            for t, rt in enumerate(mons[e % n]):
-                if rt:
-                    out[t] += c * rt
+            for t, rt in mons[e % n]:
+                out[t] += c * rt
     return out
 
 

@@ -60,6 +60,11 @@ inversion of jets and is injective, so it maps the letters, the reduced-word
 tree and its deduplication of the first root's search onto those of the
 image node for node.  Witnesses and the product identity are still checked
 on every solution.
+
+The image also takes its tables from the first root: its right composers and
+inverse generators are the sigma_u images of the first root's, mapped row by
+row (``jets._map_row``), since sigma_u commutes with products and inversion.
+Its product identity and witness checks run on those mapped tables.
 """
 
 from __future__ import annotations
@@ -86,7 +91,7 @@ from .germs import (
     reduced_word_search,
     tangency_data,
 )
-from .jets import DEFAULT_ORDER, RightComposer, _Z_ROW, _compose_rows
+from .jets import DEFAULT_ORDER, RightComposer, _Z_ROW, _compose_rows, _map_row
 
 __all__ = [
     "GroupPresentation",
@@ -104,6 +109,9 @@ __all__ = [
 ]
 
 DEFAULT_MAX_WORD_LEN = 8
+# The word-length bound of the command line: an unresolved search grows
+# exponentially with it.
+MAX_WORD_LEN = 12
 # Input limits of the presentation loader: the truncation order N, and the
 # conductor n, for which the field tables hold n x phi(n) integers.
 MAX_ORDER = 256
@@ -115,13 +123,20 @@ class PresentationError(ValueError):
 
 
 class GroupPresentation:
-    """Ordered basic generators plus optional conjugacy witness words."""
+    """Ordered basic generators plus optional conjugacy witness words.
+
+    ``galois_of=(first, u)`` states that generator i is sigma_u of generator
+    i of the presentation ``first``, as the loader builds a Galois image; the
+    right composers and inverse generators are then sigma_u of first's.
+    """
 
     def __init__(
         self,
         gens: Sequence[Germ],
         witnesses: Optional[dict[tuple[int, int], Word]] = None,
         order: Optional[int] = None,
+        *,
+        galois_of: Optional[tuple["GroupPresentation", int]] = None,
     ):
         gens = list(gens)
         if len(gens) < 2:
@@ -153,6 +168,9 @@ class GroupPresentation:
         self._letter_composers: dict = {}  # by (class, sign)
         self._inverses: dict = {}  # by class
         self._letters: Optional[tuple] = None
+        self._galois_of = (
+            None if galois_of is None else (galois_of[0], galois_of[1] % conductor)
+        )
 
     def _check_index(self, i: int):
         if not (1 <= i <= len(self.gens)):
@@ -168,12 +186,18 @@ class GroupPresentation:
         return self.gens[i - 1]
 
     def inverse_generator(self, i: int) -> Germ:
-        """f_i^-1, cached by class: equal generators share one inverse."""
+        """f_i^-1, cached by class: equal generators share one inverse.  On a
+        Galois image it is sigma_u of the first root's inverse."""
         self._check_index(i)
         c = self.classes[i - 1]
         inv = self._inverses.get(c)
         if inv is None:
-            inv = self._inverses[c] = Germ(self.composer(self.gens[c]).inverse())
+            if self._galois_of is None:
+                inv = Germ(self.composer(self.gens[c]).inverse())
+            else:
+                first, u = self._galois_of
+                inv = Germ(first.inverse_generator(i).jet._galois(u))
+            self._inverses[c] = inv
         return inv
 
     def letters(self) -> tuple:
@@ -192,13 +216,23 @@ class GroupPresentation:
 
     def letter_composer(self, idx: int, sign: int) -> RightComposer:
         """The right composer of f_idx (sign 1) or f_idx^-1 (sign -1), cached
-        by class and sign."""
+        by class and sign.  On a Galois image its power table is that of the
+        first root's composer, mapped by sigma_u row by row."""
         self._check_index(idx)
         key = (self.classes[idx - 1], sign)
         comp = self._letter_composers.get(key)
         if comp is None:
-            letter = self.gens[key[0]] if sign == 1 else self.inverse_generator(idx)
-            comp = self._letter_composers[key] = self.composer(letter)
+            if self._galois_of is None:
+                letter = self.gens[key[0]] if sign == 1 else self.inverse_generator(idx)
+                comp = self.composer(letter)
+            else:
+                first, u = self._galois_of
+                source = first.letter_composer(idx, sign)
+                row = _map_row(source.rows[1], self.conductor, u)  # the letter's own row
+                comp = self._composers.get(row)
+                if comp is None:
+                    comp = self._composers[row] = source._galois(u)
+            self._letter_composers[key] = comp
         return comp
 
     def composer(self, germ: Germ) -> RightComposer:
@@ -576,7 +610,10 @@ def _load_presentation_data(data, order: Optional[int]) -> list[LoadedPresentati
                 except (ExpressionError, ValueError) as exc:
                     raise PresentationError(f"generator {idx} ({expr!r}): {exc}") from exc
         label = f"{var}={format_scalar(env[var])}" if env else ""
-        pres = GroupPresentation([germs[expr] for expr in gens_raw], witnesses, order=n_order)
+        source = None if image_of is None else (out[image_of].presentation, u)
+        pres = GroupPresentation(
+            [germs[expr] for expr in gens_raw], witnesses, order=n_order, galois_of=source
+        )
         out.append(LoadedPresentation(label, env, pres, image_of))
     return out
 

@@ -27,11 +27,11 @@ Sums, products, powers, composition and rational powers share one kernel,
 the weighted sum  sum w * z^s * P  over (weight, shift, row) terms; a weight
 is a row entry without its degree.  A sum a + b weighs both rows by 1; a
 product a*b weighs the row of b by a_i at shift i; the composition f(g)
-weighs the rows of a table of truncated powers of g by f_e, each power built
-from the row of the one before; (1 + u)^r weighs the powers of u by the
-binomial coefficients C(r, e).  Integer powers square through the product.
-Lifting to a larger conductor and the Galois automorphisms
-sigma_u: zeta -> zeta^u map each entry through the cached table of zeta^e.
+weighs the rows of a table of truncated powers of g by f_e; (1 + u)^r
+weighs the powers of u by the binomial coefficients C(r, e).  Integer powers
+square through the product.  Lifting to a larger conductor and the Galois
+automorphisms sigma_u: zeta -> zeta^u map each entry through the cached
+table of zeta^e.
 
 The kernel scatters: each product of a weight with a row entry is added, as
 an unreduced integer product of coordinate vectors, in place into the one
@@ -43,6 +43,16 @@ compositional inverse (RightComposer.inverse) over the entries of one column
 of the power table, the reciprocal (jet_mul_inverse) over the entries of
 -f/f_0.  Either way each coefficient is reduced modulo Phi_n and normalized
 once, not once per product.
+
+A power table builds each even power as the square of its half,
+g^(2j) = (g^j)^2, in one kernel call in which entry i of g^j weighs itself
+and, doubled, the entries after it, read only while 2 t_i <= N: about half
+the pairs of a product.  Each odd power is the one before times g.  The
+kernel finishes each output degree in place: the coordinates of zeta^e for
+e >= phi(n) fold in through one cached sparse table of the nonzero
+coordinates of zeta_n^e, read at e mod n, which also serves the reduction
+of scalar products and the re-indexing of rows; the gcd is taken only over
+a denominator other than 1.
 
 The textual form is ``jet(N=4)[0, 1, 1, 0, 0]``, meaning z + z^2 at order 4.
 """
@@ -57,9 +67,8 @@ from math import gcd
 from .cyclotomic import (
     CycloElem,
     _element,
-    _monomials,
     _power,
-    _reduce_product,
+    _sparse_monomials,
     cyclo_embed,
     euler_phi,
     format_scalar,
@@ -159,8 +168,8 @@ def _map_row(row, m: int, step: int) -> tuple:
     """
     if step % m == 1:
         return row
-    mons = _monomials(m)
-    phi_m = len(mons[0])
+    mons = _sparse_monomials(m)
+    phi_m = euler_phi(m)
     out = []
     for t, coords, den in row:
         if coords[0][0] == 0 and len(coords) == 1:  # rational: fixed
@@ -168,21 +177,38 @@ def _map_row(row, m: int, step: int) -> tuple:
             continue
         num = [0] * phi_m
         for i, b in coords:
-            for j, r in enumerate(mons[i * step % m]):
-                if r:
-                    num[j] += b * r
+            for j, r in mons[i * step % m]:
+                num[j] += b * r
         out.append((t, tuple((j, b) for j, b in enumerate(num) if b), den))
     return tuple(out)
 
 
 def _power_rows(g, d: int, N: int, n: int) -> list:
     """The rows of g^0, g^1, .., g^d truncated at degree N, for the row g (to
-    degree N) of a series with g(0) = 0: each power is the weighted sum of
-    the shifts of g by the entries of the power before it."""
+    degree N) of a series with g(0) = 0.  An odd power is the weighted sum of
+    the shifts of g by the entries of the power before it; an even power is
+    the square of its half (:func:`_square`)."""
     rows = [_ONE_ROW, g]
-    for _ in range(2, d + 1):
-        rows.append(_weighted_sum([((c, den), t, g) for t, c, den in rows[-1]], N, n))
+    for e in range(2, d + 1):
+        if e % 2:
+            rows.append(_weighted_sum([((c, den), t, g) for t, c, den in rows[-1]], N, n))
+        else:
+            rows.append(_square(rows[e // 2], N, n))
     return rows[: d + 1]
+
+
+def _square(h, N: int, n: int) -> tuple:
+    """The row of h^2 truncated at degree N: sum_i h_i^2 z^(2 t_i) plus
+    sum_(i<k) 2 h_i h_k z^(t_i + t_k), so entry i weighs itself and, doubled,
+    the entries after it.  Since t_i < t_k, nothing is left once 2 t_i > N, and
+    about half the pairs of the product h * h are read."""
+    terms = []
+    for i, (t, coords, den) in enumerate(h):
+        if 2 * t > N:
+            break
+        terms.append(((coords, den), t, h[i : i + 1]))
+        terms.append(((tuple((j, 2 * b) for j, b in coords), den), t, h[i + 1 :]))
+    return _weighted_sum(terms, N, n)
 
 
 def _substitute(w, rows, N: int, n: int) -> tuple:
@@ -214,7 +240,8 @@ def _weighted_sum(terms, N: int, n: int) -> tuple:
     coefficient is rational, and each degree accumulates one integer
     numerator in place of a coordinate list.
     """
-    width = 2 * euler_phi(n) - 1
+    phi_n = euler_phi(n)
+    width = 2 * phi_n - 1
     if width == 1:  # rational coordinates: one integer numerator per degree
         nums = [0] * (N + 1)
         dens = [0] * (N + 1)
@@ -279,18 +306,27 @@ def _weighted_sum(terms, N: int, n: int) -> tuple:
             for i, c in wc:
                 for j, bj in bn:
                     acc[i + j] += c * bj
+    # each degree: zeta^e for e >= phi(n) folds in through the nonzero
+    # coordinates of its reduction, read at e mod n (2 phi(n) - 2 may reach n)
+    mons = _sparse_monomials(n)
     out = []
     for t, acc in enumerate(accs):
         if acc is None:
             continue
-        num = _reduce_product(n, acc)
+        num = acc[:phi_n]
+        for e in range(phi_n, width):
+            c = acc[e]
+            if c:
+                for j, r in mons[e % n]:
+                    num[j] += c * r
         if not any(num):
             continue
         den = dens[t]
-        g = gcd(den, *num)
-        if g > 1:
-            den //= g
-            num = [c // g for c in num]
+        if den != 1:  # over 1 the entry has no common factor to take out
+            g = gcd(den, *num)
+            if g > 1:
+                den //= g
+                num = [c // g for c in num]
         out.append((t, tuple((j, c) for j, c in enumerate(num) if c), den))
     return tuple(out)
 
@@ -621,6 +657,15 @@ class RightComposer:
         self.order = g.order
         self.conductor = g.conductor
         self.rows = _power_rows(g.row, g.order, g.order, g.conductor)
+
+    def _galois(self, u: int) -> "RightComposer":
+        """The composer of sigma_u(g), gcd(u, n) = 1: sigma_u commutes with
+        products, so its power table is this one mapped row by row."""
+        n = self.conductor
+        comp = object.__new__(RightComposer)
+        comp.order, comp.conductor = self.order, n
+        comp.rows = [_map_row(row, n, u % n) for row in self.rows]
+        return comp
 
     def __call__(self, w: Jet) -> Jet:
         if w.order != self.order:

@@ -14,9 +14,11 @@ every generator at every root instead of one evaluation per Galois orbit,
 pairwise jet equality instead of a table of keys for the classes of equal
 generators, and determinants of coefficient matrices, expanded with schoolbook
 polynomial products over the term dicts, instead of the integer product
-kernel of the wedge and the pivot components of the form checks, and ex6.1
+kernel of the wedge and the pivot components of the form checks, ex6.1
 built from its defining products and powers instead of its closed-form
-monomials.
+monomials, power tables of successive schoolbook products instead of squares
+of half powers, and long division by Phi_n instead of the table of the
+reduced powers of zeta.
 """
 
 from __future__ import annotations
@@ -29,7 +31,13 @@ from itertools import combinations, permutations
 from math import gcd
 from math import factorial
 
-from germlin.cyclotomic import CycloElem, cyclo_embed, format_scalar, zeta
+from germlin.cyclotomic import (
+    CycloElem,
+    cyclo_embed,
+    cyclotomic_polynomial,
+    format_scalar,
+    zeta,
+)
 from germlin.expressions import (
     ExpressionError,
     check_power_bits,
@@ -91,6 +99,41 @@ def naive_jet_product(a: Jet, b: Jet) -> Jet:
         for j, y in enumerate(bl):
             full[i + j] = full[i + j] + x * y
     return Jet(full[: a.order + 1], order=a.order, conductor=n)
+
+
+def successive_powers(g: Jet, d: int) -> list:
+    """The coefficient lists of g^0, g^1, .., g^d truncated at the order of
+    g, each the schoolbook product of the one before with g: no squares and
+    no rows.  Zero coefficients and degrees beyond the order are skipped."""
+    N, n = g.order, g.conductor
+    terms = [(j, c) for j, c in enumerate(g.coeffs) if not c.is_zero]
+    zero = cyclo_embed(0, n)
+    powers = [[cyclo_embed(1, n)] + [zero] * N]
+    for _ in range(d):
+        new = [zero] * (N + 1)
+        for i, x in enumerate(powers[-1]):
+            if x.is_zero:
+                continue
+            for j, y in terms:
+                if i + j <= N:
+                    new[i + j] = new[i + j] + x * y
+        powers.append(new)
+    return powers
+
+
+def cyclotomic_remainder(n: int, prod: list) -> list:
+    """The power-basis coordinates of sum_e prod[e] zeta_n^e: the remainder of
+    the integer polynomial sum_e prod[e] x^e by long division by the monic
+    Phi_n, instead of the table of reduced powers of zeta."""
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    rem = list(prod) + [0] * max(0, deg - len(prod))
+    for top in range(len(rem) - 1, deg - 1, -1):
+        q = rem[top]
+        if q:
+            for i, c in enumerate(phi):
+                rem[top - deg + i] -= q * c
+    return rem[:deg]
 
 
 def naive_jet_sum(a: Jet, b: Jet, sign: int = 1) -> Jet:

@@ -367,7 +367,7 @@ def test_bad_order_is_one_message_for_examples_and_files(tmp_path, capsys, comma
 def test_limits_are_input_errors(tmp_path, capsys):
     from germlin.expressions import MAX_POWER_BITS
     from germlin.germs import MAX_WORD_LETTERS
-    from germlin.group_cert import MAX_CONDUCTOR, MAX_ORDER
+    from germlin.group_cert import MAX_CONDUCTOR, MAX_ORDER, MAX_WORD_LEN
     from germlin.pforms import MAX_FORM_DEGREE
 
     def fails(argv, spec, field):
@@ -382,6 +382,18 @@ def test_limits_are_input_errors(tmp_path, capsys):
         code, out, err = run(capsys, "certify", *source, "--order", too_long)
         assert code == 2 and out == "" and err.count("\n") == 1 and '"order"' in err
     fails(["linearize"], {"order": MAX_ORDER + 1, "generators": ["z", "z"]}, '"order"')
+    # an unresolved search grows exponentially with the word length
+    for length in (MAX_WORD_LEN + 1, 10**6):
+        code, out, err = run(
+            capsys, "certify", "--example", "ex4.1", "--max-word-len", str(length)
+        )
+        assert code == 2 and out == "" and err.count("\n") == 1 and "--max-word-len" in err
+    fails(["certify", "--max-word-len", str(MAX_WORD_LEN + 1)], {"generators": ["z", "z"]},
+          "--max-word-len")
+    code, out, err = run(
+        capsys, "certify", "--example", "ex4.1", "--order", "4", "--max-word-len", str(MAX_WORD_LEN)
+    )
+    assert code == 0 and err == "", err
     fails(["certify", "--order", too_long], {"generators": ["z", "z"]}, '"order"')
     fails(
         ["certify"],

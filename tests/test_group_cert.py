@@ -337,6 +337,37 @@ def test_orbit_transfer_equals_independent_certify(example, order, max_len):
     assert _reports_json(certify_roots(loaded, max_len)) == _reports_json(alone)
 
 
+@pytest.mark.parametrize("example", GROUP_EXAMPLES)
+def test_image_roots_map_their_tables_from_the_first_root(monkeypatch, example):
+    # an image root's composers and inverse generators are sigma_u of its
+    # first root's, built by no RightComposer of its own; they equal the
+    # tables built afresh from its generators, and so do the reports
+    built = []
+    init = jets.RightComposer.__init__
+    monkeypatch.setattr(
+        jets.RightComposer, "__init__", lambda self, g: built.append(self) or init(self, g)
+    )
+    loaded = build_group_example(example, order=6)
+    reports = certify_roots(loaded, 1)
+    for item, report in zip(loaded, reports):
+        pres = item.presentation
+        fresh = GroupPresentation(pres.gens, pres.witnesses, order=pres.order)
+        assert _reports_json([report]) == _reports_json([certify(fresh, 1)])
+        if item.image_of is None:
+            continue
+        for idx in range(1, len(pres) + 1):
+            assert pres.inverse_generator(idx).jet.row == fresh.inverse_generator(idx).jet.row
+            for sign in (1, -1):
+                comp = pres.letter_composer(idx, sign)
+                assert comp.rows == fresh.letter_composer(idx, sign).rows
+                assert all(comp is not b for b in built)
+        # the letters keep one per value, as they do on the fresh tables
+        assert [letter for letter, _ in pres.letters()] == [
+            letter for letter, _ in fresh.letters()
+        ]
+    assert any(item.image_of is not None for item in loaded) == (example != "ex4.3")
+
+
 def test_one_search_per_orbit_of_roots(monkeypatch):
     # the six roots of g18p are one Galois orbit: 4 searches, not 6 x 4
     loaded = build_group_example("g18p", order=4)

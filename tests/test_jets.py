@@ -26,6 +26,7 @@ from germlin.jets import (
 )
 
 from oracles import (
+    cyclotomic_remainder,
     faa_di_bruno_derivative,
     geometric_quotient,
     lagrange_inverse,
@@ -33,6 +34,7 @@ from oracles import (
     naive_poly_compose,
     naive_reciprocal,
     random_jet,
+    successive_powers,
 )
 
 
@@ -573,6 +575,68 @@ def test_power_rows_match_schoolbook_powers_at_each_conductor(n):
             _assert_canonical(row, N, n)
             assert row == _sparse_row(power.coeffs)
             power = naive_jet_product(power, g)
+
+
+@pytest.mark.parametrize("N", (16, 32, 64))
+@pytest.mark.parametrize("n", (1, 9, 10, 18))
+def test_power_rows_by_squares_equal_successive_products(n, N):
+    # each even power is the square of its half, each odd one a product by g;
+    # the table must equal the one of successive schoolbook products
+    rng = random.Random(800 + n + N)
+    unit = zeta(n) if n > 2 else 2
+    series = [
+        # coordinates over 1, 2, 3, 5, 7 and 9, so rows with denominators
+        _mixed_jet(rng, N, n, zero_constant=True),
+        # sparse: degrees congruent to 1 mod 3, denominators powers of 3
+        _ex43_generator(3, N).lift(n),
+        # every entry over 1, where the finish takes no gcd
+        Jet([0, 1, unit, 0, -1, 0, 0, 3 * unit], order=N, conductor=n),
+        # valuation 2, as the linearizer's v = g/z - mu
+        Jet([0, 0, 1] + list(_mixed_jet(rng, N - 3, n).coeffs), order=N, conductor=n),
+    ]
+    d = N if N < 64 else 12  # at N = 64 a table to 12 holds squares of both parities
+    for g in series:
+        rows = _power_rows(g.row, d, N, n)
+        expected = successive_powers(g, d)
+        assert len(rows) == len(expected) == d + 1
+        for row, coeffs in zip(rows, expected):
+            _assert_canonical(row, N, n)
+            assert _row_coeffs(row, N, n) == coeffs
+
+
+@pytest.mark.parametrize("n", (7, 9, 25, 105))
+def test_sparse_finish_equals_dense_reduction(n):
+    # at 7, 9 and 25, 2 phi(n) - 2 >= n: the top powers zeta^e of an
+    # unreduced product pass zeta^n, so the kernel's finish, CycloElem
+    # products and sigma_u must read the table of reduced powers at e mod n;
+    # Phi_105 has a coefficient -2
+    phi = euler_phi(n)
+    assert (2 * phi - 2 >= n) == (n != 105)
+    rng = random.Random(790 + n)
+    units = [u for u in range(2, n) if gcd(u, n) == 1]
+    for _ in range(12):
+        da, db = rng.choice((1, 2, 6)), rng.choice((1, 3, 4))
+        a = [rng.randint(-5, 5) for _ in range(phi - 1)] + [rng.choice((-2, 1, 3))]
+        b = [rng.randint(-5, 5) for _ in range(phi - 1)] + [rng.choice((-1, 2, 5))]
+        prod = [0] * (2 * phi - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        x = CycloElem(n, [Fraction(c, da) for c in a])
+        y = CycloElem(n, [Fraction(c, db) for c in b])
+        xy = CycloElem(n, [Fraction(c, da * db) for c in cyclotomic_remainder(n, prod)])
+        assert x * y == xy
+        assert _weighted_sum([(_entry(x), 0, _sparse_row([y]))], 0, n) == _sparse_row([xy])
+        # the series x z + y z^2, squared and times itself, over one finish per degree
+        g = Jet([0, x, y], order=4, conductor=n)
+        square = Jet([0, 0, x * x, 2 * xy, y * y], order=4, conductor=n).row
+        assert _power_rows(g.row, 2, 4, n)[2] == (g * g).row == square
+        u = rng.choice(units)
+        image = [0] * n
+        for i, c in enumerate(a):
+            image[i * u % n] += c
+        expected = CycloElem(n, [Fraction(c, da) for c in cyclotomic_remainder(n, image)])
+        assert Jet([x], order=0)._galois(u).row == _sparse_row([expected])
 
 
 @pytest.mark.parametrize("n", ORACLE_CONDUCTORS + WIDE_CONDUCTORS)
