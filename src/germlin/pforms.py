@@ -1,7 +1,8 @@
 """Exact polynomial differential forms in up to four variables.
 
 Polynomials are sparse maps from exponent multi-indices to exact scalars
-(Fractions or cyclotomic elements).  A k-form (k = 1, 2, 3) is one type,
+(Fractions or cyclotomic elements); a rational one is stored as int
+numerators over one denominator (:class:`MultiPoly`).  A k-form (k = 1, 2, 3) is one type,
 :class:`Form`: a sparse map from strictly increasing index tuples I to nonzero
 polynomials, the coefficients of dx_I = dx_i1 ^ ... ^ dx_ik.  ``PForm1``,
 ``PForm2`` and ``PForm3`` only fix k.  The exterior derivative and the wedge
@@ -24,13 +25,17 @@ Every product of two polynomials goes through one kernel, a signed sum of
 products  sum +-p*q  (``_product_sum``): ``MultiPoly.__mul__`` is its one-term
 case, :func:`wedge` makes one call per output basis index with every signed
 product that lands there, and the meromorphic check builds each coefficient
-Q d_iP - P d_iQ in one call.  Over Fractions the kernel writes each distinct
-operand once as integer numerators over its lcm denominator, adds every
-product into one accumulator of ints over the lcm L of the operand
-denominator products, and builds one Fraction(v, L) per nonzero output term.
-Coefficients that are not all Fractions (CycloElems) take the same sum in
-their own arithmetic.  A power of a one-term polynomial is written down,
-(c x^a)^e = c^e x^(e a), without products.
+Q d_iP - P d_iQ in one call.  Over rational polynomials the kernel reads the
+stored integer forms, numerators over a denominator D, adds every product
+into one accumulator of ints over the lcm L of the D_p D_q, and returns the
+integer form of that sum, divided by the gcd of L and its numerators.  Sums,
+negation, scaling by an int or a Fraction, partial derivatives, homogeneous
+parts, shifts and the blow-up substitution stay on the integer form too, so
+the checks below build no Fraction; ``MultiPoly.terms`` builds them for
+output, evaluation and substitution.  Coefficients that are not all
+Fractions (CycloElems) take the same sums in their own arithmetic.  A power
+of a one-term polynomial is written down, (c x^a)^e = c^e x^(e a), without
+products.
 
 The checks that only ask whether a wedge vanishes (integrability and both
 first-integral checks) build part of it.  For a 1-form omega != 0 and a
@@ -56,7 +61,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -129,9 +134,18 @@ def _accumulate(out: dict, key, value, sign: int = 1) -> None:
 
 
 class MultiPoly:
-    """A sparse exact polynomial: exponent tuples -> nonzero scalars."""
+    """A sparse exact polynomial: exponent tuples -> nonzero scalars.
 
-    __slots__ = ("nvars", "terms")
+    A polynomial whose coefficients are all rational is stored in its integer
+    form: a positive int ``den`` and a dict ``nums`` from exponents to nonzero
+    int numerators, with gcd(den, numerators) = 1; zero is {} over 1.  Any
+    other polynomial (one with a CycloElem coefficient) stores its terms, and
+    its ``den`` and ``nums`` are None.  ``terms`` maps exponents to Fractions
+    or CycloElems; from the integer form it is built on first use and kept.
+    Treat it as read only.
+    """
+
+    __slots__ = ("nvars", "den", "nums", "_terms")
 
     def __init__(self, nvars: int, terms: Optional[dict] = None):
         if not (2 <= nvars <= 4):
@@ -141,20 +155,53 @@ class MultiPoly:
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for {nvars} variables")
-            coef = _sc(coef)
+            if isinstance(coef, str):
+                coef = Fraction(coef)
             if not _is_zero(coef):
                 clean[exps] = coef
         self.nvars = nvars
-        self.terms = clean
+        self._store(clean)
+
+    def _store(self, terms: dict) -> None:
+        """Stores a dict of nonzero scalars: in the integer form when every
+        one is an int or a Fraction, else as terms."""
+        values = terms.values()
+        if all(isinstance(c, (int, Fraction)) for c in values):
+            den = lcm(*[c.denominator for c in values])
+            self.den, self._terms = den, None
+            self.nums = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+        else:
+            self.den = self.nums = None
+            self._terms = {e: _sc(c) for e, c in terms.items()}
 
     @classmethod
     def _clean(cls, nvars: int, terms: dict) -> "MultiPoly":
-        """Wraps a dict already in the checked form: exponent tuples of length
-        nvars to nonzero scalars.  Arithmetic results come through here."""
+        """Wraps a dict of nonzero scalars keyed by exponent tuples of length
+        nvars: the scalar arithmetic results come through here."""
         p = object.__new__(cls)
         p.nvars = nvars
-        p.terms = terms
+        p._store(terms)
         return p
+
+    @property
+    def terms(self) -> dict:
+        if self._terms is None:
+            den = self.den
+            self._terms = {e: Fraction(v, den) for e, v in self.nums.items()}
+        return self._terms
+
+    @property
+    def _support(self) -> dict:
+        """The numerators, or the terms where there is no integer form: a dict
+        keyed by the exponents of the nonzero terms."""
+        return self._terms if self.nums is None else self.nums
+
+    def _like(self, support: dict) -> "MultiPoly":
+        """The polynomial in this one's form from a dict like ``_support``:
+        nonzero int numerators over ``den``, or nonzero scalars."""
+        if self.den is None:
+            return MultiPoly._clean(self.nvars, support)
+        return _integer_poly(self.nvars, self.den, support)
 
     # -- constructors -----------------------------------------------------------
 
@@ -180,10 +227,10 @@ class MultiPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._support
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._support)
 
     # -- arithmetic -------------------------------------------------------------------
 
@@ -197,10 +244,21 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            _accumulate(out, e, c, sign)
-        return MultiPoly._clean(self.nvars, out)
+        if self.den is None or other.den is None:
+            out = dict(self.terms)
+            for e, c in other.terms.items():
+                _accumulate(out, e, c, sign)
+            return MultiPoly._clean(self.nvars, out)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        out = {e: a * v for e, v in self.nums.items()}
+        for e, v in other.nums.items():
+            s = out.get(e, 0) + b * v
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return _integer_poly(self.nvars, den, out)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -208,7 +266,7 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._clean(self.nvars, {e: -c for e, c in self.terms.items()})
+        return self._like({e: -c for e, c in self._support.items()})
 
     def __sub__(self, other):
         return self._combine(other, -1)
@@ -218,10 +276,16 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycloElem)):
-            if _is_zero(_sc(other)):
+            if _is_zero(other):
                 return MultiPoly.zero(self.nvars)
-            return MultiPoly._clean(
-                self.nvars, {e: c * other for e, c in self.terms.items()}
+            if self.den is None or isinstance(other, CycloElem):
+                return MultiPoly._clean(
+                    self.nvars, {e: c * other for e, c in self.terms.items()}
+                )
+            a = other.numerator
+            return _integer_poly(
+                self.nvars, self.den * other.denominator,
+                {e: a * v for e, v in self.nums.items()},
             )
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -233,9 +297,12 @@ class MultiPoly:
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        if len(self.terms) == 1:  # (c x^a)^e = c^e x^(e a)
-            ((exps, c),) = self.terms.items()
-            return MultiPoly._clean(self.nvars, {tuple(x * e for x in exps): c**e})
+        if len(self._support) == 1:  # (c x^a)^e = c^e x^(e a)
+            ((exps, c),) = self._support.items()
+            exps = tuple(x * e for x in exps)
+            if self.den is None:
+                return MultiPoly._clean(self.nvars, {exps: c**e})
+            return _integer_poly(self.nvars, self.den**e, {exps: c**e})
         return _power(self, e, MultiPoly.constant(self.nvars, 1))
 
     def __eq__(self, other):
@@ -251,12 +318,12 @@ class MultiPoly:
 
     def partial(self, i: int) -> "MultiPoly":
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self._support.items():
             if e[i]:
                 ne = list(e)
                 ne[i] -= 1
                 out[tuple(ne)] = c * e[i]
-        return MultiPoly._clean(self.nvars, out)
+        return self._like(out)
 
     def evaluate(self, point: Sequence) -> Scalar:
         total: Scalar = Fraction(0)
@@ -278,44 +345,44 @@ class MultiPoly:
         return MultiPoly._clean(self.nvars, out)
 
     def min_total_degree(self) -> Optional[int]:
-        if not self.terms:
+        if not self._support:
             return None
-        return min(sum(e) for e in self.terms)
+        return min(sum(e) for e in self._support)
 
     def homogeneous_part(self, d: int) -> "MultiPoly":
-        return MultiPoly._clean(
-            self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d}
-        )
+        return self._like({e: c for e, c in self._support.items() if sum(e) == d})
 
     def min_exponent(self, i: int) -> Optional[int]:
-        if not self.terms:
+        if not self._support:
             return None
-        return min(e[i] for e in self.terms)
+        return min(e[i] for e in self._support)
 
     def shift_down(self, i: int, m: int) -> "MultiPoly":
         """Exact division by the m-th power of variable i."""
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self._support.items():
             if e[i] < m:
                 raise ValueError("polynomial is not divisible by that power")
             ne = list(e)
             ne[i] -= m
             out[tuple(ne)] = c
-        return MultiPoly._clean(self.nvars, out)
+        return self._like(out)
 
     def __repr__(self):
         return poly_to_string(self)
 
 
-def _integer_terms(p: MultiPoly):
-    """(D, [(exponents, D * c)]) with D the lcm of the denominators of p's
-    coefficients, or None when some coefficient is not a Fraction."""
-    terms = p.terms
-    for c in terms.values():
-        if type(c) is not Fraction:
-            return None
-    d = lcm(*[c.denominator for c in terms.values()])
-    return d, [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()]
+def _integer_poly(nvars: int, den: int, nums: dict) -> MultiPoly:
+    """The polynomial sum nums[e] x^e / den in its integer form, for nonzero
+    int numerators and den > 0: their common factor is divided out."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {e: v // g for e, v in nums.items()}
+    p = object.__new__(MultiPoly)
+    p.nvars, p.den, p.nums, p._terms = nvars, den, nums, None
+    return p
 
 
 def _product_sum(nvars: int, products) -> MultiPoly:
@@ -323,39 +390,29 @@ def _product_sum(nvars: int, products) -> MultiPoly:
     products, sign = +1 or -1: the one place where this module multiplies
     polynomials.
 
-    Over Fractions every distinct operand is written once as integer
-    numerators over its lcm denominator D; each product adds
-    sign * (L / (D_p D_q)) * a * b into one dict of ints, L the lcm of the
-    D_p D_q, and each nonzero sum becomes one Fraction(v, L).  Any other
-    coefficient (a CycloElem) takes the scalar loop instead.
+    Over integer forms each product adds sign * (L / (D_p D_q)) * a * b into
+    one dict of ints, L the lcm of the D_p D_q, and the sum is the integer
+    form of that dict over L.  An operand with a CycloElem coefficient sends
+    the whole sum to the scalar loop instead.
     """
-    rows: dict = {}
-    scaled = []
-    for sign, p, q in products:
-        rp = rows.get(id(p))
-        if rp is None:
-            rp = rows[id(p)] = _integer_terms(p)
-        rq = rows.get(id(q))
-        if rq is None:
-            rq = rows[id(q)] = _integer_terms(q)
-        if rp is None or rq is None:
+    for _, p, q in products:
+        if p.den is None or q.den is None:
             return _scalar_product_sum(nvars, products)
-        scaled.append((sign, rp, rq))
-    denom = lcm(*[rp[0] * rq[0] for _, rp, rq in scaled])
+    den = lcm(*[p.den * q.den for _, p, q in products])
     acc: dict = {}
     get = acc.get
-    for sign, (dp, tp), (dq, tq) in scaled:
-        scale = sign * (denom // (dp * dq))
+    for sign, p, q in products:
+        scale = sign * (den // (p.den * q.den))
+        tp, tq = p.nums, q.nums
         if len(tp) > len(tq):  # the longer operand in the inner loop
             tp, tq = tq, tp
-        for e1, a in tp:
+        tq = tq.items()
+        for e1, a in tp.items():
             sa = scale * a
             for e2, b in tq:
                 e = tuple(map(add, e1, e2))
                 acc[e] = get(e, 0) + sa * b
-    return MultiPoly._clean(
-        nvars, {e: Fraction(v, denom) for e, v in acc.items() if v}
-    )
+    return _integer_poly(nvars, den, {e: v for e, v in acc.items() if v})
 
 
 def _scalar_product_sum(nvars: int, products) -> MultiPoly:
@@ -544,7 +601,7 @@ def _wedge_vanishes(omega: PForm1, v: Form) -> bool:
     """
     if not omega.coeffs:
         return True
-    (p,), _ = min(omega.coeffs.items(), key=lambda item: len(item[1].terms))
+    (p,), _ = min(omega.coeffs.items(), key=lambda item: len(item[1]._support))
     n, get_a, get_b = omega.nvars, omega.coeffs.get, v.coeffs.get
     for K in combinations(range(n), v.degree + 1):
         if p not in K:
@@ -554,7 +611,7 @@ def _wedge_vanishes(omega: PForm1, v: Form) -> bool:
             a, b = get_a((i,)), get_b(K[:pos] + K[pos + 1 :])
             if a is not None and b is not None:
                 products.append((-1 if pos & 1 else 1, a, b))
-        if _product_sum(n, products).terms:
+        if _product_sum(n, products):
             return False
     return True
 
@@ -617,11 +674,9 @@ def _chart_index(omega_nvars: int, chart, variables=DEFAULT_VARS) -> int:
 
 
 def _blowup_substitute(p: MultiPoly, c: int) -> MultiPoly:
-    # x_j -> x_c * u_j for j != c; the slot j now holds u_j.
-    out: dict = {}
-    for e, coef in p.terms.items():
-        _accumulate(out, e[:c] + (sum(e),) + e[c + 1 :], coef)
-    return MultiPoly._clean(p.nvars, out)
+    # x_j -> x_c * u_j for j != c; the slot j now holds u_j.  The exponents
+    # map one to one (e_c becomes |e|), so no two terms meet.
+    return p._like({e[:c] + (sum(e),) + e[c + 1 :]: v for e, v in p._support.items()})
 
 
 def blowup_chart_pullback(omega: PForm1, chart) -> tuple[int, PForm1]:
@@ -725,7 +780,7 @@ def total_degree(value: AnyForm) -> int:
     """The largest total degree among the terms of a polynomial or of a
     form's coefficients, 0 for zero."""
     polys = [value] if isinstance(value, MultiPoly) else value.coeffs.values()
-    return max((sum(e) for p in polys for e in p.terms), default=0)
+    return max((sum(e) for p in polys for e in p._support), default=0)
 
 
 def check_form_degree(degree: int) -> None:

@@ -24,28 +24,33 @@ Group ids:
 
 Form ids:
 
-* ``ex6.1``          the degree-k family in four variables with parameters
-                     (a, b, c, alpha, beta, gamma); it carries the
-                     meromorphic first integral Q / x^(k+1), where
-                     Omega = -(k+1) Q dx + x dQ.  The default
-                     parameter sets pin beta = (-1)^k alpha so that
-                     (0, 1, -1, 0) is a singular point for every k.
+* ``ex6.1``          the degree-k family in four variables, 2 <= k <=
+                     MAX_EX61_K, with parameters (a, b, c, alpha, beta,
+                     gamma); it carries the meromorphic first integral
+                     Q / x^(k+1), where Omega = -(k+1) Q dx + x dQ.  The
+                     default parameter sets pin beta = (-1)^k alpha so that
+                     (0, 1, -1, 0) is a singular point for every k.  Omega
+                     and Q are written from their monomials straight into
+                     the integer form of their coefficients.
 * ``ex6.2``          the three-variable integrable form with polynomial
                      first integral x^2(y^2+z^2)/2 - x^4 y^4/4 - x^4 z^4/4
-                     and tangent cone 2x(y^2+z^2).
+                     and tangent cone 2x(y^2+z^2), written from their
+                     monomials as well; the expression strings they equal
+                     are in the docstring of ``_ex62``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .cyclotomic import zeta
 from .germs import Germ
 from .group_cert import LoadedPresentation, _load_presentation_data
 from .jets import DEFAULT_ORDER, Jet
-from .pforms import MultiPoly, PForm1, form_from_string, poly_from_string
+from .pforms import MultiPoly, PForm1, _integer_poly
 
 __all__ = [
     "GROUP_EXAMPLES",
@@ -89,6 +94,12 @@ _FAMILIES = {
 
 GROUP_EXAMPLES = tuple(list(_FAMILIES) + ["ex4.3"])
 FORM_EXAMPLES = ("ex6.1", "ex6.2")
+
+# The largest degree k of ex6.1 (``--k``).  Its cost grows with k through the
+# powers of the point that ``forms kupka`` evaluates: at four 4000-digit
+# coordinates it takes about 1.2 s at k = 64, 2 s at k = 96 and 3 s at
+# k = 128 (2-vCPU Xeon, Python 3.11).
+MAX_EX61_K = 64
 
 
 def build_group_example(
@@ -146,21 +157,29 @@ def default_parameter_sets(k: int) -> list[tuple]:
 
 
 def _kupka_family(k: int, params: tuple) -> tuple[PForm1, MultiPoly]:
-    """omega and Q of ex6.1, written term by term.  With (u, s, t) running
-    over (y, a, alpha), (z, b, beta) and (w, c, gamma):
+    """omega and Q of ex6.1, written term by term in their integer form.  With
+    (u, s, t) running over (y, a, alpha), (z, b, beta) and (w, c, gamma):
 
         omega = sum (t u^(k+1) - s x^2 u^(k-1)) dx + sum x u^(k-2) (s x^2 - t u^2) du,
         Q     = x^(k+1) + sum (s x^2 u^(k-1) / (k-1) - t u^(k+1) / (k+1)).
 
-    No two terms of one coefficient share a monomial, so none cancels.
+    No two terms of one coefficient share a monomial, so none cancels, and
+    every numerator below is nonzero.  The six parameters are written over
+    their common denominator D, and Q over D lcm(k-1, k+1).
     """
     if k < 2:
         raise RegistryError("ex6.1 needs k >= 2")
+    if k > MAX_EX61_K:
+        raise RegistryError(f"ex6.1 needs k <= {MAX_EX61_K}, got {k}")
     if len(params) != 6:
         raise RegistryError("ex6.1 takes six parameters a,b,c,alpha,beta,gamma")
-    a, b, c, al, be, ga = (Fraction(v) for v in params)
-    if any(v == 0 for v in (a, b, c, al, be, ga)):
+    values = [Fraction(v) for v in params]
+    if any(v == 0 for v in values):
         raise RegistryError("ex6.1 parameters must be nonzero")
+    den = lcm(*[v.denominator for v in values])
+    a, b, c, al, be, ga = (v.numerator * (den // v.denominator) for v in values)
+    q_den = den * lcm(k - 1, k + 1)
+    s_scale, t_scale = q_den // (den * (k - 1)), q_den // (den * (k + 1))
 
     def mono(ex: int, u: int, eu: int) -> tuple:
         """The exponents of x^ex * (variable u)^eu, u = 1, 2, 3."""
@@ -169,15 +188,35 @@ def _kupka_family(k: int, params: tuple) -> tuple[PForm1, MultiPoly]:
         return tuple(exps)
 
     dx: dict = {}
-    coeffs = [dx]
-    q = {(k + 1, 0, 0, 0): Fraction(1)}
+    du = []
+    q = {(k + 1, 0, 0, 0): q_den}
     for u, (s, t) in enumerate(((a, al), (b, be), (c, ga)), start=1):
         dx[mono(2, u, k - 1)] = -s
         dx[mono(0, u, k + 1)] = t
-        coeffs.append({mono(3, u, k - 2): s, mono(1, u, k): -t})
-        q[mono(2, u, k - 1)] = s / (k - 1)
-        q[mono(0, u, k + 1)] = -t / (k + 1)
-    return PForm1(4, [MultiPoly(4, terms) for terms in coeffs]), MultiPoly(4, q)
+        du.append(_integer_poly(4, den, {mono(3, u, k - 2): s, mono(1, u, k): -t}))
+        q[mono(2, u, k - 1)] = s * s_scale
+        q[mono(0, u, k + 1)] = -t * t_scale
+    omega = PForm1(4, [_integer_poly(4, den, dx)] + du)
+    return omega, _integer_poly(4, q_den, q)
+
+
+def _ex62() -> FormExample:
+    """ex6.2 from its monomials: the form, the first integral and the cone are
+
+        ((y^2 + z^2) - x^2*(y^4 + z^4))*dx + x*y*(1 - x^2*y^2)*dy + z*x*(1 - x^2*z^2)*dz,
+        x^2*(y^2 + z^2)/2 - x^4*y^4/4 - x^4*z^4/4,
+        2*x*(y^2 + z^2).
+    """
+    omega = PForm1(3, [
+        _integer_poly(3, 1, {(0, 2, 0): 1, (0, 0, 2): 1, (2, 4, 0): -1, (2, 0, 4): -1}),
+        _integer_poly(3, 1, {(1, 1, 0): 1, (3, 3, 0): -1}),
+        _integer_poly(3, 1, {(1, 0, 1): 1, (3, 0, 3): -1}),
+    ])
+    integral = _integer_poly(3, 4, {(2, 2, 0): 2, (2, 0, 2): 2, (4, 4, 0): -1, (4, 0, 4): -1})
+    cone = _integer_poly(3, 1, {(1, 2, 0): 2, (1, 0, 2): 2})
+    return FormExample(
+        variables=("x", "y", "z"), omega=omega, first_integral=integral, expected_cone=cone
+    )
 
 
 def build_form_example(
@@ -198,20 +237,5 @@ def build_form_example(
             kupka_point=(0, 1, -1, 0),
         )
     if example_id == "ex6.2":
-        variables = ("x", "y", "z")
-        omega = form_from_string(
-            "((y^2 + z^2) - x^2*(y^4 + z^4))*dx"
-            " + x*y*(1 - x^2*y^2)*dy + z*x*(1 - x^2*z^2)*dz",
-            variables=variables,
-        )
-        integral = poly_from_string(
-            "x^2*(y^2 + z^2)/2 - x^4*y^4/4 - x^4*z^4/4", variables=variables
-        )
-        cone = poly_from_string("2*x*(y^2 + z^2)", variables=variables)
-        return FormExample(
-            variables=variables,
-            omega=omega,
-            first_integral=integral,
-            expected_cone=cone,
-        )
+        return _ex62()
     raise RegistryError(f"unknown form example {example_id!r}")

@@ -481,3 +481,25 @@ def kupka_family_by_products(k: int, params) -> tuple:
         pw(x, k + 1),
     )
     return omega, q, pw(x, k + 1)
+
+
+def kupka_family_by_constructor(k: int, params) -> tuple:
+    """(omega, Q) of ex6.1 from its closed-form monomials, each coefficient a
+    dict of Fractions passed through the checking ``MultiPoly`` constructor."""
+    a, b, c, al, be, ga = (Fraction(v) for v in params)
+
+    def mono(ex: int, u: int, eu: int) -> tuple:
+        exps = [ex, 0, 0, 0]
+        exps[u] = eu
+        return tuple(exps)
+
+    dx: dict = {}
+    coeffs = [dx]
+    q = {(k + 1, 0, 0, 0): Fraction(1)}
+    for u, (s, t) in enumerate(((a, al), (b, be), (c, ga)), start=1):
+        dx[mono(2, u, k - 1)] = -s
+        dx[mono(0, u, k + 1)] = t
+        coeffs.append({mono(3, u, k - 2): s, mono(1, u, k): -t})
+        q[mono(2, u, k - 1)] = s / (k - 1)
+        q[mono(0, u, k + 1)] = -t / (k + 1)
+    return PForm1(4, [MultiPoly(4, terms) for terms in coeffs]), MultiPoly(4, q)

@@ -369,6 +369,7 @@ def test_limits_are_input_errors(tmp_path, capsys):
     from germlin.germs import MAX_WORD_LETTERS
     from germlin.group_cert import MAX_CONDUCTOR, MAX_ORDER, MAX_WORD_LEN
     from germlin.pforms import MAX_FORM_DEGREE
+    from germlin.registry import MAX_EX61_K
 
     def fails(argv, spec, field):
         path = tmp_path / "p.json"
@@ -452,6 +453,14 @@ def test_limits_are_input_errors(tmp_path, capsys):
         sub = "first-integral" if "numerator" in spec else "integrable"
         code, out, err = run(capsys, "forms", sub, str(path))
         assert code in (0, 1) and err == "", err
+    # the degree of ex6.1 bounds the powers of the point that kupka evaluates
+    for k in (MAX_EX61_K + 1, 10**6):
+        code, out, err = run(capsys, "forms", "kupka", "--example", "ex6.1", "--k", str(k),
+                             "--point", "2,3,5,7")
+        assert code == 2 and out == "" and err.count("\n") == 1 and "k <=" in err, err
+    for sub in ("integrable", "kupka"):
+        code, out, err = run(capsys, "forms", sub, "--example", "ex6.1", "--k", str(MAX_EX61_K))
+        assert code == 0 and err == "", err
     # the scalar must be a name an expression can use: z is the series
     # variable, so a scalar z never reaches a generator
     for var, constraint in (("z", "z^4 = 1"), ("", "1 = 1"), ("a b", "1 = 1")):
@@ -461,6 +470,21 @@ def test_limits_are_input_errors(tmp_path, capsys):
              "generators": ["z/(1 - z)", "z"]},
             '"field.var"',
         )
+
+
+def test_power_limit_reads_each_reduced_coefficient(tmp_path, capsys):
+    # the bits of x/2^2000 + y/3^1500 are those of 3^1500 (2378), not of the
+    # common denominator 2^2000 * 3^1500 that its integer form holds, with
+    # which ^4 would already be above the limit
+    path = tmp_path / "f.json"
+    for e, want in ((4, 0), (6, 0), (7, 2)):
+        path.write_text(json.dumps({"form": f"(x/2^2000 + y/3^1500)^{e}*dx + y*dy"}))
+        code, out, err = run(capsys, "forms", "integrable", str(path))
+        assert code == want, err
+        if want:
+            assert out == "" and err.count("\n") == 1 and "2378-bit coefficients" in err
+        else:
+            assert err == "" and json.loads(out)["integrable"] is True
 
 
 @pytest.mark.parametrize(

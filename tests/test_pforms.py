@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -94,6 +95,23 @@ def test_arithmetic_results_are_what_the_checking_constructor_builds():
                 assert r.terms == checked.terms
                 assert all(type(e) is tuple and len(e) == nvars for e in r.terms)
                 assert all(type(c) is type(checked.terms[e]) for e, c in r.terms.items())
+                _assert_canonical(r)
+                assert (r.den, r.nums) == (checked.den, checked.nums)
+
+
+def _assert_canonical(p):
+    """p is stored in its integer form iff every coefficient is a Fraction,
+    and that form is canonical: den > 0, gcd(den, numerators) = 1, no zero
+    numerator, and zero is {} over 1."""
+    rational = all(type(c) is Fraction for c in p.terms.values())
+    assert (p.den is not None) is rational is (p.nums is not None)
+    if not rational:
+        return
+    assert type(p.den) is int and p.den > 0
+    assert all(type(v) is int and v for v in p.nums.values())
+    assert math.gcd(p.den, *p.nums.values()) == 1
+    assert p.nums or p.den == 1
+    assert p.terms == {e: Fraction(v, p.den) for e, v in p.nums.items()}
 
 
 def test_exterior_d_examples():
@@ -444,6 +462,88 @@ def test_signed_product_sums_match_the_schoolbook_oracle(nvars):
         assert _product_sum(nvars, signed) == want
 
 
+def _checked(nvars, pairs):
+    """The checking constructor on (exponents, coefficient) pairs, with the
+    coefficients of equal exponents added in their own arithmetic."""
+    out = {}
+    for e, c in pairs:
+        out[e] = out[e] + c if e in out else c
+    return MultiPoly(nvars, out)
+
+
+def _lowered(e, i, m):
+    return e[:i] + (e[i] - m,) + e[i + 1 :]
+
+
+@pytest.mark.parametrize("nvars", (2, 3, 4))
+def test_integer_forms_match_the_fraction_oracles(nvars):
+    # every result is canonical, and its terms are those that the Fraction-dict
+    # oracles build, sums that cancel included
+    rng = random.Random(960 + nvars)
+    minus, zero = MultiPoly.constant(nvars, -1), MultiPoly.zero(nvars)
+    blowup = germlin.pforms._blowup_substitute
+    for kp in KERNEL_KINDS:
+        for kq in KERNEL_KINDS:
+            p, q = _kernel_poly(rng, nvars, kp), _kernel_poly(rng, nvars, kq)
+            i, d = rng.randrange(nvars), rng.randint(0, 4)
+            pq, neg_q = naive_poly_product(p, q), naive_poly_product(minus, q)
+            m = p.min_exponent(i) or 0
+            cases = [
+                (p * q, pq),
+                (_product_sum(nvars, [(1, p, q), (-1, q, p)]), zero),
+                (_product_sum(nvars, [(1, p, q), (-1, p, p), (1, q, q)]), naive_poly_sum(
+                    nvars, [pq, naive_poly_product(minus, naive_poly_product(p, p)),
+                            naive_poly_product(q, q)])),
+                (p + q, naive_poly_sum(nvars, [p, q])),
+                (p - q, naive_poly_sum(nvars, [p, neg_q])),
+                (p - p, zero),
+                (-q, neg_q),
+                (q + -q, zero),
+                (p.partial(i), _checked(nvars, [(_lowered(e, i, 1), c * e[i])
+                                                for e, c in p.terms.items() if e[i]])),
+                (p.homogeneous_part(d), _checked(nvars, [(e, c) for e, c in p.terms.items()
+                                                         if sum(e) == d])),
+                (p.shift_down(i, m), _checked(nvars, [(_lowered(e, i, m), c)
+                                                      for e, c in p.terms.items()])),
+                (blowup(p, i), _checked(nvars, [(e[:i] + (sum(e),) + e[i + 1 :], c)
+                                                for e, c in p.terms.items()])),
+            ]
+            for s in (3, -2, 0, Fraction(-4, 9), Fraction(6, 5)):
+                want = _checked(nvars, [(e, c * s) for e, c in p.terms.items()])
+                cases += [(p * s, want), (s * p, want)]
+            for got, want in cases:
+                _assert_canonical(got)
+                _assert_same_poly(got, want)
+    # common factors that the result must divide out
+    p = poly_from_string("x^2/2 + 3*y/4 + z^3/3", variables=V3)
+    assert (p.den, p.nums) == (12, {(2, 0, 0): 6, (0, 1, 0): 9, (0, 0, 3): 4})
+    for got, den in ((p.partial(0), 1), (p.partial(2), 1), (p.homogeneous_part(1), 4),
+                     (p * 6, 2), (p * Fraction(4, 3), 9), (p - poly_from_string("z^3/3", variables=V3), 4)):
+        _assert_canonical(got)
+        assert got.den == den
+
+
+def test_only_cyclotomic_operands_take_the_scalar_loop(monkeypatch):
+    calls = []
+    scalar = germlin.pforms._scalar_product_sum
+
+    def spy(*args):
+        calls.append(args)
+        return scalar(*args)
+
+    monkeypatch.setattr(germlin.pforms, "_scalar_product_sum", spy)
+    rng = random.Random(970)
+    for kp in KERNEL_KINDS:
+        for kq in KERNEL_KINDS:
+            p, q = _kernel_poly(rng, 3, kp), _kernel_poly(rng, 3, kq)
+            scalar_kinds = {"cyclo", "mixed"} & {kp, kq}
+            for make in (lambda: p * q, lambda: _product_sum(3, [(1, p, p), (-1, q, q)])):
+                got = make()
+                assert bool(calls) is bool(scalar_kinds), (kp, kq)
+                assert (got.den is None) is (bool(scalar_kinds) and not got.is_zero)
+                calls.clear()
+
+
 @pytest.mark.parametrize("nvars", (2, 3, 4))
 def test_wedge_matches_the_minor_oracle_on_every_coefficient_kind(nvars):
     rng = random.Random(920 + nvars)
@@ -499,14 +599,15 @@ def test_pivot_components_decide_the_wedge(nvars):
     assert vanishes(omega, exterior_d(omega)) and wedge(omega, exterior_d(omega)).is_zero
 
 
-FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
+# building a Fraction, and Fraction arithmetic (whose results are built too)
+FRACTION_METHODS = ("__new__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
 
 
-def _forbid_fraction_arithmetic(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("Fraction arithmetic on the integer product path")
+def _forbid_fractions(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Fraction on the integer product path")
 
-    for name in FRACTION_ARITHMETIC:
+    for name in FRACTION_METHODS:
         monkeypatch.setattr(Fraction, name, forbidden)
 
 
@@ -530,7 +631,7 @@ def test_fraction_wedges_stay_on_integers(monkeypatch):
 
     def banned(fn, *args):
         with monkeypatch.context() as m:
-            _forbid_fraction_arithmetic(m)
+            _forbid_fractions(m)
             return fn(*args)
 
     def guarded_vanishes(omega, v):
@@ -540,6 +641,26 @@ def test_fraction_wedges_stay_on_integers(monkeypatch):
     assert banned(wedge, u, v) == want_uv
     for omega in (u, integrable):
         assert banned(wedge, omega, exterior_d(omega)) == want_int[id(omega)]
+    # the four checks build no Fraction on integer forms: ex6.1 at k = 8 and
+    # the random forms, against the same checks on copies whose CycloElem
+    # coefficients take the scalar loop
+    ex = build_form_example("ex6.1", k=8)
+    one = zeta(1)
+    for omega, num, den, verdict in ((ex.omega, ex.mero_numerator, ex.mero_denominator, True),
+                                     (integrable, P, Q, True), (u, P, Q, False), (v, Q, P, False)):
+        assert all(a.den is not None for a in (num, den, *omega.coeffs.values()))
+        copies = (omega.map_coeffs(lambda a: a * one), num * one, den * one)
+        assert all(a.den is None for a in (copies[1], copies[2], *copies[0].coeffs.values()))
+        results = []
+        for run, (w, n_, d_) in ((banned, (omega, num, den)), (lambda fn, *a: fn(*a), copies)):
+            results.append([
+                run(integrability_check, w),
+                run(meromorphic_first_integral_check, w, n_, d_),
+                run(tangent_cone, w),
+                *(run(blowup_chart_pullback, w, c) for c in range(4)),
+            ])
+        assert results[0][:2] == [verdict, verdict]
+        assert results[0] == results[1]
     # the checks decide the wedge from its pivot components, on integers too
     monkeypatch.setattr(germlin.pforms, "_wedge_vanishes", guarded_vanishes)
     assert integrability_check(u) is False
