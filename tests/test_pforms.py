@@ -516,9 +516,10 @@ def test_integer_forms_match_the_fraction_oracles(nvars):
                 _assert_same_poly(got, want)
     # common factors that the result must divide out
     p = poly_from_string("x^2/2 + 3*y/4 + z^3/3", variables=V3)
+    z3 = poly_from_string("z^3/3", variables=V3)
     assert (p.den, p.nums) == (12, {(2, 0, 0): 6, (0, 1, 0): 9, (0, 0, 3): 4})
     for got, den in ((p.partial(0), 1), (p.partial(2), 1), (p.homogeneous_part(1), 4),
-                     (p * 6, 2), (p * Fraction(4, 3), 9), (p - poly_from_string("z^3/3", variables=V3), 4)):
+                     (p * 6, 2), (p * Fraction(4, 3), 9), (p - z3, 4)):
         _assert_canonical(got)
         assert got.den == den
 
