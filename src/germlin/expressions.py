@@ -26,8 +26,8 @@ scalar domain and the order of the jets for the series domain.  Constants
 stay exact scalars until they meet ``z``; only then are they lifted into
 jets, so a constant subexpression of a generator is computed in the field.
 
-Every integer power ``b^e`` is checked against MAX_POWER_BITS before it is
-formed, in all three domains.
+Every integer power ``b^e`` is checked against MAX_POWER_BITS and
+MAX_POWER_WORK before it is formed, in all three domains.
 """
 
 from __future__ import annotations
@@ -35,12 +35,13 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .cyclotomic import CycloElem
+from .cyclotomic import CycloElem, euler_phi
 from .jets import Jet, jet_mul_inverse, jet_rational_power
 
 __all__ = [
     "ExpressionError",
     "MAX_POWER_BITS",
+    "MAX_POWER_WORK",
     "check_power_bits",
     "parse_expression",
     "parse_constraint",
@@ -60,6 +61,14 @@ class ExpressionError(ValueError):
 # base then yields numerators and denominators of at most this many bits
 MAX_POWER_BITS = 16384
 
+# the largest |e| * b * s for a power base^e, s the size of the base: 1 for a
+# rational, phi(n) for an element of Q(zeta_n), and N phi(n) for a jet of
+# order N over Q(zeta_n), the count of the numbers that grow.  At this value
+# the slowest bases measured take about 0.1-0.4 s per power (2-vCPU Xeon,
+# Python 3.11): (1 + zeta_360)^5461, (3 + z)^1024 at order 256, and
+# (1 + (1 + zeta_18) z)^341 at order 256
+MAX_POWER_WORK = 2**19
+
 
 def _height(c) -> int:
     """The largest numerator or denominator of a scalar, or of a coordinate
@@ -72,15 +81,33 @@ def _height(c) -> int:
     return max(abs(c.numerator), c.denominator)
 
 
+def _size(c) -> int:
+    """The count of the numbers that a power of c grows: 1 for a rational,
+    the phi(n) coordinates of an element of Q(zeta_n), and N phi(n) for a
+    jet of order N over Q(zeta_n)."""
+    if isinstance(c, Jet):
+        return c.order * euler_phi(c.conductor)
+    if isinstance(c, CycloElem):
+        return euler_phi(c.n)
+    return 1
+
+
 def check_power_bits(coefficients, e: int) -> None:
-    """ExpressionError if |e| times the largest bit length of a numerator or
-    denominator among the coefficients of a base is above MAX_POWER_BITS.
-    A jet stands for all of its coefficients."""
+    """ExpressionError if |e| times the largest bit length b of a numerator
+    or denominator among the coefficients of a base is above MAX_POWER_BITS,
+    or |e| * b times the largest size of a coefficient is above
+    MAX_POWER_WORK.  A jet stands for all of its coefficients."""
     bits = max(map(_height, coefficients), default=0).bit_length()
     if abs(e) * bits > MAX_POWER_BITS:
         raise ExpressionError(
             f"power ^{e} of a base with {bits}-bit coefficients is above the "
             f"limit of {MAX_POWER_BITS} bits"
+        )
+    size = max(map(_size, coefficients), default=1)
+    if abs(e) * bits * size > MAX_POWER_WORK:
+        raise ExpressionError(
+            f"power ^{e} of a base of {size} numbers with {bits}-bit coefficients "
+            f"is above the limit of {MAX_POWER_WORK} for |e| * bits * numbers"
         )
 
 

@@ -16,12 +16,24 @@ morphism needs), recorded per step so coarser divisibility conditions can be
 audited.
 
 The scan carries the generators as rows of the kernel ``jets._weighted_sum``
-and never reads the accumulated conjugator, so it only records each
+and hands it only the degrees a step changes.  Conjugating g = mu z +
+t z^(k+1) + ... by h_k sets degree k+1 to 0 and leaves degrees k+2 .. 2k
+exactly as they were: in h_k o g = g + c_k g^(k+1) every term past
+c_k mu^(k+1) z^(k+1) starts at degree 2k+1, and in y o h_k =
+y + sum_j sum_(i>=1) C(j,i) c_k^i y_j z^(j+ik) every coefficient y_j with
+j >= k+2 reaches only degrees >= 2k+2.  So a step copies its head and its
+middle and solves the degrees >= 2k+1 in blocks of k, each one kernel call;
+a step with 2k+1 > N, every k > (N-1)/2, only copies
+(:func:`_conjugate_by_elementary`).
+
+The scan never reads the accumulated conjugator, so it only records each
 conjugated step (k, c_k).  When it returns, on the linearized and on the
 obstruction path, H = h_K o ... o h_1 is built once: from z, right
 composition by each h_k, newest first.  The powers of h_k are binomials,
-h_k^e = sum_i C(e,i) c_k^i z^(e + ik), so with each C(e,i) c_k^i as a
-one-entry row, x o h_k is one kernel call.  Composition of jets with zero
+h_k^e = sum_i C(e,i) c_k^i z^(e + ik), with each C(e,i) c_k^i a one-entry
+row.  Before h_k is folded in, H = z + O(z^(k+2)), so H o h_k inserts c_k at
+degree k+1 and changes otherwise only degrees >= 2k+2, in one kernel call;
+for 2k+2 > N the fold is the insertion alone.  Composition of jets with zero
 constant term is exactly associative, so H equals the jet that accumulating
 H <- h_k o H would give.  A "linearized" outcome means conjugation by H maps
 every generator to mu*z.
@@ -147,10 +159,11 @@ class LinearizationResult:
 
 
 def _step(
-    k: int, t: tuple[CycloElem, ...], mu: CycloElem, mu_k: CycloElem
+    k: int, t: tuple[CycloElem, ...], mu: CycloElem, mu_k: CycloElem, recips: dict
 ) -> tuple[Optional[CycloElem], StepRecord]:
     """One order from the t-vector, mu and mu^k: the constant c of the step
-    conjugator z + c z^(k+1) (None if no conjugation) and the step record."""
+    conjugator z + c z^(k+1) (None if no conjugation) and the step record.
+    ``recips`` caches 1/(mu - mu^(k+1)) by the value of mu^k."""
     identity_branch = mu_k.is_one
     branch = BRANCH_IDENTITY if identity_branch else BRANCH_NONIDENTITY
     if all(c.is_zero for c in t):
@@ -160,7 +173,10 @@ def _step(
         return None, StepRecord(k, t, branch, ACTION_OBSTRUCTION, phi_sum=phi_sum)
     first = t[0]
     if all(c == first for c in t[1:]):
-        return first / (mu - mu * mu_k), StepRecord(k, t, branch, ACTION_CONJUGATED)
+        r = recips.get(mu_k)
+        if r is None:
+            r = recips[mu_k] = (mu - mu * mu_k).inverse()
+        return first * r, StepRecord(k, t, branch, ACTION_CONJUGATED)
     return None, StepRecord(k, t, branch, ACTION_OBSTRUCTION)
 
 
@@ -186,7 +202,7 @@ def linearize_step(
             raise ValueError("linearize_step requires equal multipliers")
         _require_linear_below(g, k, "linearize_step")
     t = tuple(g.coefficient(k + 1) for g in gens)
-    c, record = _step(k, t, mu, mu**k)
+    c, record = _step(k, t, mu, mu**k, {})
     if c is None:
         return None, record
     return Germ(_elementary(k, c, gens[0].order, gens[0].conductor)), record
@@ -208,53 +224,49 @@ def _binomials(k: int, c: CycloElem, N: int) -> Callable[[int, int], tuple]:
     return cache(cell)
 
 
-def _compose_elementary(a: tuple, k: int, cell, N: int, n: int, solve=False) -> tuple:
-    """The row of a o h, or with ``solve`` the row of the y with y o h = a,
-    for a row a to degree N, the step conjugator h = z + c z^(k+1) and its
-    ``cell`` from :func:`_binomials`.
+def _conjugate_by_elementary(g: tuple, k: int, coef: list, cell, N: int, n: int) -> tuple:
+    """The row of y = h o g o h^{-1} for the step conjugator h = z + c z^(k+1),
+    where g is the row (to degree N) of mu z + t z^(k+1) + ..., t != 0, and
+    ``cell`` is from :func:`_binomials`.
 
-    y o h = sum_j y_j h^j = y + sum_j sum_(i>=1) C(j,i) c^i y_j z^(j+ik), so
-    a o h is one kernel call over a and the cells weighted by the a_j.  In
-    the solve y_m = a_m - (the terms of the y_j, j <= m - k), so each block
-    lo .. lo + k - 1 of y is one kernel call over that block of a and the
-    cells weighted by the -y_j found before it.
+    y solves y o h = h o g.  With v = g/z - mu of valuation k,
+    h o g = g + c g^(k+1) = g + c mu^(k+1) z^(k+1) + z^(k+1) sum_(i>=1)
+    C(k+1,i) c mu^(k+1-i) v^i, where the i-th term starts at degree
+    k+1+ik >= 2k+1; and y o h = y + sum_j sum_(i>=1) C(j,i) c^i y_j z^(j+ik).
+    So y_1 = mu, y_(k+1) = t + c mu^(k+1) - c mu = 0, y is zero at degrees
+    2 .. k, and each y_j with j >= k+2 reaches only degrees >= 2k+2: at the
+    degrees k+2 .. 2k neither sum has a term, and y copies g there.  The
+    step changes degree k+1 (to 0) and the degrees >= 2k+1.
+
+    Those are solved in blocks lo .. lo + k - 1 from lo = 2k+1: each block
+    is one kernel call over that block of g, of the rows of the v^i shifted
+    by k+1 and weighted by ``coef`` (the c C(k+1,i) mu^(k+1-i) for i = 1 ..
+    min(k+1, (N-k-1)/k)), and of the cells weighted by the -y_j found before
+    it, the copied ones first.  A step with 2k+1 > N (every k > (N-1)/2) is
+    the copy alone and makes no kernel call.
     """
-    if not solve:
-        terms = [(_UNIT, 0, a)]
-        for j, c, d in a:
-            terms += [((c, d), j + i * k, cell(j, i)) for i in range(1, min(j, (N - j) // k) + 1)]
-        return _weighted_sum(terms, N, n)
-    y, minus = [], []  # minus: the (j, -y_j as a weight) found so far
-    for lo in range(0, N + 1, k):
+    start = 2 * k + 1
+    y = list(g[:1] + g[bisect_left(g, (k + 2,)) : bisect_left(g, (start,))])  # mu z, k+2 .. 2k
+    if start > N:
+        return tuple(y)
+    M = N - k - 1  # v^i is needed through degree M
+    v = tuple((t - 1, coords, den) for t, coords, den in g if 2 <= t <= M + 1)
+    powers = _power_rows(v, len(coef), M, n)[1:]
+    minus = [(j, (tuple((x, -b) for x, b in c), d)) for j, c, d in y[1:]]  # (j, -y_j)
+    for lo in range(start, N + 1, k):
         hi = min(lo + k, N + 1)
-        terms = [(_UNIT, 0, a[bisect_left(a, (lo,)) : bisect_left(a, (hi,))])]
+        terms = [(_UNIT, 0, g[bisect_left(g, (lo,)) : bisect_left(g, (hi,))])]
+        for w, p in zip(coef, powers):  # z^(k+1) v^i at lo .. hi - 1
+            a, b = bisect_left(p, (lo - k - 1,)), bisect_left(p, (hi - k - 1,))
+            terms.append((w, k + 1, p[a:b]))
         for j, w in minus:
             i = (lo - j + k - 1) // k  # the one i >= 1 with lo <= j + ik < lo + k
             if i <= j and j + i * k < hi:
                 terms.append((w, j + i * k, cell(j, i)))
-        block = _weighted_sum(terms, hi - 1, n) if len(terms) > 1 else terms[0][2]
+        block = _weighted_sum(terms, hi - 1, n)
         y += block
         minus += [(j, (tuple((x, -b) for x, b in c), d)) for j, c, d in block]
     return tuple(y)
-
-
-def _conjugate_by_elementary(g: tuple, k: int, coef: list, cell, N: int, n: int) -> tuple:
-    """The row of h o g o h^{-1} for the step conjugator h = z + c z^(k+1),
-    where g is the row (to degree N) of a series that is mu*z through order k.
-
-    A = h o g = g + c g^(k+1) needs no dense power of g: with v = g/z - mu of
-    valuation >= k, g^(k+1) = z^(k+1) sum_i C(k+1,i) mu^(k+1-i) v^i, and only
-    the terms with ik <= N-k-1, so i <= min(k+1, (N-k-1)/k), survive
-    truncation (none with i >= 1 once k > (N-1)/2).  ``coef`` holds the
-    weights c C(k+1,i) mu^(k+1-i) for those i, so A is one kernel call over g
-    and the rows of the powers of v.  Then y o h = A is solved for y by
-    :func:`_compose_elementary`, without forming h^{-1}.
-    """
-    M = N - k - 1  # g^(k+1)/z^(k+1) is needed through degree M
-    v = tuple((t - 1, coords, den) for t, coords, den in g if 2 <= t <= M + 1)
-    powers = _power_rows(v, len(coef) - 1, M, n)
-    terms = [(_UNIT, 0, g)] + [(w, k + 1, powers[i]) for i, w in enumerate(coef)]
-    return _compose_elementary(_weighted_sum(terms, N, n), k, cell, N, n, solve=True)
 
 
 def linearize(pres: GroupPresentation) -> LinearizationResult:
@@ -283,29 +295,40 @@ def _scan(pres: GroupPresentation, mu: CycloElem) -> LinearizationResult:
     classes = pres.classes
     current = {rep: pres.gens[rep].jet.row for rep in classes}  # by class
     steps: list[StepRecord] = []
-    recorded: list[tuple[int, Callable]] = []  # (k, binomial cells) per conjugated step
+    recorded: list[tuple] = []  # (k, the entry of c, binomial cells) per conjugated step
     mu_pow = [cyclo_embed(1, mu.n), mu]  # mu^0 .. mu^(k+1), extended as k grows
+    recips: dict = {}
     outcome = OUTCOME_LINEARIZED
     for k in range(1, order):
         mu_pow.append(mu_pow[-1] * mu)
         t = tuple(_row_coefficient(current[rep], k + 1, n) for rep in classes)
-        c, record = _step(k, t, mu, mu_pow[k])
+        c, record = _step(k, t, mu, mu_pow[k], recips)
         steps.append(record)
         if record.action == ACTION_OBSTRUCTION:
             outcome = OUTCOME_OBSTRUCTION
             break
         if c is not None:
             cell = _binomials(k, c, order)
-            recorded.append((k, cell))
+            recorded.append((k, _entry(c), cell))
             top = min(k + 1, (order - k - 1) // k)
-            coef = [_entry(c * comb(k + 1, i) * mu_pow[k + 1 - i]) for i in range(top + 1)]
+            coef = [_entry(c * comb(k + 1, i) * mu_pow[k + 1 - i]) for i in range(1, top + 1)]
             current = {
                 rep: _conjugate_by_elementary(row, k, coef, cell, order, n)
                 for rep, row in current.items()
             }
+    # H = h_K o ... o h_1 from z, newest first: H o h_k inserts c at degree
+    # k+1 and adds the kernel's terms at degrees >= 2k+2 (module docstring)
     H = _Z_ROW
-    for k, cell in reversed(recorded):
-        H = _compose_elementary(H, k, cell, order, n)
+    for k, c, cell in reversed(recorded):
+        lo = bisect_left(H, (2 * k + 2,))
+        tail = ()
+        if 2 * k + 2 <= order:
+            terms = [(_UNIT, 0, H[lo:])]
+            for j, x, d in H[1:]:
+                top = min(j, (order - j) // k)
+                terms += [((x, d), j + i * k, cell(j, i)) for i in range(1, top + 1)]
+            tail = _weighted_sum(terms, order, n)
+        H = H[:1] + ((k + 1,) + c,) + H[1:lo] + tail
     H = Germ(Jet._of(H, order, n))
     return LinearizationResult(outcome, mu, steps, H)
 

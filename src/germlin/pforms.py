@@ -60,6 +60,7 @@ powers of constants that the degree limit cannot see.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import gcd, lcm
 from operator import add
@@ -326,12 +327,29 @@ class MultiPoly:
         return self._like(out)
 
     def evaluate(self, point: Sequence) -> Scalar:
+        """The value at a point.  A rational polynomial at a rational point
+        p/q (over the common denominator q of its coordinates) sums the ints
+        num_e * prod p_i^e_i * q^(deg - |e|) and makes one Fraction over
+        den * q^deg; any CycloElem computes through ``terms``."""
+        point = [_sc(x) for x in point]
+        if self.nums is not None and not any(isinstance(x, CycloElem) for x in point):
+            q = lcm(*[x.denominator for x in point])
+            p = [x.numerator * (q // x.denominator) for x in point]
+            deg = max(map(sum, self.nums), default=0)
+            power = cache(pow)
+            total = 0
+            for e, c in self.nums.items():
+                for pi, ei in zip(p, e):
+                    if ei:
+                        c *= power(pi, ei)
+                total += c * power(q, deg - sum(e))
+            return Fraction(total, self.den * q**deg)
         total: Scalar = Fraction(0)
         for e, c in self.terms.items():
             v = c
             for xi, ei in zip(point, e):
                 if ei:
-                    v = v * (_sc(xi) ** ei)
+                    v = v * xi**ei
             total = total + v
         return total
 

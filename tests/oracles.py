@@ -12,7 +12,9 @@ search engine with value-deduplicated letters and results shared between
 pairs, a scan of the constraints over every root of unity and evaluation of
 every generator at every root instead of one evaluation per Galois orbit,
 pairwise jet equality instead of a table of keys for the classes of equal
-generators, and determinants of coefficient matrices, expanded with schoolbook
+generators, the linearizer's step over every degree of the row (h o g in
+full, then the solve of y o h = h o g from degree 0) instead of over the
+degrees the step changes, and determinants of coefficient matrices, expanded with schoolbook
 polynomial products over the term dicts, instead of the integer product
 kernel of the wedge and the pivot components of the form checks, ex6.1
 built from its defining products and powers instead of its closed-form
@@ -28,8 +30,8 @@ from collections import deque
 from functools import reduce
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import gcd
-from math import factorial
+from bisect import bisect_left
+from math import comb, factorial, gcd
 
 from germlin.cyclotomic import (
     CycloElem,
@@ -45,7 +47,16 @@ from germlin.expressions import (
     parse_constraint,
     parse_expression,
 )
-from germlin.jets import Jet, jet_mul_inverse
+from germlin.jets import (
+    _UNIT,
+    Jet,
+    _entry,
+    _power_rows,
+    _row_coefficient,
+    _weighted_sum,
+    jet_mul_inverse,
+)
+from germlin.linearizer import _binomials
 from germlin.pforms import MultiPoly, PForm1
 
 
@@ -202,7 +213,7 @@ def naive_series(node, env: dict, order: int) -> Jet:
     if op == "ipow":
         base = naive_series(node[1], env, order)
         e = node[2]
-        check_power_bits(base.coeffs, e)
+        check_power_bits((base,), e)
         if e < 0:
             if base.coeffs[0].is_zero:
                 raise ExpressionError("negative powers need a nonzero constant term")
@@ -503,3 +514,63 @@ def kupka_family_by_constructor(k: int, params) -> tuple:
         q[mono(2, u, k - 1)] = s / (k - 1)
         q[mono(0, u, k + 1)] = -t / (k + 1)
     return PForm1(4, [MultiPoly(4, terms) for terms in coeffs]), MultiPoly(4, q)
+
+
+def _compose_elementary(a: tuple, k: int, cell, N: int, n: int, solve=False) -> tuple:
+    """The row of a o h, or with ``solve`` the row of the y with y o h = a,
+    for a row a to degree N and h = z + c z^(k+1) with its binomial
+    ``cell``s: every degree of a goes through the kernel."""
+    if not solve:
+        terms = [(_UNIT, 0, a)]
+        for j, c, d in a:
+            terms += [((c, d), j + i * k, cell(j, i)) for i in range(1, min(j, (N - j) // k) + 1)]
+        return _weighted_sum(terms, N, n)
+    y, minus = [], []  # minus: the (j, -y_j as a weight) found so far
+    for lo in range(0, N + 1, k):
+        hi = min(lo + k, N + 1)
+        terms = [(_UNIT, 0, a[bisect_left(a, (lo,)) : bisect_left(a, (hi,))])]
+        for j, w in minus:
+            i = (lo - j + k - 1) // k
+            if i <= j and j + i * k < hi:
+                terms.append((w, j + i * k, cell(j, i)))
+        block = _weighted_sum(terms, hi - 1, n) if len(terms) > 1 else terms[0][2]
+        y += block
+        minus += [(j, (tuple((x, -b) for x, b in c), d)) for j, c, d in block]
+    return tuple(y)
+
+
+def full_row_conjugation(g: tuple, k: int, c: CycloElem, N: int, n: int) -> tuple:
+    """The row of h o g o h^-1 for h = z + c z^(k+1) and the row g of a
+    series mu z + O(z^(k+1)), over every degree: A = h o g = g + c g^(k+1)
+    with g^(k+1) = z^(k+1) sum_i C(k+1,i) mu^(k+1-i) v^i, v = g/z - mu, all
+    i from 0 in one kernel call, then y o h = A solved from degree 0."""
+    mu = _row_coefficient(g, 1, n)
+    top = min(k + 1, (N - k - 1) // k)
+    coef = [_entry(c * comb(k + 1, i) * mu ** (k + 1 - i)) for i in range(top + 1)]
+    M = N - k - 1
+    v = tuple((t - 1, coords, den) for t, coords, den in g if 2 <= t <= M + 1)
+    powers = _power_rows(v, top, M, n)
+    terms = [(_UNIT, 0, g)] + [(w, k + 1, powers[i]) for i, w in enumerate(coef)]
+    cell = _binomials(k, c, N)
+    return _compose_elementary(_weighted_sum(terms, N, n), k, cell, N, n, solve=True)
+
+
+def full_row_fold(steps, N: int, n: int) -> tuple:
+    """The row of h_K o ... o h_1 for the (k, c) of the steps h_k = z + c
+    z^(k+1), in increasing k: from z, right composition by each h_k, newest
+    first, every degree through the kernel."""
+    H = ((1, ((0, 1),), 1),)
+    for k, c in reversed(steps):
+        H = _compose_elementary(H, k, _binomials(k, c, N), N, n)
+    return H
+
+
+def terms_evaluate(p: MultiPoly, point) -> object:
+    """The value of p at a point, term by term in the arithmetic of its
+    Fraction or CycloElem coefficients and of the coordinates."""
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        for x, k in zip(point, e):
+            c = c * (Fraction(x) if isinstance(x, int) else x) ** k
+        total = total + c
+    return total

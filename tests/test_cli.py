@@ -365,7 +365,8 @@ def test_bad_order_is_one_message_for_examples_and_files(tmp_path, capsys, comma
 
 
 def test_limits_are_input_errors(tmp_path, capsys):
-    from germlin.expressions import MAX_POWER_BITS
+    from germlin.cyclotomic import euler_phi
+    from germlin.expressions import MAX_POWER_BITS, MAX_POWER_WORK
     from germlin.germs import MAX_WORD_LETTERS
     from germlin.group_cert import MAX_CONDUCTOR, MAX_ORDER, MAX_WORD_LEN
     from germlin.pforms import MAX_FORM_DEGREE
@@ -452,6 +453,25 @@ def test_limits_are_input_errors(tmp_path, capsys):
         path.write_text(json.dumps(spec))
         sub = "first-integral" if "numerator" in spec else "integrable"
         code, out, err = run(capsys, "forms", sub, str(path))
+        assert code in (0, 1) and err == "", err
+    # |e| times the bits times the size of the base, the numbers that grow,
+    # within MAX_POWER_WORK: N for a rational series of order N, phi(n) for
+    # a scalar of Q(zeta_n); both are below MAX_POWER_BITS
+    series_at = MAX_POWER_WORK // MAX_ORDER  # 1 + z has 1-bit coefficients
+    scalar_at = MAX_POWER_WORK // euler_phi(MAX_CONDUCTOR)  # so has a
+    assert max(series_at, scalar_at) < MAX_POWER_BITS
+    def series(e):
+        return {"order": MAX_ORDER, "generators": [f"z*(1 + z)^{e}", "z"]}
+
+    def scalar(e):
+        return {"field": {"conductor": MAX_CONDUCTOR, "constraints": [f"a^{e} = a^{e}"]},
+                "order": 4, "generators": ["z", "z"]}
+
+    for spec, at, field in ((series, series_at, "generator 1"), (scalar, scalar_at, "power")):
+        fails(["linearize"], spec(at + 1), field)
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(spec(at)))
+        code, out, err = run(capsys, "linearize", str(path))
         assert code in (0, 1) and err == "", err
     # the degree of ex6.1 bounds the powers of the point that kupka evaluates
     for k in (MAX_EX61_K + 1, 10**6):

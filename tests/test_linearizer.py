@@ -10,7 +10,7 @@ from germlin.expressions import series_from_string
 from germlin.germs import Germ, conjugate, identity_germ
 from germlin import linearizer
 from germlin.group_cert import GroupPresentation, load_presentation_file
-from germlin.jets import Jet, _row_coeffs
+from germlin.jets import Jet, _row_coefficient, _row_coeffs
 from germlin.linearizer import (
     flat_case_check,
     group_order,
@@ -20,7 +20,13 @@ from germlin.linearizer import (
     psi_morphism,
 )
 
-from oracles import lagrange_inverse, naive_poly_compose, random_fraction
+from oracles import (
+    full_row_conjugation,
+    full_row_fold,
+    lagrange_inverse,
+    naive_poly_compose,
+    random_fraction,
+)
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -404,3 +410,89 @@ def test_scan_matches_naive_composition_on_obstruction_file(monkeypatch):
         assert [rec.k for rec in res.steps if rec.action == "conjugated"] == [
             1, 2, 4, 5, 7, 8, 10,
         ]
+
+
+# -- the step against the full-row step ------------------------------------------
+
+
+def _check_steps_against_full_rows(monkeypatch, pres):
+    """Every conjugated row is the full-row step's, with c from the row's own
+    t and mu, and H is the full-row fold of those steps."""
+    conjugate_step = linearizer._conjugate_by_elementary
+    steps = {}
+
+    def spy(g, k, coef, cell, N, n):
+        y = conjugate_step(g, k, coef, cell, N, n)
+        mu, t = _row_coefficient(g, 1, n), _row_coefficient(g, k + 1, n)
+        c = t / (mu - mu ** (k + 1))
+        assert steps.setdefault(k, c) == c  # one conjugator per order
+        assert y == full_row_conjugation(g, k, c, N, n)
+        return y
+
+    monkeypatch.setattr(linearizer, "_conjugate_by_elementary", spy)
+    res = linearize(pres)
+    assert sorted(steps) == [rec.k for rec in res.steps if rec.action == "conjugated"]
+    fold = full_row_fold(sorted(steps.items()), pres.order, pres.conductor)
+    assert res.conjugator.jet.row == fold
+    return res
+
+
+@pytest.mark.parametrize("N", [16, 32, 48])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 8, 9, 10, 18])
+def test_step_equals_full_row_step_on_round_trips(monkeypatch, m, N):
+    pres = _round_trip(random.Random(7 * N + m), m, N)
+    res = _check_steps_against_full_rows(monkeypatch, pres)
+    assert res.outcome == "linearized" and group_order(res) == m
+
+
+def test_step_equals_full_row_step_on_two_classes(monkeypatch):
+    # f = h o R o h^-1 and g = h o (R + z^N) o h^-1 for the rotation R by
+    # zeta_5: two classes that agree below z^N, so every order up to N - 2
+    # conjugates both rows, late ones included, and N - 1 is an obstruction
+    N = 32
+    rng = random.Random(3)
+    h = _germ([0, 1] + [random_fraction(rng) for _ in range(3)], N)
+    R = _rotation(zeta(5), N)
+    bent = Germ(Jet([0, zeta(5)] + [0] * (N - 2) + [1], order=N, conductor=5))
+    pres = GroupPresentation([conjugate(h, R), conjugate(h, bent)], order=N)
+    assert pres.classes == (0, 1)
+    res = _check_steps_against_full_rows(monkeypatch, pres)
+    assert res.outcome == "obstruction" and res.steps[-1].k == N - 1
+    assert max(rec.k for rec in res.steps if rec.action == "conjugated") > (N - 1) // 2
+
+
+@pytest.mark.parametrize("N", [16, 32])
+def test_step_equals_full_row_step_on_obstruction_file(monkeypatch, N):
+    path = os.path.join(GOLDEN_DIR, "roundtrip3_obstruction.json")
+    for loaded in load_presentation_file(path, order=N):
+        res = _check_steps_against_full_rows(monkeypatch, loaded.presentation)
+        assert res.outcome == "obstruction"
+
+
+def test_step_copies_the_degrees_it_does_not_change(monkeypatch):
+    # degrees k+2 .. 2k are copied, degree k+1 is dropped, and a step with
+    # 2k + 1 > N makes no kernel call
+    N = 16
+    conjugate_step = linearizer._conjugate_by_elementary
+    kernel = linearizer._weighted_sum
+    calls, late = [0], []
+
+    def counting(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    def spy(g, k, *args):
+        before = calls[0]
+        y = conjugate_step(g, k, *args)
+        middle = [e for e in g if k + 2 <= e[0] <= 2 * k]
+        assert [e for e in y if e[0] <= 2 * k] == [g[0]] + middle
+        if 2 * k + 1 > N:
+            assert calls[0] == before and y == (g[0],) + tuple(middle)
+            late.append(k)
+        return y
+
+    monkeypatch.setattr(linearizer, "_weighted_sum", counting)
+    monkeypatch.setattr(linearizer, "_conjugate_by_elementary", spy)
+    res = linearize(_round_trip(random.Random(5), 3, N))
+    assert res.outcome == "linearized"
+    assert late and min(late) == (N + 1) // 2

@@ -32,7 +32,7 @@ from germlin.pforms import (
 )
 from germlin.registry import build_form_example, default_parameter_sets
 
-from oracles import naive_poly_product, naive_poly_sum, wedge_minors
+from oracles import naive_poly_product, naive_poly_sum, terms_evaluate, wedge_minors
 
 V2 = ("x", "y")
 V3 = ("x", "y", "z")
@@ -280,6 +280,34 @@ def test_kupka_examples():
     assert not kupka_test(form_from_string("y*dx + x*dy", variables=V3), (0, 0, 0))
     with pytest.raises(ValueError):
         kupka_test(ex61.omega, (0, 1))
+
+
+def test_evaluate_on_ints_matches_the_terms():
+    # a rational polynomial at a rational point sums ints over den * q^deg;
+    # a CycloElem coefficient or coordinate keeps the term-by-term path
+    rng = random.Random(41)
+    w = zeta(6)
+    for nvars in (2, 3, 4):
+        points = [
+            (0,) * nvars,
+            tuple(range(1, nvars + 1)),
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(nvars)),
+            (Fraction(-3, 4),) + (0,) * (nvars - 1),
+            (w,) + (Fraction(1, 2),) * (nvars - 1),
+        ]
+        for kind in KERNEL_KINDS:
+            for _ in range(3):
+                p = _kernel_poly(rng, nvars, kind, max_deg=3)
+                for point in points:
+                    got, want = p.evaluate(point), terms_evaluate(p, point)
+                    assert got == want and type(got) is type(want)
+    for k in range(2, 9):
+        for params in default_parameter_sets(k):
+            ex = build_form_example("ex6.1", k=k, params=params)
+            for point in ((0, 1, -1, 0), (Fraction(1, 2), Fraction(-2, 3), 5, Fraction(7, 9))):
+                for form in (ex.omega, exterior_d(ex.omega)):
+                    for p in form.coeffs.values():
+                        assert p.evaluate(point) == terms_evaluate(p, point)
 
 
 def test_first_integral_examples():
