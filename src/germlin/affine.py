@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cyclotomic import CycloElem, factorize, format_scalar
+from .cyclotomic import factorize, format_scalar
 from .germs import Word, distinct_letters, reduced_word_search
 
 __all__ = [
@@ -29,12 +29,6 @@ __all__ = [
 ]
 
 
-def _is_zero_scalar(x) -> bool:
-    if isinstance(x, CycloElem):
-        return x.is_zero
-    return x == 0
-
-
 @dataclass(frozen=True)
 class AffineMap:
     """The map z -> linear*z + translation, linear != 0."""
@@ -43,7 +37,7 @@ class AffineMap:
     translation: object
 
     def __post_init__(self):
-        if _is_zero_scalar(self.linear):
+        if not self.linear:
             raise ValueError("an affine map needs a nonzero linear part")
 
     @classmethod

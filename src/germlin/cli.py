@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -178,7 +179,8 @@ def cmd_linearize(args) -> int:
 
 
 def _parse_point(text: str, nvars: int) -> tuple:
-    parts = [p for p in text.split(",") if p.strip()]
+    # a comma inside the brackets of cyclo(n)[c0,c1,...] does not split
+    parts = [p for p in re.split(r",(?![^\[]*\])", text) if p.strip()]
     if len(parts) != nvars:
         raise InputError(f"--point needs {nvars} comma-separated coordinates")
     try:
@@ -297,9 +299,7 @@ def cmd_forms(args) -> int:
         else:
             raise InputError("kupka needs --point x,y,... coordinates")
         verdict = kupka_test(omega, point)
-        payload["point"] = [
-            format_scalar(v if not isinstance(v, int) else Fraction(v)) for v in point
-        ]
+        payload["point"] = [format_scalar(v) for v in point]
         payload["kupka"] = verdict
 
     elif args.subcommand == "first-integral":

@@ -21,6 +21,7 @@ not come here: the jet kernel ``jets._weighted_sum`` adds unreduced products
 over a running common denominator and reduces and normalizes once per sum.
 
 Rationals are plain ``fractions.Fraction`` values; ``Rational`` is an alias.
+A CycloElem is falsy exactly when it is zero, as a Fraction is.
 Mixed arithmetic coerces ints and Fractions into the cyclotomic operand's
 field, and operands at different conductors are lifted to the lcm conductor.
 The strict single-conductor entry point required by callers that manage their
@@ -328,6 +329,9 @@ class CycloElem:
     @property
     def is_zero(self) -> bool:
         return not any(self.num)
+
+    def __bool__(self) -> bool:
+        return any(self.num)
 
     @property
     def is_one(self) -> bool:

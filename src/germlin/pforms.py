@@ -1,8 +1,8 @@
 """Exact polynomial differential forms in up to four variables.
 
-Polynomials are sparse maps from exponent multi-indices to exact scalars
-(Fractions or cyclotomic elements); a rational one is stored as int
-numerators over one denominator (:class:`MultiPoly`).  A k-form (k = 1, 2, 3) is one type,
+Polynomials are sparse maps from exponent multi-indices to exact scalars in Q
+or Q(zeta_n), stored as integral numerators over one int denominator
+(:class:`MultiPoly`).  A k-form (k = 1, 2, 3) is one type,
 :class:`Form`: a sparse map from strictly increasing index tuples I to nonzero
 polynomials, the coefficients of dx_I = dx_i1 ^ ... ^ dx_ik.  ``PForm1``,
 ``PForm2`` and ``PForm3`` only fix k.  The exterior derivative and the wedge
@@ -25,17 +25,18 @@ Every product of two polynomials goes through one kernel, a signed sum of
 products  sum +-p*q  (``_product_sum``): ``MultiPoly.__mul__`` is its one-term
 case, :func:`wedge` makes one call per output basis index with every signed
 product that lands there, and the meromorphic check builds each coefficient
-Q d_iP - P d_iQ in one call.  Over rational polynomials the kernel reads the
-stored integer forms, numerators over a denominator D, adds every product
-into one accumulator of ints over the lcm L of the D_p D_q, and returns the
-integer form of that sum, divided by the gcd of L and its numerators.  Sums,
-negation, scaling by an int or a Fraction, partial derivatives, homogeneous
-parts, shifts and the blow-up substitution stay on the integer form too, so
-the checks below build no Fraction; ``MultiPoly.terms`` builds them for
-output, evaluation and substitution.  Coefficients that are not all
-Fractions (CycloElems) take the same sums in their own arithmetic.  A power
-of a one-term polynomial is written down, (c x^a)^e = c^e x^(e a), without
-products.
+Q d_iP - P d_iQ in one call.  Every polynomial has one stored form: numerators
+over a denominator D, ints for a rational polynomial and CycloElems over 1
+for coefficients in Q(zeta_n).  The kernel adds every product into one
+accumulator of numerators over the lcm L of the D_p D_q, and returns that sum
+divided by the common factor of L and all its coordinates; CycloElem
+numerators take the same loop in their own arithmetic.  Sums, negation,
+scaling by a scalar, partial derivatives, homogeneous parts, shifts,
+evaluation, substitution and the blow-up substitution stay on the stored
+form too, so the checks on rational forms build no Fraction but the value
+that ``evaluate`` returns; ``MultiPoly.terms`` builds the coefficients for
+output.  A power of a one-term polynomial is written down,
+(c x^a)^e = c^e x^(e a), without products.
 
 The checks that only ask whether a wedge vanishes (integrability and both
 first-integral checks) build part of it.  For a 1-form omega != 0 and a
@@ -66,7 +67,7 @@ from math import gcd, lcm
 from operator import add
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .cyclotomic import CycloElem, _power, format_scalar
+from .cyclotomic import CycloElem, _element, _power, format_scalar
 from .expressions import ExpressionError, check_power_bits, parse_expression
 
 __all__ = [
@@ -108,17 +109,19 @@ MAX_FORM_DEGREE = 8
 Scalar = Union[Fraction, CycloElem]
 
 
-def _sc(value) -> Scalar:
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    return value
+def _split(value) -> tuple:
+    """A scalar as (a, d) with value = a / d: a an integral numerator (an int,
+    or a CycloElem over 1) and d a positive int with no common factor."""
+    if isinstance(value, CycloElem):
+        return _element(value.n, value.num, 1), value.den
+    if isinstance(value, str):
+        value = Fraction(value)
+    return value.numerator, value.denominator
 
 
-def _is_zero(value) -> bool:
-    """Zero test for scalars and polynomials alike."""
-    if isinstance(value, (CycloElem, MultiPoly)):
-        return value.is_zero
-    return value == 0
+def _over(a, d: int) -> Scalar:
+    """The scalar a / d for an integral numerator a and an int d > 0."""
+    return Fraction(a, d) if type(a) is int else a * Fraction(1, d)
 
 
 def _accumulate(out: dict, key, value, sign: int = 1) -> None:
@@ -128,22 +131,22 @@ def _accumulate(out: dict, key, value, sign: int = 1) -> None:
         s = value if sign > 0 else -value
     else:
         s = s + value if sign > 0 else s - value
-    if _is_zero(s):
-        out.pop(key, None)
-    else:
+    if s:
         out[key] = s
+    else:
+        out.pop(key, None)
 
 
 class MultiPoly:
-    """A sparse exact polynomial: exponent tuples -> nonzero scalars.
+    """A sparse exact polynomial over Q or Q(zeta_n).
 
-    A polynomial whose coefficients are all rational is stored in its integer
-    form: a positive int ``den`` and a dict ``nums`` from exponents to nonzero
-    int numerators, with gcd(den, numerators) = 1; zero is {} over 1.  Any
-    other polynomial (one with a CycloElem coefficient) stores its terms, and
-    its ``den`` and ``nums`` are None.  ``terms`` maps exponents to Fractions
-    or CycloElems; from the integer form it is built on first use and kept.
-    Treat it as read only.
+    Every polynomial is stored in one form: a positive int ``den`` and a dict
+    ``nums`` from exponent tuples to nonzero integral numerators, each an int
+    or a CycloElem over 1, with no common factor of ``den`` and all their
+    coordinates; zero is {} over 1.  A rational polynomial has int numerators
+    only.  ``terms`` maps exponents to the coefficients num / den (Fractions,
+    or CycloElems for CycloElem numerators); it is built on first use, for
+    output, and kept.  Treat it as read only.
     """
 
     __slots__ = ("nvars", "den", "nums", "_terms")
@@ -151,58 +154,29 @@ class MultiPoly:
     def __init__(self, nvars: int, terms: Optional[dict] = None):
         if not (2 <= nvars <= 4):
             raise ValueError("polynomials support 2 to 4 variables")
-        clean = {}
+        split = {}
         for exps, coef in (terms or {}).items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for {nvars} variables")
-            if isinstance(coef, str):
-                coef = Fraction(coef)
-            if not _is_zero(coef):
-                clean[exps] = coef
-        self.nvars = nvars
-        self._store(clean)
-
-    def _store(self, terms: dict) -> None:
-        """Stores a dict of nonzero scalars: in the integer form when every
-        one is an int or a Fraction, else as terms."""
-        values = terms.values()
-        if all(isinstance(c, (int, Fraction)) for c in values):
-            den = lcm(*[c.denominator for c in values])
-            self.den, self._terms = den, None
-            self.nums = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
-        else:
-            self.den = self.nums = None
-            self._terms = {e: _sc(c) for e, c in terms.items()}
-
-    @classmethod
-    def _clean(cls, nvars: int, terms: dict) -> "MultiPoly":
-        """Wraps a dict of nonzero scalars keyed by exponent tuples of length
-        nvars: the scalar arithmetic results come through here."""
-        p = object.__new__(cls)
-        p.nvars = nvars
-        p._store(terms)
-        return p
+            a, d = _split(coef)
+            if a:
+                split[exps] = a, d
+        # over the lcm of reduced denominators the numerators share no factor
+        den = lcm(*[d for _, d in split.values()])
+        self.nvars, self.den, self._terms = nvars, den, None
+        self.nums = {e: a * (den // d) for e, (a, d) in split.items()}
 
     @property
     def terms(self) -> dict:
         if self._terms is None:
             den = self.den
-            self._terms = {e: Fraction(v, den) for e, v in self.nums.items()}
+            self._terms = {e: _over(v, den) for e, v in self.nums.items()}
         return self._terms
 
-    @property
-    def _support(self) -> dict:
-        """The numerators, or the terms where there is no integer form: a dict
-        keyed by the exponents of the nonzero terms."""
-        return self._terms if self.nums is None else self.nums
-
-    def _like(self, support: dict) -> "MultiPoly":
-        """The polynomial in this one's form from a dict like ``_support``:
-        nonzero int numerators over ``den``, or nonzero scalars."""
-        if self.den is None:
-            return MultiPoly._clean(self.nvars, support)
-        return _integer_poly(self.nvars, self.den, support)
+    def _like(self, nums: dict) -> "MultiPoly":
+        """The polynomial of nonzero numerators over this one's ``den``."""
+        return _integer_poly(self.nvars, self.den, nums)
 
     # -- constructors -----------------------------------------------------------
 
@@ -228,10 +202,10 @@ class MultiPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self._support
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self._support)
+        return bool(self.nums)
 
     # -- arithmetic -------------------------------------------------------------------
 
@@ -245,11 +219,6 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
-        if self.den is None or other.den is None:
-            out = dict(self.terms)
-            for e, c in other.terms.items():
-                _accumulate(out, e, c, sign)
-            return MultiPoly._clean(self.nvars, out)
         den = lcm(self.den, other.den)
         a, b = den // self.den, sign * (den // other.den)
         out = {e: a * v for e, v in self.nums.items()}
@@ -267,7 +236,7 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return self._like({e: -c for e, c in self._support.items()})
+        return self._like({e: -c for e, c in self.nums.items()})
 
     def __sub__(self, other):
         return self._combine(other, -1)
@@ -277,16 +246,11 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycloElem)):
-            if _is_zero(other):
+            a, d = _split(other)
+            if not a:
                 return MultiPoly.zero(self.nvars)
-            if self.den is None or isinstance(other, CycloElem):
-                return MultiPoly._clean(
-                    self.nvars, {e: c * other for e, c in self.terms.items()}
-                )
-            a = other.numerator
             return _integer_poly(
-                self.nvars, self.den * other.denominator,
-                {e: a * v for e, v in self.nums.items()},
+                self.nvars, self.den * d, {e: a * v for e, v in self.nums.items()}
             )
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -298,12 +262,9 @@ class MultiPoly:
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        if len(self._support) == 1:  # (c x^a)^e = c^e x^(e a)
-            ((exps, c),) = self._support.items()
-            exps = tuple(x * e for x in exps)
-            if self.den is None:
-                return MultiPoly._clean(self.nvars, {exps: c**e})
-            return _integer_poly(self.nvars, self.den**e, {exps: c**e})
+        if len(self.nums) == 1:  # (c x^a)^e = c^e x^(e a)
+            ((exps, c),) = self.nums.items()
+            return _integer_poly(self.nvars, self.den**e, {tuple(x * e for x in exps): c**e})
         return _power(self, e, MultiPoly.constant(self.nvars, 1))
 
     def __eq__(self, other):
@@ -319,7 +280,7 @@ class MultiPoly:
 
     def partial(self, i: int) -> "MultiPoly":
         out = {}
-        for e, c in self._support.items():
+        for e, c in self.nums.items():
             if e[i]:
                 ne = list(e)
                 ne[i] -= 1
@@ -327,58 +288,55 @@ class MultiPoly:
         return self._like(out)
 
     def evaluate(self, point: Sequence) -> Scalar:
-        """The value at a point.  A rational polynomial at a rational point
-        p/q (over the common denominator q of its coordinates) sums the ints
-        num_e * prod p_i^e_i * q^(deg - |e|) and makes one Fraction over
-        den * q^deg; any CycloElem computes through ``terms``."""
-        point = [_sc(x) for x in point]
-        if self.nums is not None and not any(isinstance(x, CycloElem) for x in point):
-            q = lcm(*[x.denominator for x in point])
-            p = [x.numerator * (q // x.denominator) for x in point]
-            deg = max(map(sum, self.nums), default=0)
-            power = cache(pow)
-            total = 0
-            for e, c in self.nums.items():
-                for pi, ei in zip(p, e):
-                    if ei:
-                        c *= power(pi, ei)
-                total += c * power(q, deg - sum(e))
-            return Fraction(total, self.den * q**deg)
-        total: Scalar = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for xi, ei in zip(point, e):
+        """The value at a point.  With each coordinate an integral numerator
+        p_i over an int, and q the lcm of those ints, it sums
+        num_e * prod p_i^e_i * q^(deg - |e|) and divides once by den * q^deg."""
+        split = [_split(x) for x in point]
+        q = lcm(*[d for _, d in split])
+        p = [a * (q // d) for a, d in split]
+        deg = max(map(sum, self.nums), default=0)
+        power = cache(pow)
+        total = 0
+        for e, c in self.nums.items():
+            for pi, ei in zip(p, e):
                 if ei:
-                    v = v * xi**ei
-            total = total + v
-        return total
+                    c *= power(pi, ei)
+            total += c * power(q, deg - sum(e))
+        return _over(total, self.den * q**deg)
 
     def substitute(self, i: int, value) -> "MultiPoly":
-        """Replace variable i by a scalar value (the variable slot remains)."""
-        value = _sc(value)
+        """Replace variable i by a scalar a/q (the variable slot remains): with
+        m the largest exponent of x_i, num_e gains a^e_i q^(m - e_i) over
+        den * q^m."""
+        a, q = _split(value)
+        m = max((e[i] for e in self.nums), default=0)
         out: dict = {}
-        for e, c in self.terms.items():
-            key = e[:i] + (0,) + e[i + 1 :]
-            _accumulate(out, key, c * value ** e[i] if e[i] else c)
-        return MultiPoly._clean(self.nvars, out)
+        for e, c in self.nums.items():
+            k = e[i]
+            if k:
+                c = c * a**k
+            if k != m:
+                c = c * q ** (m - k)
+            _accumulate(out, e[:i] + (0,) + e[i + 1 :], c)
+        return _integer_poly(self.nvars, self.den * q**m, out)
 
     def min_total_degree(self) -> Optional[int]:
-        if not self._support:
+        if not self.nums:
             return None
-        return min(sum(e) for e in self._support)
+        return min(sum(e) for e in self.nums)
 
     def homogeneous_part(self, d: int) -> "MultiPoly":
-        return self._like({e: c for e, c in self._support.items() if sum(e) == d})
+        return self._like({e: c for e, c in self.nums.items() if sum(e) == d})
 
     def min_exponent(self, i: int) -> Optional[int]:
-        if not self._support:
+        if not self.nums:
             return None
-        return min(e[i] for e in self._support)
+        return min(e[i] for e in self.nums)
 
     def shift_down(self, i: int, m: int) -> "MultiPoly":
         """Exact division by the m-th power of variable i."""
         out = {}
-        for e, c in self._support.items():
+        for e, c in self.nums.items():
             if e[i] < m:
                 raise ValueError("polynomial is not divisible by that power")
             ne = list(e)
@@ -391,13 +349,17 @@ class MultiPoly:
 
 
 def _integer_poly(nvars: int, den: int, nums: dict) -> MultiPoly:
-    """The polynomial sum nums[e] x^e / den in its integer form, for nonzero
-    int numerators and den > 0: their common factor is divided out."""
-    if den != 1:
-        g = gcd(den, *nums.values())
-        if g != 1:
-            den //= g
-            nums = {e: v // g for e, v in nums.items()}
+    """The polynomial sum nums[e] x^e / den for nonzero integral numerators
+    (ints or CycloElems over 1) and den > 0: the common factor of den and
+    all their coordinates is divided out."""
+    g = den
+    for v in nums.values():
+        if g == 1:
+            break
+        g = gcd(g, v) if type(v) is int else gcd(g, *v.num)
+    if g != 1:
+        den //= g
+        nums = {e: v // g if type(v) is int else v * Fraction(1, g) for e, v in nums.items()}
     p = object.__new__(MultiPoly)
     p.nvars, p.den, p.nums, p._terms = nvars, den, nums, None
     return p
@@ -408,14 +370,11 @@ def _product_sum(nvars: int, products) -> MultiPoly:
     products, sign = +1 or -1: the one place where this module multiplies
     polynomials.
 
-    Over integer forms each product adds sign * (L / (D_p D_q)) * a * b into
-    one dict of ints, L the lcm of the D_p D_q, and the sum is the integer
-    form of that dict over L.  An operand with a CycloElem coefficient sends
-    the whole sum to the scalar loop instead.
+    Each product adds sign * (L / (D_p D_q)) * a * b into one dict of
+    numerators, L the lcm of the D_p D_q, and the sum is that dict over L.
+    Rational polynomials multiply and add ints; a CycloElem numerator takes
+    the same loop in its own arithmetic.
     """
-    for _, p, q in products:
-        if p.den is None or q.den is None:
-            return _scalar_product_sum(nvars, products)
     den = lcm(*[p.den * q.den for _, p, q in products])
     acc: dict = {}
     get = acc.get
@@ -431,16 +390,6 @@ def _product_sum(nvars: int, products) -> MultiPoly:
                 e = tuple(map(add, e1, e2))
                 acc[e] = get(e, 0) + sa * b
     return _integer_poly(nvars, den, {e: v for e, v in acc.items() if v})
-
-
-def _scalar_product_sum(nvars: int, products) -> MultiPoly:
-    """_product_sum in the coefficients' own arithmetic, for CycloElems."""
-    out: dict = {}
-    for sign, p, q in products:
-        for e1, c1 in p.terms.items():
-            for e2, c2 in q.terms.items():
-                _accumulate(out, tuple(map(add, e1, e2)), c1 * c2, sign)
-    return MultiPoly._clean(nvars, out)
 
 
 class Form:
@@ -619,7 +568,7 @@ def _wedge_vanishes(omega: PForm1, v: Form) -> bool:
     """
     if not omega.coeffs:
         return True
-    (p,), _ = min(omega.coeffs.items(), key=lambda item: len(item[1]._support))
+    (p,), _ = min(omega.coeffs.items(), key=lambda item: len(item[1].nums))
     n, get_a, get_b = omega.nvars, omega.coeffs.get, v.coeffs.get
     for K in combinations(range(n), v.degree + 1):
         if p not in K:
@@ -694,7 +643,7 @@ def _chart_index(omega_nvars: int, chart, variables=DEFAULT_VARS) -> int:
 def _blowup_substitute(p: MultiPoly, c: int) -> MultiPoly:
     # x_j -> x_c * u_j for j != c; the slot j now holds u_j.  The exponents
     # map one to one (e_c becomes |e|), so no two terms meet.
-    return p._like({e[:c] + (sum(e),) + e[c + 1 :]: v for e, v in p._support.items()})
+    return p._like({e[:c] + (sum(e),) + e[c + 1 :]: v for e, v in p.nums.items()})
 
 
 def blowup_chart_pullback(omega: PForm1, chart) -> tuple[int, PForm1]:
@@ -758,10 +707,9 @@ def kupka_test(omega: PForm1, q: Sequence) -> bool:
         raise ValueError(
             f"point has {len(q)} coordinates for {omega.nvars} variables"
         )
-    if any(not _is_zero(v) for v in omega.evaluate(q).values()):
+    if any(omega.evaluate(q).values()):
         return False
-    d = exterior_d(omega)
-    return any(not _is_zero(v) for v in d.evaluate(q).values())
+    return any(exterior_d(omega).evaluate(q).values())
 
 
 def first_integral_check(omega: PForm1, f: MultiPoly) -> bool:
@@ -798,7 +746,7 @@ def total_degree(value: AnyForm) -> int:
     """The largest total degree among the terms of a polynomial or of a
     form's coefficients, 0 for zero."""
     polys = [value] if isinstance(value, MultiPoly) else value.coeffs.values()
-    return max((sum(e) for p in polys for e in p._support), default=0)
+    return max((sum(e) for p in polys for e in p.nums), default=0)
 
 
 def check_form_degree(degree: int) -> None:
@@ -850,12 +798,10 @@ def eval_form(node, env: dict, variables: Sequence[str]):
     if op == "div":
         a = eval_form(node[1], env, variables)
         b = eval_form(node[2], env, variables)
-        if not isinstance(b, MultiPoly) or len(b.terms) != 1 or any(
-            any(e) for e in b.terms
-        ):
+        if not isinstance(b, MultiPoly) or list(b.nums) != [(0,) * nvars]:
             raise ExpressionError("division is only defined by nonzero constants")
-        ((_, coef),) = b.terms.items()
-        inv = 1 / coef if isinstance(coef, Fraction) else coef.inverse()
+        ((_, c),) = b.nums.items()
+        inv = Fraction(b.den, c) if type(c) is int else c.inverse() * b.den
         return a * inv if isinstance(a, MultiPoly) else a.scale(
             MultiPoly.constant(a.nvars, inv)
         )

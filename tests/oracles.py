@@ -574,3 +574,15 @@ def terms_evaluate(p: MultiPoly, point) -> object:
             c = c * (Fraction(x) if isinstance(x, int) else x) ** k
         total = total + c
     return total
+
+
+def terms_substitute(p: MultiPoly, i: int, value) -> MultiPoly:
+    """p with variable i replaced by a scalar, term by term in the arithmetic
+    of its Fraction or CycloElem coefficients and of the value; the checking
+    constructor drops the sums that cancel."""
+    out = {}
+    for e, c in p.terms.items():
+        key = e[:i] + (0,) + e[i + 1 :]
+        c = c * (Fraction(value) if isinstance(value, int) else value) ** e[i]
+        out[key] = out[key] + c if key in out else c
+    return MultiPoly(p.nvars, out)

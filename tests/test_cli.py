@@ -166,6 +166,16 @@ def test_forms_kupka(capsys):
     )
     assert code == 0
     assert json.loads(out)["kupka"] is True
+    # commas inside the brackets of cyclo(n)[...] do not split coordinates
+    point = ["0", "cyclo(6)[0,1]", "cyclo(6)[0,-1]", "0"]
+    code, out, _ = run(capsys, "forms", "kupka", "--example", "ex6.1", "--k", "2",
+                       "--point", ",".join(point))
+    assert code == 0
+    assert json.loads(out)["point"] == point and json.loads(out)["kupka"] is True
+    for wrong in ("0,cyclo(6)[0,1],0", "0,cyclo(6)[0,1],cyclo(6)[0,-1],0,1"):
+        code, out, err = run(capsys, "forms", "kupka", "--example", "ex6.1", "--point", wrong)
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["germlin: error: --point needs 4 comma-separated coordinates"]
 
 
 def test_forms_first_integral(capsys):

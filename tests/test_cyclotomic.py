@@ -26,6 +26,7 @@ from germlin.cyclotomic import _monomials
 from germlin.jets import _entry, _row_coeffs, _sparse_row, _weighted_sum
 
 from oracles import naive_root_scan
+from test_jets import ORACLE_CONDUCTORS, WIDE_CONDUCTORS
 
 
 KNOWN_PHI = {
@@ -112,6 +113,19 @@ def test_field_axioms(n):
         assert x * (y + z) == x * y + x * z
         if not x.is_zero:
             assert x * x.inverse() == one
+
+
+@pytest.mark.parametrize("n", ORACLE_CONDUCTORS + WIDE_CONDUCTORS)
+def test_zero_is_the_one_falsy_element(n):
+    rng = random.Random(150 + n)
+    zero = cyclo_embed(0, n)
+    assert not zero and zero.is_zero and not -zero and not zero * zeta(n)
+    elems = [zero, cyclo_embed(1, n), zeta(n), zeta(n) - zeta(n)]
+    # height 1 over small denominators, so that some draws are zero at n = 1
+    elems += [_random_elem(rng, n, 1, 3) for _ in range(20)]
+    for x in elems:
+        assert bool(x) is (not x.is_zero)
+        assert bool(x) is (x != 0)
 
 
 def test_canonical_idempotence():

@@ -18,7 +18,10 @@ at k = 11 and prints the partial conjugator.  ``forms pullback`` runs in every
 chart of ex6.2 and in two charts of ex6.1, so the printed 1-form text is pinned;
 ``form2.json`` is a two-variable form.  ``forms first-integral`` reads the
 holomorphic integral of ``integral.json`` and the numerator/denominator of
-``quotient.json``, and ``ex4.3`` runs once without ``--p`` (p = 1).  The
+``quotient.json``, and ``ex4.3`` runs once without ``--p`` (p = 1).
+``forms kupka`` on ex6.1 also runs at points with ``cyclo(2)`` and
+``cyclo(6)`` coordinates (the latter with commas inside the brackets) and at
+a rational point that is not singular.  The
 stored files pin the output byte for byte, so a refactor that claims the same
 behaviour must pass this unchanged.
 
@@ -93,6 +96,11 @@ CASES = (
     + ["forms pullback form2.json --chart y"]
     + [f"forms first-integral {name}.json" for name in ("integral", "quotient")]
     + ["forms kupka quotient.json --point 0,0,0"]
+    + [
+        "forms kupka --example ex6.1 --k 2 --point 0,cyclo(2)[1],cyclo(2)[-1],0",
+        "forms kupka --example ex6.1 --k 3 --point 1/2,-3,5/7,2",
+        "forms kupka --example ex6.1 --k 2 --point 0,cyclo(6)[0,1],cyclo(6)[0,-1],0",
+    ]
     + [
         "certify --example ex4.3 --order 8 --max-word-len 2",
         "linearize --example ex4.3 --order 8",

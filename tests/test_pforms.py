@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 import germlin.pforms
-from germlin.cyclotomic import zeta
+from germlin.cyclotomic import CycloElem, zeta
 from germlin.pforms import (
     MultiPoly,
     PForm1,
@@ -32,7 +32,13 @@ from germlin.pforms import (
 )
 from germlin.registry import build_form_example, default_parameter_sets
 
-from oracles import naive_poly_product, naive_poly_sum, terms_evaluate, wedge_minors
+from oracles import (
+    naive_poly_product,
+    naive_poly_sum,
+    terms_evaluate,
+    terms_substitute,
+    wedge_minors,
+)
 
 V2 = ("x", "y")
 V3 = ("x", "y", "z")
@@ -100,18 +106,23 @@ def test_arithmetic_results_are_what_the_checking_constructor_builds():
 
 
 def _assert_canonical(p):
-    """p is stored in its integer form iff every coefficient is a Fraction,
-    and that form is canonical: den > 0, gcd(den, numerators) = 1, no zero
-    numerator, and zero is {} over 1."""
-    rational = all(type(c) is Fraction for c in p.terms.values())
-    assert (p.den is not None) is rational is (p.nums is not None)
-    if not rational:
-        return
+    """p is in the one stored form: den a positive int, nonzero numerators
+    that are ints or CycloElems over 1, no common factor of den and all
+    their coordinates, and zero is {} over 1."""
     assert type(p.den) is int and p.den > 0
-    assert all(type(v) is int and v for v in p.nums.values())
-    assert math.gcd(p.den, *p.nums.values()) == 1
+    coordinates = []
+    for v in p.nums.values():
+        if type(v) is CycloElem:
+            assert v.den == 1 and v
+            coordinates += v.num
+        else:
+            assert type(v) is int and v
+            coordinates.append(v)
+    assert math.gcd(p.den, *coordinates) == 1
     assert p.nums or p.den == 1
-    assert p.terms == {e: Fraction(v, p.den) for e, v in p.nums.items()}
+    for e, v in p.nums.items():
+        c = p.terms[e]
+        assert c * p.den == v and type(c) is (Fraction if type(v) is int else CycloElem)
 
 
 def test_exterior_d_examples():
@@ -308,6 +319,21 @@ def test_evaluate_on_ints_matches_the_terms():
                 for form in (ex.omega, exterior_d(ex.omega)):
                     for p in form.coeffs.values():
                         assert p.evaluate(point) == terms_evaluate(p, point)
+
+
+def test_substitute_matches_the_terms():
+    # each numerator gains a^e_i q^(m - e_i) over den q^m for a value a/q
+    rng = random.Random(43)
+    for nvars in (2, 3, 4):
+        for kind in KERNEL_KINDS:
+            for _ in range(3):
+                p = _kernel_poly(rng, nvars, kind, max_deg=3)
+                for value in (0, 1, Fraction(-3, 4), zeta(6)):
+                    for i in range(nvars):
+                        got, want = p.substitute(i, value), terms_substitute(p, i, value)
+                        _assert_canonical(got)
+                        assert got == want and got.terms == want.terms
+                        assert got.min_exponent(i) in (None, 0)
 
 
 def test_first_integral_examples():
@@ -552,25 +578,29 @@ def test_integer_forms_match_the_fraction_oracles(nvars):
         assert got.den == den
 
 
-def test_only_cyclotomic_operands_take_the_scalar_loop(monkeypatch):
+def test_every_coefficient_kind_takes_the_one_product_loop(monkeypatch):
+    # every pair of kinds multiplies in the one loop of _product_sum, and the
+    # result comes back in the one stored form
     calls = []
-    scalar = germlin.pforms._scalar_product_sum
+    integer_poly = germlin.pforms._integer_poly
 
-    def spy(*args):
-        calls.append(args)
-        return scalar(*args)
+    def spy(nvars, den, nums):
+        calls.append(nums)
+        return integer_poly(nvars, den, nums)
 
-    monkeypatch.setattr(germlin.pforms, "_scalar_product_sum", spy)
+    monkeypatch.setattr(germlin.pforms, "_integer_poly", spy)
     rng = random.Random(970)
     for kp in KERNEL_KINDS:
         for kq in KERNEL_KINDS:
             p, q = _kernel_poly(rng, 3, kp), _kernel_poly(rng, 3, kq)
-            scalar_kinds = {"cyclo", "mixed"} & {kp, kq}
-            for make in (lambda: p * q, lambda: _product_sum(3, [(1, p, p), (-1, q, q)])):
-                got = make()
-                assert bool(calls) is bool(scalar_kinds), (kp, kq)
-                assert (got.den is None) is (bool(scalar_kinds) and not got.is_zero)
+            for make, want in ((lambda: p * q, naive_poly_product(p, q)),
+                               (lambda: _product_sum(3, [(1, p, p), (-1, q, q)]),
+                                naive_poly_product(p, p) - naive_poly_product(q, q))):
                 calls.clear()
+                got = make()
+                assert len(calls) == 1, (kp, kq)
+                _assert_canonical(got)
+                assert got == want
 
 
 @pytest.mark.parametrize("nvars", (2, 3, 4))
@@ -671,15 +701,17 @@ def test_fraction_wedges_stay_on_integers(monkeypatch):
     for omega in (u, integrable):
         assert banned(wedge, omega, exterior_d(omega)) == want_int[id(omega)]
     # the four checks build no Fraction on integer forms: ex6.1 at k = 8 and
-    # the random forms, against the same checks on copies whose CycloElem
-    # coefficients take the scalar loop
+    # the random forms, against the same checks on copies whose numerators
+    # are CycloElems
     ex = build_form_example("ex6.1", k=8)
     one = zeta(1)
     for omega, num, den, verdict in ((ex.omega, ex.mero_numerator, ex.mero_denominator, True),
                                      (integrable, P, Q, True), (u, P, Q, False), (v, Q, P, False)):
-        assert all(a.den is not None for a in (num, den, *omega.coeffs.values()))
+        assert all(type(v) is int for a in (num, den, *omega.coeffs.values())
+                   for v in a.nums.values())
         copies = (omega.map_coeffs(lambda a: a * one), num * one, den * one)
-        assert all(a.den is None for a in (copies[1], copies[2], *copies[0].coeffs.values()))
+        assert all(type(v) is CycloElem for a in (copies[1], copies[2], *copies[0].coeffs.values())
+                   for v in a.nums.values())
         results = []
         for run, (w, n_, d_) in ((banned, (omega, num, den)), (lambda fn, *a: fn(*a), copies)):
             results.append([
