@@ -1,8 +1,8 @@
 """Exact polynomial differential forms in up to four variables.
 
-Polynomials are sparse maps from exponent multi-indices to exact scalars in Q
-or Q(zeta_n), stored as integral numerators over one int denominator
-(:class:`MultiPoly`).  A k-form (k = 1, 2, 3) is one type,
+Polynomials are sparse maps from monomials to exact scalars in Q or
+Q(zeta_n), stored as integral numerators over one int denominator, keyed by
+packed ints (:class:`MultiPoly`).  A k-form (k = 1, 2, 3) is one type,
 :class:`Form`: a sparse map from strictly increasing index tuples I to nonzero
 polynomials, the coefficients of dx_I = dx_i1 ^ ... ^ dx_ik.  ``PForm1``,
 ``PForm2`` and ``PForm3`` only fix k.  The exterior derivative and the wedge
@@ -27,15 +27,16 @@ case, :func:`wedge` makes one call per output basis index with every signed
 product that lands there, and the meromorphic check builds each coefficient
 Q d_iP - P d_iQ in one call.  Every polynomial has one stored form: numerators
 over a denominator D, ints for a rational polynomial and CycloElems over 1
-for coefficients in Q(zeta_n).  The kernel adds every product into one
+for coefficients in Q(zeta_n), keyed by ints whose sum is the key of the
+product of their monomials.  The kernel adds every product into one
 accumulator of numerators over the lcm L of the D_p D_q, and returns that sum
 divided by the common factor of L and all its coordinates; CycloElem
 numerators take the same loop in their own arithmetic.  Sums, negation,
 scaling by a scalar, partial derivatives, homogeneous parts, shifts,
 evaluation, substitution and the blow-up substitution stay on the stored
 form too, so the checks on rational forms build no Fraction but the value
-that ``evaluate`` returns; ``MultiPoly.terms`` builds the coefficients for
-output.  A power of a one-term polynomial is written down,
+that ``evaluate`` returns; ``MultiPoly.terms`` builds the exponent tuples and
+coefficients for output.  A power of a one-term polynomial is written down,
 (c x^a)^e = c^e x^(e a), without products.
 
 The checks that only ask whether a wedge vanishes (integrability and both
@@ -64,7 +65,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import gcd, lcm
-from operator import add
+from operator import mul
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .cyclotomic import CycloElem, _element, _power, format_scalar
@@ -108,6 +109,27 @@ MAX_FORM_DEGREE = 8
 
 Scalar = Union[Fraction, CycloElem]
 
+# A monomial x^e is keyed by its packed exponent vector (Monagan and Pearce):
+# e_i in the _BITS-wide field at bit _BITS * i, the total degree |e| in the
+# field above the four.  Packing is linear, so the key of a product is the sum
+# of the keys, and keys compare by degree first.  A stored key has |e| below
+# _DEGREE_LIMIT = 2^(_BITS - 1), so the sum of two keys carries out of no field.
+_BITS = 12
+_DEG = 4 * _BITS
+_MASK = (1 << _BITS) - 1
+_DEGREE_LIMIT = 1 << (_BITS - 1)
+_UNIT = tuple((1 << _DEG) + (1 << (_BITS * i)) for i in range(4))  # x_i
+
+
+def _pack(exps) -> int:
+    """The key of the monomial with these exponents."""
+    return sum(map(mul, exps, _UNIT))
+
+
+def _unpack(key: int, nvars: int) -> tuple:
+    """The exponent tuple of a key."""
+    return tuple((key >> (_BITS * i)) & _MASK for i in range(nvars))
+
 
 def _split(value) -> tuple:
     """A scalar as (a, d) with value = a / d: a an integral numerator (an int,
@@ -141,12 +163,17 @@ class MultiPoly:
     """A sparse exact polynomial over Q or Q(zeta_n).
 
     Every polynomial is stored in one form: a positive int ``den`` and a dict
-    ``nums`` from exponent tuples to nonzero integral numerators, each an int
-    or a CycloElem over 1, with no common factor of ``den`` and all their
-    coordinates; zero is {} over 1.  A rational polynomial has int numerators
-    only.  ``terms`` maps exponents to the coefficients num / den (Fractions,
-    or CycloElems for CycloElem numerators); it is built on first use, for
-    output, and kept.  Treat it as read only.
+    ``nums`` from packed monomial keys (``_pack``) to nonzero integral
+    numerators, each an int or a CycloElem over 1, with no common factor of
+    ``den`` and all their coordinates; zero is {} over 1.  A rational
+    polynomial has int numerators only.  Equality compares this canonical
+    form.  ``terms`` maps exponent tuples to the coefficients num / den
+    (Fractions, or CycloElems for CycloElem numerators); it is built on first
+    use, for output, and kept.  Treat it as read only.
+
+    A key holds a total degree below 2^11 = 2048; building a polynomial of
+    higher degree raises ValueError.  No command reaches that: form
+    expressions stop at MAX_FORM_DEGREE and ex6.1 at a degree of about 200.
     """
 
     __slots__ = ("nvars", "den", "nums", "_terms")
@@ -161,7 +188,8 @@ class MultiPoly:
                 raise ValueError(f"bad exponent tuple {exps} for {nvars} variables")
             a, d = _split(coef)
             if a:
-                split[exps] = a, d
+                split[_pack(exps)] = a, d
+        _check_degree(split)
         # over the lcm of reduced denominators the numerators share no factor
         den = lcm(*[d for _, d in split.values()])
         self.nvars, self.den, self._terms = nvars, den, None
@@ -170,8 +198,8 @@ class MultiPoly:
     @property
     def terms(self) -> dict:
         if self._terms is None:
-            den = self.den
-            self._terms = {e: _over(v, den) for e, v in self.nums.items()}
+            den, n = self.den, self.nvars
+            self._terms = {_unpack(e, n): _over(v, den) for e, v in self.nums.items()}
         return self._terms
 
     def _like(self, nums: dict) -> "MultiPoly":
@@ -263,8 +291,9 @@ class MultiPoly:
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
         if len(self.nums) == 1:  # (c x^a)^e = c^e x^(e a)
-            ((exps, c),) = self.nums.items()
-            return _integer_poly(self.nvars, self.den**e, {tuple(x * e for x in exps): c**e})
+            ((key, c),) = self.nums.items()
+            _check_degree((key * e,))  # before c^e is built
+            return _integer_poly(self.nvars, self.den**e, {key * e: c**e})
         return _power(self, e, MultiPoly.constant(self.nvars, 1))
 
     def __eq__(self, other):
@@ -272,19 +301,19 @@ class MultiPoly:
             other = MultiPoly.constant(self.nvars, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.nvars == other.nvars and (self - other).is_zero
+        return (self.nvars, self.den, self.nums) == (other.nvars, other.den, other.nums)
 
     __hash__ = None
 
     # -- calculus helpers ---------------------------------------------------------------
 
     def partial(self, i: int) -> "MultiPoly":
+        shift, unit = _BITS * i, _UNIT[i]
         out = {}
         for e, c in self.nums.items():
-            if e[i]:
-                ne = list(e)
-                ne[i] -= 1
-                out[tuple(ne)] = c * e[i]
+            k = (e >> shift) & _MASK
+            if k:
+                out[e - unit] = c * k
         return self._like(out)
 
     def evaluate(self, point: Sequence) -> Scalar:
@@ -294,14 +323,14 @@ class MultiPoly:
         split = [_split(x) for x in point]
         q = lcm(*[d for _, d in split])
         p = [a * (q // d) for a, d in split]
-        deg = max(map(sum, self.nums), default=0)
+        deg = max(self.nums, default=0) >> _DEG
         power = cache(pow)
         total = 0
         for e, c in self.nums.items():
-            for pi, ei in zip(p, e):
+            for pi, ei in zip(p, _unpack(e, self.nvars)):
                 if ei:
                     c *= power(pi, ei)
-            total += c * power(q, deg - sum(e))
+            total += c * power(q, deg - (e >> _DEG))
         return _over(total, self.den * q**deg)
 
     def substitute(self, i: int, value) -> "MultiPoly":
@@ -309,49 +338,58 @@ class MultiPoly:
         m the largest exponent of x_i, num_e gains a^e_i q^(m - e_i) over
         den * q^m."""
         a, q = _split(value)
-        m = max((e[i] for e in self.nums), default=0)
+        shift, unit = _BITS * i, _UNIT[i]
+        m = max(((e >> shift) & _MASK for e in self.nums), default=0)
         out: dict = {}
         for e, c in self.nums.items():
-            k = e[i]
+            k = (e >> shift) & _MASK
             if k:
                 c = c * a**k
             if k != m:
                 c = c * q ** (m - k)
-            _accumulate(out, e[:i] + (0,) + e[i + 1 :], c)
+            _accumulate(out, e - k * unit, c)
         return _integer_poly(self.nvars, self.den * q**m, out)
 
     def min_total_degree(self) -> Optional[int]:
         if not self.nums:
             return None
-        return min(sum(e) for e in self.nums)
+        return min(self.nums) >> _DEG
 
     def homogeneous_part(self, d: int) -> "MultiPoly":
-        return self._like({e: c for e, c in self.nums.items() if sum(e) == d})
+        return self._like({e: c for e, c in self.nums.items() if e >> _DEG == d})
 
     def min_exponent(self, i: int) -> Optional[int]:
         if not self.nums:
             return None
-        return min(e[i] for e in self.nums)
+        return min((e >> (_BITS * i)) & _MASK for e in self.nums)
 
     def shift_down(self, i: int, m: int) -> "MultiPoly":
         """Exact division by the m-th power of variable i."""
+        shift, step = _BITS * i, m * _UNIT[i]
         out = {}
         for e, c in self.nums.items():
-            if e[i] < m:
+            if (e >> shift) & _MASK < m:
                 raise ValueError("polynomial is not divisible by that power")
-            ne = list(e)
-            ne[i] -= m
-            out[tuple(ne)] = c
+            out[e - step] = c
         return self._like(out)
 
     def __repr__(self):
         return poly_to_string(self)
 
 
+def _check_degree(keys) -> None:
+    """ValueError if a key's degree field is _DEGREE_LIMIT or more.  That field
+    is at least the true degree, so a key whose fields carried fails too."""
+    if keys and max(keys) >> _DEG >= _DEGREE_LIMIT:
+        raise ValueError(f"a total degree above {_DEGREE_LIMIT - 1} does not fit a packed key")
+
+
 def _integer_poly(nvars: int, den: int, nums: dict) -> MultiPoly:
-    """The polynomial sum nums[e] x^e / den for nonzero integral numerators
-    (ints or CycloElems over 1) and den > 0: the common factor of den and
-    all their coordinates is divided out."""
+    """The polynomial sum nums[e] x^e / den for packed keys e, nonzero
+    integral numerators (ints or CycloElems over 1) and den > 0: the common
+    factor of den and all their coordinates is divided out.  Every result of
+    arithmetic passes here, where a degree at the limit raises ValueError."""
+    _check_degree(nums)
     g = den
     for v in nums.values():
         if g == 1:
@@ -373,7 +411,8 @@ def _product_sum(nvars: int, products) -> MultiPoly:
     Each product adds sign * (L / (D_p D_q)) * a * b into one dict of
     numerators, L the lcm of the D_p D_q, and the sum is that dict over L.
     Rational polynomials multiply and add ints; a CycloElem numerator takes
-    the same loop in its own arithmetic.
+    the same loop in its own arithmetic.  A monomial product adds two packed
+    keys, which carries out of no field; ``_integer_poly`` checks the degree.
     """
     den = lcm(*[p.den * q.den for _, p, q in products])
     acc: dict = {}
@@ -387,7 +426,7 @@ def _product_sum(nvars: int, products) -> MultiPoly:
         for e1, a in tp.items():
             sa = scale * a
             for e2, b in tq:
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
                 acc[e] = get(e, 0) + sa * b
     return _integer_poly(nvars, den, {e: v for e, v in acc.items() if v})
 
@@ -458,7 +497,7 @@ class Form:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.nvars == other.nvars and (self - other).is_zero
+        return self.nvars == other.nvars and self.coeffs == other.coeffs
 
     __hash__ = None
 
@@ -642,8 +681,11 @@ def _chart_index(omega_nvars: int, chart, variables=DEFAULT_VARS) -> int:
 
 def _blowup_substitute(p: MultiPoly, c: int) -> MultiPoly:
     # x_j -> x_c * u_j for j != c; the slot j now holds u_j.  The exponents
-    # map one to one (e_c becomes |e|), so no two terms meet.
-    return p._like({e[:c] + (sum(e),) + e[c + 1 :]: v for e, v in p.nums.items()})
+    # map one to one (e_c becomes |e|, so |e| - e_c is added to field c and
+    # to the degree), and no two terms meet.
+    shift, unit = _BITS * c, _UNIT[c]
+    return p._like({e + ((e >> _DEG) - ((e >> shift) & _MASK)) * unit: v
+                    for e, v in p.nums.items()})
 
 
 def blowup_chart_pullback(omega: PForm1, chart) -> tuple[int, PForm1]:
@@ -746,7 +788,7 @@ def total_degree(value: AnyForm) -> int:
     """The largest total degree among the terms of a polynomial or of a
     form's coefficients, 0 for zero."""
     polys = [value] if isinstance(value, MultiPoly) else value.coeffs.values()
-    return max((sum(e) for p in polys for e in p.nums), default=0)
+    return max((max(p.nums) >> _DEG for p in polys if p.nums), default=0)
 
 
 def check_form_degree(degree: int) -> None:
@@ -798,7 +840,7 @@ def eval_form(node, env: dict, variables: Sequence[str]):
     if op == "div":
         a = eval_form(node[1], env, variables)
         b = eval_form(node[2], env, variables)
-        if not isinstance(b, MultiPoly) or list(b.nums) != [(0,) * nvars]:
+        if not isinstance(b, MultiPoly) or list(b.nums) != [0]:
             raise ExpressionError("division is only defined by nonzero constants")
         ((_, c),) = b.nums.items()
         inv = Fraction(b.den, c) if type(c) is int else c.inverse() * b.den

@@ -50,7 +50,7 @@ from .cyclotomic import zeta
 from .germs import Germ
 from .group_cert import LoadedPresentation, _load_presentation_data
 from .jets import DEFAULT_ORDER, Jet
-from .pforms import MultiPoly, PForm1, _integer_poly
+from .pforms import MultiPoly, PForm1, _integer_poly, _pack
 
 __all__ = [
     "GROUP_EXAMPLES",
@@ -181,15 +181,15 @@ def _kupka_family(k: int, params: tuple) -> tuple[PForm1, MultiPoly]:
     q_den = den * lcm(k - 1, k + 1)
     s_scale, t_scale = q_den // (den * (k - 1)), q_den // (den * (k + 1))
 
-    def mono(ex: int, u: int, eu: int) -> tuple:
-        """The exponents of x^ex * (variable u)^eu, u = 1, 2, 3."""
+    def mono(ex: int, u: int, eu: int) -> int:
+        """The key of x^ex * (variable u)^eu, u = 1, 2, 3."""
         exps = [ex, 0, 0, 0]
         exps[u] = eu
-        return tuple(exps)
+        return _pack(exps)
 
     dx: dict = {}
     du = []
-    q = {(k + 1, 0, 0, 0): q_den}
+    q = {mono(k + 1, 1, 0): q_den}
     for u, (s, t) in enumerate(((a, al), (b, be), (c, ga)), start=1):
         dx[mono(2, u, k - 1)] = -s
         dx[mono(0, u, k + 1)] = t
@@ -207,13 +207,15 @@ def _ex62() -> FormExample:
         x^2*(y^2 + z^2)/2 - x^4*y^4/4 - x^4*z^4/4,
         2*x*(y^2 + z^2).
     """
+    def poly(den: int, nums: dict) -> MultiPoly:
+        return _integer_poly(3, den, {_pack(e): v for e, v in nums.items()})
     omega = PForm1(3, [
-        _integer_poly(3, 1, {(0, 2, 0): 1, (0, 0, 2): 1, (2, 4, 0): -1, (2, 0, 4): -1}),
-        _integer_poly(3, 1, {(1, 1, 0): 1, (3, 3, 0): -1}),
-        _integer_poly(3, 1, {(1, 0, 1): 1, (3, 0, 3): -1}),
+        poly(1, {(0, 2, 0): 1, (0, 0, 2): 1, (2, 4, 0): -1, (2, 0, 4): -1}),
+        poly(1, {(1, 1, 0): 1, (3, 3, 0): -1}),
+        poly(1, {(1, 0, 1): 1, (3, 0, 3): -1}),
     ])
-    integral = _integer_poly(3, 4, {(2, 2, 0): 2, (2, 0, 2): 2, (4, 4, 0): -1, (4, 0, 4): -1})
-    cone = _integer_poly(3, 1, {(1, 2, 0): 2, (1, 0, 2): 2})
+    integral = poly(4, {(2, 2, 0): 2, (2, 0, 2): 2, (4, 4, 0): -1, (4, 0, 4): -1})
+    cone = poly(1, {(1, 2, 0): 2, (1, 0, 2): 2})
     return FormExample(
         variables=("x", "y", "z"), omega=omega, first_integral=integral, expected_cone=cone
     )

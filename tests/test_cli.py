@@ -658,3 +658,22 @@ def test_forms_pullback_builds_the_chart_pullback_once(monkeypatch, capsys):
     code, out, _ = run(capsys, "forms", "pullback", "--example", "ex6.1", "--k", "8")
     assert code == 0 and json.loads(out)["matches_tangent_cone"] is True
     assert len(calls) == 1
+
+
+def test_ex61_at_the_largest_k_keeps_its_output(capsys):
+    # ex6.1 at k = 64 builds products of total degree about 200, well inside
+    # the packed monomial keys of pforms; verdicts and text stay as they are
+    x65 = "x^65 + 1/63*x^2*y^63 + 1/63*x^2*z^63 + 1/63*x^2*w^63 - 1/65*y^65 - 1/65*z^65 - 1/65*w^65"
+    reduced = "(-y^64 + y^62)*dy + (-z^64 + z^62)*dz + (-w^64 + w^62)*dw"
+    head = '"input":"ex6.1","vars":["x","y","z","w"]'
+    want = {
+        "first-integral": '{"command":"forms first-integral",' + head + ',"kind":"meromorphic",'
+        f'"numerator":"{x65}","denominator":"x^65","first_integral":true}}',
+        "integrable": '{"command":"forms integrable",' + head + ',"integrable":true}',
+        "pullback": '{"command":"forms pullback",' + head + ',"chart":"x",'
+        f'"exceptional_multiplicity":66,"reduced":"{reduced}","restriction":"{reduced}",'
+        '"matches_tangent_cone":true}',
+    }
+    for sub, text in want.items():
+        code, out, err = run(capsys, "forms", sub, "--example", "ex6.1", "--k", "64")
+        assert (code, out, err) == (0, text + "\n", ""), sub

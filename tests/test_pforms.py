@@ -28,7 +28,9 @@ from germlin.pforms import (
     restrict_to_exceptional,
     tangent_cone,
     wedge,
+    _pack as pack,
     _product_sum,
+    _unpack as unpack,
 )
 from germlin.registry import build_form_example, default_parameter_sets
 
@@ -108,7 +110,9 @@ def test_arithmetic_results_are_what_the_checking_constructor_builds():
 def _assert_canonical(p):
     """p is in the one stored form: den a positive int, nonzero numerators
     that are ints or CycloElems over 1, no common factor of den and all
-    their coordinates, and zero is {} over 1."""
+    their coordinates, and zero is {} over 1; every key is an int that
+    decodes to nvars exponents, re-encodes to itself, holds their sum in its
+    degree field and pairs with one exponent tuple of ``terms``."""
     assert type(p.den) is int and p.den > 0
     coordinates = []
     for v in p.nums.values():
@@ -120,7 +124,12 @@ def _assert_canonical(p):
             coordinates.append(v)
     assert math.gcd(p.den, *coordinates) == 1
     assert p.nums or p.den == 1
-    for e, v in p.nums.items():
+    assert len(p.terms) == len(p.nums)
+    for key, v in p.nums.items():
+        assert type(key) is int and key >= 0
+        e = unpack(key, p.nvars)
+        assert len(e) == p.nvars and all(x >= 0 for x in e)
+        assert pack(e) == key and key >> germlin.pforms._DEG == sum(e)
         c = p.terms[e]
         assert c * p.den == v and type(c) is (Fraction if type(v) is int else CycloElem)
 
@@ -571,7 +580,9 @@ def test_integer_forms_match_the_fraction_oracles(nvars):
     # common factors that the result must divide out
     p = poly_from_string("x^2/2 + 3*y/4 + z^3/3", variables=V3)
     z3 = poly_from_string("z^3/3", variables=V3)
-    assert (p.den, p.nums) == (12, {(2, 0, 0): 6, (0, 1, 0): 9, (0, 0, 3): 4})
+    want = {(2, 0, 0): 6, (0, 1, 0): 9, (0, 0, 3): 4}
+    assert (p.den, {unpack(key, 3): v for key, v in p.nums.items()}) == (12, want)
+    assert p.terms == {e: Fraction(v, 12) for e, v in want.items()}
     for got, den in ((p.partial(0), 1), (p.partial(2), 1), (p.homogeneous_part(1), 4),
                      (p * 6, 2), (p * Fraction(4, 3), 9), (p - z3, 4)):
         _assert_canonical(got)
@@ -728,3 +739,93 @@ def test_fraction_wedges_stay_on_integers(monkeypatch):
     assert integrability_check(integrable) is True
     assert verdicts == [False, True]
     assert want_int[id(integrable)].is_zero and not want_int[id(u)].is_zero
+
+
+# -- packed monomial keys at the degree limit ------------------------------------------
+
+
+def test_packed_keys_at_the_degree_limit_match_the_oracles():
+    # the largest packable total degree is 2047: products, powers and
+    # blow-ups that reach it equal the schoolbook results, and one degree
+    # more raises instead of carrying into the next field
+    top = germlin.pforms._DEGREE_LIMIT - 1
+    assert top == 2047
+    blowup = germlin.pforms._blowup_substitute
+
+    def mono(exps, c=1):
+        return MultiPoly.monomial(3, exps, c)
+
+    p = MultiPoly(3, {(1000, 23, 0): Fraction(2, 3), (0, 0, 1023): -1, (5, 0, 0): Fraction(1, 4)})
+    q = MultiPoly(3, {(1024, 0, 0): 3, (0, 512, 512): Fraction(-5, 6), (0, 1, 0): zeta(3)})
+    m = mono((40, 49, 0), Fraction(-2, 3))  # degree 89, and 23 * 89 = 2047
+    two = m + mono((0, 0, 89), zeta(6))
+    power = MultiPoly.constant(3, 1)
+    for _ in range(23):
+        power = naive_poly_product(power, two)
+    b = MultiPoly(3, {(1, 1023, 0): Fraction(1, 2), (0, 0, 1023): 3, (1, 0, 0): -1, (0, 5, 7): 2})
+    cases = [
+        (p * q, naive_poly_product(p, q)),
+        (mono((1023, 0, 0)) * mono((1024, 0, 0)), mono((top, 0, 0))),
+        (m**23, mono((920, 1127, 0), Fraction(-2, 3) ** 23)),
+        (two**23, power),
+        (blowup(b, 0), _checked(3, [((sum(e),) + e[1:], c) for e, c in b.terms.items()])),
+    ]
+    for got, want in cases:
+        _assert_canonical(got)
+        _assert_same_poly(got, want)
+    assert max(sum(e) for got, _ in cases for e in got.terms) == top
+    assert mono((0, 0, top)).terms == {(0, 0, top): 1}
+    over = [
+        lambda: p * (q * MultiPoly.variable(3, 0)),
+        lambda: mono((1024, 0, 0)) * mono((0, 1024, 0)),
+        lambda: mono((64, 0, 0)) ** 32,
+        lambda: (mono((64, 0, 0)) + mono((0, 0, 64))) ** 32,
+        lambda: mono((1, 0, 0), 2) ** 10**12,  # refused before 2^(10^12) is built
+        lambda: blowup(MultiPoly(3, {(2, 1023, 0): 1}), 0),
+        lambda: mono((top + 1, 0, 0)),
+        lambda: mono((0, 1024, 1024)),
+        lambda: MultiPoly(2, {(4096, 0): 1}),  # a field that would carry
+        lambda: MultiPoly(4, {(0, 0, 0, 2**40): 1}),
+    ]
+    for make in over:
+        with pytest.raises(ValueError, match="above 2047") as raised:
+            make()
+        assert "\n" not in str(raised.value)
+
+
+# -- equality on the stored form ---------------------------------------------------------
+
+
+def _lifted(p):
+    """p with every CycloElem coefficient lifted to conductor 6."""
+    return MultiPoly(p.nvars, {e: c.lift(6) if isinstance(c, CycloElem) else c
+                               for e, c in p.terms.items()})
+
+
+@pytest.mark.parametrize("nvars", (2, 3, 4))
+def test_equality_agrees_with_the_difference(nvars):
+    # == compares (nvars, den, nums); it holds exactly when p - q is zero,
+    # across conductors and for rational CycloElem numerators against ints
+    rng = random.Random(980 + nvars)
+    polys = [_kernel_poly(rng, nvars, kind) for kind in KERNEL_KINDS for _ in range(2)]
+    polys += [polys[0] * zeta(1), polys[1] * (zeta(6) ** 3), _lifted(polys[4]), _lifted(polys[6])]
+    assert any(type(v) is CycloElem and v.is_rational for v in polys[-4].nums.values())
+    assert {v.n for v in polys[-1].nums.values() if type(v) is CycloElem} == {6}
+    assert polys[-4] == polys[0] and polys[-3] == -polys[1]
+    assert polys[-2] == polys[4] and polys[-1] == polys[6]
+    for p in polys:
+        for q in polys + [p + 0, p * 1, p * 2]:
+            assert (p == q) is (q == p) is (p - q).is_zero
+    scalars = [0, 3, Fraction(-2, 3), zeta(1) * 3, zeta(6) ** 3, zeta(3), Fraction(3), zeta(6) - zeta(6)]
+    constants = [MultiPoly.constant(nvars, s) for s in scalars]
+    for p in polys + constants:
+        for s in scalars:
+            assert (p == s) is (p - s).is_zero
+    assert constants[1] == 3 == constants[3] and constants[4] == -1 and constants[7] == 0
+    forms = [PForm1(nvars, polys[i : i + nvars]) for i in range(0, len(polys) - nvars + 1, 2)]
+    forms += [forms[2].map_coeffs(_lifted), PForm1.zero(nvars)]
+    assert forms[-2] == forms[2]
+    for u in forms:
+        for v in forms:
+            assert (u == v) is (v == u) is (u - v).is_zero
+        assert u != PForm2.zero(nvars)  # forms of two degrees never compare equal
