@@ -39,15 +39,25 @@ that ``evaluate`` returns; ``MultiPoly.terms`` builds the exponent tuples and
 coefficients for output.  A power of a one-term polynomial is written down,
 (c x^a)^e = c^e x^(e a), without products.
 
+A key holds a total degree below 2048 (``_DEGREE_LIMIT``), and the degree is
+checked where it can grow: in the checking constructor, the one-term power,
+the blow-up substitution and ``_product_sum``, which scans its result only
+when the top degrees of some pair of operands sum to 2048 or more.  Sums,
+derivatives, shifts, homogeneous parts, substitutions and scalings never
+raise a degree.  Polynomials and forms derived from valid parts are built
+without checks (``_integer_poly`` and ``_form``); ``MultiPoly.__init__``,
+``Form.__init__`` and the parsers check every input from outside.
+
 The checks that only ask whether a wedge vanishes (integrability and both
-first-integral checks) build part of it.  For a 1-form omega != 0 and a
-k-form v, ``_wedge_vanishes`` takes a pivot p with omega_p != 0 and builds
-only the components (omega ^ v)_K with p in K.  This is exact: omega ^ omega
-= 0 gives omega ^ (omega ^ v) = 0, and for p not in K its component at
-K + {p} is +-omega_p (omega ^ v)_K plus a signed sum of terms
+first-integral checks) accumulate part of it.  For a 1-form omega != 0 and
+a k-form v, ``_wedge_vanishes`` takes a pivot p with omega_p != 0 and sums
+only the components (omega ^ v)_K with p in K; each is zero iff all its
+accumulated numerators are, so none is reduced.  This is exact: omega ^
+omega = 0 gives omega ^ (omega ^ v) = 0, and for p not in K its component
+at K + {p} is +-omega_p (omega ^ v)_K plus a signed sum of terms
 omega_j (omega ^ v)_(K + {p} - {j}), each at an index that contains p.  Once
 those vanish, omega_p (omega ^ v)_K = 0, and polynomials over Q(zeta_n) have
-no zero divisors, so (omega ^ v)_K = 0.  In four variables this builds 3 of
+no zero divisors, so (omega ^ v)_K = 0.  In four variables this sums 3 of
 the 6 components of the wedge of two 1-forms, and 3 of the 4 components of
 omega ^ d(omega).
 
@@ -179,8 +189,7 @@ class MultiPoly:
     __slots__ = ("nvars", "den", "nums", "_terms")
 
     def __init__(self, nvars: int, terms: Optional[dict] = None):
-        if not (2 <= nvars <= 4):
-            raise ValueError("polynomials support 2 to 4 variables")
+        _check_nvars(nvars)
         split = {}
         for exps, coef in (terms or {}).items():
             exps = tuple(int(e) for e in exps)
@@ -210,17 +219,21 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
-        return cls(nvars, {})
+        _check_nvars(nvars)
+        return _integer_poly(nvars, 1, {})
 
     @classmethod
     def constant(cls, nvars: int, value) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: value})
+        _check_nvars(nvars)
+        a, d = _split(value)
+        return _integer_poly(nvars, d, {0: a} if a else {})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "MultiPoly":
-        exps = [0] * nvars
-        exps[i] = 1
-        return cls(nvars, {tuple(exps): 1})
+        _check_nvars(nvars)
+        if not -nvars <= i < nvars:
+            raise ValueError(f"variable index {i} out of range for {nvars} variables")
+        return _integer_poly(nvars, 1, {_UNIT[i % nvars]: 1})
 
     @classmethod
     def monomial(cls, nvars: int, exps, coef=1) -> "MultiPoly":
@@ -377,6 +390,11 @@ class MultiPoly:
         return poly_to_string(self)
 
 
+def _check_nvars(nvars: int) -> None:
+    if not (2 <= nvars <= 4):
+        raise ValueError("polynomials support 2 to 4 variables")
+
+
 def _check_degree(keys) -> None:
     """ValueError if a key's degree field is _DEGREE_LIMIT or more.  That field
     is at least the true degree, so a key whose fields carried fails too."""
@@ -388,8 +406,10 @@ def _integer_poly(nvars: int, den: int, nums: dict) -> MultiPoly:
     """The polynomial sum nums[e] x^e / den for packed keys e, nonzero
     integral numerators (ints or CycloElems over 1) and den > 0: the common
     factor of den and all their coordinates is divided out.  Every result of
-    arithmetic passes here, where a degree at the limit raises ValueError."""
-    _check_degree(nums)
+    arithmetic passes here.  No check is made: each key must hold a total
+    degree below _DEGREE_LIMIT.  The operations that can raise a degree check
+    it themselves: the checking constructor, the one-term power, the blow-up
+    substitution and ``_product_sum``."""
     g = den
     for v in nums.values():
         if g == 1:
@@ -403,16 +423,17 @@ def _integer_poly(nvars: int, den: int, nums: dict) -> MultiPoly:
     return p
 
 
-def _product_sum(nvars: int, products) -> MultiPoly:
+def _product_numerators(products) -> tuple[int, dict]:
     """The signed sum of products  sum sign * p * q  over the (sign, p, q) in
-    products, sign = +1 or -1: the one place where this module multiplies
-    polynomials.
+    products, sign = +1 or -1, as (L, acc): the sum is acc[e] x^e over L,
+    and acc may hold zero numerators.  This is the one loop in which this
+    module multiplies polynomials.
 
     Each product adds sign * (L / (D_p D_q)) * a * b into one dict of
-    numerators, L the lcm of the D_p D_q, and the sum is that dict over L.
-    Rational polynomials multiply and add ints; a CycloElem numerator takes
-    the same loop in its own arithmetic.  A monomial product adds two packed
-    keys, which carries out of no field; ``_integer_poly`` checks the degree.
+    numerators, L the lcm of the D_p D_q.  Rational polynomials multiply and
+    add ints; a CycloElem numerator takes the same loop in its own
+    arithmetic.  A monomial product adds two stored keys, which carries out
+    of no field, so the sum is zero iff every numerator in acc is.
     """
     den = lcm(*[p.den * q.den for _, p, q in products])
     acc: dict = {}
@@ -428,7 +449,19 @@ def _product_sum(nvars: int, products) -> MultiPoly:
             for e2, b in tq:
                 e = e1 + e2
                 acc[e] = get(e, 0) + sa * b
-    return _integer_poly(nvars, den, {e: v for e, v in acc.items() if v})
+    return den, acc
+
+
+def _product_sum(nvars: int, products) -> MultiPoly:
+    """The polynomial sum sign * p * q over the (sign, p, q) in products.  Its
+    degree is checked only when some pair's top degrees reach _DEGREE_LIMIT,
+    since below that no product key can."""
+    den, acc = _product_numerators(products)
+    nums = {e: v for e, v in acc.items() if v}
+    if any((max(p.nums) >> _DEG) + (max(q.nums) >> _DEG) >= _DEGREE_LIMIT
+           for _, p, q in products if p.nums and q.nums):
+        _check_degree(nums)
+    return _integer_poly(nvars, den, nums)
 
 
 class Form:
@@ -477,7 +510,7 @@ class Form:
         out = dict(self.coeffs)
         for key, p in other.coeffs.items():
             _accumulate(out, key, p, sign)
-        return type(self)(self.nvars, out)
+        return _form(type(self), self.nvars, out)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -492,7 +525,10 @@ class Form:
         return self.map_coeffs(lambda q: q * p)
 
     def map_coeffs(self, fn):
-        return type(self)(self.nvars, {k: fn(p) for k, p in self.coeffs.items()})
+        """The form with each coefficient p replaced by fn(p), a polynomial in
+        the same variables; zeros are dropped."""
+        return _form(type(self), self.nvars,
+                     {k: q for k, p in self.coeffs.items() if (q := fn(p))})
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -537,6 +573,16 @@ class PForm3(Form):
 AnyForm = Union[MultiPoly, Form]
 
 
+def _form(cls: type, nvars: int, coeffs: dict) -> Form:
+    """The form of type cls with these coefficients, unchecked: keys are
+    strictly increasing tuples of cls.degree indices below nvars, values are
+    nonzero polynomials in nvars variables.  Forms derived from valid forms
+    and polynomials are built here; ``Form.__init__`` checks outside input."""
+    f = object.__new__(cls)
+    f.nvars, f.coeffs = nvars, coeffs
+    return f
+
+
 def _form_type(degree: int) -> type:
     if not 1 <= degree <= 3:
         raise ValueError(f"{degree}-forms are out of range")
@@ -553,7 +599,8 @@ def exterior_d(form: AnyForm) -> Form:
     sorted place in I passes the indices of I below i, one sign each.
     """
     if isinstance(form, MultiPoly):
-        return PForm1(form.nvars, [form.partial(i) for i in range(form.nvars)])
+        return _form(PForm1, form.nvars,
+                     {(i,): dp for i in range(form.nvars) if (dp := form.partial(i))})
     if not isinstance(form, Form):
         raise TypeError("exterior_d takes a polynomial or a form")
     cls = _form_type(form.degree + 1)
@@ -568,7 +615,7 @@ def exterior_d(form: AnyForm) -> Form:
             below = sum(1 for j in key if j < i)
             sign = -1 if below & 1 else 1
             _accumulate(out, key[:below] + (i,) + key[below:], dp, sign)
-    return cls(form.nvars, out)
+    return _form(cls, form.nvars, out)
 
 
 def wedge(u: Form, v: Form) -> Form:
@@ -591,9 +638,9 @@ def wedge(u: Form, v: Form) -> Form:
             products.setdefault(tuple(sorted(I + J)), []).append(
                 (-1 if inv & 1 else 1, p, q)
             )
-    return cls(
-        u.nvars, {K: _product_sum(u.nvars, terms) for K, terms in products.items()}
-    )
+    return _form(cls, u.nvars, {
+        K: s for K, terms in products.items() if (s := _product_sum(u.nvars, terms))
+    })
 
 
 def _wedge_vanishes(omega: PForm1, v: Form) -> bool:
@@ -602,8 +649,9 @@ def _wedge_vanishes(omega: PForm1, v: Form) -> bool:
 
     p is the index of the nonzero coefficient of omega with the fewest terms.
     The component at K is sum_i (-1)^pos(i) omega_i v_(K - i) over the i in K,
-    pos(i) the place of i in K; each is built with one kernel call, and the
-    first nonzero one decides.
+    pos(i) the place of i in K; each is accumulated in one kernel call, and
+    the first with a nonzero numerator decides.  No component is reduced or
+    built as a polynomial.
     """
     if not omega.coeffs:
         return True
@@ -617,7 +665,7 @@ def _wedge_vanishes(omega: PForm1, v: Form) -> bool:
             a, b = get_a((i,)), get_b(K[:pos] + K[pos + 1 :])
             if a is not None and b is not None:
                 products.append((-1 if pos & 1 else 1, a, b))
-        if _product_sum(n, products):
+        if any(_product_numerators(products)[1].values()):
             return False
     return True
 
@@ -683,9 +731,11 @@ def _blowup_substitute(p: MultiPoly, c: int) -> MultiPoly:
     # x_j -> x_c * u_j for j != c; the slot j now holds u_j.  The exponents
     # map one to one (e_c becomes |e|, so |e| - e_c is added to field c and
     # to the degree), and no two terms meet.
+    # The degree at most doubles, so it is checked here.
     shift, unit = _BITS * c, _UNIT[c]
-    return p._like({e + ((e >> _DEG) - ((e >> shift) & _MASK)) * unit: v
-                    for e, v in p.nums.items()})
+    out = {e + ((e >> _DEG) - ((e >> shift) & _MASK)) * unit: v for e, v in p.nums.items()}
+    _check_degree(out)
+    return p._like(out)
 
 
 def blowup_chart_pullback(omega: PForm1, chart) -> tuple[int, PForm1]:
@@ -710,7 +760,7 @@ def blowup_chart_pullback(omega: PForm1, chart) -> tuple[int, PForm1]:
             _accumulate(pulled, (c,), MultiPoly.variable(n, j) * subbed)
             pulled[(j,)] = t * subbed
     m = min(p.min_exponent(c) for p in pulled.values())
-    return m, PForm1(n, pulled).map_coeffs(lambda p: p.shift_down(c, m))
+    return m, _form(PForm1, n, {key: p.shift_down(c, m) for key, p in pulled.items()})
 
 
 def restrict_to_exceptional(form: PForm1, chart) -> PForm1:
@@ -739,7 +789,8 @@ def _cone_matches_restriction(omega: PForm1, chart, restricted: PForm1) -> bool:
     dicritical, cone = tangent_cone(omega)
     if dicritical:
         return any(key != (c,) for key in restricted.coeffs)
-    expected = PForm1(n, {(c,): _blowup_substitute(cone, c).substitute(c, 1)})
+    # the dehomogenized cone is nonzero, as the cone is
+    expected = _form(PForm1, n, {(c,): _blowup_substitute(cone, c).substitute(c, 1)})
     return restricted == expected
 
 
@@ -771,13 +822,10 @@ def meromorphic_first_integral_check(
     n = omega.nvars
     if P.nvars != n or Q.nvars != n:
         raise ValueError("variable-count mismatch")
-    num = PForm1(
-        n,
-        [
-            _product_sum(n, ((1, Q, P.partial(i)), (-1, P, Q.partial(i))))
-            for i in range(n)
-        ],
-    )
+    num = _form(PForm1, n, {
+        (i,): c for i in range(n)
+        if (c := _product_sum(n, ((1, Q, P.partial(i)), (-1, P, Q.partial(i)))))
+    })
     return _wedge_vanishes(omega, num)
 
 

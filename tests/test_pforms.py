@@ -669,6 +669,135 @@ def test_pivot_components_decide_the_wedge(nvars):
     assert vanishes(omega, exterior_d(omega)) and wedge(omega, exterior_d(omega)).is_zero
 
 
+def _zero_test_forms(rng, nvars, kind):
+    """A quotient form Q dP - P dQ (integrable, P/Q a first integral) and a
+    contact form g (dx_i - x_j dx_k) (not integrable), with P, Q and g of
+    this coefficient kind, as (omega, P, Q) triples."""
+    P = _kernel_poly(rng, nvars, kind, terms=5, max_deg=3)
+    Q = _kernel_poly(rng, nvars, kind, terms=3, max_deg=2)
+    quotient = PForm1(nvars, [Q * P.partial(i) - P * Q.partial(i) for i in range(nvars)])
+    g = _kernel_poly(rng, nvars, kind, terms=6, max_deg=3)
+    i, j, k = rng.sample(range(nvars), 3)
+    contact = PForm1(nvars, {(i,): g, (k,): -(MultiPoly.variable(nvars, j) * g)})
+    return (quotient, P, Q), (contact, P, Q)
+
+
+@pytest.mark.parametrize("nvars", (3, 4))
+def test_the_zero_test_agrees_with_the_wedge(nvars, monkeypatch):
+    # _wedge_vanishes decides each pivot component from its accumulated
+    # numerators: it agrees with building the wedge, on quotient and contact
+    # forms over Q and Q(zeta_n), and builds no polynomial to do so
+    vanishes = germlin.pforms._wedge_vanishes
+    rng = random.Random(1000 + nvars)
+    cases = []
+    for kind in ("fraction", "cyclo", "mixed"):
+        for _ in range(4):
+            for omega, P, Q in _zero_test_forms(rng, nvars, kind):
+                mero = PForm1(nvars, [Q * P.partial(i) - P * Q.partial(i) for i in range(nvars)])
+                cases += [(omega, exterior_d(omega)), (omega, exterior_d(P)), (omega, mero),
+                          (omega, omega), (omega, exterior_d(Q).scale(P))]
+    verdicts = [wedge(omega, v).is_zero for omega, v in cases]
+    built = []
+    integer_poly = germlin.pforms._integer_poly
+    monkeypatch.setattr(germlin.pforms, "_integer_poly",
+                        lambda *args: built.append(args) or integer_poly(*args))
+    assert [vanishes(omega, v) for omega, v in cases] == verdicts
+    assert built == []
+    assert True in verdicts and False in verdicts
+    # both verdicts on every kind: quotient forms are integrable, contact forms not
+    assert verdicts[0::10] == [True] * 12 and verdicts[5::10] == [False] * 12
+
+
+# -- trusted constructors ------------------------------------------------------------------
+
+
+def _assert_checked_form(f, nvars):
+    """f is the form that the checking constructor builds from its coefficients."""
+    checked = type(f)(nvars, dict(f.coeffs))
+    assert f.nvars == nvars and f == checked and f.coeffs == checked.coeffs
+    for key, p in f.coeffs.items():
+        assert type(key) is tuple and len(key) == f.degree and p.nvars == nvars
+        _assert_canonical(p)
+
+
+@pytest.mark.parametrize("nvars", (2, 3, 4))
+def test_trusted_forms_are_what_the_checking_constructor_builds(nvars, monkeypatch):
+    # wedge, exterior_d, sums, map_coeffs, the pullback, the restriction and
+    # the meromorphic numerator skip Form.__init__; they must not need it
+    rng = random.Random(1010 + nvars)
+    numerators = []
+    vanishes = germlin.pforms._wedge_vanishes
+    monkeypatch.setattr(germlin.pforms, "_wedge_vanishes",
+                        lambda omega, v: numerators.append(v) or vanishes(omega, v))
+    for kinds in (("fraction",), ("cyclo",), ("mixed", "zero"), ("zero", "fraction", "cyclo")):
+        omega, u = (PForm1(nvars, [_kernel_poly(rng, nvars, kinds[(r + i) % len(kinds)])
+                                   for i in range(nvars)]) for r in range(2))
+        P, Q = (_kernel_poly(rng, nvars, kind) for kind in (kinds[0], "mixed"))
+        i = rng.randrange(nvars)
+        homogeneous = omega.map_coeffs(lambda p: p.homogeneous_part(2))
+        results = [
+            wedge(omega, u), wedge(omega, omega), exterior_d(P), exterior_d(omega),
+            omega + u, omega - u, omega - omega, -omega, u + -u,
+            omega.scale(P), omega.scale(Fraction(-2, 3)), omega.scale(zeta(3)), omega.scale(0),
+            homogeneous, restrict_to_exceptional(omega, i), restrict_to_exceptional(u, i),
+        ]
+        if nvars > 2:
+            two = wedge(omega, u)
+            results += [wedge(u, two), exterior_d(two), two + wedge(u, omega), two.scale(Q)]
+        for f in (omega, u):
+            if not f.is_zero:
+                results.append(blowup_chart_pullback(f, i)[1])
+                results.append(lowest_jet(f)[1])
+        numerators.clear()
+        for f in (omega, u):
+            meromorphic_first_integral_check(f, P, Q)
+        results += numerators
+        assert len(numerators) == 2
+        assert any(not r.is_zero for r in results) and any(r.is_zero for r in results)
+        for r in results:
+            _assert_checked_form(r, nvars)
+
+
+def test_outside_input_is_still_checked():
+    # the public constructors keep every check that the trusted paths skip
+    x = MultiPoly.variable(3, 0)
+    for make in (lambda: PForm2(3, {(1, 0): x}), lambda: PForm2(3, {(1, 1): x}),
+                 lambda: PForm1(3, {(3,): x}), lambda: PForm1(3, {(0, 1): x}),
+                 lambda: PForm1(3, {(0,): MultiPoly.variable(2, 0)}),
+                 lambda: PForm1(2, [x, x, x])):
+        with pytest.raises(ValueError):
+            make()
+    assert PForm1(3, {(0,): MultiPoly.zero(3), (1,): 2}).coeffs == {(1,): MultiPoly.constant(3, 2)}
+
+
+def test_fast_polynomial_constructors_match_the_checking_constructor():
+    # zero, constant and variable write their one key directly; they build
+    # what MultiPoly(...) builds and refuse the same bad input
+    for nvars in (2, 3, 4):
+        one = (0,) * nvars
+        cases = [(MultiPoly.zero(nvars), MultiPoly(nvars, {}))]
+        for value in (0, 5, -3, True, Fraction(-4, 6), Fraction(0), "7/21", "-2", "0",
+                      zeta(6) * Fraction(2, 3), zeta(3) - zeta(3), zeta(1) * Fraction(9, 4),
+                      zeta(9) * 4 + Fraction(2, 6)):
+            cases.append((MultiPoly.constant(nvars, value), MultiPoly(nvars, {one: value})))
+        for i in range(nvars):
+            e = tuple(int(j == i) for j in range(nvars))
+            cases.append((MultiPoly.variable(nvars, i), MultiPoly(nvars, {e: 1})))
+            cases.append((MultiPoly.variable(nvars, i - nvars), MultiPoly(nvars, {e: 1})))
+        for got, want in cases:
+            _assert_canonical(got)
+            assert got.nvars == nvars and (got.den, got.nums) == (want.den, want.nums)
+            assert got.terms == want.terms
+    for nvars in (0, 1, 5, -3):
+        for make in (lambda: MultiPoly.zero(nvars), lambda: MultiPoly.constant(nvars, 1),
+                     lambda: MultiPoly.variable(nvars, 0)):
+            with pytest.raises(ValueError):
+                make()
+    for nvars, i in ((2, 2), (3, 3), (3, -4), (4, 7)):
+        with pytest.raises(ValueError):
+            MultiPoly.variable(nvars, i)
+
+
 # building a Fraction, and Fraction arithmetic (whose results are built too)
 FRACTION_METHODS = ("__new__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
 
@@ -745,9 +874,10 @@ def test_fraction_wedges_stay_on_integers(monkeypatch):
 
 
 def test_packed_keys_at_the_degree_limit_match_the_oracles():
-    # the largest packable total degree is 2047: products, powers and
-    # blow-ups that reach it equal the schoolbook results, and one degree
-    # more raises instead of carrying into the next field
+    # the largest packable total degree is 2047: products, wedges, signed
+    # sums, powers, blow-ups, the pullback and the constructor reach it and
+    # equal the schoolbook results, and one degree more raises instead of
+    # carrying into the next field
     top = germlin.pforms._DEGREE_LIMIT - 1
     assert top == 2047
     blowup = germlin.pforms._blowup_substitute
@@ -769,12 +899,27 @@ def test_packed_keys_at_the_degree_limit_match_the_oracles():
         (m**23, mono((920, 1127, 0), Fraction(-2, 3) ** 23)),
         (two**23, power),
         (blowup(b, 0), _checked(3, [((sum(e),) + e[1:], c) for e, c in b.terms.items()])),
+        # a wedge and a signed sum: the sum's operands reach 2048, its result
+        # does not, and only a result past the limit is refused
+        (wedge(PForm1(3, {(0,): mono((1023, 0, 0))}), PForm1(3, {(1,): mono((0, 1024, 0), 5)}))
+         .coefficient((0, 1)), mono((1023, 1024, 0), 5)),
+        (_product_sum(3, [(1, mono((1024, 0, 0)), mono((0, 1024, 0)) + mono((0, 0, 1023))),
+                          (-1, mono((1024, 0, 0)), mono((0, 1024, 0)))]), mono((1024, 0, 1023))),
     ]
+    # the pullback through x_1 = x_0 u_1 builds x^1023 u^1024 dx + x^1024 u^1023 du
+    pulled = blowup_chart_pullback(PForm1(3, {(1,): mono((0, 1023, 0))}), 0)
+    assert pulled == (1023, PForm1(3, {(0,): mono((0, 1024, 0)), (1,): mono((1, 1023, 0))}))
     for got, want in cases:
         _assert_canonical(got)
         _assert_same_poly(got, want)
     assert max(sum(e) for got, _ in cases for e in got.terms) == top
     assert mono((0, 0, top)).terms == {(0, 0, top): 1}
+    # the zero test builds no polynomial, and its keys carry out of no field
+    # while each operand is stored, so it stays exact past the limit
+    vanishes = germlin.pforms._wedge_vanishes
+    omega = PForm1(3, {(0,): mono((1500, 0, 0)), (1,): mono((0, 0, 1))})
+    u = PForm1(3, {(1,): mono((0, 1000, 0))})
+    assert vanishes(omega, omega) and not vanishes(omega, u)
     over = [
         lambda: p * (q * MultiPoly.variable(3, 0)),
         lambda: mono((1024, 0, 0)) * mono((0, 1024, 0)),
@@ -782,6 +927,13 @@ def test_packed_keys_at_the_degree_limit_match_the_oracles():
         lambda: (mono((64, 0, 0)) + mono((0, 0, 64))) ** 32,
         lambda: mono((1, 0, 0), 2) ** 10**12,  # refused before 2^(10^12) is built
         lambda: blowup(MultiPoly(3, {(2, 1023, 0): 1}), 0),
+        lambda: blowup_chart_pullback(PForm1(3, {(1,): mono((0, 1024, 0))}), 0),
+        lambda: wedge(PForm1(3, {(0,): mono((1024, 0, 0))}),
+                      PForm1(3, {(1,): mono((0, 1024, 0))})),
+        lambda: wedge(omega, u),
+        lambda: _product_sum(3, [(1, mono((1024, 0, 0)), mono((0, 1024, 0)) + mono((0, 0, 1))),
+                                 (-1, mono((0, 0, 1)), mono((0, 0, 1)))]),
+        lambda: mono((0, 0, 1)) ** 2048,
         lambda: mono((top + 1, 0, 0)),
         lambda: mono((0, 1024, 1024)),
         lambda: MultiPoly(2, {(4096, 0): 1}),  # a field that would carry
