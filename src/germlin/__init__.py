@@ -14,11 +14,9 @@ Subpackages by layer:
 * :mod:`germlin.cli`           the ``germlin`` command.
 """
 
-from .affine import AffineMap, affine_compose, affine_inverse, lemma_predicate
+from .affine import AffineMap, lemma_predicate
 from .cyclotomic import (
     CycloElem,
-    Rational,
-    cyclo_arith,
     cyclo_embed,
     cyclotomic_polynomial,
     format_scalar,
@@ -35,7 +33,6 @@ from .germs import (
     evaluate_word,
     identity_germ,
     iterate,
-    multiplier,
     tangency_data,
 )
 from .group_cert import (
@@ -56,7 +53,6 @@ from .jets import (
     jet_derivative,
     jet_mul_inverse,
     jet_rational_power,
-    jet_ring,
 )
 from .linearizer import (
     LinearizationResult,

@@ -22,8 +22,6 @@ from .germs import Word, distinct_letters, reduced_word_search
 
 __all__ = [
     "AffineMap",
-    "affine_compose",
-    "affine_inverse",
     "lemma_predicate",
     "affine_conjugator_search",
 ]
@@ -62,16 +60,6 @@ class AffineMap:
 
     def __repr__(self):
         return f"AffineMap({format_scalar(self.linear)}, {format_scalar(self.translation)})"
-
-
-def affine_compose(f: AffineMap, g: AffineMap) -> AffineMap:
-    """(a,b) o (c,d) = (ac, ad + b)."""
-    return f.compose(g)
-
-
-def affine_inverse(f: AffineMap) -> AffineMap:
-    """(a,b)^-1 = (1/a, -b/a)."""
-    return f.inverse()
 
 
 def lemma_predicate(l: int, betas: Sequence) -> bool:

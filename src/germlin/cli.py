@@ -20,12 +20,14 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
-from .cyclotomic import format_scalar, parse_scalar
+from .cyclotomic import _CYCLO_RE, format_scalar, parse_scalar
 from .expressions import ExpressionError
 from .group_cert import (
     DEFAULT_MAX_WORD_LEN,
+    MAX_CONDUCTOR,
     MAX_WORD_LEN,
     LoadedPresentation,
     PresentationError,
@@ -184,8 +186,13 @@ def _parse_point(text: str, nvars: int) -> tuple:
     if len(parts) != nvars:
         raise InputError(f"--point needs {nvars} comma-separated coordinates")
     try:
+        # bounded before any field is built: a field factors its conductor
+        texts = [p.strip().replace(" ", "") for p in parts]
+        conductors = [int(m.group(1)) for m in map(_CYCLO_RE.match, texts) if m]
+        if lcm(*conductors) > MAX_CONDUCTOR:
+            raise InputError(f"the lcm of the --point conductors must be at most {MAX_CONDUCTOR}")
         return tuple(parse_scalar(p) for p in parts)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad --point entry: {exc}") from exc
 
 

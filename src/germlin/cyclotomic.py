@@ -9,10 +9,11 @@ conductor is equality of representations.
 One cached table of zeta_n^e, e = 0 .. n-1, is the only place that multiplies
 by zeta and reduces modulo Phi_n.  Products read their reduction rows from
 its sparse form (the nonzero coordinates of each zeta_n^e, indexed by e mod
-n), and the embedding into Q(zeta_m) and the Galois automorphisms
-sigma_u: zeta -> zeta^u both re-index into it.  The inverse of x is the
-product of its other conjugates sigma_u(x), u != 1, divided by the rational
-norm x * prod sigma_u(x); no linear system is solved.
+n).  The embedding into Q(zeta_m) and the Galois automorphisms
+sigma_u: zeta -> zeta^u re-index into it through one loop,
+:func:`_reindex_coords`, which serves field elements and jet rows alike.
+The inverse of x is the product of its other conjugates sigma_u(x), u != 1,
+divided by the rational norm x * prod sigma_u(x); no linear system is solved.
 
 One helper forms the unreduced integer product of two coordinate vectors (of
 length 2 phi(n) - 1), which a single product reduces and normalizes at once.
@@ -20,12 +21,10 @@ Sums of products (every jet product, composition and triangular solve) do
 not come here: the jet kernel ``jets._weighted_sum`` adds unreduced products
 over a running common denominator and reduces and normalizes once per sum.
 
-Rationals are plain ``fractions.Fraction`` values; ``Rational`` is an alias.
+Rationals are plain ``fractions.Fraction`` values.
 A CycloElem is falsy exactly when it is zero, as a Fraction is.
 Mixed arithmetic coerces ints and Fractions into the cyclotomic operand's
 field, and operands at different conductors are lifted to the lcm conductor.
-The strict single-conductor entry point required by callers that manage their
-own lifting is :func:`cyclo_arith`.
 
 Scalars serialize as ``p/q`` for rationals and ``cyclo(n)[c0,c1,...]`` for
 field elements; :func:`format_scalar` / :func:`parse_scalar` round-trip both.
@@ -39,17 +38,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "CycloElem",
     "ConductorError",
     "cyclotomic_polynomial",
     "euler_phi",
     "zeta",
     "cyclo_embed",
-    "cyclo_arith",
     "root_of_unity_order",
     "prime_power_order",
     "factorize",
@@ -242,16 +237,31 @@ def _reduce_product(n: int, prod: list[int]) -> list[int]:
     return out
 
 
-def _reindex(x: "CycloElem", m: int, step: int) -> "CycloElem":
-    """sum_i x_i zeta_m^(i*step) in Q(zeta_m), for x = sum_i x_i zeta_n^i.
+def _reindex_coords(coords, m: int, step: int) -> list[int]:
+    """The power-basis coordinates of sum_i b_i zeta_m^(i*step) in Q(zeta_m),
+    for the (index, value) pairs (i, b) of coords: with m a multiple of the
+    conductor n of coords and step = m/n the embedding Q(zeta_n) -> Q(zeta_m),
+    with m = n and step = u coprime to n the Galois automorphism sigma_u.
 
-    With step = m/n this is the embedding Q(zeta_n) -> Q(zeta_m); with m = n
-    and step = u coprime to n it is the Galois automorphism zeta -> zeta^u.
+    The one re-indexing loop: field elements (:func:`_reindex`) and jet rows
+    (``jets._map_row``) map here.  Neither map creates a common factor, so an
+    image over the denominator of its source is normalized without a gcd:
+    both send Z[zeta_n] into Z[zeta_m], and Q(zeta_n) meets Z[zeta_m] only in
+    Z[zeta_n], so a prime divides every image coordinate only if it divides
+    every coordinate it came from.
     """
-    prod = [0] * m
-    for i, c in enumerate(x.num):
-        prod[i * step % m] += c
-    return _normalize(m, _reduce_product(m, prod), x.den)
+    mons = _sparse_monomials(m)
+    num = [0] * euler_phi(m)
+    for i, b in coords:
+        for j, r in mons[i * step % m]:
+            num[j] += b * r
+    return num
+
+
+def _reindex(x: "CycloElem", m: int, step: int) -> "CycloElem":
+    """x under the embedding or automorphism of :func:`_reindex_coords`."""
+    coords = [(i, c) for i, c in enumerate(x.num) if c]
+    return _element(m, tuple(_reindex_coords(coords, m, step)), x.den)
 
 
 def _rational_hash(p: int, q: int) -> int:
@@ -502,29 +512,6 @@ def cyclo_embed(q, n: int) -> CycloElem:
     if n < 1:
         raise ValueError("conductor must be >= 1")
     return CycloElem.from_rational(q, n)
-
-
-def cyclo_arith(op: str, x: CycloElem, y: CycloElem) -> CycloElem:
-    """Field arithmetic at a single shared conductor.
-
-    Unlike the operator overloads, this entry point does not lift: the caller
-    is responsible for moving both operands to a common conductor first.
-    """
-    if not isinstance(x, CycloElem) or not isinstance(y, CycloElem):
-        raise TypeError("cyclo_arith operates on CycloElem values")
-    if x.n != y.n:
-        raise ConductorError(
-            f"mismatched conductors {x.n} and {y.n}; lift to a common conductor first"
-        )
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def root_of_unity_order(x: CycloElem) -> int | None:

@@ -31,7 +31,6 @@ __all__ = [
     "Germ",
     "Word",
     "identity_germ",
-    "multiplier",
     "TangencyData",
     "tangency_data",
     "conjugate",
@@ -67,6 +66,7 @@ class Germ:
 
     @property
     def multiplier(self) -> CycloElem:
+        """The linear coefficient f'(0)."""
         return self.jet.linear_term
 
     def coefficient(self, k: int) -> CycloElem:
@@ -101,11 +101,6 @@ class Germ:
 
 def identity_germ(order: int, conductor: int = 1) -> Germ:
     return Germ(Jet.identity(order, conductor))
-
-
-def multiplier(f: Germ) -> CycloElem:
-    """The linear coefficient f'(0)."""
-    return f.multiplier
 
 
 class TangencyData(NamedTuple):

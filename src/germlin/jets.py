@@ -30,8 +30,8 @@ product a*b weighs the row of b by a_i at shift i; the composition f(g)
 weighs the rows of a table of truncated powers of g by f_e; (1 + u)^r
 weighs the powers of u by the binomial coefficients C(r, e).  Integer powers
 square through the product.  Lifting to a larger conductor and the Galois
-automorphisms sigma_u: zeta -> zeta^u map each entry through the cached
-table of zeta^e.
+automorphisms sigma_u: zeta -> zeta^u map each entry through the one
+re-indexing loop of :mod:`germlin.cyclotomic`.
 
 The kernel scatters: each product of a weight with a row entry is added, as
 an unreduced integer product of coordinate vectors, in place into the one
@@ -68,6 +68,7 @@ from .cyclotomic import (
     CycloElem,
     _element,
     _power,
+    _reindex_coords,
     _sparse_monomials,
     cyclo_embed,
     euler_phi,
@@ -78,7 +79,6 @@ from .cyclotomic import (
 __all__ = [
     "Jet",
     "DEFAULT_ORDER",
-    "jet_ring",
     "jet_compose",
     "jet_comp_inverse",
     "jet_mul_inverse",
@@ -158,27 +158,17 @@ def _map_row(row, m: int, step: int) -> tuple:
     """The row over Q(zeta_m) with zeta^i replaced by zeta_m^(i*step) in every
     entry: with m a multiple of the row's conductor n and step = m/n the
     embedding Q(zeta_n) -> Q(zeta_m), with m = n and step = u coprime to n
-    the Galois automorphism sigma_u.
-
-    Each coordinate is sent through the cached table of zeta_m^e, so each
-    entry is reduced once.  Both maps fix the rationals, and both keep an
-    entry canonical without a gcd: they send Z[zeta_n] into Z[zeta_m], and
-    Q(zeta_n) meets Z[zeta_m] only in Z[zeta_n], so a prime divides every
-    image coordinate only if it divides every coordinate it came from.
-    """
+    the Galois automorphism sigma_u.  Each entry's coordinates map through
+    ``cyclotomic._reindex_coords``, which keeps the entry canonical without
+    a gcd; rational entries are fixed."""
     if step % m == 1:
         return row
-    mons = _sparse_monomials(m)
-    phi_m = euler_phi(m)
     out = []
     for t, coords, den in row:
         if coords[0][0] == 0 and len(coords) == 1:  # rational: fixed
             out.append((t, coords, den))
             continue
-        num = [0] * phi_m
-        for i, b in coords:
-            for j, r in mons[i * step % m]:
-                num[j] += b * r
+        num = _reindex_coords(coords, m, step)
         out.append((t, tuple((j, b) for j, b in enumerate(num) if b), den))
     return tuple(out)
 
@@ -542,17 +532,6 @@ class Jet:
 
 
 # -- ring and composition operations -----------------------------------------------
-
-
-def jet_ring(op: str, f: Jet, g: Jet) -> Jet:
-    """Ring arithmetic on same-order jets: op in {add, sub, mul}."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise ValueError(f"unknown ring operation {op!r}")
 
 
 def jet_compose(f: Jet, g: Jet) -> Jet:

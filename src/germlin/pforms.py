@@ -211,10 +211,6 @@ class MultiPoly:
             self._terms = {_unpack(e, n): _over(v, den) for e, v in self.nums.items()}
         return self._terms
 
-    def _like(self, nums: dict) -> "MultiPoly":
-        """The polynomial of nonzero numerators over this one's ``den``."""
-        return _integer_poly(self.nvars, self.den, nums)
-
     # -- constructors -----------------------------------------------------------
 
     @classmethod
@@ -277,7 +273,7 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return self._like({e: -c for e, c in self.nums.items()})
+        return _poly(self.nvars, self.den, {e: -c for e, c in self.nums.items()})
 
     def __sub__(self, other):
         return self._combine(other, -1)
@@ -327,7 +323,7 @@ class MultiPoly:
             k = (e >> shift) & _MASK
             if k:
                 out[e - unit] = c * k
-        return self._like(out)
+        return _integer_poly(self.nvars, self.den, out)
 
     def evaluate(self, point: Sequence) -> Scalar:
         """The value at a point.  With each coordinate an integral numerator
@@ -369,7 +365,8 @@ class MultiPoly:
         return min(self.nums) >> _DEG
 
     def homogeneous_part(self, d: int) -> "MultiPoly":
-        return self._like({e: c for e, c in self.nums.items() if e >> _DEG == d})
+        part = {e: c for e, c in self.nums.items() if e >> _DEG == d}
+        return _integer_poly(self.nvars, self.den, part)
 
     def min_exponent(self, i: int) -> Optional[int]:
         if not self.nums:
@@ -384,7 +381,7 @@ class MultiPoly:
             if (e >> shift) & _MASK < m:
                 raise ValueError("polynomial is not divisible by that power")
             out[e - step] = c
-        return self._like(out)
+        return _poly(self.nvars, self.den, out)
 
     def __repr__(self):
         return poly_to_string(self)
@@ -406,10 +403,10 @@ def _integer_poly(nvars: int, den: int, nums: dict) -> MultiPoly:
     """The polynomial sum nums[e] x^e / den for packed keys e, nonzero
     integral numerators (ints or CycloElems over 1) and den > 0: the common
     factor of den and all their coordinates is divided out.  Every result of
-    arithmetic passes here.  No check is made: each key must hold a total
-    degree below _DEGREE_LIMIT.  The operations that can raise a degree check
-    it themselves: the checking constructor, the one-term power, the blow-up
-    substitution and ``_product_sum``."""
+    arithmetic that may have one passes here.  No check is made: each key
+    must hold a total degree below _DEGREE_LIMIT.  The operations that can
+    raise a degree check it themselves: the checking constructor, the
+    one-term power, the blow-up substitution and ``_product_sum``."""
     g = den
     for v in nums.values():
         if g == 1:
@@ -418,6 +415,14 @@ def _integer_poly(nvars: int, den: int, nums: dict) -> MultiPoly:
     if g != 1:
         den //= g
         nums = {e: v // g if type(v) is int else v * Fraction(1, g) for e, v in nums.items()}
+    return _poly(nvars, den, nums)
+
+
+def _poly(nvars: int, den: int, nums: dict) -> MultiPoly:
+    """The polynomial sum nums[e] x^e / den of numerators that are already
+    canonical over den (see :func:`_integer_poly`): nothing is checked.
+    Negation, exact division by a variable power and the blow-up substitution
+    build here, since they keep every numerator and den as they are."""
     p = object.__new__(MultiPoly)
     p.nvars, p.den, p.nums, p._terms = nvars, den, nums, None
     return p
@@ -715,9 +720,9 @@ def tangent_cone(omega: PForm1) -> TangentCone:
     return TangentCone(False, cone)
 
 
-def _chart_index(omega_nvars: int, chart, variables=DEFAULT_VARS) -> int:
+def _chart_index(omega_nvars: int, chart) -> int:
     if isinstance(chart, str):
-        names = list(variables[:omega_nvars])
+        names = list(DEFAULT_VARS[:omega_nvars])
         if chart not in names:
             raise ValueError(f"unknown chart variable {chart!r}")
         return names.index(chart)
@@ -735,7 +740,7 @@ def _blowup_substitute(p: MultiPoly, c: int) -> MultiPoly:
     shift, unit = _BITS * c, _UNIT[c]
     out = {e + ((e >> _DEG) - ((e >> shift) & _MASK)) * unit: v for e, v in p.nums.items()}
     _check_degree(out)
-    return p._like(out)
+    return _poly(p.nvars, p.den, out)
 
 
 def blowup_chart_pullback(omega: PForm1, chart) -> tuple[int, PForm1]:

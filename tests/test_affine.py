@@ -3,13 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from germlin.affine import (
-    AffineMap,
-    affine_compose,
-    affine_conjugator_search,
-    affine_inverse,
-    lemma_predicate,
-)
+from germlin.affine import AffineMap, affine_conjugator_search, lemma_predicate
 from germlin.cyclotomic import cyclo_embed, zeta
 from germlin.germs import Word
 
@@ -27,10 +21,10 @@ def test_compose_and_inverse():
     b1, b2 = cyclo_embed(Fraction(1, 2), 6), cyclo_embed(3, 6)
     f = AffineMap(eta, b1)
     g = AffineMap(eta, b2)
-    assert affine_compose(f, g) == AffineMap(eta * eta, eta * b2 + b1)
-    assert affine_compose(AffineMap.identity(), f) == f
-    assert affine_compose(f, affine_inverse(f)) == AffineMap.identity()
-    assert affine_compose(affine_inverse(f), f) == AffineMap.identity()
+    assert f.compose(g) == AffineMap(eta * eta, eta * b2 + b1)
+    assert AffineMap.identity().compose(f) == f
+    assert f.compose(f.inverse()) == AffineMap.identity()
+    assert f.inverse().compose(f) == AffineMap.identity()
     with pytest.raises(ValueError):
         AffineMap(Fraction(0), Fraction(1))
 
@@ -45,9 +39,7 @@ def test_group_axioms_random():
     for f in maps:
         for g in maps:
             for h in maps:
-                assert affine_compose(affine_compose(f, g), h) == affine_compose(
-                    f, affine_compose(g, h)
-                )
+                assert f.compose(g).compose(h) == f.compose(g.compose(h))
 
 
 def test_lemma_predicate():

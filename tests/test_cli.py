@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 
 import pytest
 
@@ -176,6 +177,29 @@ def test_forms_kupka(capsys):
         code, out, err = run(capsys, "forms", "kupka", "--example", "ex6.1", "--point", wrong)
         assert code == 2 and out == ""
         assert err.splitlines() == ["germlin: error: --point needs 4 comma-separated coordinates"]
+
+
+def test_point_conductors_and_zero_denominators_are_input_errors(capsys):
+    from germlin.group_cert import MAX_CONDUCTOR
+
+    ones = ",".join(["1"] * 96)
+    # conductors are bounded before any field is built: one of 19 digits
+    # would be factored by trial division, an lcm of 27720 builds a table
+    # of 27720 powers of zeta
+    for point, message in (
+        ("cyclo(1000000000000000003)[1],0,0", f"conductors must be at most {MAX_CONDUCTOR}"),
+        (f"cyclo(360)[{ones}],cyclo(7)[1,2,3,4,5,6],cyclo(11)[{','.join(['1'] * 10)}]",
+         f"conductors must be at most {MAX_CONDUCTOR}"),
+        ("1/0,0,0", "bad --point entry: Fraction(1, 0)"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "forms", "kupka", "--example", "ex6.2", "--point", point)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == "" and err.count("\n") == 1 and message in err, err
+    # an lcm of exactly MAX_CONDUCTOR is accepted
+    point = "cyclo(8)[0,1,0,0],cyclo(9)[0,0,0,1,0,0],cyclo(5)[1,0,0,0]"
+    code, out, err = run(capsys, "forms", "kupka", "--example", "ex6.2", "--point", point)
+    assert code in (0, 1) and err == "", err
 
 
 def test_forms_first_integral(capsys):

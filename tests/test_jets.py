@@ -22,7 +22,6 @@ from germlin.jets import (
     jet_derivative,
     jet_mul_inverse,
     jet_rational_power,
-    jet_ring,
 )
 
 from oracles import (
@@ -40,20 +39,16 @@ from oracles import (
 
 def test_ring_examples():
     z = Jet.identity(4)
-    assert jet_ring("add", z, z) == Jet([0, 2, 0, 0, 0])
-    assert jet_ring("mul", Jet.identity(3), Jet.identity(3)) == Jet([0, 0, 1, 0])
-    assert jet_ring("mul", Jet([1, 1], order=4), Jet([1, -1], order=4)) == Jet(
-        [1, 0, -1, 0, 0]
-    )
-    assert jet_ring("sub", z, z).is_zero()
+    assert z + z == Jet([0, 2, 0, 0, 0])
+    assert Jet.identity(3) * Jet.identity(3) == Jet([0, 0, 1, 0])
+    assert Jet([1, 1], order=4) * Jet([1, -1], order=4) == Jet([1, 0, -1, 0, 0])
+    assert (z - z).is_zero()
 
 
 def test_ring_order_mismatch():
     with pytest.raises(ValueError):
-        jet_ring("add", Jet.identity(4), Jet.identity(5))
-    assert jet_ring("add", Jet.identity(4), Jet.identity(5).truncate(4)) == Jet(
-        [0, 2, 0, 0, 0]
-    )
+        Jet.identity(4) + Jet.identity(5)
+    assert Jet.identity(4) + Jet.identity(5).truncate(4) == Jet([0, 2, 0, 0, 0])
 
 
 def test_compose_identity_neutral():
@@ -637,6 +632,39 @@ def test_sparse_finish_equals_dense_reduction(n):
             image[i * u % n] += c
         expected = CycloElem(n, [Fraction(c, da) for c in cyclotomic_remainder(n, image)])
         assert Jet([x], order=0)._galois(u).row == _sparse_row([expected])
+
+
+def _reindex_oracle(x, m, step):
+    """(num, den) of sum_i x_i zeta_m^(i*step) for x over Q(zeta_n): the
+    re-indexed coordinates reduced by long division by Phi_m, then divided by
+    their common factor with the denominator."""
+    image = [0] * m
+    for i, c in enumerate(x.num):
+        image[i * step % m] += c
+    num = cyclotomic_remainder(m, image)
+    g = gcd(x.den, *num)
+    return tuple(c // g for c in num), x.den // g
+
+
+@pytest.mark.parametrize("n", ORACLE_CONDUCTORS + WIDE_CONDUCTORS)
+def test_lift_and_galois_match_the_remainder_oracle_at_each_conductor(n):
+    # the embeddings by 2, 3 and 5 and up to six automorphisms sigma_u take
+    # no gcd, so every image must already be normalized
+    rng = random.Random(810 + n)
+    N = _row_order(n)
+    others = [u for u in range(2, n) if gcd(u, n) == 1]
+    units = [1] + rng.sample(others, min(5, len(others)))
+    for _ in range(3):
+        jet = _mixed_jet(rng, N, n)
+        maps = [(k * n, k, jet.lift(k * n)) for k in (2, 3, 5)]
+        maps += [(n, u, jet._galois(u)) for u in units]
+        for m, step, image in maps:
+            assert image.conductor == m
+            _assert_canonical(image.row, N, m)
+            for x, y in zip(jet.coeffs, image.coeffs):
+                z = x.lift(m) if m != n else x._galois(step)
+                assert (z.num, z.den) == (y.num, y.den) == _reindex_oracle(x, m, step)
+                assert gcd(z.den, *z.num) == 1
 
 
 @pytest.mark.parametrize("n", ORACLE_CONDUCTORS + WIDE_CONDUCTORS)

@@ -125,3 +125,18 @@ def test_rows_cross_module_boundaries_only_as_jet_row():
         found = {name for stmt in tree.body for name in _referenced_names(stmt)}
         used += [f"{path.name} {name}" for name in names if name in found]
     assert sorted(used) == ["jets.py _row_coeffs", "jets.py _sparse_row"]
+
+
+def test_every_all_name_is_bound():
+    # a stale __all__ entry does not break "import germlin.x", only "from
+    # germlin.x import *", so deleting a name can leave one behind
+    checked, unbound = [], []
+    for path in sorted(SRC.glob("*.py")):
+        dotted = "germlin" if path.stem == "__init__" else f"germlin.{path.stem}"
+        module = importlib.import_module(dotted)
+        for name in getattr(module, "__all__", ()):
+            checked.append(f"{path.stem}.{name}")
+            if not hasattr(module, name):
+                unbound.append(f"{path.name}: {name}")
+    assert "jets.Jet" in checked
+    assert unbound == [], "__all__ names that the module does not bind"
