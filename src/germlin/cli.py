@@ -189,6 +189,8 @@ def _parse_point(text: str, nvars: int) -> tuple:
         # bounded before any field is built: a field factors its conductor
         texts = [p.strip().replace(" ", "") for p in parts]
         conductors = [int(m.group(1)) for m in map(_CYCLO_RE.match, texts) if m]
+        if min(conductors, default=1) < 1:
+            raise InputError(f"the --point conductors must be at least 1, got {min(conductors)}")
         if lcm(*conductors) > MAX_CONDUCTOR:
             raise InputError(f"the lcm of the --point conductors must be at most {MAX_CONDUCTOR}")
         return tuple(parse_scalar(p) for p in parts)

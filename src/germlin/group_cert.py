@@ -24,6 +24,19 @@ order, optionally with conjugacy witness words.  Certification checks
 * applicability of the finiteness criterion (multiplier order 1 or a prime
   power, with every other check positive).
 
+Every bundled family is generated by Mobius germs z -> a z / (1 + g z), and
+such a germ is determined by its 2-jet.  An N-jet g = a_1 z + a_2 z^2 + ...
+is that of a Mobius germ iff a_1 g - a_2 z g == a_1^2 z to order N, one
+kernel product that divides nothing.  When every generator passes this test
+and N > 2, :func:`certify` runs every check on the presentation truncated to
+order 2.  Every word in Mobius germs is a Mobius germ, so two words have equal
+N-jets iff they have equal 2-jets, and f_i o h = h o f_j holds to order N
+iff it holds to order 2.  Hence the product identity, the classes, the
+distinct letters, the search's nodes, their order and dedup, its first
+witness word, every "not-found-up-to" and every witness check are those of
+the order-N run, and so is the report.  At N = 1 the truncation is not
+faithful, and other presentations run at order N.
+
 Presentation files are JSON::
 
     { "field": {"conductor": n, "constraints": ["a = 1/(1 - a)"]},
@@ -64,7 +77,10 @@ on every solution.
 The image also takes its tables from the first root: its right composers and
 inverse generators are the sigma_u images of the first root's, mapped row by
 row (``jets._map_row``), since sigma_u commutes with products and inversion.
-Its product identity and witness checks run on those mapped tables.
+Its product identity and witness checks run on those mapped tables.  sigma_u
+maps the Mobius test's identity to the image's, so the image takes the first
+root's verdict, and its order-2 model maps its tables from the first root's
+model in the same way.
 """
 
 from __future__ import annotations
@@ -72,6 +88,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence
 
@@ -91,7 +108,14 @@ from .germs import (
     reduced_word_search,
     tangency_data,
 )
-from .jets import DEFAULT_ORDER, RightComposer, _Z_ROW, _compose_rows, _map_row
+from .jets import (
+    DEFAULT_ORDER,
+    RightComposer,
+    _Z_ROW,
+    _compose_rows,
+    _map_row,
+    _weighted_sum,
+)
 
 __all__ = [
     "GroupPresentation",
@@ -242,6 +266,51 @@ class GroupPresentation:
         if comp is None:
             comp = self._composers[row] = RightComposer(germ.jet)
         return comp
+
+    @cached_property
+    def _order2_model(self) -> Optional["GroupPresentation"]:
+        """This presentation truncated to order 2 when every generator's
+        N-jet, N > 2, is that of a Mobius germ (:func:`_is_mobius`, one test
+        per class), else None.  Such a germ is determined by its 2-jet, and
+        so is every word in such germs, so :func:`certify` reports the same
+        on the model (see the module docstring).  A Galois image inherits the
+        verdict of its first root, as sigma_u preserves the test, and its
+        model is sigma_u of the first root's model.  At N = 2 the
+        presentation is its own model; at N = 1 the model would not be
+        faithful."""
+        if self.order <= 2:
+            return None
+        if self._galois_of is None:
+            N, n = self.order, self.conductor
+            if not all(_is_mobius(self.gens[c].jet.row, N, n) for c in set(self.classes)):
+                return None
+            source = None
+        else:
+            first, u = self._galois_of
+            if first._order2_model is None:
+                return None
+            source = (first._order2_model, u)
+        return GroupPresentation(
+            [Germ(g.jet.truncate(2)) for g in self.gens],
+            self.witnesses,
+            order=2,
+            galois_of=source,
+        )
+
+
+def _is_mobius(row, N: int, n: int) -> bool:
+    """Whether the row of a germ's N-jet g = a_1 z + a_2 z^2 + ... is that
+    of a Mobius germ a_1 z / (1 - (a_2/a_1) z): the test a_1 g - a_2 z g ==
+    a_1^2 z to order N, that is a_(k+1) a_1 = a_k a_2 for k = 1 .. N - 1.
+    The degree-1 coefficient of the left side is a_1^2, so the test asks
+    that the kernel's row of the sum holds no other entry; nothing is
+    divided."""
+    (_, c1, d1), *rest = row
+    terms = [((c1, d1), 0, row)]
+    if rest and rest[0][0] == 2:
+        _, c2, d2 = rest[0]
+        terms.append(((tuple((j, -b) for j, b in c2), d2), 1, row))
+    return len(_weighted_sum(terms, N, n)) == 1
 
 
 def check_product_identity(pres: GroupPresentation) -> bool:
@@ -425,12 +494,20 @@ def certify(
     conjugacy, and the prime-power condition on the multiplier order all
     hold.
 
+    When every generator is Mobius (:attr:`GroupPresentation._order2_model`),
+    every check runs on the presentation truncated to order 2, which gives
+    the same report: the same classes, letters, search trees, words and
+    verdicts as at order N.
+
     ``transferred`` is the report at ``max_len`` of a presentation of which
     ``pres`` is a Galois image, generator by generator (see
     :func:`certify_roots`); the outcome of pair (i, j) is read from its pair
     (i, j).  A transferred word is used only if it passes the witness check
     here, else the pair is searched; a transferred "not-found-up-to" stands.
     """
+    model = pres._order2_model
+    if model is not None:
+        pres = model
     product_ok = check_product_identity(pres)
     mults = [g.multiplier for g in pres.gens]
     mult = mults[0]

@@ -515,6 +515,12 @@ def test_limits_are_input_errors(tmp_path, capsys):
     for sub in ("integrable", "kupka"):
         code, out, err = run(capsys, "forms", sub, "--example", "ex6.1", "--k", str(MAX_EX61_K))
         assert code == 0 and err == "", err
+    # a conductor below 1 is refused, by name, before any field is built
+    for point in ("cyclo(0)[],0,0,0", "0,cyclo(6)[0,1],cyclo(00)[],0"):
+        code, out, err = run(capsys, "forms", "kupka", "--example", "ex6.1", "--point", point)
+        assert code == 2 and out == "" and err.splitlines() == [
+            "germlin: error: the --point conductors must be at least 1, got 0"
+        ], err
     # the scalar must be a name an expression can use: z is the series
     # variable, so a scalar z never reaches a generator
     for var, constraint in (("z", "z^4 = 1"), ("", "1 = 1"), ("a b", "1 = 1")):

@@ -8,8 +8,9 @@ whose generators repeat values (``repeated_letters.json`` has two equal
 generators and one equal to another's inverse).  ``two_orbits.json`` pins
 a^4 = 1 at conductor 12: its roots i and -i are one Galois orbit, and 1 and
 -1 are two more, so ``certify`` both transfers and searches.  ``certify``
-on g10 at the defaults, on g14 at N=8 L=4 and on g18p at N=16 L=4 pins deep
-search trees, with "not-found-up-to" pairs on g14 and g18p.
+on g10, g14 and g18p at the defaults (N=32, L=8), on g14 at N=8 L=4 and on
+g18p at N=16 L=4 pins deep search trees, with "not-found-up-to" pairs on g14
+and g18p.
 ``roundtripM.json`` holds two
 copies of f = H o (zeta_M z) o H^-1 at N=32 with H = h1 o h0, h0 = z (1 - z^p)^(-1/p)
 and h1 = z/(1 - s z), so ``linearize`` conjugates through every order;
@@ -80,6 +81,8 @@ CASES = (
         "certify --example g10",
         "certify --example g14 --order 8 --max-word-len 4",
         "certify --example g18p --order 16 --max-word-len 4",
+        "certify --example g14",
+        "certify --example g18p",
     ]
     + [
         f"linearize {name}.json"

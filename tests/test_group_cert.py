@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import itertools
 import json
 import os
@@ -11,6 +13,7 @@ import pytest
 from germlin.cyclotomic import solve_root_constraints, zeta
 from germlin.expressions import series_from_string
 from germlin import germs, group_cert, jets, registry
+from germlin.cli import main
 from germlin.expressions import ExpressionError
 from germlin.germs import Germ, Word, evaluate_word, identity_germ
 from germlin.group_cert import (
@@ -576,3 +579,167 @@ def test_pairs_of_one_class_pair_share_one_resolution_and_its_json():
     # the shared dicts serialize as separate copies would
     copies = {key: dict(value) for key, value in out.items()}
     assert json.dumps(out, sort_keys=True) == json.dumps(copies, sort_keys=True)
+
+
+# -- the order-2 model of Mobius presentations ---------------------------------------
+
+
+def _reference_json(pres, max_len):
+    """The report of :func:`certify` as the order-N checks give it: the
+    product identity, the witness check and one search per pair of classes,
+    all on the order-N presentation itself."""
+    conj = {}
+    found = {}
+    m = len(pres)
+    for i in range(1, m + 1):
+        for j in range(i + 1, m + 1):
+            w = group_cert._lookup_witness(pres, i, j)
+            if w is not None and check_conjugacy_witness(pres, i, j, w):
+                conj[f"({i},{j})"] = {"status": "verified-by-witness", "word": w.to_json()}
+                continue
+            pair = (pres.classes[i - 1], pres.classes[j - 1])
+            if pair not in found:
+                found[pair] = search_conjugator(pres, i, j, max_len)
+            word = found[pair]
+            conj[f"({i},{j})"] = (
+                {"status": "not-found-up-to", "max_len": max_len}
+                if word is None
+                else {"status": "found-by-search", "word": word.to_json()}
+            )
+    product_ok = check_product_identity(pres)
+    mults = [g.multiplier for g in pres.gens]
+    order = group_cert.root_of_unity_order(mults[0])
+    pp = group_cert.prime_power_order(order) if order is not None else None
+    applicable = (
+        product_ok
+        and all(x == mults[0] for x in mults)
+        and all(r["status"] != "not-found-up-to" for r in conj.values())
+        and pp is not None
+    )
+    return {
+        "product_ok": product_ok,
+        "multiplier": group_cert.format_scalar(mults[0]),
+        "multiplier_order": order,
+        "multipliers_all_equal": all(x == mults[0] for x in mults),
+        "conjugacy": conj,
+        "theorem_a_applicable": applicable,
+        "prime_power": {"p": pp[0], "s": pp[1]} if applicable else None,
+        "certified": product_ok and all(r["status"] != "not-found-up-to" for r in conj.values()),
+    }
+
+
+def _certified_orders(monkeypatch):
+    """The orders of the presentations certify runs its checks on."""
+    calls = _counting(monkeypatch, "check_product_identity")
+    return lambda: [args[0].order for args, _ in calls]
+
+
+def _assert_model_changes_no_report(monkeypatch, loaded, max_len):
+    orders = _certified_orders(monkeypatch)
+    reports = certify_roots(loaded, max_len)
+    N = loaded[0].presentation.order
+    assert orders() == [2 if N > 2 else N] * len(loaded)
+    for item, report in zip(loaded, reports):
+        assert report.to_json() == _reference_json(item.presentation, max_len)
+
+
+@pytest.mark.parametrize("order, max_len", [(2, 4), (4, 3), (16, 3), (32, 2)])
+@pytest.mark.parametrize("example", GROUP_EXAMPLES)
+def test_mobius_model_changes_no_report(monkeypatch, example, order, max_len):
+    # every registry family is Mobius, and so is ex4.3 at p = 1, z/(1 - z)
+    _assert_model_changes_no_report(monkeypatch, build_group_example(example, order=order), max_len)
+
+
+def _random_mobius(rng, v):
+    """The text of a z / (1 + g z) with a and g from small integers and the
+    scalar v, and that of its inverse z / (a - g z); a is never 0 at a root
+    of unity v, so both are germs at every root."""
+    a = rng.choice(["1", "-1", "2", f"{v}", f"{v}^{rng.randint(2, 5)}", f"(2 - {v})"])
+    g = rng.choice(["0", "1", "-2", f"{v}", f"3*{v}^{rng.randint(2, 5)}", f"({v} + 1)/2"])
+    return f"({a})*z/(1 + ({g})*z)", f"z/(({a}) - ({g})*z)"
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("conductor, constraint", [(1, None), (6, "a^6 = 1"), (12, "a^4 = 1")])
+def test_mobius_model_changes_no_report_on_random_files(monkeypatch, seed, conductor, constraint):
+    # pairs (f, f^-1), so that the product identity holds before a shuffle,
+    # and repeated generators, over one or several Galois orbits of roots
+    rng = random.Random(seed * 1000 + conductor)
+    v = "a" if constraint else "1"
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        gens.extend(_random_mobius(rng, v))
+    gens.append(rng.choice(gens))
+    gens.append(rng.choice(gens))
+    if rng.random() < 0.5:
+        rng.shuffle(gens)
+    spec = {"order": rng.choice([3, 8, 16]), "generators": gens}
+    if constraint:
+        spec["field"] = {"conductor": conductor, "constraints": [constraint]}
+    loaded = load_presentation_text(json.dumps(spec))
+    assert all(item.presentation._order2_model is not None for item in loaded)
+    _assert_model_changes_no_report(monkeypatch, loaded, 3)
+
+
+def test_mobius_test_matches_the_coefficient_identity():
+    # a_(k+1) a_1 == a_k a_2 for k = 1 .. N - 1, over the coefficient lists
+    rng = random.Random(5)
+    for n in (1, 6, 12):
+        for _ in range(12):
+            N = rng.randint(2, 10)
+            a = zeta(n) ** rng.randrange(n) if n > 1 else Fraction(rng.choice([1, -2, 3]))
+            g = rng.choice([0, 1, Fraction(-1, 2)]) * (zeta(n) ** rng.randrange(n) if n > 1 else 1)
+            jet = series_from_string("a*z/(1 + g*z)", {"a": a, "g": g}, order=N)
+            if rng.random() < 0.5:
+                k = rng.randint(2, N)
+                jet = jet + Jet([0] * k + [rng.choice([1, -1, 3])], order=N)
+            c = jet.lift(n).coeffs
+            expected = all(c[k + 1] * c[1] == c[k] * c[2] for k in range(1, N))
+            assert group_cert._is_mobius(jet.lift(n).row, N, n) == expected
+
+
+def test_non_mobius_at_order_n_takes_the_order_n_path(monkeypatch):
+    # c z^N added to one generator of g10: Mobius to order N - 1, not to N
+    N = 8
+    base = build_group_example("g10", order=N)[0].presentation
+    bump = Jet([0] * N + [Fraction(-1, 3)], order=N)
+    gens = list(base.gens)
+    gens[-1] = Germ(gens[-1].jet + bump)
+    pres = GroupPresentation(gens, order=N)
+    lower = GroupPresentation([Germ(g.jet.truncate(N - 1)) for g in gens], order=N - 1)
+    assert lower._order2_model is not None and pres._order2_model is None
+    orders = _certified_orders(monkeypatch)
+    assert certify(pres, 2).to_json() == _reference_json(pres, 2)
+    assert orders() == [N]
+
+
+def test_ex43_above_p1_and_order_1_take_the_order_n_path(monkeypatch):
+    for p in range(2, 6):
+        (item,) = build_group_example("ex4.3", order=8, p=p)
+        assert item.presentation._order2_model is None
+    for example in GROUP_EXAMPLES:
+        for item in build_group_example(example, order=1):
+            assert item.presentation._order2_model is None
+    calls = _counting(monkeypatch, "check_product_identity")
+    for argv, order in ((["--p", "3", "--order", "8"], 8), (["--order", "1"], 1)):
+        for example in ("ex4.3", "g14") if order == 1 else ("ex4.3",):
+            del calls[:]
+            with contextlib.redirect_stdout(io.StringIO()):
+                main(["certify", "--example", example, *argv, "--max-word-len", "2"])
+            assert calls and {args[0].order for args, _ in calls} == {order}
+
+
+def test_image_models_map_from_the_first_roots_model(monkeypatch):
+    # the test runs once per class of each first root; an image's model is
+    # sigma_u of its first root's model
+    tests = _counting(monkeypatch, "_is_mobius")
+    loaded = build_group_example("g18p", order=6)
+    models = [item.presentation._order2_model for item in loaded]
+    assert len(tests) == len(set(loaded[0].presentation.classes))
+    for item, model in zip(loaded, models):
+        assert model.order == 2 and model.classes == item.presentation.classes
+        assert [g.jet.row for g in model.gens] == [
+            g.jet.truncate(2).row for g in item.presentation.gens
+        ]
+        if item.image_of is not None:
+            assert model._galois_of[0] is models[item.image_of]
