@@ -77,6 +77,10 @@ def factorize(m: int) -> dict[int, int]:
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
+    """phi(n), the degree of Q(zeta_n); every field's first call, so the
+    conductor is checked here, before it is factored."""
+    if n < 1:
+        raise ValueError("conductor must be >= 1")
     phi = 1
     for p, e in factorize(n).items():
         phi *= (p - 1) * p ** (e - 1)

@@ -43,6 +43,7 @@ __all__ = [
     "MAX_POWER_BITS",
     "MAX_POWER_WORK",
     "check_power_bits",
+    "check_power_work",
     "parse_expression",
     "parse_constraint",
     "eval_scalar",
@@ -103,10 +104,19 @@ def check_power_bits(coefficients, e: int) -> None:
             f"power ^{e} of a base with {bits}-bit coefficients is above the "
             f"limit of {MAX_POWER_BITS} bits"
         )
+    check_power_work(coefficients, e)
+
+
+def check_power_work(coefficients, e: int, base: str = "a base") -> None:
+    """ExpressionError if |e| times the largest bit length b of a numerator
+    or denominator among the coefficients of a base, times the largest size
+    of a coefficient, is above MAX_POWER_WORK.  ``base`` names the base in
+    the message."""
+    bits = max(map(_height, coefficients), default=0).bit_length()
     size = max(map(_size, coefficients), default=1)
     if abs(e) * bits * size > MAX_POWER_WORK:
         raise ExpressionError(
-            f"power ^{e} of a base of {size} numbers with {bits}-bit coefficients "
+            f"power ^{e} of {base} of {size} numbers with {bits}-bit coefficients "
             f"is above the limit of {MAX_POWER_WORK} for |e| * bits * numbers"
         )
 

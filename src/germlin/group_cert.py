@@ -35,7 +35,29 @@ iff it holds to order 2.  Hence the product identity, the classes, the
 distinct letters, the search's nodes, their order and dedup, its first
 witness word, every "not-found-up-to" and every witness check are those of
 the order-N run, and so is the report.  At N = 1 the truncation is not
-faithful, and other presentations run at order N.
+faithful.
+
+A presentation whose generators are all rotation symmetric, each
+f = z u(z^p), first runs on its quotient by z -> z^p: f maps to
+F = w u(w)^p at order K + 1, K = (N - 1) // p.  p is the gcd of t - 1 over
+the degrees t of every class's row, without the primes of l, the lcm of the
+multiplier orders; every multiplier must be a root of unity, p >= 2 and
+K + 1 < N.  The quotient is faithful:
+
+* it is a homomorphism: for g = z v(z^p), f o g = z r(z^p) with
+  r = v u(G), so the quotient of f o g is G u(G)^p = F o G;
+* it respects truncation: the N-jet of such a series is its u to degree K,
+  which gives the (K + 1)-jet of F; and F's (K + 1)-jet gives u to degree K
+  up to a factor zeta with zeta^p = 1, the p-th root of F/w;
+* its kernel in the group is the rotations zeta z with zeta^p = 1, and the
+  multiplier of every word has order dividing l, so with p prime to l two
+  words whose quotients agree have the same multiplier, zeta = 1.
+
+Hence two words have equal N-jets iff their quotients have equal
+(K + 1)-jets, and the report is again that of the order-N run.  The
+quotient is then truncated to order 2 if it is Mobius: ex4.3 maps to
+w/(1 -+ w), so it runs at order 2 for every p.  Other presentations run at
+order N.
 
 Presentation files are JSON::
 
@@ -78,9 +100,11 @@ The image also takes its tables from the first root: its right composers and
 inverse generators are the sigma_u images of the first root's, mapped row by
 row (``jets._map_row``), since sigma_u commutes with products and inversion.
 Its product identity and witness checks run on those mapped tables.  sigma_u
-maps the Mobius test's identity to the image's, so the image takes the first
-root's verdict, and its order-2 model maps its tables from the first root's
-model in the same way.
+maps the Mobius test's identity to the image's and keeps the degrees and
+multiplier orders the quotient test reads, and it commutes with the
+quotient, so the image's model is sigma_u of the first root's model,
+generator by generator, and maps its tables from that model's in the same
+way.
 """
 
 from __future__ import annotations
@@ -89,7 +113,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .cyclotomic import (
@@ -110,6 +134,7 @@ from .germs import (
 )
 from .jets import (
     DEFAULT_ORDER,
+    Jet,
     RightComposer,
     _Z_ROW,
     _compose_rows,
@@ -268,34 +293,77 @@ class GroupPresentation:
         return comp
 
     @cached_property
-    def _order2_model(self) -> Optional["GroupPresentation"]:
-        """This presentation truncated to order 2 when every generator's
-        N-jet, N > 2, is that of a Mobius germ (:func:`_is_mobius`, one test
-        per class), else None.  Such a germ is determined by its 2-jet, and
-        so is every word in such germs, so :func:`certify` reports the same
-        on the model (see the module docstring).  A Galois image inherits the
-        verdict of its first root, as sigma_u preserves the test, and its
-        model is sigma_u of the first root's model.  At N = 2 the
-        presentation is its own model; at N = 1 the model would not be
-        faithful."""
-        if self.order <= 2:
-            return None
-        if self._galois_of is None:
-            N, n = self.order, self.conductor
-            if not all(_is_mobius(self.gens[c].jet.row, N, n) for c in set(self.classes)):
-                return None
-            source = None
-        else:
+    def _model(self) -> Optional["GroupPresentation"]:
+        """The smallest exact model of this presentation that :func:`certify`
+        knows, or None if it knows none.  First the quotient by z -> z^p when
+        every generator is p-symmetric (:func:`_quotient`), then the order-2
+        truncation of that quotient, or of this presentation, when every
+        generator's jet, at an order above 2, is that of a Mobius germ
+        (:func:`_is_mobius`, one test per class).  Each step maps words and
+        jets one to one, so :func:`certify` reports the same on the model (see
+        the module docstring).  A Galois image takes its first root's model
+        mapped by sigma_u, which commutes with both steps and preserves both
+        tests, so the model of an image is sigma_u of the first root's model,
+        generator by generator, with its tables mapped from that model's."""
+        if self._galois_of is not None:
             first, u = self._galois_of
-            if first._order2_model is None:
+            source = first._model
+            if source is None:
                 return None
-            source = (first._order2_model, u)
-        return GroupPresentation(
-            [Germ(g.jet.truncate(2)) for g in self.gens],
-            self.witnesses,
-            order=2,
-            galois_of=source,
-        )
+            images = {c: Germ(source.gens[c].jet._galois(u)) for c in set(source.classes)}
+            return GroupPresentation(
+                [images[c] for c in source.classes],
+                self.witnesses,
+                order=source.order,
+                galois_of=(source, u),
+            )
+        model = _quotient(self)
+        base = self if model is None else model
+        N, n = base.order, base.conductor
+        if N > 2 and all(_is_mobius(base.gens[c].jet.row, N, n) for c in set(base.classes)):
+            model = GroupPresentation(
+                [Germ(g.jet.truncate(2)) for g in base.gens], self.witnesses, order=2
+            )
+        return model
+
+
+def _quotient(pres: GroupPresentation) -> Optional[GroupPresentation]:
+    """The quotient of a presentation by z -> z^p, or None where it does not
+    apply.  p is the gcd of t - 1 over the degrees t of every class's row,
+    with every prime of the lcm of the multiplier orders taken out; the
+    quotient applies when p >= 2, every multiplier is a root of unity and its
+    order K + 1 = (N - 1) // p + 1 is below N.  A generator f = z u(z^p), with
+    u(w) = sum f_(1+pk) w^k over k <= K, maps to F = w u(w)^p at order K + 1,
+    one power of u in the kernel."""
+    N, n = pres.order, pres.conductor
+    gens = {c: pres.gens[c] for c in set(pres.classes)}  # one per class
+    p = 0
+    for g in gens.values():
+        for t, _, _ in g.jet.row:
+            p = gcd(p, t - 1)
+    if p < 2:
+        return None
+    ell = 1
+    for g in gens.values():
+        order = root_of_unity_order(g.multiplier)
+        if order is None:
+            return None
+        ell = lcm(ell, order)
+    common = gcd(p, ell)
+    while common > 1:
+        p //= common
+        common = gcd(p, common)
+    K = (N - 1) // p
+    if p < 2 or K + 1 >= N:
+        return None
+    quotients = {}
+    for c, g in gens.items():
+        u = Jet._of(tuple(((t - 1) // p, coords, den) for t, coords, den in g.jet.row), K, n)
+        row = tuple((k + 1, coords, den) for k, coords, den in (u**p).row)
+        quotients[c] = Germ(Jet._of(row, K + 1, n))
+    return GroupPresentation(
+        [quotients[c] for c in pres.classes], pres.witnesses, order=K + 1
+    )
 
 
 def _is_mobius(row, N: int, n: int) -> bool:
@@ -494,10 +562,13 @@ def certify(
     conjugacy, and the prime-power condition on the multiplier order all
     hold.
 
-    When every generator is Mobius (:attr:`GroupPresentation._order2_model`),
-    every check runs on the presentation truncated to order 2, which gives
-    the same report: the same classes, letters, search trees, words and
-    verdicts as at order N.
+    When the presentation has an exact smaller model
+    (:attr:`GroupPresentation._model`: its quotient by z -> z^p, its order-2
+    truncation, or both), every check but those of the multipliers runs on
+    the model, which gives the same report: the same classes, letters,
+    search trees, words and verdicts as at order N.  The multipliers are
+    read from ``pres`` itself, as the quotient raises them to the p-th
+    power.
 
     ``transferred`` is the report at ``max_len`` of a presentation of which
     ``pres`` is a Galois image, generator by generator (see
@@ -505,14 +576,15 @@ def certify(
     (i, j).  A transferred word is used only if it passes the witness check
     here, else the pair is searched; a transferred "not-found-up-to" stands.
     """
-    model = pres._order2_model
-    if model is not None:
-        pres = model
-    product_ok = check_product_identity(pres)
+    # the quotient raises multipliers to the p-th power, so they are read here
     mults = [g.multiplier for g in pres.gens]
     mult = mults[0]
     all_equal = all(m == mult for m in mults[1:])
     order = root_of_unity_order(mult)
+    model = pres._model
+    if model is not None:
+        pres = model
+    product_ok = check_product_identity(pres)
 
     conjugacy: dict[tuple[int, int], ConjugacyResolution] = {}
     classes = pres.classes

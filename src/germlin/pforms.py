@@ -79,7 +79,7 @@ from operator import mul
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .cyclotomic import CycloElem, _element, _power, format_scalar
-from .expressions import ExpressionError, check_power_bits, parse_expression
+from .expressions import ExpressionError, check_power_bits, check_power_work, parse_expression
 
 __all__ = [
     "MultiPoly",
@@ -328,11 +328,16 @@ class MultiPoly:
     def evaluate(self, point: Sequence) -> Scalar:
         """The value at a point.  With each coordinate an integral numerator
         p_i over an int, and q the lcm of those ints, it sums
-        num_e * prod p_i^e_i * q^(deg - |e|) and divides once by den * q^deg."""
+        num_e * prod p_i^e_i * q^(deg - |e|) and divides once by den * q^deg.
+        Those powers are bounded first, as a power in an expression is
+        (``expressions.check_power_work``), by the degree times the bits and
+        the size of the p_i and q: a 96-coordinate p_i grows all of its
+        coordinates, and each of its products costs 96^2 integer products."""
         split = [_split(x) for x in point]
         q = lcm(*[d for _, d in split])
         p = [a * (q // d) for a, d in split]
         deg = max(self.nums, default=0) >> _DEG
+        check_power_work(p + [q], deg, "a point coordinate")
         power = cache(pow)
         total = 0
         for e, c in self.nums.items():

@@ -21,6 +21,11 @@ Group ids:
                      h(z) = zeta_{2p} z conjugating f^-1 to f in the ambient
                      group and the closed form of the iterates are
                      ex43_ambient_conjugator and ex43_iterate_expr.
+                     Every series here is z u(z^p), so ``certify`` runs
+                     on the quotient by z -> z^p, which maps f and f^-1
+                     to the Mobius w/(1 - w) and w/(1 + w), and so at
+                     order 2 (see :mod:`germlin.group_cert`); the test
+                     reads the generators' rows, not this id.
 
 Form ids:
 

@@ -707,3 +707,26 @@ def test_ex61_at_the_largest_k_keeps_its_output(capsys):
     for sub, text in want.items():
         code, out, err = run(capsys, "forms", sub, "--example", "ex6.1", "--k", "64")
         assert (code, out, err) == (0, text + "\n", ""), sub
+
+
+def test_kupka_bounds_the_powers_of_the_point_before_forming_any(capsys):
+    from germlin.expressions import MAX_POWER_WORK
+    from germlin.registry import MAX_EX61_K
+
+    # ex6.1 at k has total degree k + 1: a b-bit rational coordinate passes
+    # while (k + 1) * b <= MAX_POWER_WORK
+    bits = MAX_POWER_WORK // (MAX_EX61_K + 1)
+    for b, codes in ((bits, (0, 1)), (bits + 1, (2,))):
+        point = f"{2 ** (b - 1)},1,-1,0"
+        code, out, err = run(capsys, "forms", "kupka", "--example", "ex6.1",
+                             "--k", str(MAX_EX61_K), "--point", point)
+        assert code in codes, err
+    assert out == "" and err.count("\n") == 1 and "point coordinate" in err
+    assert str(MAX_POWER_WORK) in err
+    # 96 coordinates of 245 digits at conductor 360 once ran 96 s and exit 1
+    entry = ",".join(["9" * 245] * 96)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "forms", "kupka", "--example", "ex6.1", "--k", str(MAX_EX61_K),
+                         "--point", f"0,cyclo(360)[{entry}],1,0")
+    assert code == 2 and out == "" and err.count("\n") == 1 and "96 numbers" in err, err
+    assert time.perf_counter() - start < 5

@@ -383,3 +383,16 @@ def test_accumulator_scales_to_the_lcm_of_denominators():
     assert _gather(9, pairs) == x * x + y * x + z * y
     assert _gather(9, [(x, y), (-x, y)]) == zero
     assert _gather(9, []).den == 1 and _gather(9, []) == zero
+
+
+def test_a_conductor_below_1_is_named_before_it_is_factored():
+    for build in (
+        lambda: CycloElem(0, [1]),
+        lambda: CycloElem(-2, [1]),
+        lambda: zeta(0),
+        lambda: parse_scalar("cyclo(0)[1]"),
+        lambda: cyclo_embed(1, 0),
+        lambda: euler_phi(0),
+    ):
+        with pytest.raises(ValueError, match=r"^conductor must be >= 1$"):
+            build()

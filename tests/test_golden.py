@@ -20,14 +20,22 @@ chart of ex6.2 and in two charts of ex6.1, so the printed 1-form text is pinned;
 ``form2.json`` is a two-variable form.  ``forms first-integral`` reads the
 holomorphic integral of ``integral.json`` and the numerator/denominator of
 ``quotient.json``, and ``ex4.3`` runs once without ``--p`` (p = 1).
+``certify`` on ex4.3 at p = 2..5 runs at the benchmark's orders and word
+lengths.  ``certify`` on ``roundtrip3.json`` and ``involution_triple.json``
+pins input whose generators are neither Mobius nor rotation symmetric:
+``involution_triple.json`` holds A = h o (-z) o h^-1 and B = g o (-z) o g^-1
+for h = z + z^2 and g = z + 2 z^2, and A o B o A, so its search finds the
+word A for the pair (2,3) and none for the others.
 ``forms kupka`` on ex6.1 also runs at points with ``cyclo(2)`` and
 ``cyclo(6)`` coordinates (the latter with commas inside the brackets) and at
 a rational point that is not singular.  The
 stored files pin the output byte for byte, so a refactor that claims the same
 behaviour must pass this unchanged.
 
-After an intended output change, re-capture with
-``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+``PYTHONPATH=src python tests/test_golden.py`` captures the cases that have
+no file yet and leaves every stored file as it is, so a new case can be
+added without re-baselining the others.  After an intended output change,
+re-capture every case with ``--force`` and review the diff.
 """
 
 import contextlib
@@ -108,6 +116,9 @@ CASES = (
         "certify --example ex4.3 --order 8 --max-word-len 2",
         "linearize --example ex4.3 --order 8",
     ]
+    + ["certify --example ex4.3 --order 32 --max-word-len 8 --p 2"]
+    + [f"certify --example ex4.3 --order 48 --max-word-len 10 --p {p}" for p in (3, 4, 5)]
+    + ["certify roundtrip3.json", "certify involution_triple.json --max-word-len 6"]
 )
 
 
@@ -144,7 +155,14 @@ def test_golden_output(command):
 
 
 if __name__ == "__main__":
+    force = sys.argv[1:] == ["--force"]
+    if sys.argv[1:] and not force:
+        sys.exit("usage: python tests/test_golden.py [--force]")
+    captured = 0
     for command in CASES:
-        with open(_golden_path(command), "w", encoding="utf-8", newline="") as fh:
-            fh.write(_run(command))
-    sys.stdout.write(f"captured {len(CASES)} cases in {GOLDEN_DIR}\n")
+        path = _golden_path(command)
+        if force or not os.path.exists(path):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(_run(command))
+            captured += 1
+    sys.stdout.write(f"captured {captured} of {len(CASES)} cases in {GOLDEN_DIR}\n")

@@ -7,6 +7,7 @@ import os
 import random
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -677,7 +678,7 @@ def test_mobius_model_changes_no_report_on_random_files(monkeypatch, seed, condu
     if constraint:
         spec["field"] = {"conductor": conductor, "constraints": [constraint]}
     loaded = load_presentation_text(json.dumps(spec))
-    assert all(item.presentation._order2_model is not None for item in loaded)
+    assert all(item.presentation._model is not None for item in loaded)
     _assert_model_changes_no_report(monkeypatch, loaded, 3)
 
 
@@ -707,21 +708,31 @@ def test_non_mobius_at_order_n_takes_the_order_n_path(monkeypatch):
     gens[-1] = Germ(gens[-1].jet + bump)
     pres = GroupPresentation(gens, order=N)
     lower = GroupPresentation([Germ(g.jet.truncate(N - 1)) for g in gens], order=N - 1)
-    assert lower._order2_model is not None and pres._order2_model is None
+    assert lower._model is not None and pres._model is None
     orders = _certified_orders(monkeypatch)
     assert certify(pres, 2).to_json() == _reference_json(pres, 2)
     assert orders() == [N]
 
 
-def test_ex43_above_p1_and_order_1_take_the_order_n_path(monkeypatch):
+def test_ex43_takes_the_quotient_and_order_1_the_order_n_path(monkeypatch):
+    # every series of ex4.3 is z u(z^p): its quotients by z -> z^p are
+    # w/(1 -+ w) at order K + 1, which are Mobius, so it runs at order 2; at
+    # order 1 no model applies
     for p in range(2, 6):
-        (item,) = build_group_example("ex4.3", order=8, p=p)
-        assert item.presentation._order2_model is None
+        for N in (8, 32):
+            (item,) = build_group_example("ex4.3", order=N, p=p)
+            quotient = group_cert._quotient(item.presentation)
+            K = (N - 1) // p
+            assert quotient.order == K + 1
+            assert [g.jet.row for g in quotient.gens] == [
+                series_from_string(f"z/(1 {sign} z)", {}, order=K + 1).row for sign in "-+"
+            ]
+            assert item.presentation._model.order == 2
     for example in GROUP_EXAMPLES:
         for item in build_group_example(example, order=1):
-            assert item.presentation._order2_model is None
+            assert item.presentation._model is None
     calls = _counting(monkeypatch, "check_product_identity")
-    for argv, order in ((["--p", "3", "--order", "8"], 8), (["--order", "1"], 1)):
+    for argv, order in ((["--p", "3", "--order", "8"], 2), (["--order", "1"], 1)):
         for example in ("ex4.3", "g14") if order == 1 else ("ex4.3",):
             del calls[:]
             with contextlib.redirect_stdout(io.StringIO()):
@@ -734,7 +745,7 @@ def test_image_models_map_from_the_first_roots_model(monkeypatch):
     # sigma_u of its first root's model
     tests = _counting(monkeypatch, "_is_mobius")
     loaded = build_group_example("g18p", order=6)
-    models = [item.presentation._order2_model for item in loaded]
+    models = [item.presentation._model for item in loaded]
     assert len(tests) == len(set(loaded[0].presentation.classes))
     for item, model in zip(loaded, models):
         assert model.order == 2 and model.classes == item.presentation.classes
@@ -743,3 +754,152 @@ def test_image_models_map_from_the_first_roots_model(monkeypatch):
         ]
         if item.image_of is not None:
             assert model._galois_of[0] is models[item.image_of]
+
+
+# -- the quotient model of rotation-symmetric presentations ---------------------------
+
+
+def _symmetry_order(pres):
+    """p of the quotient test from the coefficient lists: the gcd of t - 1 over
+    the nonzero coefficients z^t of every generator, without the primes of
+    the multiplier orders; 1 if a multiplier is not a root of unity."""
+    p = 0
+    ell = 1
+    for g in pres.gens:
+        for t, c in enumerate(g.jet.coeffs):
+            if c:
+                p = gcd(p, t - 1)
+        # a root of unity of Q(zeta_n) has an order dividing 2n
+        orders = [m for m in range(1, 2 * g.conductor + 1) if g.multiplier**m == 1]
+        if not orders:
+            return 1
+        ell = lcm(ell, orders[0])
+    for q in range(2, ell + 1):
+        while ell % q == 0 and p and p % q == 0:
+            p //= q
+    return p
+
+
+def _symmetric_pair_texts(b, g, q):
+    """The texts of f = b z (1 + g z^q)^(-1/q) and of its inverse
+    b^-1 z (1 - g b^-q z^q)^(-1/q): f^q is the Mobius b^q w / (1 + g w) in
+    w = z^q."""
+    return (
+        f"({b})*z*pow(1 + ({g})*z^{q}, -1/{q})",
+        f"z/({b})*pow(1 - ({g})/({b})^{q}*z^{q}, -1/{q})",
+    )
+
+
+def _symmetric_pair(rng, v, p):
+    """A random pair of :func:`_symmetric_pair_texts` with q = p or 2p; a
+    quotient by z -> z^p of a q = 2p pair is not Mobius.  The multiplier b
+    is sometimes -1, a or -a, whose order may share a prime with p, and
+    sometimes 2, not a root of unity."""
+    b = rng.choice(["1", "1", "-1", v, f"{v}^2", f"-{v}", "2"])
+    g = rng.choice(["1", "-2", v, f"3*{v}^2", f"({v} + 1)/2"])
+    return _symmetric_pair_texts(b, g, rng.choice([p, 2 * p]))
+
+
+def _substitute(outer, inner):
+    """The text of outer o inner: z is the only name containing z."""
+    return outer.replace("z", f"({inner})")
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("p", [2, 3, 4, 6])
+@pytest.mark.parametrize("conductor, constraint", [(1, None), (3, "a^3 = 1"), (5, "a^5 = 1")])
+def test_quotient_model_changes_no_report_on_random_files(monkeypatch, seed, p, conductor, constraint):
+    # pairs (f, f^-1), a conjugate g o f o g^-1 and repeated generators, over
+    # one or several Galois orbits of roots
+    rng = random.Random(seed * 100 + p * 10 + conductor)
+    v = "a" if constraint else "1"
+    pairs = [_symmetric_pair(rng, v, p) for _ in range(rng.randint(1, 2))]
+    gens = [text for pair in pairs for text in pair]
+    if rng.random() < 0.5:
+        (f, _), (g, gi) = rng.choice(pairs), rng.choice(pairs)
+        gens.append(_substitute(g, _substitute(f, gi)))
+    gens.append(rng.choice(gens))
+    if rng.random() < 0.5:
+        rng.shuffle(gens)
+    N = rng.choice([7, 9, 12])
+    spec = {"order": N, "generators": gens}
+    if constraint:
+        spec["field"] = {"conductor": conductor, "constraints": [constraint]}
+    loaded = load_presentation_text(json.dumps(spec))
+    orders = _certified_orders(monkeypatch)
+    reports = certify_roots(loaded, 2)
+    expected = []
+    for item, report in zip(loaded, reports):
+        pres = item.presentation
+        assert report.to_json() == _reference_json(pres, 2)
+        q = _symmetry_order(pres)
+        quotient = group_cert._quotient(pres)
+        if q >= 2:
+            assert quotient.order == (N - 1) // q + 1
+            assert quotient.classes == pres.classes
+            expected.append(pres._model.order)
+            assert pres._model.order <= quotient.order
+        else:
+            assert quotient is None
+            expected.append(N if pres._model is None else 2)
+    assert orders() == expected
+
+
+def test_a_multiplier_order_sharing_a_prime_with_p_reduces_p(monkeypatch):
+    # f = -z (1 + z^6)^(-1/6): multiplier -1 of order 2, so z -> -z lies in
+    # the group and is in the kernel of z -> z^p for even p; p = 6 drops to 3
+    N = 13
+    f, fi = (series_from_string(t, {}, order=N) for t in _symmetric_pair_texts("-1", "1", 6))
+    pres = GroupPresentation([Germ(f), Germ(fi), Germ(f)], order=N)
+    assert group_cert._quotient(pres).order == (N - 1) // 3 + 1
+    orders = _certified_orders(monkeypatch)
+    assert certify(pres, 3).to_json() == _reference_json(pres, 3)
+    # at q = 2 the multiplier -1 leaves p = 1, and the run stays at order N
+    f, fi = (series_from_string(t, {}, order=N) for t in _symmetric_pair_texts("-1", "1", 2))
+    pres = GroupPresentation([Germ(f), Germ(fi)], order=N)
+    assert group_cert._quotient(pres) is None and pres._model is None
+    assert certify(pres, 3).to_json() == _reference_json(pres, 3)
+    assert orders()[-1] == N
+    # so does a multiplier that is not a root of unity
+    f, fi = (series_from_string(t, {}, order=N) for t in _symmetric_pair_texts("2", "1", 3))
+    pres = GroupPresentation([Germ(f), Germ(fi)], order=N)
+    assert group_cert._quotient(pres) is None and pres._model is None
+
+
+def test_symmetric_below_order_n_only_takes_the_order_n_path(monkeypatch):
+    # c z^N added to ex4.3 at p = 2 and even N: symmetric to order N - 1,
+    # not at degree N
+    N = 8
+    base = build_group_example("ex4.3", order=N, p=2)[0].presentation
+    bump = Jet([0] * N + [Fraction(-1, 3)], order=N)
+    gens = [base.gens[0], Germ(base.gens[1].jet + bump)]
+    pres = GroupPresentation(gens, order=N)
+    lower = GroupPresentation([Germ(g.jet.truncate(N - 1)) for g in gens], order=N - 1)
+    assert group_cert._quotient(lower) is not None and lower._model is not None
+    assert group_cert._quotient(pres) is None and pres._model is None
+    orders = _certified_orders(monkeypatch)
+    assert certify(pres, 3).to_json() == _reference_json(pres, 3)
+    assert orders() == [N]
+
+
+def test_image_roots_map_their_quotient_from_the_first_roots(monkeypatch):
+    # a^5 = 1: roots 1 and the orbit zeta_5 .. zeta_5^4; multipliers a are
+    # prime to p = 2, and the q = 4 pair keeps the quotient from being Mobius
+    spec = {
+        "field": {"conductor": 5, "constraints": ["a^5 = 1"]},
+        "order": 12,
+        "generators": [*_symmetric_pair_texts("a", "a + 2", 2), *_symmetric_pair_texts("a^2", "3", 4)],
+    }
+    quotients = _counting(monkeypatch, "_quotient")
+    loaded = load_presentation_text(json.dumps(spec))
+    models = [item.presentation._model for item in loaded]
+    assert len(quotients) == sum(item.image_of is None for item in loaded)
+    for item, model in zip(loaded, models):
+        pres = item.presentation
+        alone = GroupPresentation(pres.gens, pres.witnesses, order=pres.order)._model
+        assert model.order == alone.order == (12 - 1) // 2 + 1
+        assert [g.jet.row for g in model.gens] == [g.jet.row for g in alone.gens]
+        if item.image_of is not None:
+            assert model._galois_of[0] is models[item.image_of]
+    for item, report in zip(loaded, certify_roots(loaded, 2)):
+        assert report.to_json() == _reference_json(item.presentation, 2)
