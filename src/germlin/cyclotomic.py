@@ -77,8 +77,9 @@ def factorize(m: int) -> dict[int, int]:
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    """phi(n), the degree of Q(zeta_n); every field's first call, so the
-    conductor is checked here, before it is factored."""
+    """phi(n), the degree of Q(zeta_n).  Building a field element or table
+    asks for it first, so a conductor below 1 is named here, before it is
+    factored."""
     if n < 1:
         raise ValueError("conductor must be >= 1")
     phi = 1

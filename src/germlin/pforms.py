@@ -151,6 +151,14 @@ def _split(value) -> tuple:
     return value.numerator, value.denominator
 
 
+def _integral_point(point) -> tuple[list, int]:
+    """(p, q): the coordinates of a point as integral numerators p_i over q,
+    the lcm of their denominators."""
+    split = [_split(x) for x in point]
+    q = lcm(*[d for _, d in split])
+    return [a * (q // d) for a, d in split], q
+
+
 def _over(a, d: int) -> Scalar:
     """The scalar a / d for an integral numerator a and an int d > 0."""
     return Fraction(a, d) if type(a) is int else a * Fraction(1, d)
@@ -328,16 +336,9 @@ class MultiPoly:
     def evaluate(self, point: Sequence) -> Scalar:
         """The value at a point.  With each coordinate an integral numerator
         p_i over an int, and q the lcm of those ints, it sums
-        num_e * prod p_i^e_i * q^(deg - |e|) and divides once by den * q^deg.
-        Those powers are bounded first, as a power in an expression is
-        (``expressions.check_power_work``), by the degree times the bits and
-        the size of the p_i and q: a 96-coordinate p_i grows all of its
-        coordinates, and each of its products costs 96^2 integer products."""
-        split = [_split(x) for x in point]
-        q = lcm(*[d for _, d in split])
-        p = [a * (q // d) for a, d in split]
+        num_e * prod p_i^e_i * q^(deg - |e|) and divides once by den * q^deg."""
+        p, q = _integral_point(point)
         deg = max(self.nums, default=0) >> _DEG
-        check_power_work(p + [q], deg, "a point coordinate")
         power = cache(pow)
         total = 0
         for e, c in self.nums.items():
@@ -805,11 +806,19 @@ def _cone_matches_restriction(omega: PForm1, chart, restricted: PForm1) -> bool:
 
 
 def kupka_test(omega: PForm1, q: Sequence) -> bool:
-    """True iff q is a singular point of omega where d(omega) does not vanish."""
+    """True iff q is a singular point of omega where d(omega) does not vanish.
+
+    The evaluations form powers of the point's integral numerators and their
+    common denominator up to omega's total degree, so those are bounded
+    first, as a power in an expression is (``expressions.check_power_work``):
+    a 96-coordinate numerator grows all of its coordinates, and each of its
+    products costs 96^2 integer products."""
     if len(q) != omega.nvars:
         raise ValueError(
             f"point has {len(q)} coordinates for {omega.nvars} variables"
         )
+    p, d = _integral_point(q)
+    check_power_work(p + [d], total_degree(omega), "a point coordinate")
     if any(omega.evaluate(q).values()):
         return False
     return any(exterior_d(omega).evaluate(q).values())
