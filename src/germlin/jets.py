@@ -493,7 +493,9 @@ class Jet:
             return NotImplemented
         if e < 0:
             return jet_mul_inverse(self) ** (-e)
-        return _power(self, e, Jet.constant(1, self.order, self.conductor))
+        if e == 0:
+            return Jet.constant(1, self.order, self.conductor)
+        return _power(self, e, None)  # the identity is returned only for e == 0
 
     def __eq__(self, other):
         if not isinstance(other, Jet):
