@@ -96,11 +96,11 @@ def affine_conjugator_search(
         (letter, lambda h, g=g: h.compose(g), lambda s: None)
         for letter, g in distinct_letters(pairs, AffineMap.key)
     ]
-    return reduced_word_search(
+    (found,) = reduced_word_search(
         (AffineMap.identity(), None),
         letters,
         AffineMap.key,
-        lambda s: True,
-        lambda h: fi.compose(h) == h.compose(fj),
+        [(lambda s: True, lambda h: fi.compose(h) == h.compose(fj))],
         max_len,
     )
+    return found

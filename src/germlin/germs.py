@@ -12,10 +12,14 @@ All equality statements are congruences to the shared order N.
 
 Words over the generators and one breadth-first enumerator of reduced words
 (:func:`reduced_word_search`) live here too; the conjugator searches of
-``group_cert`` and ``affine`` are thin wrappers around it.  Its nodes are
-lazy: a child is tested through a cheap sketch when it is generated, and its
-full value is composed only when the sketch cannot rule it out or when the
-child is popped from the FIFO queue, where it is deduplicated.
+``group_cert`` and ``affine`` are thin wrappers around it.  It takes a list
+of goals and grows one tree for all of them, since the tree depends only on
+the letters: ``group_cert.certify`` runs one tree per root, with one goal per
+open pair of classes.  Its nodes are lazy: a child is tested through a cheap
+sketch when it is generated, and its full value is composed, at most once,
+only when the sketch cannot rule it out for some goal or when the child is
+popped from the FIFO queue, where it is deduplicated.  Where the sketch
+determines the value, nothing is composed at all.
 """
 
 from __future__ import annotations
@@ -216,42 +220,54 @@ def reduced_word_search(
     start: tuple,
     letters: Sequence[tuple[tuple[int, int], Callable, Callable]],
     key: Callable[[object], Hashable],
-    may_be_witness: Callable[[object], bool],
-    is_witness: Callable[[object], bool],
+    goals: Sequence[tuple[Callable[[object], bool], Callable[[object], bool]]],
     max_len: int,
-) -> Optional[Word]:
-    """Breadth-first search for the first reduced word whose value is a witness.
+    value_of: Optional[Callable[[object], object]] = None,
+) -> list[Optional[Word]]:
+    """Breadth-first search for the first reduced word of each goal.
 
     A node is (value, sketch); ``start`` is the node of the empty word.
     ``letters`` holds (letter, act, advance) triples: ``act`` takes a value to
     its composition with the letter on the right, and ``advance`` takes a
     node's sketch to that of its child by the letter.  A sketch is a cheap
-    summary of a node, and ``may_be_witness(sketch)`` must hold for every
-    witness; only where it holds, at the start node as at any other, is the
-    node's value composed and ``is_witness(value)`` asked.  Words are
-    enumerated shortest first, then in the order of ``letters``, skipping a
-    letter right after its own inverse.
+    summary of a node.  ``goals`` holds (may_be_witness, is_witness) pairs: a
+    witness of a goal is a value for which ``is_witness(value)`` holds, and
+    ``may_be_witness(sketch)`` must hold for every witness; only where it
+    holds, at the start node as at any other, is the node's value composed
+    and ``is_witness(value)`` asked.  Words are enumerated shortest first,
+    then in the order of ``letters``, skipping a letter right after its own
+    inverse.  The tree depends only on the letters, so all goals share it:
+    every generated node is tested against every open goal, a goal is
+    dropped once it has its word, and the search stops when no goal is open.
 
     Nodes are lazy.  Every child is tested when it is generated, but it is
     queued as (word, parent value, act, sketch) and its value is composed
-    when it is popped, once per queued node (a child composed for the exact
-    test is queued with its value).  A popped node is deduplicated by
-    ``key(value)`` and expanded only if its value is new; a child of length
-    ``max_len`` is never queued.  The result equals that of the eager search
-    that composes and deduplicates each child as it is generated: the queue
-    is FIFO, so of several equal values the first generated is the first
-    popped, and the verdict depends only on the value, so a later copy's
-    verdict is that of its first copy, which was tested earlier.  Returns the
+    when it is popped; a child composed for an exact test is queued with its
+    value, so each node is composed at most once, whatever the number of
+    goals.  Where every sketch determines its node's value, ``value_of``
+    reads it (``act`` is then never called) and nothing is composed.  A
+    popped node is deduplicated by ``key(value)`` and expanded only if its
+    value is new; a child of length ``max_len`` is never queued.  Each goal's
+    word equals that of the eager search that composes and deduplicates
+    each child as it is generated, with that goal alone: the queue is FIFO,
+    so of several equal values the first generated is the first popped, and
+    the verdict depends only on the value, so a later copy's verdict is that
+    of its first copy, which was tested earlier.  Returns, goal by goal, the
     first witness word of length <= max_len; None means only "not found up
     to max_len".
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
+    found: list[Optional[Word]] = [None] * len(goals)
     value, sketch = start
-    if may_be_witness(sketch) and is_witness(value):
-        return Word.empty()
+    open_goals = []  # (index, may_be_witness, is_witness), in the order of goals
+    for g, (may_be_witness, is_witness) in enumerate(goals):
+        if may_be_witness(sketch) and is_witness(value):
+            found[g] = Word.empty()
+        else:
+            open_goals.append((g, may_be_witness, is_witness))
     seen: set = set()
-    queue = deque([((), value, None, sketch)] if max_len else [])
+    queue = deque([((), value, None, sketch)] if open_goals and max_len else [])
     while queue:
         word, value, pending, sketch = queue.popleft()
         if pending is not None:
@@ -267,15 +283,25 @@ def reduced_word_search(
                 continue  # skip immediate cancellation: reduced words only
             child_sketch = advance(sketch)
             new_word = word + (letter,)
-            if may_be_witness(child_sketch):
-                child = act(value)
-                if is_witness(child):
-                    return Word(new_word)
-                if queue_children:
+            child = None if value_of is None else value_of(child_sketch)
+            resolved = False
+            for g, may_be_witness, is_witness in open_goals:
+                if may_be_witness(child_sketch):
+                    if child is None:
+                        child = act(value)
+                    if is_witness(child):
+                        found[g] = Word(new_word)
+                        resolved = True
+            if resolved:
+                open_goals = [goal for goal in open_goals if found[goal[0]] is None]
+                if not open_goals:
+                    return found
+            if queue_children:
+                if child is None:
+                    queue.append((new_word, value, act, child_sketch))
+                else:
                     queue.append((new_word, child, None, child_sketch))
-            elif queue_children:
-                queue.append((new_word, value, act, child_sketch))
-    return None
+    return found
 
 
 def evaluate_word(word: Word, gens: Sequence[Germ]) -> Germ:

@@ -9,18 +9,25 @@ order, optionally with conjugacy witness words.  Certification checks
   bounded breadth-first search over reduced words (value-deduplicated at
   order N).  The search letters keep one letter per distinct value of the
   generators and their inverses.  Generators with equal order-N values form
-  one class, numbered by its first generator (``classes``), and one search
-  result serves every pair (i, j) in the same pair of classes, and so does
-  one resolution and its JSON.  The search, the witness check and the
-  product identity compose in the canonical sparse rows of ``jets``, so a
-  node's value is a row, which is also its dedup key, and no field element
-  is built on the way.  A node h is composed in full only when it is
-  expanded or when f_i o h and h o f_j agree in their coefficients of
-  degree <= K, which come from the parent's through the first K + 1 rows of
-  the power tables; as h(0) = 0 these are the jets' own low coefficients,
-  so a mismatch there is exact.  K = min(N, max(2, k_i + 1, k_j + 1)), with
-  k the tangency order of f_i or f_j where it is flat.  A failed search is
-  recorded as "not-found-up-to", never as a proof of non-conjugacy,
+  one class, numbered by its first generator (``classes``), and one word
+  serves every pair (i, j) in the same pair of classes, and so does one
+  resolution and its JSON.  The tree of reduced words depends only on the
+  letters, so a presentation grows one tree, with one goal per pair of
+  classes still open, and each goal gets the first witness word in the
+  tree's order, the word of a search for its pair alone.  The search, the
+  witness check and the product identity compose in the canonical sparse
+  rows of ``jets``, so a node's value is a row, which is also its dedup
+  key, and no field element is built on the way.  A node h carries its
+  coefficients of degree <= K and those of f_c o h and h o f_d for the
+  classes c and d of the goals, which come from the parent's through the
+  first K + 1 rows of the power tables; as h(0) = 0 these are the jets' own
+  low coefficients, so a mismatch there is exact.  h is composed in full,
+  at most once, only when it is expanded or when the two sides of a goal
+  agree to degree K; where K = N its row to degree K is its value, and
+  nothing is composed.  K is the largest min(N, max(2, k_i + 1, k_j + 1))
+  over the goals, with k the tangency order of f_i or f_j where it is flat.
+  A failed search is recorded as "not-found-up-to", never as a proof of
+  non-conjugacy,
 * applicability of the finiteness criterion (multiplier order 1 or a prime
   power, with every other check positive).
 
@@ -83,18 +90,19 @@ built.  Since the expressions have only integer literals and the one scalar,
 that is what evaluating at zeta^k would give.  It records the orbit's first
 root as ``image_of``.
 
-:func:`certify_roots` searches only the first root of each orbit.  Every
-other root takes over its search outcomes position by position: sigma_u maps
-generator i of the first root to generator i of the image, and since it is
-injective the two roots have the same ``classes``, so pair (i, j) of the
-image reads pair (i, j) of the first root's report.  Each transferred found
-word is checked again with :func:`check_conjugacy_witness`, and the pair is
-searched if the check fails.  A transferred "not-found-up-to" is exact as it
-stands: sigma_u is a field automorphism that commutes with composition and
-inversion of jets and is injective, so it maps the letters, the reduced-word
-tree and its deduplication of the first root's search onto those of the
-image node for node.  Witnesses and the product identity are still checked
-on every solution.
+:func:`certify_roots` grows a search tree only on the first root of each
+orbit.  Every other root takes over its search outcomes position by
+position: sigma_u maps generator i of the first root to generator i of the
+image, and since it is injective the two roots have the same ``classes``,
+so pair (i, j) of the image reads pair (i, j) of the first root's report.
+Each transferred found word is checked again with
+:func:`check_conjugacy_witness`, and if the check fails the pair becomes a
+goal of a tree on the image.  A transferred "not-found-up-to" is exact as
+it stands: sigma_u is a field automorphism that commutes with composition
+and inversion of jets and is injective, so it maps the letters, the
+reduced-word tree and its deduplication of the first root's search onto
+those of the image node for node.  Witnesses and the product identity are
+still checked on every solution.
 
 The image also takes its tables from the first root: its right composers and
 inverse generators are the sigma_u images of the first root's, mapped row by
@@ -114,6 +122,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .cyclotomic import (
@@ -213,6 +222,8 @@ class GroupPresentation:
             self._check_index(j)
             if not isinstance(w, Word):
                 raise PresentationError("witnesses must be Word values")
+            for idx, _ in w.letters:
+                self._check_index(idx)
         self._composers: dict = {}  # by row
         self._letter_composers: dict = {}  # by (class, sign)
         self._inverses: dict = {}  # by class
@@ -418,42 +429,98 @@ def search_conjugator(
     (generator index, sign) over :meth:`GroupPresentation.letters`, which
     keeps one letter per distinct value; candidates are deduplicated by their
     order-N value, so only one word per group-element value is ever expanded.
-    The result depends only on the values of f_i and f_j, so :func:`certify`
-    shares it between pairs with equal classes.
-
-    Nodes are the canonical rows of their order-N values (``jets``), so a
-    row is its own dedup key and the exact test compares rows.  Each node h
-    carries the rows to degree K of h and of f_i o h; a child h o l gets
-    both from its parent's through the first K + 1 rows of the letter's
-    power table (:meth:`RightComposer.prefix`).  The witness side h o f_j to
-    degree K comes the same way from f_j's table.  Since h(0) = f_j(0) = 0,
-    these are the exact coefficients of degree <= K of the order-N jets, so
-    a mismatch of the two rows is a mismatch of the jets and rules the node
-    out.  Only where they agree is h composed in full and the test completed
-    exactly, f_i o h == h o f_j to order N.  K is the :func:`_filter_degree`
-    of f_i and f_j.  The returned word satisfies
+    The result depends only on the values of f_i and f_j.  This is the tree
+    of :func:`_search_tree` with the one goal (i, j); :func:`certify` grows
+    one tree for all of a root's open pairs of classes, and each of its goals
+    gets the word that this search returns.  The returned word satisfies
     :func:`check_conjugacy_witness` by construction; None means only "not
     found up to max_len".
     """
-    pres._check_index(i)
-    pres._check_index(j)
+    (found,) = _search_tree(pres, [(i, j)], max_len)
+    return found
+
+
+def _search_tree(
+    pres: GroupPresentation, pairs: Sequence[tuple[int, int]], max_len: int
+) -> list[Optional[Word]]:
+    """One :func:`reduced_word_search` with one goal per pair (i, j) of
+    ``pairs``, f_i o h == h o f_j to order N: the word of each goal, as
+    :func:`search_conjugator` finds it for that pair alone.
+
+    Nodes are the canonical rows of their order-N values (``jets``), so a
+    row is its own dedup key and the exact test compares rows.  A node h
+    carries the rows to degree K of h, of f_c o h for each class c on the i
+    side of a goal, and of h o f_d for each class d on its j side; a child
+    h o l gets all of them from its parent's through the first K + 1 rows of
+    the power tables of l and of f_d (:meth:`RightComposer.prefix`), so h o
+    f_d is composed once per node and class, whatever the number of goals.
+    Since h(0) = f_d(0) = 0, these are the exact coefficients of degree <= K
+    of the order-N jets, so a mismatch of the two rows of a goal is a
+    mismatch of its jets and rules the node out for that goal.  Only where
+    they agree is h composed in full and the goal's test completed exactly.
+    K is the largest :func:`_filter_degree` of the pairs, never above N, so
+    the filter holds for every witness of every goal.  Where K = N the row of
+    h in the sketch is the node's value, and nothing is composed.  A goal
+    with f_i = f_j needs no rows: the empty word is its witness, which the
+    test of the start node finds before any child is made.
+    """
+    for i, j in pairs:
+        pres._check_index(i)
+        pres._check_index(j)
     N, n = pres.order, pres.conductor
-    K = _filter_degree(pres.generator(i), pres.generator(j))
-    fi = pres.generator(i).jet
-    compose_fj = pres.letter_composer(j, 1)
-    # a sketch is the pair of rows (h, f_i o h) to degree K
-    letters = [
-        (letter, comp.compose, lambda s, c=comp: (c.prefix(s[0], K), c.prefix(s[1], K)))
-        for letter, comp in pres.letters()
-    ]
-    return reduced_word_search(
-        (_Z_ROW, (_Z_ROW, fi.truncate(K).row)),
-        letters,
-        _row_key,
-        lambda s: s[1] == compose_fj.prefix(s[0], K),
-        lambda h: _compose_rows(fi.row, h, N, n) == compose_fj.compose(h),
-        max_len,
+    classes = pres.classes
+    K = max(_filter_degree(pres.generator(i), pres.generator(j)) for i, j in pairs)
+    left: dict[int, int] = {}  # class on the i side -> its slot in the sketch
+    right: dict[int, int] = {}  # class on the j side -> its slot
+    for i, j in pairs:
+        if classes[i - 1] != classes[j - 1]:
+            left.setdefault(classes[i - 1], len(left))
+            right.setdefault(classes[j - 1], len(right))
+    right_prefixes = [pres.letter_composer(d + 1, 1).prefix for d in right]
+
+    def advance_by(prefix):
+        # a sketch is (h, the rows f_c o h, the rows h o f_d), all to degree K
+        def advance(s):
+            h = prefix(s[0], K)
+            return (
+                h,
+                tuple([prefix(row, K) for row in s[1]]),
+                tuple([right_prefix(h, K) for right_prefix in right_prefixes]),
+            )
+
+        return advance
+
+    goals = []
+    for i, j in pairs:
+        ci, cj = classes[i - 1], classes[j - 1]
+        if ci == cj:
+            may_be_witness = _always
+        else:
+            may_be_witness = lambda s, a=left[ci], b=right[cj]: s[1][a] == s[2][b]
+        fi, compose_fj = pres.gens[ci].jet.row, pres.letter_composer(j, 1).compose
+        goals.append(
+            (
+                may_be_witness,
+                lambda h, fi=fi, fj=compose_fj: _compose_rows(fi, h, N, n) == fj(h),
+            )
+        )
+    start = (
+        _Z_ROW,
+        tuple(pres.gens[c].jet.truncate(K).row for c in left),
+        tuple(pres.gens[d].jet.truncate(K).row for d in right),
     )
+    return reduced_word_search(
+        (_Z_ROW, start),
+        [(letter, comp.compose, advance_by(comp.prefix)) for letter, comp in pres.letters()],
+        _row_key,
+        goals,
+        max_len,
+        value_of=itemgetter(0) if K == N else None,
+    )
+
+
+def _always(sketch) -> bool:
+    return True
 
 
 def _row_key(row: tuple) -> tuple:
@@ -555,12 +622,14 @@ def certify(
 ) -> IrreducibilityReport:
     """Run all certification checks and assemble the report.
 
-    Witnesses are consulted first; bounded search is the fallback, run once
-    per pair of classes (:attr:`GroupPresentation.classes`) and shared by
-    every pair (i, j) in those classes.  The finiteness criterion is marked
-    applicable only when the product identity, multiplier equality, every
-    conjugacy, and the prime-power condition on the multiplier order all
-    hold.
+    Witnesses are consulted first, then transferred words; bounded search is
+    the fallback.  One search tree serves the presentation
+    (:func:`_search_tree`), with one goal per pair of classes
+    (:attr:`GroupPresentation.classes`) still open, and each goal's word is
+    shared by every pair (i, j) in those classes.  The finiteness criterion
+    is marked applicable only when the product identity, multiplier
+    equality, every conjugacy, and the prime-power condition on the
+    multiplier order all hold.
 
     When the presentation has an exact smaller model
     (:attr:`GroupPresentation._model`: its quotient by z -> z^p, its order-2
@@ -586,10 +655,11 @@ def certify(
         pres = model
     product_ok = check_product_identity(pres)
 
-    conjugacy: dict[tuple[int, int], ConjugacyResolution] = {}
+    conjugacy: dict[tuple[int, int], Optional[ConjugacyResolution]] = {}
     classes = pres.classes
-    # one resolution per (class of i, class of j), shared by its pairs
-    resolved: dict[tuple[int, int], ConjugacyResolution] = {}
+    # the word (or None) of each (class of i, class of j), shared by its pairs
+    words: dict[tuple[int, int], Optional[Word]] = {}
+    goals: dict[tuple[int, int], tuple[int, int]] = {}  # class pair -> its first pair
     m = len(pres.gens)
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
@@ -597,24 +667,31 @@ def certify(
             if w is not None and check_conjugacy_witness(pres, i, j, w):
                 conjugacy[(i, j)] = ConjugacyResolution("verified-by-witness", word=w)
                 continue
+            conjugacy[(i, j)] = None  # resolved below, in this order
             pair = (classes[i - 1], classes[j - 1])
-            resolution = resolved.get(pair)
-            if resolution is None:
-                prior = transferred.conjugacy[(i, j)] if transferred else None
-                # a transferred word counts only if it passes the check here;
-                # a transferred not-found-up-to (no word) stands
-                if prior is not None and (
-                    prior.word is None or check_conjugacy_witness(pres, i, j, prior.word)
-                ):
-                    found = prior.word
-                else:
-                    found = search_conjugator(pres, i, j, max_len)
-                if found is not None:
-                    resolution = ConjugacyResolution("found-by-search", word=found)
-                else:
-                    resolution = ConjugacyResolution("not-found-up-to", max_len=max_len)
-                resolved[pair] = resolution
-            conjugacy[(i, j)] = resolution
+            if pair in words or pair in goals:
+                continue
+            prior = transferred.conjugacy[(i, j)] if transferred else None
+            # a transferred word counts only if it passes the check here;
+            # a transferred not-found-up-to (no word) stands
+            if prior is not None and (
+                prior.word is None or check_conjugacy_witness(pres, i, j, prior.word)
+            ):
+                words[pair] = prior.word
+            else:
+                goals[pair] = (i, j)
+    if goals:
+        # one tree for every open pair of classes
+        words.update(zip(goals, _search_tree(pres, list(goals.values()), max_len)))
+    resolved = {
+        pair: ConjugacyResolution("found-by-search", word=word)
+        if word is not None
+        else ConjugacyResolution("not-found-up-to", max_len=max_len)
+        for pair, word in words.items()
+    }
+    for i, j in conjugacy:
+        if conjugacy[(i, j)] is None:
+            conjugacy[(i, j)] = resolved[(classes[i - 1], classes[j - 1])]
 
     pp = prime_power_order(order) if order is not None else None
     applicable = (

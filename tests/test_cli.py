@@ -95,6 +95,25 @@ def test_certify_malformed_witness_letters(tmp_path, capsys, word):
     assert err.count("\n") == 1 and "witness" in err
 
 
+@pytest.mark.parametrize("command", ["certify", "linearize"])
+def test_witness_word_naming_a_generator_out_of_range(tmp_path, capsys, command):
+    # linearize reads no witness, and used to print this group's obstruction
+    # (exit 1) past a word that names a fifth generator of four
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        json.dumps(
+            {
+                "order": 4,
+                "generators": ["-z", "-z + z^2", "-z", "-z"],
+                "witnesses": {"(1,2)": [[7, 1]]},
+            }
+        )
+    )
+    code, out, err = run(capsys, command, str(bad))
+    assert code == 2 and out == ""
+    assert err == "germlin: error: generator index 7 out of range 1..4\n"
+
+
 def test_certify_integer_witness_letters(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"order": 4, "generators": ["z", "z"], "witnesses": {"(1,2)": [[1, 2]]}}))

@@ -193,6 +193,14 @@ def test_search_conjugator_negative():
         search_conjugator(pres, 1, 2, -1)
 
 
+def test_witness_words_name_generators_in_range():
+    f, g = _germ([0, -1], 4), _germ([0, -1, 1], 4)
+    GroupPresentation([f, g], {(1, 2): Word(((2, 1), (1, -1)))})
+    for bad in ({(1, 3): Word(((1, 1),))}, {(1, 2): Word(((1, 1), (3, -1)))}):
+        with pytest.raises(PresentationError, match="generator index 3 out of range 1..2"):
+            GroupPresentation([f, g], bad)
+
+
 def test_certify_rotation_group():
     N = 12
     mu = zeta(4)
@@ -373,12 +381,13 @@ def test_image_roots_map_their_tables_from_the_first_root(monkeypatch, example):
 
 
 def test_one_search_per_orbit_of_roots(monkeypatch):
-    # the six roots of g18p are one Galois orbit: 4 searches, not 6 x 4
+    # the six roots of g18p are one Galois orbit: one tree with 4 goals on
+    # the first root, none on the other five
     loaded = build_group_example("g18p", order=4)
     assert len(loaded) == 6
-    searches = _counting(monkeypatch, "search_conjugator")
+    trees = _counting(monkeypatch, "reduced_word_search")
     certify_roots(loaded, 1)
-    assert len(searches) == 4
+    assert [len(args[3]) for args, _ in trees] == [4]
 
 
 def test_two_orbits_file_transfers_only_within_an_orbit(monkeypatch):
@@ -536,14 +545,18 @@ def test_transferred_word_failing_its_check_is_searched_again(monkeypatch):
     def first_root(resolution):
         return dataclasses.replace(alone, conjugacy={**alone.conjugacy, (1, 6): resolution})
 
-    searches = _counting(monkeypatch, "search_conjugator")
+    # one tree, whose one goal is (1, 6); the other pairs take over their
+    # transferred outcomes
+    trees = _counting(monkeypatch, "_search_tree")
+    goals = _counting(monkeypatch, "reduced_word_search")
     rep = certify(pres, 2, transferred=first_root(ConjugacyResolution("found-by-search", bogus)))
     assert _reports_json([rep]) == _reports_json([alone])
-    assert [args[1:3] for args, _ in searches] == [(1, 6)]
-    del searches[:]
+    assert [args[1] for args, _ in trees] == [[(1, 6)]]
+    assert [len(args[3]) for args, _ in goals] == [1]
+    del trees[:], goals[:]
     rep = certify(pres, 2, transferred=first_root(ConjugacyResolution("not-found-up-to", max_len=2)))
     assert [rep.conjugacy[(i, 6)].status for i in range(1, 5)] == ["not-found-up-to"] * 4
-    assert searches == []
+    assert trees == goals == []
 
 
 def test_loader_evaluates_each_distinct_expression_once(monkeypatch):

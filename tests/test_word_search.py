@@ -2,12 +2,13 @@
 
 The library searches over value-deduplicated letters, composes a node only
 when it is popped or when its low-degree prefixes pass the witness filter,
-and shares one search between all pairs (i, j) with equal values of f_i and
-f_j; the oracle in ``oracles.naive_conjugator_search`` uses all 2m letters,
-composes every word in full and shares nothing.  Both must return the same
-words.
+and grows one tree for all the goals (i, j) of a root, one goal per pair of
+values of f_i and f_j; the oracle in ``oracles.naive_conjugator_search``
+uses all 2m letters, composes every word in full and shares nothing.  Both
+must return the same words.
 """
 
+import os
 import random
 from fractions import Fraction
 
@@ -16,15 +17,16 @@ import pytest
 import germlin.group_cert as group_cert
 from germlin.affine import AffineMap, affine_conjugator_search
 from germlin.cyclotomic import CycloElem, cyclo_embed, zeta
-from germlin.germs import Germ, Word
+from germlin.germs import Germ, Word, reduced_word_search
 from germlin.group_cert import (
     GroupPresentation,
     certify,
     check_conjugacy_witness,
+    load_presentation_file,
     search_conjugator,
 )
 from germlin.jets import Jet, RightComposer, _sparse_row, jet_compose
-from germlin.registry import build_group_example
+from germlin.registry import GROUP_EXAMPLES, build_group_example
 
 from oracles import (
     lagrange_inverse,
@@ -33,6 +35,7 @@ from oracles import (
     random_fraction,
     random_jet,
 )
+from test_golden import GOLDEN_DIR
 
 
 def _inverses(pres: GroupPresentation) -> list:
@@ -170,21 +173,22 @@ def test_affine_search_matches_oracle(seed):
 
 
 @pytest.mark.parametrize(
-    "example, N, L, searches",
+    "example, N, L, goals",
     [("g18p", 4, 1, 4), ("ex4.1", 12, 3, 4)],
 )
-def test_one_search_per_distinct_value_pair(monkeypatch, example, N, L, searches):
-    calls = []
-    original = group_cert.search_conjugator
+def test_one_search_per_distinct_value_pair(monkeypatch, example, N, L, goals):
+    # one tree per root, with one goal per distinct value pair
+    trees = []
+    original = group_cert._search_tree
 
-    def counting(pres, i, j, max_len):
-        calls.append((i, j))
-        return original(pres, i, j, max_len)
+    def counting(pres, pairs, max_len):
+        trees.append(list(pairs))
+        return original(pres, pairs, max_len)
 
-    monkeypatch.setattr(group_cert, "search_conjugator", counting)
+    monkeypatch.setattr(group_cert, "_search_tree", counting)
     for item in build_group_example(example, order=N):
         pres = item.presentation
-        calls.clear()
+        trees.clear()
         rep = certify(pres, L)
         keys = [g.jet.key() for g in pres.gens]
         unwitnessed = {
@@ -192,7 +196,9 @@ def test_one_search_per_distinct_value_pair(monkeypatch, example, N, L, searches
             for (i, j), res in rep.conjugacy.items()
             if res.status != "verified-by-witness"
         }
-        assert len(calls) == len(unwitnessed) == searches
+        assert len(trees) == 1
+        assert {(keys[i - 1], keys[j - 1]) for i, j in trees[0]} == unwitnessed
+        assert len(trees[0]) == len(unwitnessed) == goals
         # z/a, its inverse a z, and the last two generators with their inverses
         assert len(pres.letters()) == 6
         # f_1 = f_2 = z/a: one inverse serves both
@@ -242,27 +248,31 @@ def test_flat_presentations_match_oracle(seed):
 
 def _counting_search(monkeypatch) -> dict:
     """Counts, over the searches that follow, of popped nodes (``key`` is
-    asked once per pop), filter passes and full right compositions
-    (``RightComposer.compose``), and the values (rows) given the exact
-    test."""
+    asked once per pop), filter passes of every goal and full right
+    compositions (``RightComposer.compose``), and the values (rows) given
+    the exact tests."""
     counts = {"popped": 0, "passed": 0, "composed": 0, "exact": []}
     engine = group_cert.reduced_word_search
 
-    def counting_engine(start, letters, key, may_be_witness, is_witness, max_len):
+    def counting_engine(start, letters, key, goals, max_len, value_of=None):
         def counted_key(value):
             counts["popped"] += 1
             return key(value)
 
-        def counted_filter(sketch):
-            passed = may_be_witness(sketch)
-            counts["passed"] += passed
-            return passed
+        def counted_goal(may_be_witness, is_witness):
+            def counted_filter(sketch):
+                passed = may_be_witness(sketch)
+                counts["passed"] += passed
+                return passed
 
-        def counted_exact(value):
-            counts["exact"].append(value)
-            return is_witness(value)
+            def counted_exact(value):
+                counts["exact"].append(value)
+                return is_witness(value)
 
-        return engine(start, letters, counted_key, counted_filter, counted_exact, max_len)
+            return counted_filter, counted_exact
+
+        goals = [counted_goal(*goal) for goal in goals]
+        return engine(start, letters, counted_key, goals, max_len, value_of)
 
     compose = RightComposer.compose
 
@@ -329,3 +339,195 @@ def test_search_never_hashes_field_elements(monkeypatch):
         assert search_conjugator(pres, i, j, L) == word
         if word is not None:
             assert check_conjugacy_witness(pres, i, j, word)
+
+
+# -- one tree for many goals ----------------------------------------------------------
+
+
+def _class_pairs(pres: GroupPresentation) -> list:
+    """One (i, j) per ordered pair of classes, f_i = f_j included: the goals
+    of a tree that holds every class on both sides of its sketch."""
+    firsts = sorted(set(pres.classes))
+    return [(a + 1, b + 1) for a in firsts for b in firsts]
+
+
+def _assert_tree_matches_single_searches(pres, pairs, max_len) -> list:
+    """Each goal's word in one tree equals the word of search_conjugator for
+    its pair alone and that of the oracle, and passes the witness check.
+    Where f_i = f_j that word is the empty word, without asking the oracle."""
+    words = group_cert._search_tree(pres, pairs, max_len)
+    inverses = _inverses(pres)
+    assert len(words) == len(pairs)
+    for (i, j), word in zip(pairs, words):
+        assert word == search_conjugator(pres, i, j, max_len)
+        if pres.classes[i - 1] == pres.classes[j - 1]:
+            assert word == Word.empty()
+        else:
+            assert word == _oracle(pres, i, j, max_len, inverses)
+        if word is not None:
+            assert check_conjugacy_witness(pres, i, j, word)
+    return words
+
+
+@pytest.mark.parametrize("N", [2, 4, 16, 32])
+@pytest.mark.parametrize("example", GROUP_EXAMPLES)
+def test_tree_goals_match_single_searches_on_registry_examples(example, N):
+    # the first root, and at N <= 4 also the last: a Galois image with
+    # mapped tables, except for ex4.3, whose one root is rational.  The
+    # oracle composes every word in full, so the families of 20 to 36
+    # letters search one letter deep above N = 4.
+    loaded = build_group_example(example, order=N)
+    L = 3 if len(loaded[0].presentation.letters()) <= 6 else 1 if N > 4 else 2
+    for item in (loaded[0], loaded[-1]) if N <= 4 else loaded[:1]:
+        pres = item.presentation
+        _assert_tree_matches_single_searches(pres, _class_pairs(pres), L)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_tree_goals_match_single_searches_on_ex43(p):
+    # at order 12 the two generators are distinct for every p, and no word up
+    # to length 4 conjugates one to the other
+    pres = build_group_example("ex4.3", order=12, p=p)[0].presentation
+    words = _assert_tree_matches_single_searches(pres, _class_pairs(pres), 4)
+    assert words == [Word.empty(), None, None, Word.empty()]
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_tree_goals_of_three_filter_degrees_match_single_searches(seed):
+    # one tree holds goals with K = 2, 3 and 4, and runs at K = 4 < N
+    pres = _flat_presentation(seed)
+    pairs = [(i, j) for i in range(1, len(pres) + 1) for j in range(1, len(pres) + 1)]
+    degrees = {group_cert._filter_degree(pres.generator(i), pres.generator(j)) for i, j in pairs}
+    assert degrees == {2, 3, 4}
+    words = _assert_tree_matches_single_searches(pres, pairs, 3)
+    assert any(words)
+
+
+@pytest.mark.parametrize("name, L", [("involution_triple.json", 6), ("roundtrip3.json", 8)])
+def test_tree_goals_match_single_searches_at_order_n(name, L):
+    # neither Mobius nor symmetric: the tree runs at order N, with K = 2 < N
+    for item in load_presentation_file(os.path.join(GOLDEN_DIR, name)):
+        pres = item.presentation
+        assert pres._model is None
+        degrees = [group_cert._filter_degree(f, g) for f in pres.gens for g in pres.gens]
+        assert max(degrees) < pres.order
+        _assert_tree_matches_single_searches(pres, _class_pairs(pres), L)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_tree_goals_match_single_searches_on_random_presentations(seed):
+    pres = _random_presentation(seed)
+    pairs = [(i, j) for i in range(1, 7) for j in range(1, 7)]
+    words = _assert_tree_matches_single_searches(pres, pairs, 3)
+    assert any(words) and None in words
+
+
+def _conjugates_presentation(N: int = 5) -> GroupPresentation:
+    """f tangent to the identity, g and r with multipliers -1 and 2, and the
+    conjugates of f by g, g r and g r g: the goals (4,1), (5,1) and (6,1)
+    have witnesses of lengths 1, 2 and 3, and g and r are never conjugate,
+    their multipliers differ."""
+    rng = random.Random(11)
+    f = Germ(random_jet(rng, N, zero_constant=True, unit_linear=True))
+    g = Germ(Jet([0, -1] + [random_fraction(rng, 2) for _ in range(N - 1)], order=N))
+    r = Germ(Jet([0, 2] + [random_fraction(rng, 2) for _ in range(N - 1)], order=N))
+    return GroupPresentation(
+        [f, g, r] + [h * f * ~h for h in (g, g * r, g * r * g)], order=N
+    )
+
+
+def test_tree_goals_resolve_at_different_depths(monkeypatch):
+    pres = _conjugates_presentation()
+    pairs = [(1, 1), (4, 1), (5, 1), (6, 1), (2, 3)]
+    words = _assert_tree_matches_single_searches(pres, pairs, 3)
+    assert [None if w is None else len(w) for w in words] == [0, 1, 2, 3, None]
+    # at max_len 2 the tree is cut with (6,1) and (2,3) still open
+    words = _assert_tree_matches_single_searches(pres, pairs, 2)
+    assert [None if w is None else len(w) for w in words] == [0, 1, 2, None, None]
+    # once its last goal resolves the tree stops: without (2,3), it pops no
+    # more nodes than the search for (6,1) alone, and fewer than the tree cut
+    # by max_len with (2,3) open
+    pres.letters()
+    counts = _counting_search(monkeypatch)
+    popped = []
+    for goals in ([(6, 1)], pairs[:4], pairs):
+        counts["popped"] = 0
+        assert group_cert._search_tree(pres, goals, 5)[3 if len(goals) > 1 else 0]
+        popped.append(counts["popped"])
+    assert popped[0] == popped[1] < popped[2]
+
+
+def _cyclic_search(targets, max_len, *, exact_sketch=False):
+    """The engine on Z/13 with the letters +-2 and +-5; the goal t asks for a
+    word of value t.  The sketch is None, which no filter can rule out, or,
+    with ``exact_sketch``, the value itself.  Returns the words and the
+    (value, step) pairs that ``act`` composed."""
+    n = 13
+    composed = []
+
+    def step(d):
+        def act(h):
+            composed.append((h, d))
+            return (h + d) % n
+
+        return act
+
+    def advance(d):
+        return (lambda v: (v + d) % n) if exact_sketch else (lambda v: None)
+
+    letters = [
+        ((idx, sign), step(sign * s), advance(sign * s))
+        for idx, s in enumerate((2, 5), start=1)
+        for sign in (1, -1)
+    ]
+    goals = [(lambda sketch: True, lambda h, t=t: h == t) for t in targets]
+    words = reduced_word_search(
+        (0, 0 if exact_sketch else None),
+        letters,
+        lambda h: h,
+        goals,
+        max_len,
+        value_of=(lambda v: v) if exact_sketch else None,
+    )
+    return words, composed
+
+
+def test_engine_composes_each_node_once_for_all_goals():
+    # 0, 11 = -2, 7 = 2 + 5 and 1 = 5 - 2 - 2 lie at depths 0, 1, 2 and 3
+    targets = [7, 0, 11, 1]
+    words, composed = _cyclic_search(targets, 4)
+    assert [len(w) for w in words] == [2, 0, 1, 3]
+    singles = [_cyclic_search([t], 4) for t in targets]
+    assert words == [w for (w,), _ in singles]
+    # every filter passes, so each child is composed as it is generated, once
+    # for all four goals, and never again when it is popped; the tree stops
+    # with its last goal, where the search for 1 alone stops
+    assert len(composed) == len(set(composed))
+    assert composed == singles[3][1]
+    # cut at max_len 2 with 1 still open: the whole tree to depth 2
+    words, composed = _cyclic_search(targets, 2)
+    assert [None if w is None else len(w) for w in words] == [2, 0, 1, None]
+    assert len(composed) == len(set(composed)) == 4 + 4 * 3
+
+
+def test_engine_reads_exact_sketches_and_composes_nothing():
+    targets = [7, 0, 11, 1, 12]
+    words, composed = _cyclic_search(targets, 3, exact_sketch=True)
+    assert words == _cyclic_search(targets, 3)[0]
+    assert composed == []
+
+
+def test_tree_at_k_equal_n_composes_only_for_its_exact_tests(monkeypatch):
+    # at N = 2 the filter degree is N: the row of h in a node's sketch is its
+    # value, so the only full compositions are the h o f_j of the exact tests
+    pres = build_group_example("ex4.1", order=2)[0].presentation
+    pairs = _class_pairs(pres)
+    degrees = {group_cert._filter_degree(pres.generator(i), pres.generator(j)) for i, j in pairs}
+    assert degrees == {2}
+    pres.letters()
+    counts = _counting_search(monkeypatch)
+    words = group_cert._search_tree(pres, pairs, 3)
+    tree = dict(counts, exact=len(counts["exact"]))
+    assert words == [search_conjugator(pres, i, j, 3) for i, j in pairs]
+    assert None not in words and tree["popped"] > 1 and tree["exact"] >= len(pairs)
+    assert tree["composed"] == tree["exact"] == tree["passed"]
