@@ -452,7 +452,7 @@ def test_tree_goals_resolve_at_different_depths(monkeypatch):
     popped = []
     for goals in ([(6, 1)], pairs[:4], pairs):
         counts["popped"] = 0
-        assert group_cert._search_tree(pres, goals, 5)[3 if len(goals) > 1 else 0]
+        assert group_cert._search_tree(pres, goals, 3)[3 if len(goals) > 1 else 0]
         popped.append(counts["popped"])
     assert popped[0] == popped[1] < popped[2]
 
