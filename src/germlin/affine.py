@@ -83,7 +83,8 @@ def affine_conjugator_search(
 
     Indices are 1-based.  Words are explored shortest first, lexicographically
     by (index, sign), deduplicated by exact map value; of letters with equal
-    values only the first is used.  The first witness found is returned.
+    values only the first is used, and a letter never follows the letter of
+    its inverse, so an involution never follows itself.  The first witness found is returned.
     Returning None proves nothing.
     """
     if not (1 <= i <= len(gens) and 1 <= j <= len(gens)):
@@ -92,15 +93,14 @@ def affine_conjugator_search(
     pairs = [(g, g.inverse()) for g in gens]
     # an affine composition is two scalar products: no sketch, every child
     # is composed and tested when it is generated
-    letters = [
-        (letter, lambda h, g=g: h.compose(g), lambda s: None)
-        for letter, g in distinct_letters(pairs, AffineMap.key)
-    ]
+    distinct, inverse = distinct_letters(pairs, AffineMap.key)
+    letters = [(letter, lambda h, g=g: h.compose(g), lambda s: None) for letter, g in distinct]
     (found,) = reduced_word_search(
         (AffineMap.identity(), None),
         letters,
         AffineMap.key,
         [(lambda s: True, lambda h: fi.compose(h) == h.compose(fj))],
         max_len,
+        inverse=inverse,
     )
     return found

@@ -128,13 +128,10 @@ def cmd_certify(args) -> int:
     solutions = []
     all_ok = True
     for item, report in zip(loaded, reports):
-        all_ok = all_ok and report.certified
+        out = report.to_json()
+        all_ok = all_ok and out["certified"]
         solutions.append(
-            {
-                "label": item.label,
-                "scalars": _scalars_json(item.scalars),
-                "report": report.to_json(),
-            }
+            {"label": item.label, "scalars": _scalars_json(item.scalars), "report": out}
         )
     payload = {
         "command": "certify",

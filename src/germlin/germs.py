@@ -195,25 +195,35 @@ class Word:
         return " ".join(f"f{idx}" if exp == 1 else f"f{idx}^-1" for idx, exp in self.letters)
 
 
-def distinct_letters(pairs: Sequence, key: Callable[[object], Hashable]) -> list:
+def distinct_letters(
+    pairs: Sequence, key: Callable[[object], Hashable]
+) -> tuple[list, dict]:
     """The letters (1, 1), (1, -1), (2, 1), ... paired with their values,
-    keeping only the first letter of each distinct value.
+    keeping only the first letter of each distinct value, and the map that
+    takes each kept letter to the kept letter of its inverse's value.
 
     ``pairs`` holds (f_i, f_i^-1) for i = 1, 2, ...; ``key`` must be equal
-    exactly for equal values.  A dropped letter can never change a
-    :func:`reduced_word_search`: its child always has the value of a child
-    made by the earlier letter, which is already seen or, when that letter was
-    skipped as a cancellation, equals the grandparent.
+    exactly for equal values.  An involution is its own inverse letter.  A
+    dropped letter can never change a :func:`reduced_word_search`: its child
+    always has the value of a child made by the earlier letter, which is
+    already seen or, when that letter was skipped as a cancellation, equals
+    the grandparent.
     """
     out = []
-    keys = set()
-    for idx, pair in enumerate(pairs, start=1):
-        for sign, value in zip((1, -1), pair):
-            k = key(value)
-            if k not in keys:
-                keys.add(k)
-                out.append(((idx, sign), value))
-    return out
+    first: dict = {}  # key -> the first letter of that value
+    inverse: dict = {}
+    for idx, (f, f_inv) in enumerate(pairs, start=1):
+        k, k_inv = key(f), key(f_inv)
+        if k not in first:
+            first[k] = (idx, 1)
+            out.append(((idx, 1), f))
+        if k_inv not in first:
+            first[k_inv] = (idx, -1)
+            out.append(((idx, -1), f_inv))
+        # equal values have equal inverses, so the first pair decides
+        inverse.setdefault(first[k], first[k_inv])
+        inverse.setdefault(first[k_inv], first[k])
+    return out, inverse
 
 
 def reduced_word_search(
@@ -223,6 +233,7 @@ def reduced_word_search(
     goals: Sequence[tuple[Callable[[object], bool], Callable[[object], bool]]],
     max_len: int,
     value_of: Optional[Callable[[object], object]] = None,
+    inverse: Optional[dict] = None,
 ) -> list[Optional[Word]]:
     """Breadth-first search for the first reduced word of each goal.
 
@@ -236,7 +247,10 @@ def reduced_word_search(
     holds, at the start node as at any other, is the node's value composed
     and ``is_witness(value)`` asked.  Words are enumerated shortest first,
     then in the order of ``letters``, skipping a letter right after its own
-    inverse.  The tree depends only on the letters, so all goals share it:
+    inverse: ``inverse`` maps each letter to the letter of its inverse's
+    value (:func:`distinct_letters`), and without it the inverse of (i, s)
+    is (i, -s).  Such a child has its grandparent's value, which was tested
+    and seen before, so the skip changes no word.  The tree depends only on the letters, so all goals share it:
     every generated node is tested against every open goal, a goal is
     dropped once it has its word, and the search stops when no goal is open.
 
@@ -277,9 +291,14 @@ def reduced_word_search(
             continue
         seen.add(k)
         queue_children = len(word) + 1 < max_len
-        last = word[-1] if word else None
+        if not word:
+            cancel = None
+        elif inverse is None:
+            cancel = (word[-1][0], -word[-1][1])
+        else:
+            cancel = inverse[word[-1]]
         for letter, act, advance in letters:
-            if last is not None and letter == (last[0], -last[1]):
+            if letter == cancel:
                 continue  # skip immediate cancellation: reduced words only
             child_sketch = advance(sketch)
             new_word = word + (letter,)

@@ -8,20 +8,24 @@ order, optionally with conjugacy witness words.  Certification checks
 * pairwise conjugacy inside the group: supplied witness words first, then a
   bounded breadth-first search over reduced words (value-deduplicated at
   order N).  The search letters keep one letter per distinct value of the
-  generators and their inverses.  Generators with equal order-N values form
-  one class, numbered by its first generator (``classes``), and one word
-  serves every pair (i, j) in the same pair of classes, and so does one
-  resolution and its JSON.  The tree of reduced words depends only on the
-  letters, so a presentation grows one tree, with one goal per pair of
-  classes still open, and each goal gets the first witness word in the
-  tree's order, the word of a search for its pair alone.  The search, the
-  witness check and the product identity compose in the canonical sparse
-  rows of ``jets``, so a node's value is a row, which is also its dedup
-  key, and no field element is built on the way.  A node h carries its
-  coefficients of degree <= K and those of f_c o h and h o f_d for the
-  classes c and d of the goals, which come from the parent's through the
-  first K + 1 rows of the power tables; as h(0) = 0 these are the jets' own
-  low coefficients, so a mismatch there is exact.  h is composed in full,
+  generators and their inverses, and no letter follows the letter of its
+  inverse, so an involution never follows itself.  Generators with equal
+  order-N values form one class, numbered by its first generator
+  (``classes``), and pairs are resolved per pair of classes: one word serves
+  every pair (i, j) in the same pair of classes, and so does one resolution
+  and its JSON.  The pairs (i, j), i < j, their JSON keys and their class
+  pairs form the presentation's pair plan, built once, so a report is
+  assembled per class pair and not per pair of generators.  The tree of
+  reduced words depends only on the letters, so a presentation grows one
+  tree, with one goal per pair of classes still open, and each goal gets the
+  first witness word in the tree's order, the word of a search for its pair
+  alone.  The search, the witness check and the product identity compose in
+  the canonical sparse rows of ``jets``, so a node's value is a row, which is
+  also its dedup key, and no field element is built on the way.  A node h
+  carries its coefficients of degree <= K and those of f_c o h and h o f_d
+  for the classes c and d of the goals, which come from the parent's through
+  the first K + 1 rows of the power tables; as h(0) = 0 these are the jets'
+  own low coefficients, so a mismatch there is exact.  h is composed in full,
   at most once, only when it is expanded or when the two sides of a goal
   agree to degree K; where K = N its row to degree K is its value, and
   nothing is composed.  K is the largest min(N, max(2, k_i + 1, k_j + 1))
@@ -94,7 +98,8 @@ root as ``image_of``.
 orbit.  Every other root takes over its search outcomes position by
 position: sigma_u maps generator i of the first root to generator i of the
 image, and since it is injective the two roots have the same ``classes``,
-so pair (i, j) of the image reads pair (i, j) of the first root's report.
+so the image shares the first root's pair plan, and the class pair settled
+at pair (i, j) of the image reads pair (i, j) of the first root's report.
 Each transferred found word is checked again with
 :func:`check_conjugacy_witness`, and if the check fails the pair becomes a
 goal of a tree on the image.  A transferred "not-found-up-to" is exact as
@@ -119,11 +124,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cyclotomic import (
     CycloElem,
@@ -227,7 +232,7 @@ class GroupPresentation:
         self._composers: dict = {}  # by row
         self._letter_composers: dict = {}  # by (class, sign)
         self._inverses: dict = {}  # by class
-        self._letters: Optional[tuple] = None
+        self._letters: Optional[tuple[tuple, dict]] = None
         self._galois_of = (
             None if galois_of is None else (galois_of[0], galois_of[1] % conductor)
         )
@@ -264,6 +269,11 @@ class GroupPresentation:
         """(letter, right composer) for f_1, f_1^-1, f_2, f_2^-1, ..., keeping
         only the first letter of each distinct order-N value; built once,
         together with the composer of every letter."""
+        return self._letter_table()[0]
+
+    def _letter_table(self) -> tuple[tuple, dict]:
+        """:meth:`letters` and the map from each letter to the letter of its
+        inverse's value (:func:`distinct_letters`)."""
         if self._letters is None:
             pairs = [
                 (self.letter_composer(idx, 1), self.letter_composer(idx, -1))
@@ -271,7 +281,8 @@ class GroupPresentation:
             ]
             # composer() keeps one composer per order-N value, so the
             # composers' identities tell the values apart
-            self._letters = tuple(distinct_letters(pairs, id))
+            letters, inverse = distinct_letters(pairs, id)
+            self._letters = (tuple(letters), inverse)
         return self._letters
 
     def letter_composer(self, idx: int, sign: int) -> RightComposer:
@@ -302,6 +313,21 @@ class GroupPresentation:
         if comp is None:
             comp = self._composers[row] = RightComposer(germ.jet)
         return comp
+
+    @cached_property
+    def _pair_plan(self) -> "_PairPlan":
+        """The pairs a report lists, with their JSON keys and class pairs.  A
+        Galois image takes its first root's plan: sigma_u is injective, so
+        the two have the same classes."""
+        if self._galois_of is not None:
+            return self._galois_of[0]._pair_plan
+        m, classes = len(self.gens), self.classes
+        pairs = tuple((i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1))
+        class_pairs = tuple((classes[i - 1], classes[j - 1]) for i, j in pairs)
+        firsts: dict = {}
+        for k, pair in enumerate(class_pairs):
+            firsts.setdefault(pair, k)
+        return _PairPlan(pairs, tuple(f"({i},{j})" for i, j in pairs), class_pairs, firsts)
 
     @cached_property
     def _model(self) -> Optional["GroupPresentation"]:
@@ -336,6 +362,17 @@ class GroupPresentation:
                 [Germ(g.jet.truncate(2)) for g in base.gens], self.witnesses, order=2
             )
         return model
+
+
+class _PairPlan(NamedTuple):
+    """The pairs (i, j), i < j, of a presentation in order, the JSON key
+    "(i,j)" and the class pair (class of i, class of j) of each, and the
+    index of the first pair of each class pair, in the order of those."""
+
+    pairs: tuple
+    keys: tuple
+    class_pairs: tuple
+    firsts: dict
 
 
 def _quotient(pres: GroupPresentation) -> Optional[GroupPresentation]:
@@ -509,13 +546,15 @@ def _search_tree(
         tuple(pres.gens[c].jet.truncate(K).row for c in left),
         tuple(pres.gens[d].jet.truncate(K).row for d in right),
     )
+    letters, inverse = pres._letter_table()
     return reduced_word_search(
         (_Z_ROW, start),
-        [(letter, comp.compose, advance_by(comp.prefix)) for letter, comp in pres.letters()],
+        [(letter, comp.compose, advance_by(comp.prefix)) for letter, comp in letters],
         _row_key,
         goals,
         max_len,
         value_of=itemgetter(0) if K == N else None,
+        inverse=inverse,
     )
 
 
@@ -568,10 +607,13 @@ class IrreducibilityReport:
     conjugacy: dict[tuple[int, int], ConjugacyResolution]
     theorem_a_applicable: bool
     prime_power: Optional[tuple[Optional[int], int]] = None
+    # the pair plan of the presentation certified, whose keys serialise
+    # ``conjugacy`` as long as it holds the plan's pairs in order
+    _plan: Optional[_PairPlan] = field(default=None, compare=False, repr=False)
 
     @property
     def all_conjugacies_positive(self) -> bool:
-        return all(r.positive for r in self.conjugacy.values())
+        return all(r.positive for r in _distinct(self.conjugacy.values()).values())
 
     @property
     def certified(self) -> bool:
@@ -579,15 +621,17 @@ class IrreducibilityReport:
         return self.product_ok and self.all_conjugacies_positive
 
     def to_json(self) -> dict:
+        conjugacy = self.conjugacy
+        plan = self._plan
+        if plan is not None and tuple(conjugacy) == plan.pairs:
+            keys, resolutions = plan.keys, conjugacy.values()
+        else:
+            pairs = sorted(conjugacy)
+            keys = [f"({i},{j})" for i, j in pairs]
+            resolutions = [conjugacy[pair] for pair in pairs]
         # pairs that share a resolution object share its JSON dict too
-        shared: dict[int, dict] = {}
-        conj = {}
-        for i, j in sorted(self.conjugacy):
-            r = self.conjugacy[(i, j)]
-            out = shared.get(id(r))
-            if out is None:
-                out = shared[id(r)] = r.to_json()
-            conj[f"({i},{j})"] = out
+        distinct = _distinct(resolutions)
+        dicts = {key: r.to_json() for key, r in distinct.items()}
         pp = None
         if self.prime_power is not None:
             pp = {"p": self.prime_power[0], "s": self.prime_power[1]}
@@ -596,22 +640,29 @@ class IrreducibilityReport:
             "multiplier": format_scalar(self.multiplier),
             "multiplier_order": self.multiplier_order,
             "multipliers_all_equal": self.multipliers_all_equal,
-            "conjugacy": conj,
+            "conjugacy": dict(zip(keys, map(dicts.__getitem__, map(id, resolutions)))),
             "theorem_a_applicable": self.theorem_a_applicable,
             "prime_power": pp,
-            "certified": self.certified,
+            "certified": self.product_ok and all(r.positive for r in distinct.values()),
         }
 
 
-def _lookup_witness(pres: GroupPresentation, i: int, j: int) -> Optional[Word]:
-    w = pres.witnesses.get((i, j))
-    if w is not None:
-        return w
-    w = pres.witnesses.get((j, i))
-    if w is not None:
-        # g conjugates f_j to f_i iff g^{-1} conjugates f_i to f_j
-        return w.inverse()
-    return None
+def _distinct(resolutions) -> dict:
+    """The distinct resolution objects of ``resolutions``, by their ids."""
+    return dict(zip(map(id, resolutions), resolutions))
+
+
+def _witness_words(pres: GroupPresentation) -> dict[tuple[int, int], Word]:
+    """The witness word of each pair (i, j), i < j, that has one: that of
+    (i, j), else the inverse of that of (j, i), since g conjugates f_j to f_i
+    iff g^-1 conjugates f_i to f_j."""
+    words = {}
+    for (i, j), w in pres.witnesses.items():
+        if i < j:
+            words[(i, j)] = w
+        elif i > j and (j, i) not in pres.witnesses:
+            words[(j, i)] = w.inverse()
+    return words
 
 
 def certify(
@@ -623,63 +674,69 @@ def certify(
     """Run all certification checks and assemble the report.
 
     Witnesses are consulted first, then transferred words; bounded search is
-    the fallback.  One search tree serves the presentation
-    (:func:`_search_tree`), with one goal per pair of classes
-    (:attr:`GroupPresentation.classes`) still open, and each goal's word is
-    shared by every pair (i, j) in those classes.  The finiteness criterion
-    is marked applicable only when the product identity, multiplier
-    equality, every conjugacy, and the prime-power condition on the
-    multiplier order all hold.
+    the fallback.  Pairs are resolved per pair of classes
+    (:attr:`GroupPresentation.classes`): the pairs without a passing witness
+    share their class pair's resolution, which is settled once, at the
+    first of them.  One search tree serves the presentation
+    (:func:`_search_tree`), with one goal per class pair still open.  The
+    pairs, their JSON keys and their class pairs come from the
+    presentation's pair plan, which a Galois image shares with its first
+    root.  The finiteness criterion is marked applicable only when the
+    product identity, multiplier equality, every conjugacy, and the
+    prime-power condition on the multiplier order all hold.
 
     When the presentation has an exact smaller model
     (:attr:`GroupPresentation._model`: its quotient by z -> z^p, its order-2
     truncation, or both), every check but those of the multipliers runs on
     the model, which gives the same report: the same classes, letters,
     search trees, words and verdicts as at order N.  The multipliers are
-    read from ``pres`` itself, as the quotient raises them to the p-th
-    power.
+    read from ``pres`` itself, one per class, as the quotient raises them to
+    the p-th power.
 
     ``transferred`` is the report at ``max_len`` of a presentation of which
     ``pres`` is a Galois image, generator by generator (see
-    :func:`certify_roots`); the outcome of pair (i, j) is read from its pair
-    (i, j).  A transferred word is used only if it passes the witness check
-    here, else the pair is searched; a transferred "not-found-up-to" stands.
+    :func:`certify_roots`); the outcome of a class pair is read from the
+    transferred pair (i, j) at which it is settled.  A transferred word is
+    used only if it passes the witness check here, else the class pair is
+    searched; a transferred "not-found-up-to" stands.
     """
-    # the quotient raises multipliers to the p-th power, so they are read here
-    mults = [g.multiplier for g in pres.gens]
-    mult = mults[0]
-    all_equal = all(m == mult for m in mults[1:])
+    # the quotient raises multipliers to the p-th power, so they are read
+    # here, one per class; class 0 is that of the first generator
+    mult = pres.gens[0].multiplier
+    all_equal = all(pres.gens[c].multiplier == mult for c in set(pres.classes) - {0})
     order = root_of_unity_order(mult)
     model = pres._model
     if model is not None:
         pres = model
     product_ok = check_product_identity(pres)
 
-    conjugacy: dict[tuple[int, int], Optional[ConjugacyResolution]] = {}
-    classes = pres.classes
-    # the word (or None) of each (class of i, class of j), shared by its pairs
+    plan = pres._pair_plan
+    verified = {
+        (i, j): ConjugacyResolution("verified-by-witness", word=w)
+        for (i, j), w in sorted(_witness_words(pres).items())
+        if check_conjugacy_witness(pres, i, j, w)
+    }
+    # each class pair is settled at its first pair without a passing witness
+    firsts = plan.firsts
+    if verified:
+        firsts = {}
+        for k, pair in enumerate(plan.class_pairs):
+            if plan.pairs[k] not in verified:
+                firsts.setdefault(pair, k)
+    # the word (or None) of each class pair, and the first pair of each goal
     words: dict[tuple[int, int], Optional[Word]] = {}
-    goals: dict[tuple[int, int], tuple[int, int]] = {}  # class pair -> its first pair
-    m = len(pres.gens)
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            w = _lookup_witness(pres, i, j)
-            if w is not None and check_conjugacy_witness(pres, i, j, w):
-                conjugacy[(i, j)] = ConjugacyResolution("verified-by-witness", word=w)
-                continue
-            conjugacy[(i, j)] = None  # resolved below, in this order
-            pair = (classes[i - 1], classes[j - 1])
-            if pair in words or pair in goals:
-                continue
-            prior = transferred.conjugacy[(i, j)] if transferred else None
-            # a transferred word counts only if it passes the check here;
-            # a transferred not-found-up-to (no word) stands
-            if prior is not None and (
-                prior.word is None or check_conjugacy_witness(pres, i, j, prior.word)
-            ):
-                words[pair] = prior.word
-            else:
-                goals[pair] = (i, j)
+    goals: dict[tuple[int, int], tuple[int, int]] = {}
+    for pair, k in firsts.items():
+        i, j = plan.pairs[k]
+        prior = transferred.conjugacy[(i, j)] if transferred else None
+        # a transferred word counts only if it passes the check here;
+        # a transferred not-found-up-to (no word) stands
+        if prior is not None and (
+            prior.word is None or check_conjugacy_witness(pres, i, j, prior.word)
+        ):
+            words[pair] = prior.word
+        else:
+            goals[pair] = (i, j)
     if goals:
         # one tree for every open pair of classes
         words.update(zip(goals, _search_tree(pres, list(goals.values()), max_len)))
@@ -689,15 +746,15 @@ def certify(
         else ConjugacyResolution("not-found-up-to", max_len=max_len)
         for pair, word in words.items()
     }
-    for i, j in conjugacy:
-        if conjugacy[(i, j)] is None:
-            conjugacy[(i, j)] = resolved[(classes[i - 1], classes[j - 1])]
+    # a class pair whose pairs all have passing witnesses has no resolution
+    conjugacy = dict(zip(plan.pairs, map(resolved.get, plan.class_pairs)))
+    conjugacy.update(verified)
 
     pp = prime_power_order(order) if order is not None else None
     applicable = (
         product_ok
         and all_equal
-        and all(r.positive for r in conjugacy.values())
+        and all(r.positive for r in resolved.values())
         and pp is not None
     )
     return IrreducibilityReport(
@@ -708,6 +765,7 @@ def certify(
         conjugacy=conjugacy,
         theorem_a_applicable=applicable,
         prime_power=pp if applicable else None,
+        _plan=plan,
     )
 
 

@@ -12,7 +12,8 @@ search engine with value-deduplicated letters and results shared between
 pairs, a scan of the constraints over every root of unity and evaluation of
 every generator at every root instead of one evaluation per Galois orbit,
 pairwise jet equality instead of a table of keys for the classes of equal
-generators, the linearizer's step over every degree of the row (h o g in
+generators, the certification report assembled pair by pair over the public
+checks instead of once per pair of classes through a pair plan, the linearizer's step over every degree of the row (h o g in
 full, then the solve of y o h = h o g from degree 0) instead of over the
 degrees the step changes, and determinants of coefficient matrices, expanded with schoolbook
 polynomial products over the term dicts, instead of the integer product
@@ -56,6 +57,12 @@ from germlin.jets import (
     _weighted_sum,
     jet_mul_inverse,
 )
+from germlin.group_cert import (
+    check_conjugacy_witness,
+    check_product_identity,
+    search_conjugator,
+)
+from germlin.cyclotomic import prime_power_order, root_of_unity_order
 from germlin.linearizer import _binomials
 from germlin.pforms import MultiPoly, PForm1
 
@@ -360,6 +367,56 @@ def naive_conjugator_search(gens, inverses, i, j, max_len, identity, compose, ke
 def naive_classes(jets) -> tuple:
     """For each jet, the 0-based index of the first jet equal to it."""
     return tuple(next(k for k, other in enumerate(jets) if other == jet) for jet in jets)
+
+
+def per_pair_report_json(pres, max_len: int) -> dict:
+    """The JSON report of ``group_cert.certify`` built pair by pair on the
+    order-N presentation itself, over the public checks.
+
+    Each pair (i, j), i < j, takes the witness word of (i, j), else the
+    inverse of that of (j, i), if it passes ``check_conjugacy_witness``;
+    otherwise the word of ``search_conjugator``, run once per pair of
+    classes (:func:`naive_classes`) at its first pair without a passing
+    witness.  Multipliers are read from every generator.
+    """
+    classes = naive_classes([g.jet for g in pres.gens])
+    conj = {}
+    found: dict = {}
+    m = len(pres.gens)
+    for i in range(1, m + 1):
+        for j in range(i + 1, m + 1):
+            w = pres.witnesses.get((i, j))
+            if w is None and (j, i) in pres.witnesses:
+                w = pres.witnesses[(j, i)].inverse()
+            if w is not None and check_conjugacy_witness(pres, i, j, w):
+                conj[f"({i},{j})"] = {"status": "verified-by-witness", "word": w.to_json()}
+                continue
+            pair = (classes[i - 1], classes[j - 1])
+            if pair not in found:
+                found[pair] = search_conjugator(pres, i, j, max_len)
+            word = found[pair]
+            conj[f"({i},{j})"] = (
+                {"status": "not-found-up-to", "max_len": max_len}
+                if word is None
+                else {"status": "found-by-search", "word": word.to_json()}
+            )
+    product_ok = check_product_identity(pres)
+    mults = [g.multiplier for g in pres.gens]
+    order = root_of_unity_order(mults[0])
+    pp = prime_power_order(order) if order is not None else None
+    all_equal = all(x == mults[0] for x in mults)
+    positive = all(r["status"] != "not-found-up-to" for r in conj.values())
+    applicable = product_ok and all_equal and positive and pp is not None
+    return {
+        "product_ok": product_ok,
+        "multiplier": format_scalar(mults[0]),
+        "multiplier_order": order,
+        "multipliers_all_equal": all_equal,
+        "conjugacy": conj,
+        "theorem_a_applicable": applicable,
+        "prime_power": {"p": pp[0], "s": pp[1]} if applicable else None,
+        "certified": product_ok and positive,
+    }
 
 
 def naive_root_scan(m: int, constraints, var: str = "a") -> list[CycloElem]:

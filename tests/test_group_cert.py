@@ -20,18 +20,26 @@ from germlin.germs import Germ, Word, evaluate_word, identity_germ
 from germlin.group_cert import (
     ConjugacyResolution,
     GroupPresentation,
+    IrreducibilityReport,
     PresentationError,
     certify,
     certify_roots,
     check_conjugacy_witness,
     check_product_identity,
+    load_presentation_file,
     load_presentation_text,
     search_conjugator,
 )
 from germlin.jets import Jet
 from germlin.registry import GROUP_EXAMPLES, build_group_example
 
-from oracles import lagrange_inverse, naive_classes, per_root_presentations, random_jet
+from oracles import (
+    lagrange_inverse,
+    naive_classes,
+    per_pair_report_json,
+    per_root_presentations,
+    random_jet,
+)
 from test_golden import GOLDEN_DIR, _golden_path, _run
 from test_jets import WIDE_CONDUCTORS
 
@@ -595,51 +603,186 @@ def test_pairs_of_one_class_pair_share_one_resolution_and_its_json():
     assert json.dumps(out, sort_keys=True) == json.dumps(copies, sort_keys=True)
 
 
-# -- the order-2 model of Mobius presentations ---------------------------------------
+# -- pairs resolved per pair of classes, against the per-pair oracle -----------------
 
 
-def _reference_json(pres, max_len):
-    """The report of :func:`certify` as the order-N checks give it: the
-    product identity, the witness check and one search per pair of classes,
-    all on the order-N presentation itself."""
-    conj = {}
-    found = {}
-    m = len(pres)
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            w = group_cert._lookup_witness(pres, i, j)
-            if w is not None and check_conjugacy_witness(pres, i, j, w):
-                conj[f"({i},{j})"] = {"status": "verified-by-witness", "word": w.to_json()}
-                continue
-            pair = (pres.classes[i - 1], pres.classes[j - 1])
-            if pair not in found:
-                found[pair] = search_conjugator(pres, i, j, max_len)
-            word = found[pair]
-            conj[f"({i},{j})"] = (
-                {"status": "not-found-up-to", "max_len": max_len}
-                if word is None
-                else {"status": "found-by-search", "word": word.to_json()}
-            )
-    product_ok = check_product_identity(pres)
-    mults = [g.multiplier for g in pres.gens]
-    order = group_cert.root_of_unity_order(mults[0])
-    pp = group_cert.prime_power_order(order) if order is not None else None
-    applicable = (
-        product_ok
-        and all(x == mults[0] for x in mults)
-        and all(r["status"] != "not-found-up-to" for r in conj.values())
-        and pp is not None
+def _assert_matches_per_pair_oracle(loaded, max_len):
+    reports = certify_roots(loaded, max_len)
+    for item, report in zip(loaded, reports):
+        expected = per_pair_report_json(item.presentation, max_len)
+        out = report.to_json()
+        assert out == expected
+        assert list(out["conjugacy"]) == list(expected["conjugacy"])
+        assert report.certified == expected["certified"]
+    return reports
+
+
+@pytest.mark.parametrize("max_len", [1, 2])
+@pytest.mark.parametrize("N", [2, 4, 8])
+@pytest.mark.parametrize("example", GROUP_EXAMPLES)
+def test_certify_roots_matches_per_pair_oracle_on_registry(example, N, max_len):
+    _assert_matches_per_pair_oracle(build_group_example(example, order=N), max_len)
+
+
+@pytest.mark.parametrize(
+    "name, max_len",
+    [
+        ("two_orbits.json", 3),
+        ("repeated_letters.json", 4),
+        ("involution_triple.json", 6),
+        ("roundtrip3.json", 8),
+    ],
+)
+def test_certify_roots_matches_per_pair_oracle_on_golden_files(name, max_len):
+    loaded = load_presentation_file(os.path.join(GOLDEN_DIR, name))
+    _assert_matches_per_pair_oracle(loaded, max_len)
+
+
+def _witnessed_presentation(seed: int, witnesses: dict) -> GroupPresentation:
+    """f, f, c = g f g^-1, g and f^-1 at order 5, f tangent to the identity
+    and g'(0) = -1.  (1, 3) and (2, 3) form the class pair (f, c); g^-1
+    conjugates f to c, that is f o g^-1 = g^-1 o c."""
+    rng = random.Random(seed)
+    N = 5
+    f = Germ(random_jet(rng, N, zero_constant=True, unit_linear=True))
+    g = Germ(Jet([0, -1] + [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(N - 1)], order=N))
+    words = {pair: Word.from_list(w) for pair, w in witnesses.items()}
+    return GroupPresentation([f, f, g * f * ~g, g, ~f], words, order=N)
+
+
+_WITNESS_CASES = {
+    # a valid witness on the first pair of (f, c): (2, 3) settles the class pair
+    "first-pair": {(1, 3): [[4, -1]]},
+    # on the second pair: (1, 3) settles it, (2, 3) is verified
+    "second-pair": {(2, 3): [[4, -1]]},
+    # the reversed key (3, 1) serves (1, 3) with its word inverted
+    "reversed-key": {(3, 1): [[4, 1]]},
+    # a failing witness: (1, 3) is searched
+    "failing": {(1, 3): [[5, 1]]},
+    # both pairs of (f, c) and the pair (1, 2) of (f, f) witnessed, a direct
+    # key beside a reversed one, and a failing witness on (4, 5)
+    "mixed": {
+        (1, 3): [[4, -1]],
+        (3, 2): [[4, 1]],
+        (1, 2): [[1, 1]],
+        (2, 1): [[5, 1]],
+        (4, 5): [[1, 1]],
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WITNESS_CASES))
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_certify_matches_per_pair_oracle_with_witnesses(monkeypatch, seed, case):
+    pres = _witnessed_presentation(seed, _WITNESS_CASES[case])
+    assert pres.classes == (0, 0, 2, 3, 4)
+    assert check_conjugacy_witness(pres, 1, 3, Word.from_list([[4, -1]]))
+    assert not check_conjugacy_witness(pres, 1, 3, Word.from_list([[5, 1]]))
+    trees = _counting(monkeypatch, "_search_tree")
+    report = certify(pres, 2)
+    monkeypatch.undo()
+    expected = per_pair_report_json(pres, 2)
+    assert report.to_json() == expected
+    assert report.certified == expected["certified"]
+    statuses = {key: r["status"] for key, r in expected["conjugacy"].items()}
+    if case == "failing":
+        assert "verified-by-witness" not in statuses.values()
+    else:
+        assert statuses["(1,3)"] == "verified-by-witness" or statuses["(2,3)"] == "verified-by-witness"
+    # the one tree's goals are the class pairs left open, each at its first
+    # pair without a passing witness
+    (args, _), = trees
+    open_pairs = [
+        (i, j)
+        for (i, j) in (tuple(map(int, key[1:-1].split(","))) for key in statuses)
+        if statuses[f"({i},{j})"] != "verified-by-witness"
+    ]
+    firsts: dict = {}
+    for i, j in open_pairs:
+        firsts.setdefault((pres.classes[i - 1], pres.classes[j - 1]), (i, j))
+    assert args[1] == list(firsts.values())
+    if case == "first-pair":
+        assert (2, 3) in args[1] and (1, 3) not in args[1]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_transferred_word_failing_its_check_becomes_a_goal(monkeypatch, seed):
+    # a hand-made report of a first root, without a pair plan: its word at
+    # (2, 3), where the class pair (f, c) is settled, fails the check here,
+    # so (2, 3) becomes a goal of the tree; its other pairs are taken over
+    pres = _witnessed_presentation(seed, _WITNESS_CASES["first-pair"])
+    alone = certify(pres, 2)
+    bogus = Word.from_list([[5, 1]])
+    assert not check_conjugacy_witness(pres, 2, 3, bogus)
+    conjugacy = dict(alone.conjugacy)
+    conjugacy[(2, 3)] = ConjugacyResolution("found-by-search", bogus)
+    first_root = IrreducibilityReport(
+        product_ok=alone.product_ok,
+        multiplier=alone.multiplier,
+        multiplier_order=alone.multiplier_order,
+        multipliers_all_equal=alone.multipliers_all_equal,
+        conjugacy=conjugacy,
+        theorem_a_applicable=alone.theorem_a_applicable,
     )
-    return {
-        "product_ok": product_ok,
-        "multiplier": group_cert.format_scalar(mults[0]),
-        "multiplier_order": order,
-        "multipliers_all_equal": all(x == mults[0] for x in mults),
-        "conjugacy": conj,
-        "theorem_a_applicable": applicable,
-        "prime_power": {"p": pp[0], "s": pp[1]} if applicable else None,
-        "certified": product_ok and all(r["status"] != "not-found-up-to" for r in conj.values()),
+    trees = _counting(monkeypatch, "_search_tree")
+    report = certify(pres, 2, transferred=first_root)
+    assert [args[1] for args, _ in trees] == [[(2, 3)]]
+    monkeypatch.undo()
+    assert report.to_json() == per_pair_report_json(pres, 2) == alone.to_json()
+
+
+# -- the report without a plan, and edited after construction --------------------------
+
+
+def test_report_without_a_plan_serialises_as_certify_does():
+    loaded = build_group_example("g18p", order=4)
+    report = certify_roots(loaded, 1)[1]
+    # the same pairs, inserted in reverse order
+    conjugacy = dict(reversed(list(report.conjugacy.items())))
+    fields = {
+        name: getattr(report, name)
+        for name in (
+            "product_ok",
+            "multiplier",
+            "multiplier_order",
+            "multipliers_all_equal",
+            "theorem_a_applicable",
+            "prime_power",
+        )
     }
+    hand = IrreducibilityReport(conjugacy=conjugacy, **fields)
+    assert hand._plan is None and report._plan is not None
+    assert json.dumps(hand.to_json()) == json.dumps(report.to_json())
+    # the plan takes no part in == and repr
+    assert hand == report
+    same_order = IrreducibilityReport(conjugacy=dict(report.conjugacy), **fields)
+    assert repr(same_order) == repr(report) and "_plan" not in repr(report)
+    # two runs on the same input, each with its own pair plan, compare equal
+    again = certify_roots(build_group_example("g18p", order=4), 1)
+    assert again[1]._plan is not report._plan
+    assert again == certify_roots(loaded, 1)
+
+
+def test_editing_conjugacy_changes_certified_and_json():
+    report = certify(build_group_example("ex4.1", order=8)[0].presentation, 2)
+    assert report.certified and report.all_conjugacies_positive
+    assert report.to_json()["certified"]
+    report.conjugacy[(2, 3)] = ConjugacyResolution("not-found-up-to", max_len=2)
+    assert not report.certified and not report.all_conjugacies_positive
+    out = report.to_json()
+    assert not out["certified"]
+    assert out["conjugacy"]["(2,3)"] == {"status": "not-found-up-to", "max_len": 2}
+    # a pair taken out and put back moves to the end of the dict; the JSON
+    # keeps the sorted order
+    resolution = report.conjugacy.pop((1, 2))
+    report.conjugacy[(1, 2)] = resolution
+    keys = list(report.to_json()["conjugacy"])
+    assert keys[0] == "(1,2)" and keys == [f"({i},{j})" for i, j in sorted(report.conjugacy)]
+    del report.conjugacy[(2, 3)]
+    assert report.certified and "(2,3)" not in report.to_json()["conjugacy"]
+
+
+# -- the order-2 model of Mobius presentations ---------------------------------------
 
 
 def _certified_orders(monkeypatch):
@@ -654,7 +797,7 @@ def _assert_model_changes_no_report(monkeypatch, loaded, max_len):
     N = loaded[0].presentation.order
     assert orders() == [2 if N > 2 else N] * len(loaded)
     for item, report in zip(loaded, reports):
-        assert report.to_json() == _reference_json(item.presentation, max_len)
+        assert report.to_json() == per_pair_report_json(item.presentation, max_len)
 
 
 @pytest.mark.parametrize("order, max_len", [(2, 4), (4, 3), (16, 3), (32, 2)])
@@ -723,7 +866,7 @@ def test_non_mobius_at_order_n_takes_the_order_n_path(monkeypatch):
     lower = GroupPresentation([Germ(g.jet.truncate(N - 1)) for g in gens], order=N - 1)
     assert lower._model is not None and pres._model is None
     orders = _certified_orders(monkeypatch)
-    assert certify(pres, 2).to_json() == _reference_json(pres, 2)
+    assert certify(pres, 2).to_json() == per_pair_report_json(pres, 2)
     assert orders() == [N]
 
 
@@ -844,7 +987,7 @@ def test_quotient_model_changes_no_report_on_random_files(monkeypatch, seed, p, 
     expected = []
     for item, report in zip(loaded, reports):
         pres = item.presentation
-        assert report.to_json() == _reference_json(pres, 2)
+        assert report.to_json() == per_pair_report_json(pres, 2)
         q = _symmetry_order(pres)
         quotient = group_cert._quotient(pres)
         if q >= 2:
@@ -866,12 +1009,12 @@ def test_a_multiplier_order_sharing_a_prime_with_p_reduces_p(monkeypatch):
     pres = GroupPresentation([Germ(f), Germ(fi), Germ(f)], order=N)
     assert group_cert._quotient(pres).order == (N - 1) // 3 + 1
     orders = _certified_orders(monkeypatch)
-    assert certify(pres, 3).to_json() == _reference_json(pres, 3)
+    assert certify(pres, 3).to_json() == per_pair_report_json(pres, 3)
     # at q = 2 the multiplier -1 leaves p = 1, and the run stays at order N
     f, fi = (series_from_string(t, {}, order=N) for t in _symmetric_pair_texts("-1", "1", 2))
     pres = GroupPresentation([Germ(f), Germ(fi)], order=N)
     assert group_cert._quotient(pres) is None and pres._model is None
-    assert certify(pres, 3).to_json() == _reference_json(pres, 3)
+    assert certify(pres, 3).to_json() == per_pair_report_json(pres, 3)
     assert orders()[-1] == N
     # so does a multiplier that is not a root of unity
     f, fi = (series_from_string(t, {}, order=N) for t in _symmetric_pair_texts("2", "1", 3))
@@ -891,7 +1034,7 @@ def test_symmetric_below_order_n_only_takes_the_order_n_path(monkeypatch):
     assert group_cert._quotient(lower) is not None and lower._model is not None
     assert group_cert._quotient(pres) is None and pres._model is None
     orders = _certified_orders(monkeypatch)
-    assert certify(pres, 3).to_json() == _reference_json(pres, 3)
+    assert certify(pres, 3).to_json() == per_pair_report_json(pres, 3)
     assert orders() == [N]
 
 
@@ -915,4 +1058,4 @@ def test_image_roots_map_their_quotient_from_the_first_roots(monkeypatch):
         if item.image_of is not None:
             assert model._galois_of[0] is models[item.image_of]
     for item, report in zip(loaded, certify_roots(loaded, 2)):
-        assert report.to_json() == _reference_json(item.presentation, 2)
+        assert report.to_json() == per_pair_report_json(item.presentation, 2)
