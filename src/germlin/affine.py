@@ -84,8 +84,8 @@ def affine_conjugator_search(
     Indices are 1-based.  Words are explored shortest first, lexicographically
     by (index, sign), deduplicated by exact map value; of letters with equal
     values only the first is used, and a letter never follows the letter of
-    its inverse, so an involution never follows itself.  The first witness found is returned.
-    Returning None proves nothing.
+    its inverse, so an involution never follows itself.  The first witness
+    found is returned.  Returning None proves nothing.
     """
     if not (1 <= i <= len(gens) and 1 <= j <= len(gens)):
         raise ValueError("generator index out of range")

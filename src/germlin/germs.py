@@ -250,9 +250,10 @@ def reduced_word_search(
     inverse: ``inverse`` maps each letter to the letter of its inverse's
     value (:func:`distinct_letters`), and without it the inverse of (i, s)
     is (i, -s).  Such a child has its grandparent's value, which was tested
-    and seen before, so the skip changes no word.  The tree depends only on the letters, so all goals share it:
-    every generated node is tested against every open goal, a goal is
-    dropped once it has its word, and the search stops when no goal is open.
+    and seen before, so the skip changes no word.  The tree depends only on
+    the letters, so all goals share it: every generated node is tested
+    against every open goal, a goal is dropped once it has its word, and the
+    search stops when no goal is open.
 
     Nodes are lazy.  Every child is tested when it is generated, but it is
     queued as (word, parent value, act, sketch) and its value is composed

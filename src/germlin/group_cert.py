@@ -613,7 +613,7 @@ class IrreducibilityReport:
 
     @property
     def all_conjugacies_positive(self) -> bool:
-        return all(r.positive for r in _distinct(self.conjugacy.values()).values())
+        return all(r.positive for r in self.conjugacy.values())
 
     @property
     def certified(self) -> bool:
@@ -630,7 +630,8 @@ class IrreducibilityReport:
             keys = [f"({i},{j})" for i, j in pairs]
             resolutions = [conjugacy[pair] for pair in pairs]
         # pairs that share a resolution object share its JSON dict too
-        distinct = _distinct(resolutions)
+        ids = list(map(id, resolutions))
+        distinct = dict(zip(ids, resolutions))
         dicts = {key: r.to_json() for key, r in distinct.items()}
         pp = None
         if self.prime_power is not None:
@@ -640,16 +641,12 @@ class IrreducibilityReport:
             "multiplier": format_scalar(self.multiplier),
             "multiplier_order": self.multiplier_order,
             "multipliers_all_equal": self.multipliers_all_equal,
-            "conjugacy": dict(zip(keys, map(dicts.__getitem__, map(id, resolutions)))),
+            "conjugacy": dict(zip(keys, map(dicts.__getitem__, ids))),
             "theorem_a_applicable": self.theorem_a_applicable,
             "prime_power": pp,
+            # the certified property, over the distinct resolutions found here
             "certified": self.product_ok and all(r.positive for r in distinct.values()),
         }
-
-
-def _distinct(resolutions) -> dict:
-    """The distinct resolution objects of ``resolutions``, by their ids."""
-    return dict(zip(map(id, resolutions), resolutions))
 
 
 def _witness_words(pres: GroupPresentation) -> dict[tuple[int, int], Word]:
@@ -776,9 +773,10 @@ def certify_roots(
     of roots once.
 
     A presentation with ``image_of`` set is sigma_u of that earlier one,
-    generator by generator, as the loader builds it; it takes over that one's
-    search outcomes pair by pair.  The reports equal those of :func:`certify`
-    run on each presentation alone.
+    generator by generator, as the loader builds it; it shares that one's
+    pair plan and takes over its search outcomes class pair by class pair.
+    The reports equal those of :func:`certify` run on each presentation
+    alone.
     """
     reports: list[IrreducibilityReport] = []
     for item in loaded:

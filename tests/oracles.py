@@ -39,6 +39,8 @@ from germlin.cyclotomic import (
     cyclo_embed,
     cyclotomic_polynomial,
     format_scalar,
+    prime_power_order,
+    root_of_unity_order,
     zeta,
 )
 from germlin.expressions import (
@@ -47,6 +49,11 @@ from germlin.expressions import (
     eval_scalar,
     parse_constraint,
     parse_expression,
+)
+from germlin.group_cert import (
+    check_conjugacy_witness,
+    check_product_identity,
+    search_conjugator,
 )
 from germlin.jets import (
     _UNIT,
@@ -57,12 +64,6 @@ from germlin.jets import (
     _weighted_sum,
     jet_mul_inverse,
 )
-from germlin.group_cert import (
-    check_conjugacy_witness,
-    check_product_identity,
-    search_conjugator,
-)
-from germlin.cyclotomic import prime_power_order, root_of_unity_order
 from germlin.linearizer import _binomials
 from germlin.pforms import MultiPoly, PForm1
 
