@@ -101,6 +101,6 @@ def affine_conjugator_search(
         AffineMap.key,
         [(lambda s: True, lambda h: fi.compose(h) == h.compose(fj))],
         max_len,
-        inverse=inverse,
+        inverse,
     )
     return found

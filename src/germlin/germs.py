@@ -232,8 +232,8 @@ def reduced_word_search(
     key: Callable[[object], Hashable],
     goals: Sequence[tuple[Callable[[object], bool], Callable[[object], bool]]],
     max_len: int,
+    inverse: dict,
     value_of: Optional[Callable[[object], object]] = None,
-    inverse: Optional[dict] = None,
 ) -> list[Optional[Word]]:
     """Breadth-first search for the first reduced word of each goal.
 
@@ -248,9 +248,8 @@ def reduced_word_search(
     and ``is_witness(value)`` asked.  Words are enumerated shortest first,
     then in the order of ``letters``, skipping a letter right after its own
     inverse: ``inverse`` maps each letter to the letter of its inverse's
-    value (:func:`distinct_letters`), and without it the inverse of (i, s)
-    is (i, -s).  Such a child has its grandparent's value, which was tested
-    and seen before, so the skip changes no word.  The tree depends only on
+    value (:func:`distinct_letters`).  Such a child has its grandparent's
+    value, which was tested and seen before, so the skip changes no word.  The tree depends only on
     the letters, so all goals share it: every generated node is tested
     against every open goal, a goal is dropped once it has its word, and the
     search stops when no goal is open.
@@ -292,12 +291,7 @@ def reduced_word_search(
             continue
         seen.add(k)
         queue_children = len(word) + 1 < max_len
-        if not word:
-            cancel = None
-        elif inverse is None:
-            cancel = (word[-1][0], -word[-1][1])
-        else:
-            cancel = inverse[word[-1]]
+        cancel = inverse[word[-1]] if word else None
         for letter, act, advance in letters:
             if letter == cancel:
                 continue  # skip immediate cancellation: reduced words only

@@ -553,8 +553,8 @@ def _search_tree(
         _row_key,
         goals,
         max_len,
+        inverse,
         value_of=itemgetter(0) if K == N else None,
-        inverse=inverse,
     )
 
 
@@ -598,6 +598,11 @@ class ConjugacyResolution:
         return out
 
 
+def _certified(product_ok: bool, resolutions) -> bool:
+    """The exit-code condition: product identity plus every pair resolved."""
+    return product_ok and all(r.positive for r in resolutions)
+
+
 @dataclass
 class IrreducibilityReport:
     product_ok: bool
@@ -618,12 +623,13 @@ class IrreducibilityReport:
     @property
     def certified(self) -> bool:
         """The exit-code condition: product identity plus every pair resolved."""
-        return self.product_ok and self.all_conjugacies_positive
+        return _certified(self.product_ok, self.conjugacy.values())
 
     def to_json(self) -> dict:
         conjugacy = self.conjugacy
         plan = self._plan
         if plan is not None and tuple(conjugacy) == plan.pairs:
+            # the plan's keys spare sorting the pairs and formatting each key
             keys, resolutions = plan.keys, conjugacy.values()
         else:
             pairs = sorted(conjugacy)
@@ -644,8 +650,8 @@ class IrreducibilityReport:
             "conjugacy": dict(zip(keys, map(dicts.__getitem__, ids))),
             "theorem_a_applicable": self.theorem_a_applicable,
             "prime_power": pp,
-            # the certified property, over the distinct resolutions found here
-            "certified": self.product_ok and all(r.positive for r in distinct.values()),
+            # the certified property, over the distinct resolutions only
+            "certified": _certified(self.product_ok, distinct.values()),
         }
 
 
