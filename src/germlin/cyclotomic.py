@@ -15,6 +15,12 @@ sigma_u: zeta -> zeta^u re-index into it through one loop,
 The inverse of x is the product of its other conjugates sigma_u(x), u != 1,
 divided by the rational norm x * prod sigma_u(x); no linear system is solved.
 
+Roots of unity skip that product and repeated squaring.  The roots of unity
+of Q(zeta_n) are +-zeta_n^k, each zeta_(2n)^e for an exponent e in Z/2n, and
+one cached table per conductor maps each to its exponent and back.  So a
+root of unity inverts to exponent -e, its k-th power (any sign of k) is
+exponent k e, and its order is 2n / gcd(2n, e), with no field product.
+
 One helper forms the unreduced integer product of two coordinate vectors (of
 length 2 phi(n) - 1), which a single product reduces and normalizes at once.
 Sums of products (every jet product, composition and triangular solve) do
@@ -167,6 +173,34 @@ def _monomials(n: int) -> tuple[tuple[int, ...], ...]:
                 mon[i] -= carry * top[i]
         out.append(tuple(mon))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _torsion(n: int) -> tuple[dict, tuple]:
+    """The roots of unity +-zeta_n^k of Q(zeta_n) as powers zeta_(2n)^e, e in
+    Z/2n: the map from the numerator tuple of each (over denominator 1) to
+    its exponent e, and the numerator tuple of each exponent, None where
+    zeta_(2n)^e is not in the field (odd e for even n).
+
+    zeta_n^k is zeta_(2n)^(2k) and -zeta_n^k is zeta_(2n)^(n+2k), so these
+    exponents form a subgroup of Z/2n: inverses and powers of a root of
+    unity are exponent arithmetic, and its order is 2n / gcd(2n, e).
+    """
+    units = [None] * (2 * n)
+    for k, mon in enumerate(_monomials(n)):
+        units[2 * k] = mon
+        units[(n + 2 * k) % (2 * n)] = tuple(-c for c in mon)
+    return {num: e for e, num in enumerate(units) if num is not None}, tuple(units)
+
+
+def _torsion_exponent(x: "CycloElem") -> int | None:
+    """The e in Z/2n with x = zeta_(2n)^e, or None if x is not a root of unity."""
+    return _torsion(x.n)[0].get(x.num) if x.den == 1 else None
+
+
+def _root_of_unity(n: int, e: int) -> "CycloElem":
+    """zeta_(2n)^e in Q(zeta_n), for an e in the subgroup of :func:`_torsion`."""
+    return _element(n, _torsion(n)[1][e % (2 * n)], 1)
 
 
 @lru_cache(maxsize=None)
@@ -436,10 +470,15 @@ class CycloElem:
     def inverse(self) -> "CycloElem":
         """The multiplicative inverse.
 
-        For the integral multiple a = den * self, the product y of the other
+        A root of unity zeta_(2n)^e inverts to zeta_(2n)^(-e), read from the
+        table of its conductor (:func:`_torsion`).  Otherwise, for the
+        integral multiple a = den * self, the product y of the other
         conjugates sigma_u(a), u in (Z/n)^*, u != 1, makes a * y the norm of
         a, a nonzero integer (Phi_n is irreducible), so 1/self = den * y / (a*y).
         """
+        e = _torsion_exponent(self)
+        if e is not None:
+            return _root_of_unity(self.n, -e)
         if self.is_zero:
             raise ZeroDivisionError("division by zero in cyclotomic field")
         if self.is_rational:
@@ -466,8 +505,13 @@ class CycloElem:
         return NotImplemented
 
     def __pow__(self, k: int):
+        """self ** k; a root of unity zeta_(2n)^e gives zeta_(2n)^(k e) for
+        any sign of k, and other elements square repeatedly."""
         if not isinstance(k, int):
             return NotImplemented
+        e = _torsion_exponent(self)
+        if e is not None:
+            return _root_of_unity(self.n, k * e)
         one = CycloElem.from_rational(1, self.n)
         if k < 0:
             return _power(self.inverse(), -k, one)
@@ -522,23 +566,14 @@ def cyclo_embed(q, n: int) -> CycloElem:
 def root_of_unity_order(x: CycloElem) -> int | None:
     """The order of x in the unit group, or None if x is not a root of unity.
 
-    The torsion units of Q(zeta_n) are exactly +-zeta_n^k, so x is compared
-    against that finite candidate set instead of iterating powers.
+    The torsion units of Q(zeta_n) are exactly +-zeta_n^k, each some
+    zeta_(2n)^e, so the order 2n / gcd(2n, e) is read from the exponent table
+    of the conductor (:func:`_torsion`) instead of iterating powers.
     """
     if not isinstance(x, CycloElem):
         x = CycloElem.from_rational(x)
-    if x.den != 1:
-        return None
-    n = x.n
-    mons = _monomials(n)
-    for k, row in enumerate(mons):
-        if x.num == row:
-            e = 2 * k  # x = zeta_{2n}^(2k)
-            return 2 * n // gcd(2 * n, e) if e else 1
-        if all(a == -b for a, b in zip(x.num, row)):
-            e = (n + 2 * k) % (2 * n)  # x = -zeta_n^k = zeta_{2n}^(n+2k)
-            return 2 * n // gcd(2 * n, e) if e else 1
-    return None
+    e = _torsion_exponent(x)
+    return None if e is None else 2 * x.n // gcd(2 * x.n, e)
 
 
 def prime_power_order(m: int) -> tuple[int | None, int] | None:

@@ -561,16 +561,38 @@ def jet_comp_inverse(f: Jet) -> Jet:
     return RightComposer(f).inverse()
 
 
+def _in_power_of_z(f: Jet, op) -> Jet | None:
+    """op(f) through w = z^g, or None when g < 2, for g the gcd of every
+    degree of f's row and an op that maps series in z^g to series in z^g
+    (the reciprocal and rational powers of a series with constant term).
+
+    f(z) = F(z^g), and op(f) to degree N is op(F) to degree N // g with
+    every degree multiplied by g, so the op runs on F at order N // g and
+    pays for no zero coefficient of f."""
+    g = 0
+    for t, _, _ in f.row:
+        g = gcd(g, t)
+    if g < 2:
+        return None
+    N, n = f.order, f.conductor
+    inner = op(Jet._of(tuple((t // g, c, d) for t, c, d in f.row), N // g, n))
+    return Jet._of(tuple((t * g, c, d) for t, c, d in inner.row), N, n)
+
+
 def jet_mul_inverse(f: Jet) -> Jet:
     """The reciprocal series g with f*g = 1 to order N (nonzero constant term).
 
     g_0 = 1/f_0, and g_m = sum_k g_(m-k) (-f_k/f_0) over k = 1 .. m: each g_m
     is gathered by the kernel from the entries of the row of -f/f_0, each as
-    a one-entry row at degree 0, weighted by the g_j found before it."""
+    a one-entry row at degree 0, weighted by the g_j found before it.  A
+    series in z^g, g >= 2, is solved in w = z^g (:func:`_in_power_of_z`)."""
     N, n = f.order, f.conductor
     row = f.row
     if not _has_constant(row):
         raise ValueError("reciprocal needs a nonzero constant term")
+    spread = _in_power_of_z(f, jet_mul_inverse)
+    if spread is not None:
+        return spread
     inv0 = _one(n) / _entry_elem(n, *row[0][1:])
     scaled = _weighted_sum([(_entry(-inv0), 0, row)], N, n)  # -f/f_0
     cells = [(k, ((0, coords, den),)) for k, coords, den in scaled[1:]]
@@ -603,12 +625,16 @@ def jet_rational_power(f: Jet, r) -> Jet:
     Requires constant term exactly 1; the result is the weighted sum
     sum_k C(r, k) u^k with generalized binomial coefficients, exact because
     u has positive valuation v: u^k vanishes for k > N // v, and the sum
-    stops at the first C(r, k) = 0 (r a nonnegative integer).
+    stops at the first C(r, k) = 0 (r a nonnegative integer).  A series in
+    z^g, g >= 2, is raised in w = z^g (:func:`_in_power_of_z`).
     """
     r = Fraction(r)
     N, n = f.order, f.conductor
     if f.row[:1] != _ONE_ROW:
         raise ValueError("rational powers require constant term 1")
+    spread = _in_power_of_z(f, lambda h: jet_rational_power(h, r))
+    if spread is not None:
+        return spread
     u = f.row[1:]
     binoms = [_ONE_ROW[0]]  # the row of sum_k C(r, k) w^k
     binom = Fraction(1)

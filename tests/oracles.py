@@ -21,7 +21,9 @@ kernel of the wedge and the pivot components of the form checks, ex6.1
 built from its defining products and powers instead of its closed-form
 monomials, power tables of successive schoolbook products instead of squares
 of half powers, and long division by Phi_n instead of the table of the
-reduced powers of zeta.
+reduced powers of zeta, and the inverse, powers and order of a root of
+unity from the product of its conjugates and repeated products instead of
+arithmetic on its exponent.
 """
 
 from __future__ import annotations
@@ -418,6 +420,45 @@ def per_pair_report_json(pres, max_len: int) -> dict:
         "prime_power": {"p": pp[0], "s": pp[1]} if applicable else None,
         "certified": product_ok and positive,
     }
+
+
+def conjugate_product_inverse(x: CycloElem) -> CycloElem:
+    """1/x as the product of the other conjugates sigma_u(x), u != 1, scaled
+    by the inverse of the rational norm x * prod sigma_u(x), for every
+    nonzero x: the generic route, which takes no exponent of a root of
+    unity."""
+    n = x.n
+    others = cyclo_embed(1, n)
+    for u in range(2, n):
+        if gcd(u, n) == 1:
+            others = others * x._galois(u)
+    return others * (1 / (x * others).to_fraction())
+
+
+def successive_powers_to_one(x: CycloElem) -> list | None:
+    """[1, x, x^2, .., x^(d-1)] by repeated products of x, for the least
+    d >= 1 with x^d = 1, or None when no d <= 2n works: every root of unity
+    of Q(zeta_n) has order dividing 2n.  So d is the order of x, and x^e is
+    entry e mod d."""
+    one = cyclo_embed(1, x.n)
+    powers = [one]
+    power = x
+    while power != one:
+        if len(powers) == 2 * x.n:
+            return None
+        powers.append(power)
+        power = power * x
+    return powers
+
+
+def repeated_product_power(x: CycloElem, e: int) -> CycloElem:
+    """x^e as |e| repeated products of x, or of its
+    :func:`conjugate_product_inverse` for e < 0."""
+    base = x if e >= 0 else conjugate_product_inverse(x)
+    out = cyclo_embed(1, x.n)
+    for _ in range(abs(e)):
+        out = out * base
+    return out
 
 
 def naive_root_scan(m: int, constraints, var: str = "a") -> list[CycloElem]:

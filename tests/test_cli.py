@@ -489,6 +489,13 @@ def test_limits_are_input_errors(tmp_path, capsys):
              "generators": ["z", "z"]},
             "power",
         )
+    # the bound holds for a root of unity too, whose powers are exponent arithmetic
+    fails(
+        ["certify"],
+        {"field": {"conductor": 3, "constraints": ["a^2 + a + 1 = 0"]},
+         "generators": ["z*a^100000000000", "z"]},
+        "generator 1",
+    )
     fails(["forms", "integrable"], {"form": f"(3^{at}*x)^2*dx"}, '"form"')
     group_at = {"order": 4, "generators": [f"z/3^{at}", "z/(1 - z)"],
                 "field": {"conductor": 4, "constraints": [f"a^4 = 3^{at}/3^{at}"]}}

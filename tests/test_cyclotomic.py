@@ -24,7 +24,12 @@ from germlin.cyclotomic import (
 from germlin.cyclotomic import _monomials
 from germlin.jets import _entry, _row_coeffs, _sparse_row, _weighted_sum
 
-from oracles import naive_root_scan
+from oracles import (
+    conjugate_product_inverse,
+    naive_root_scan,
+    repeated_product_power,
+    successive_powers_to_one,
+)
 from test_jets import ORACLE_CONDUCTORS, WIDE_CONDUCTORS
 
 
@@ -151,6 +156,44 @@ def test_root_of_unity_order_examples():
         assert any(a != -b for a, b in zip(x.num, mons[k]))
     assert root_of_unity_order(x) is None
     assert root_of_unity_order(cyclo_embed(Fraction(1, 2), 4)) is None
+
+
+# odd conductors, where -zeta^k is a root of unity that is no power of zeta
+TORSION_CONDUCTORS = ORACLE_CONDUCTORS + WIDE_CONDUCTORS + (15, 21)
+TORSION_EXPONENTS = tuple(range(-9, 10)) + (2**70 + 5,)
+
+
+def _roots_of_unity(n):
+    """+-zeta_n^k for every k, built from the coordinates of zeta^k."""
+    for mon in _monomials(n):
+        x = CycloElem(n, mon)
+        yield x
+        yield -x
+
+
+@pytest.mark.parametrize("n", TORSION_CONDUCTORS)
+def test_roots_of_unity_invert_and_raise_by_their_exponent(n):
+    distinct = set()
+    for x in _roots_of_unity(n):
+        distinct.add(x)
+        powers = successive_powers_to_one(x)
+        assert root_of_unity_order(x) == len(powers)
+        assert x.inverse() == conjugate_product_inverse(x) == powers[-1]
+        for e in TORSION_EXPONENTS:
+            assert x**e == powers[e % len(powers)]
+    # -zeta^k is a power of zeta exactly when n is even
+    assert len(distinct) == (n if n % 2 == 0 else 2 * n)
+
+
+# not at n = 360, where each generic inverse of these takes about 0.1 s
+@pytest.mark.parametrize("n", ORACLE_CONDUCTORS + (7, 8, 105, 15, 21))
+def test_other_integral_elements_keep_the_generic_inverse_and_power(n):
+    z = CycloElem(n, _monomials(n)[1 % n])
+    for x in (1 + z, 2 * z, z + z * z):
+        assert root_of_unity_order(x) is successive_powers_to_one(x) is None
+        assert x.inverse() == conjugate_product_inverse(x)
+        for e in range(-9, 10):
+            assert x**e == repeated_product_power(x, e)
 
 
 def test_prime_power_order():

@@ -13,6 +13,7 @@ from germlin.jets import (
     RightComposer,
     _compose_rows,
     _entry,
+    _in_power_of_z,
     _power_rows,
     _row_coeffs,
     _sparse_row,
@@ -30,6 +31,7 @@ from oracles import (
     geometric_quotient,
     lagrange_inverse,
     naive_jet_product,
+    naive_binomial_power,
     naive_poly_compose,
     naive_reciprocal,
     random_jet,
@@ -402,6 +404,31 @@ def test_inverses_match_oracles_at_each_conductor(n):
             reciprocal = jet_mul_inverse(f)
             assert reciprocal == naive_reciprocal(f)
             assert naive_jet_product(f, reciprocal) == Jet.constant(1, N, n)
+
+
+@pytest.mark.parametrize("n", (1, 6, 10))
+@pytest.mark.parametrize("g", (2, 3, 5))
+def test_series_in_a_power_of_z_match_the_oracles(n, g):
+    # f = F(z^g) is solved in w = z^g at order N // g; at N = g - 1 the row is
+    # its constant alone, so the gcd of its degrees is 0 and no w is taken
+    rng = random.Random(740 + 10 * n + g)
+    for N in (g - 1, g, 17, 48):
+        F = _mixed_jet(rng, N // g, n, unit_linear=N >= g).coeffs
+        spread = [0] * (N + 1)
+        for t, c in enumerate(F):
+            spread[g * t] = c
+        spread[0] = 1 - zeta(n) if n > 2 else Fraction(-3, 7)
+        f = Jet(spread, order=N, conductor=n)
+        reciprocal = naive_reciprocal(f)
+        assert jet_mul_inverse(f) == reciprocal
+        assert (_in_power_of_z(f, jet_mul_inverse) is None) == (N < g)
+        spread[0] = 1
+        f = Jet(spread, order=N, conductor=n)
+        for r in (Fraction(-1, 2), Fraction(2, 3)):
+            power = naive_binomial_power(f, r)
+            assert jet_rational_power(f, r) == power
+            if N >= g:
+                assert _in_power_of_z(f, lambda h: jet_rational_power(h, r)) == power
 
 
 @pytest.mark.parametrize("n", ORACLE_CONDUCTORS)
