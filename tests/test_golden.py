@@ -119,6 +119,12 @@ CASES = (
     + ["certify --example ex4.3 --order 32 --max-word-len 8 --p 2"]
     + [f"certify --example ex4.3 --order 48 --max-word-len 10 --p {p}" for p in (3, 4, 5)]
     + ["certify roundtrip3.json", "certify involution_triple.json --max-word-len 6"]
+    + [
+        "certify --example g14 --order 4 --max-word-len 1 --pretty",
+        "certify --example g18p --order 4 --max-word-len 1 --pretty",
+        "certify two_orbits.json --max-word-len 3 --pretty",
+        "linearize --example ex4.1 --order 4 --pretty",
+    ]
 )
 
 
