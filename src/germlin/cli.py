@@ -10,6 +10,14 @@ example registry, all emitting deterministic JSON:
 
 Exit codes: 0 when every check resolves positively, 1 when some check is
 refuted or unresolved, 2 for input errors (with a diagnostic on stderr).
+
+Output is compact JSON, or with ``--pretty`` the same document indented by
+two spaces.  ``linearize`` and ``forms`` print ``json.dumps`` of their
+payload.  ``certify`` lists every pair of generators at every root, though
+each root holds only a few distinct resolutions, so it writes its document
+from parts each encoded once (:func:`_certify_document`); the text is byte
+for byte ``json.dumps`` of the payload that holds each report's
+``to_json()``.
 """
 
 from __future__ import annotations
@@ -20,8 +28,9 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .cyclotomic import _CYCLO_RE, format_scalar, parse_scalar
 from .expressions import ExpressionError
@@ -118,6 +127,166 @@ def _scalars_json(scalars: dict) -> dict:
     return {name: format_scalar(value) for name, value in sorted(scalars.items())}
 
 
+def _join(open_: str, close: str, items: list, indent: Optional[int], depth: int) -> str:
+    """The text of a JSON object or array from its item texts, laid out as
+    ``json.dumps`` lays out a container at nesting ``depth``."""
+    if not items:
+        return open_ + close
+    if indent is None:
+        return open_ + ",".join(items) + close
+    outer = "\n" + " " * (indent * depth)
+    inner = outer + " " * indent
+    return open_ + inner + ("," + inner).join(items) + outer + close
+
+
+def _literal(value) -> str:
+    """The JSON text of a bool, None or an int."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return str(value)
+
+
+class _Layout(NamedTuple):
+    """The parts of a certify document that depend only on its indent: the
+    key separator, the encoder of a resolution and the text that re-indents
+    its newlines for its depth, and each object of fixed keys as a
+    %-template of its values."""
+
+    indent: Optional[int]
+    colon: str
+    encode: Callable[[object], str]
+    margin: str
+    document: str
+    solution: str
+    report: str
+    prime_power: str
+
+
+# the depth of a report's "conjugacy" object in the certify document:
+# document, "solutions", solution, "report", "conjugacy"
+_CONJUGACY_DEPTH = 4
+
+
+def _layout(indent: Optional[int]) -> _Layout:
+    colon = ":" if indent is None else ": "
+
+    def template(keys: str, depth: int) -> str:
+        return _join("{", "}", [f'"{key}"{colon}%s' for key in keys.split()], indent, depth)
+
+    encoder = json.JSONEncoder(indent=indent, separators=None if indent else (",", ":"))
+    return _Layout(
+        indent=indent,
+        colon=colon,
+        encode=encoder.encode,
+        # a resolution's lines sit one level below the conjugacy object
+        margin="\n" + " " * ((indent or 0) * (_CONJUGACY_DEPTH + 1)),
+        document=template("command input order max_word_len solutions certified", 0),
+        solution=template("label scalars report", 2),
+        report=template(
+            "product_ok multiplier multiplier_order multipliers_all_equal conjugacy "
+            "theorem_a_applicable prime_power certified",
+            3,
+        ),
+        prime_power=template("p s", 4),
+    )
+
+
+# built once, at import, as a CLI run would build them
+_LAYOUTS = {indent: _layout(indent) for indent in (None, 2)}
+
+
+def _conjugacy_text(report, layout: _Layout, memo: dict) -> tuple[str, bool]:
+    """The text of ``report.to_json()["conjugacy"]`` and whether each of its
+    resolutions is positive.
+
+    Each distinct resolution object is encoded once.  A report whose pairs
+    are those of its pair plan, in order, reads the plan's keys, quoted once
+    per plan; any other report sorts its pairs.  Per plan, ``memo`` keeps
+    the quoted keys and the text of each pattern of shared resolutions and
+    tuple of distinct resolutions met, so a Galois image whose resolutions
+    equal its first root's reuses that text: equal frozen resolutions
+    encode equal.
+    """
+    conjugacy = report.conjugacy
+    plan = report._plan
+    if plan is not None and tuple(conjugacy) == plan.pairs:
+        # the reports hold their plans, so a plan's id stays its own
+        entry = memo.get(id(plan))
+        if entry is None:
+            entry = memo[id(plan)] = ([_quote(k) + layout.colon for k in plan.keys], {})
+        prefixes, texts = entry
+        resolutions = conjugacy.values()
+    else:
+        pairs = sorted(conjugacy)
+        prefixes = [f'"({i},{j})"{layout.colon}' for i, j in pairs]
+        texts = {}
+        resolutions = [conjugacy[pair] for pair in pairs]
+    # each pair's index among the distinct resolution objects
+    ids = list(map(id, resolutions))
+    distinct = dict(zip(ids, resolutions))
+    slot = dict(zip(distinct, range(len(distinct))))
+    pattern = tuple(map(slot.__getitem__, ids))
+    values = tuple(distinct.values())
+    found = texts.get((pattern, values))
+    if found is None:
+        encoded = [layout.encode(r.to_json()) for r in values]
+        if layout.indent is not None:
+            encoded = [text.replace("\n", layout.margin) for text in encoded]
+        items = list(map(str.__add__, prefixes, map(encoded.__getitem__, pattern)))
+        text = _join("{", "}", items, layout.indent, _CONJUGACY_DEPTH)
+        found = texts[pattern, values] = (text, all(r.positive for r in values))
+    return found
+
+
+def _certify_document(source: str, loaded, reports, max_len: int, indent: Optional[int]):
+    """(text, certified): the certify document of ``reports``, byte for byte
+    ``json.dumps`` of the payload that holds each report's ``to_json()``,
+    compact (``indent=None``) or indented by two spaces (``indent=2``).  It
+    is written from parts each encoded once: the fixed keys of each object
+    per indent, and the conjugacy text per distinct set of resolutions
+    (:func:`_conjugacy_text`)."""
+    layout = _LAYOUTS[indent]
+    colon = layout.colon
+    memo: dict = {}
+    solutions = []
+    certified = True
+    for item, report in zip(loaded, reports):
+        conjugacy, positive = _conjugacy_text(report, layout, memo)
+        ok = report.product_ok and positive
+        certified = certified and ok
+        pp = report.prime_power
+        text = layout.report % (
+            _literal(report.product_ok),
+            _quote(format_scalar(report.multiplier)),
+            _literal(report.multiplier_order),
+            _literal(report.multipliers_all_equal),
+            conjugacy,
+            _literal(report.theorem_a_applicable),
+            "null" if pp is None else layout.prime_power % (_literal(pp[0]), _literal(pp[1])),
+            _literal(ok),
+        )
+        scalars = [
+            _quote(name) + colon + _quote(format_scalar(value))
+            for name, value in sorted(item.scalars.items())
+        ]
+        solutions.append(
+            layout.solution % (_quote(item.label), _join("{", "}", scalars, indent, 3), text)
+        )
+    text = layout.document % (
+        '"certify"',
+        _quote(source),
+        loaded[0].presentation.order,
+        max_len,
+        _join("[", "]", solutions, indent, 1),
+        _literal(certified),
+    )
+    return text, certified
+
+
 def cmd_certify(args) -> int:
     if not 0 <= args.max_word_len <= MAX_WORD_LEN:
         raise InputError(
@@ -125,24 +294,11 @@ def cmd_certify(args) -> int:
         )
     source, loaded = _load_presentations(args)
     reports = certify_roots(loaded, args.max_word_len)
-    solutions = []
-    all_ok = True
-    for item, report in zip(loaded, reports):
-        out = report.to_json()
-        all_ok = all_ok and out["certified"]
-        solutions.append(
-            {"label": item.label, "scalars": _scalars_json(item.scalars), "report": out}
-        )
-    payload = {
-        "command": "certify",
-        "input": source,
-        "order": loaded[0].presentation.order,
-        "max_word_len": args.max_word_len,
-        "solutions": solutions,
-        "certified": all_ok,
-    }
-    _emit(payload, args.pretty)
-    return EXIT_OK if all_ok else EXIT_REFUTED
+    text, certified = _certify_document(
+        source, loaded, reports, args.max_word_len, 2 if args.pretty else None
+    )
+    sys.stdout.write(text + "\n")
+    return EXIT_OK if certified else EXIT_REFUTED
 
 
 def cmd_linearize(args) -> int:

@@ -632,22 +632,28 @@ def solve_root_constraints(m: int, constraints, var: str = "a") -> list[CycloEle
 # -- serialization ---------------------------------------------------------------
 
 
-def _format_fraction(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _format_ratio(p: int, q: int) -> str:
+    """p/q in lowest terms, for q > 0: ``p`` when q divides p, else ``p/q``."""
+    g = gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
 def format_scalar(x) -> str:
     """Canonical string form: ``p/q`` for rational values (including
-    rational-valued field elements), ``cyclo(n)[...]`` otherwise."""
+    rational-valued field elements), ``cyclo(n)[...]`` otherwise.  A field
+    element's coordinates are reduced from its integer numerators and common
+    denominator, one gcd each, without building a Fraction."""
     try:
-        if isinstance(x, int):
+        if isinstance(x, (int, Fraction)):
             return str(x)
-        if isinstance(x, Fraction):
-            return _format_fraction(x)
         if isinstance(x, CycloElem):
-            if x.is_rational:
-                return _format_fraction(x.to_fraction())
-            inner = ",".join(_format_fraction(c) for c in x.coeffs)
+            num, den = x.num, x.den
+            if not any(num[1:]):
+                return _format_ratio(num[0], den)
+            if den == 1:
+                inner = ",".join(map(str, num))
+            else:
+                inner = ",".join([_format_ratio(c, den) for c in num])
             return f"cyclo({x.n})[{inner}]"
     except ValueError:  # the interpreter's digit limit, kept: the conversion is quadratic
         limit = sys.get_int_max_str_digits()

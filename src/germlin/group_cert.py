@@ -612,8 +612,8 @@ class IrreducibilityReport:
     conjugacy: dict[tuple[int, int], ConjugacyResolution]
     theorem_a_applicable: bool
     prime_power: Optional[tuple[Optional[int], int]] = None
-    # the pair plan of the presentation certified, whose keys serialise
-    # ``conjugacy`` as long as it holds the plan's pairs in order
+    # the pair plan of the presentation certified, whose keys the certify
+    # command prints as long as ``conjugacy`` holds the plan's pairs in order
     _plan: Optional[_PairPlan] = field(default=None, compare=False, repr=False)
 
     @property
@@ -626,15 +626,15 @@ class IrreducibilityReport:
         return _certified(self.product_ok, self.conjugacy.values())
 
     def to_json(self) -> dict:
+        """The report as a JSON object, its pairs in sorted order.  This is
+        the public form of a report: ``germlin certify`` writes its document
+        from once-encoded parts (``cli._certify_document``), and that text
+        parses to this dict for each root, in compact and indented output
+        alike."""
         conjugacy = self.conjugacy
-        plan = self._plan
-        if plan is not None and tuple(conjugacy) == plan.pairs:
-            # the plan's keys spare sorting the pairs and formatting each key
-            keys, resolutions = plan.keys, conjugacy.values()
-        else:
-            pairs = sorted(conjugacy)
-            keys = [f"({i},{j})" for i, j in pairs]
-            resolutions = [conjugacy[pair] for pair in pairs]
+        pairs = sorted(conjugacy)
+        keys = [f"({i},{j})" for i, j in pairs]
+        resolutions = [conjugacy[pair] for pair in pairs]
         # pairs that share a resolution object share its JSON dict too
         ids = list(map(id, resolutions))
         distinct = dict(zip(ids, resolutions))

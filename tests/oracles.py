@@ -21,14 +21,19 @@ kernel of the wedge and the pivot components of the form checks, ex6.1
 built from its defining products and powers instead of its closed-form
 monomials, power tables of successive schoolbook products instead of squares
 of half powers, and long division by Phi_n instead of the table of the
-reduced powers of zeta, and the inverse, powers and order of a root of
+reduced powers of zeta, the inverse, powers and order of a root of
 unity from the product of its conjugates and repeated products instead of
-arithmetic on its exponent.
+arithmetic on its exponent, scalars printed through a Fraction per
+coordinate instead of one gcd per integer numerator, and the certify
+document as ``json.dumps`` of the reports' ``to_json()`` instead of the
+command's writer of once-encoded parts.
 """
 
 from __future__ import annotations
 
+import json
 import random
+import sys
 from collections import deque
 from functools import reduce
 from fractions import Fraction
@@ -40,7 +45,6 @@ from germlin.cyclotomic import (
     CycloElem,
     cyclo_embed,
     cyclotomic_polynomial,
-    format_scalar,
     prime_power_order,
     root_of_unity_order,
     zeta,
@@ -372,6 +376,53 @@ def naive_classes(jets) -> tuple:
     return tuple(next(k for k, other in enumerate(jets) if other == jet) for jet in jets)
 
 
+def _format_fraction(q: Fraction) -> str:
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def fraction_format_scalar(x) -> str:
+    """``format_scalar`` through Fractions: a field element's value, or each
+    of its coordinates, as a Fraction printed ``p`` or ``p/q``."""
+    try:
+        if isinstance(x, int):
+            return str(x)
+        if isinstance(x, Fraction):
+            return _format_fraction(x)
+        if isinstance(x, CycloElem):
+            if x.is_rational:
+                return _format_fraction(x.to_fraction())
+            inner = ",".join(_format_fraction(c) for c in x.coeffs)
+            return f"cyclo({x.n})[{inner}]"
+    except ValueError:  # the interpreter's digit limit, kept: the conversion is quadratic
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"a number to print has more than {limit} decimal digits") from None
+    raise TypeError(f"not a scalar: {x!r}")
+
+
+def certify_document_by_dumps(source, loaded, reports, max_len: int, pretty: bool):
+    """(text, certified): the certify command's document as ``json.dumps``
+    of a payload that holds each report's ``to_json()``, compact or
+    indented by two spaces, without the trailing newline."""
+    solutions = []
+    all_ok = True
+    for item, report in zip(loaded, reports):
+        out = report.to_json()
+        all_ok = all_ok and out["certified"]
+        scalars = {name: fraction_format_scalar(v) for name, v in sorted(item.scalars.items())}
+        solutions.append({"label": item.label, "scalars": scalars, "report": out})
+    payload = {
+        "command": "certify",
+        "input": source,
+        "order": loaded[0].presentation.order,
+        "max_word_len": max_len,
+        "solutions": solutions,
+        "certified": all_ok,
+    }
+    if pretty:
+        return json.dumps(payload, indent=2), all_ok
+    return json.dumps(payload, separators=(",", ":")), all_ok
+
+
 def per_pair_report_json(pres, max_len: int) -> dict:
     """The JSON report of ``group_cert.certify`` built pair by pair on the
     order-N presentation itself, over the public checks.
@@ -412,7 +463,7 @@ def per_pair_report_json(pres, max_len: int) -> dict:
     applicable = product_ok and all_equal and positive and pp is not None
     return {
         "product_ok": product_ok,
-        "multiplier": format_scalar(mults[0]),
+        "multiplier": fraction_format_scalar(mults[0]),
         "multiplier_order": order,
         "multipliers_all_equal": all_equal,
         "conjugacy": conj,
@@ -486,7 +537,7 @@ def per_root_presentations(spec: dict, order: int) -> list:
     envs = [({}, "")]
     if constraints:
         roots = naive_root_scan(field.get("conductor", 1), constraints, var)
-        envs = [({var: a}, f"{var}={format_scalar(a)}") for a in roots]
+        envs = [({var: a}, f"{var}={fraction_format_scalar(a)}") for a in roots]
     out = []
     for env, label in envs:
         jets: dict = {}

@@ -1,10 +1,23 @@
+import dataclasses
 import json
+import os
 import sys
 import time
 
 import pytest
 
-from germlin.cli import main
+from germlin.cli import _certify_document, main
+from germlin.germs import Word
+from germlin.group_cert import (
+    ConjugacyResolution,
+    certify,
+    certify_roots,
+    check_conjugacy_witness,
+    load_presentation_file,
+)
+from germlin.registry import GROUP_EXAMPLES, build_group_example
+
+from oracles import certify_document_by_dumps
 
 
 def run(capsys, *argv):
@@ -756,3 +769,104 @@ def test_kupka_bounds_the_powers_of_the_point_before_forming_any(capsys):
                          "--point", f"0,cyclo(360)[{entry}],1,0")
     assert code == 2 and out == "" and err.count("\n") == 1 and "96 numbers" in err, err
     assert time.perf_counter() - start < 5
+
+
+# -- the certify document against json.dumps of the reports ---------------------------
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def _assert_certify_prints_dumps(capsys, argv, source, loaded, max_len):
+    """certify prints, compact and with --pretty, json.dumps of the payload
+    of the reports of ``loaded``, and exits by their certified flag."""
+    reports = certify_roots(loaded, max_len)
+    for pretty in (False, True):
+        code, out, err = run(capsys, *argv, *(["--pretty"] if pretty else []))
+        text, certified = certify_document_by_dumps(source, loaded, reports, max_len, pretty)
+        assert (code, out, err) == (0 if certified else 1, text + "\n", "")
+
+
+def _assert_writer_prints_dumps(source, loaded, reports, max_len):
+    for indent, pretty in ((None, False), (2, True)):
+        expected = certify_document_by_dumps(source, loaded, reports, max_len, pretty)
+        assert _certify_document(source, loaded, reports, max_len, indent) == expected
+
+
+@pytest.mark.parametrize("max_len", [1, 2])
+@pytest.mark.parametrize("N", [2, 4, 8])
+@pytest.mark.parametrize("example", GROUP_EXAMPLES)
+def test_certify_document_is_dumps_of_the_reports_on_registry(capsys, example, N, max_len):
+    argv = ["certify", "--example", example, "--order", str(N), "--max-word-len", str(max_len)]
+    loaded = build_group_example(example, order=N)
+    _assert_certify_prints_dumps(capsys, argv, example, loaded, max_len)
+
+
+@pytest.mark.parametrize(
+    "name, max_len",
+    [("two_orbits", 3), ("repeated_letters", 4), ("involution_triple", 6), ("roundtrip3", 8)],
+)
+def test_certify_document_is_dumps_of_the_reports_on_files(capsys, monkeypatch, name, max_len):
+    monkeypatch.chdir(GOLDEN_DIR)
+    path = f"{name}.json"
+    loaded = load_presentation_file(path)
+    argv = ["certify", path, "--max-word-len", str(max_len)]
+    _assert_certify_prints_dumps(capsys, argv, path, loaded, max_len)
+
+
+def test_certify_document_where_witnessed_and_searched_pairs_share_a_class_pair(
+    tmp_path, capsys
+):
+    # f, f, c = g f g^-1 and g = -z: g^-1 conjugates f to c, so the witness
+    # verifies (1, 3), and (2, 3), of the same class pair (f, c), is searched
+    spec = {
+        "order": 8,
+        "generators": ["z/(1 - z)", "z/(1 - z)", "z/(1 + z)", "-z"],
+        "witnesses": {"(1,3)": [[4, -1]]},
+    }
+    path = tmp_path / "shared.json"
+    path.write_text(json.dumps(spec))
+    loaded = load_presentation_file(str(path))
+    conjugacy = certify_roots(loaded, 2)[0].conjugacy
+    assert conjugacy[(1, 3)].status == "verified-by-witness"
+    assert conjugacy[(2, 3)].status == "found-by-search"
+    _assert_certify_prints_dumps(capsys, ["certify", str(path), "--max-word-len", "2"],
+                                 str(path), loaded, 2)
+
+
+def test_certify_document_after_a_transferred_word_fails_its_check():
+    # ex4.1 at N = 8: the second root is the Galois image of the first.  A
+    # first-root report whose word for (1, 6) fails its check on the image
+    # makes the image search that class pair again, so the image's text
+    # differs from the first root's, with the same plan and the same pattern
+    # of shared resolutions, and must not be reused
+    loaded = build_group_example("ex4.1", order=8)
+    assert loaded[1].image_of == 0
+    first = certify_roots(loaded, 2)[0]
+    found = first.conjugacy[(1, 6)]
+    bogus = ConjugacyResolution("found-by-search", Word.from_list([[5, 1], [1, 1]]))
+    assert not check_conjugacy_witness(loaded[1].presentation, 1, 6, bogus.word)
+    conjugacy = {pair: bogus if r is found else r for pair, r in first.conjugacy.items()}
+    first = dataclasses.replace(first, conjugacy=conjugacy)
+    image = certify(loaded[1].presentation, 2, transferred=first)
+    assert image._plan is first._plan and image.conjugacy[(1, 6)] == found
+    _assert_writer_prints_dumps("ex4.1", loaded, [first, image], 2)
+
+
+def test_certify_document_of_edited_reports_sorts_their_pairs():
+    loaded = build_group_example("g18p", order=4)
+    reports = certify_roots(loaded, 1)
+    # a pair taken out and put back moves to the end of the dict
+    edited = reports[2].conjugacy
+    edited[(1, 2)] = edited.pop((1, 2))
+    edited[(3, 4)] = ConjugacyResolution("not-found-up-to", max_len=1)
+    # the same pairs in reverse order, and a report with no pair at all
+    reports[3].conjugacy = dict(reversed(list(reports[3].conjugacy.items())))
+    reports[4].conjugacy = {}
+    _assert_writer_prints_dumps("g18p", loaded, reports, 1)
+
+
+def test_certify_document_quotes_the_input_path_as_json_does(tmp_path, capsys):
+    path = tmp_path / 'a "quoted\\ name é.json'
+    path.write_text(json.dumps({"order": 6, "generators": ["z/(1 - z)", "z/(1 + z)"]}))
+    loaded = load_presentation_file(str(path))
+    _assert_certify_prints_dumps(capsys, ["certify", str(path)], str(path), loaded, 8)

@@ -26,6 +26,7 @@ from germlin.jets import _entry, _row_coeffs, _sparse_row, _weighted_sum
 
 from oracles import (
     conjugate_product_inverse,
+    fraction_format_scalar,
     naive_root_scan,
     repeated_product_power,
     successive_powers_to_one,
@@ -305,6 +306,49 @@ def test_serialization_round_trip_rationals(p, q, n):
     x = cyclo_embed(Fraction(p, q), n)
     assert parse_scalar(format_scalar(x)) == x
     assert parse_scalar(format_scalar(Fraction(p, q))) == Fraction(p, q)
+
+
+def _scalars_to_print(rng, n):
+    """Elements of Q(zeta_n) with zero, negative and large coordinates, over
+    1 and over larger denominators, rational ones among them, and ints and
+    Fractions."""
+    phi = euler_phi(n)
+    for _ in range(12):
+        den = rng.choice([1, 1, 2, 6, 35, 2**40 + 1])
+        span = rng.choice([3, 10**30])
+        coeffs = [
+            Fraction(rng.randint(-span, span), den) if rng.random() < 0.7 else 0
+            for _ in range(phi)
+        ]
+        yield CycloElem(n, coeffs)
+        yield cyclo_embed(coeffs[0], n)
+        yield coeffs[-1]
+        yield rng.randint(-span, span)
+    yield CycloElem(n, [0] * phi)
+    yield -CycloElem(n, _monomials(n)[1 % n]) / 3
+
+
+@pytest.mark.parametrize("n", ORACLE_CONDUCTORS + WIDE_CONDUCTORS)
+def test_format_scalar_matches_the_fraction_formatter(n):
+    rng = random.Random(n)
+    for x in _scalars_to_print(rng, n):
+        assert format_scalar(x) == fraction_format_scalar(x)
+        assert parse_scalar(format_scalar(x)) == x
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="the interpreter does not limit int-to-string conversion",
+)
+def test_format_scalar_past_the_digit_limit_keeps_its_message():
+    big = 3**20000
+    for x in (big, Fraction(1, big), CycloElem(6, [1, big]), CycloElem(6, [Fraction(1, 2), big])):
+        with pytest.raises(ValueError) as ours:
+            format_scalar(x)
+        with pytest.raises(ValueError) as theirs:
+            fraction_format_scalar(x)
+        assert str(ours.value) == str(theirs.value)
+        assert str(ours.value).startswith("a number to print has more than ")
 
 
 def test_serialization_round_trip_cyclo():
