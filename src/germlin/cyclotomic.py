@@ -644,7 +644,9 @@ def format_scalar(x) -> str:
     element's coordinates are reduced from its integer numerators and common
     denominator, one gcd each, without building a Fraction."""
     try:
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, int):
+            return str(x)
+        if isinstance(x, Fraction):
             return str(x)
         if isinstance(x, CycloElem):
             num, den = x.num, x.den
