@@ -12,12 +12,11 @@ Exit codes: 0 when every check resolves positively, 1 when some check is
 refuted or unresolved, 2 for input errors (with a diagnostic on stderr).
 
 Output is compact JSON, or with ``--pretty`` the same document indented by
-two spaces.  ``linearize`` and ``forms`` print ``json.dumps`` of their
-payload.  ``certify`` lists every pair of generators at every root, though
-each root holds only a few distinct resolutions, so it writes its document
-from parts each encoded once (:func:`_certify_document`); the text is byte
-for byte ``json.dumps`` of the payload that holds each report's
-``to_json()``.
+two spaces, always as ``json.dumps`` writes the payload.  ``certify`` lists
+every pair of generators at every root, though each root holds only a few
+distinct resolutions, so it encodes each report's ``"conjugacy"`` value
+once per distinct set of resolutions and lets ``json`` write the rest
+(:func:`_certify_document`).
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 from .cyclotomic import _CYCLO_RE, format_scalar, parse_scalar
 from .expressions import ExpressionError
@@ -82,12 +81,20 @@ class InputError(Exception):
     """Any problem with the provided input (exit code 2)."""
 
 
+# the encoders of json.dumps(payload, separators=(",", ":")) and of
+# json.dumps(payload, indent=2), built once
+_ENCODERS = {
+    False: json.JSONEncoder(separators=(",", ":")),
+    True: json.JSONEncoder(indent=2),
+}
+
+
+def _encode(payload: dict, pretty: bool) -> str:
+    return _ENCODERS[pretty].encode(payload)
+
+
 def _emit(payload: dict, pretty: bool) -> None:
-    if pretty:
-        text = json.dumps(payload, indent=2)
-    else:
-        text = json.dumps(payload, separators=(",", ":"))
-    sys.stdout.write(text + "\n")
+    sys.stdout.write(_encode(payload, pretty) + "\n")
 
 
 def _select(args, kind: str, examples: tuple, build, load):
@@ -127,81 +134,14 @@ def _scalars_json(scalars: dict) -> dict:
     return {name: format_scalar(value) for name, value in sorted(scalars.items())}
 
 
-def _join(open_: str, close: str, items: list, indent: Optional[int], depth: int) -> str:
-    """The text of a JSON object or array from its item texts, laid out as
-    ``json.dumps`` lays out a container at nesting ``depth``."""
-    if not items:
-        return open_ + close
-    if indent is None:
-        return open_ + ",".join(items) + close
-    outer = "\n" + " " * (indent * depth)
-    inner = outer + " " * indent
-    return open_ + inner + ("," + inner).join(items) + outer + close
-
-
-def _literal(value) -> str:
-    """The JSON text of a bool, None or an int."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return str(value)
-
-
-class _Layout(NamedTuple):
-    """The parts of a certify document that depend only on its indent: the
-    key separator, the encoder of a resolution and the text that re-indents
-    its newlines for its depth, and each object of fixed keys as a
-    %-template of its values."""
-
-    indent: Optional[int]
-    colon: str
-    encode: Callable[[object], str]
-    margin: str
-    document: str
-    solution: str
-    report: str
-    prime_power: str
-
-
 # the depth of a report's "conjugacy" object in the certify document:
 # document, "solutions", solution, "report", "conjugacy"
 _CONJUGACY_DEPTH = 4
 
 
-def _layout(indent: Optional[int]) -> _Layout:
-    colon = ":" if indent is None else ": "
-
-    def template(keys: str, depth: int) -> str:
-        return _join("{", "}", [f'"{key}"{colon}%s' for key in keys.split()], indent, depth)
-
-    encoder = json.JSONEncoder(indent=indent, separators=None if indent else (",", ":"))
-    return _Layout(
-        indent=indent,
-        colon=colon,
-        encode=encoder.encode,
-        # a resolution's lines sit one level below the conjugacy object
-        margin="\n" + " " * ((indent or 0) * (_CONJUGACY_DEPTH + 1)),
-        document=template("command input order max_word_len solutions certified", 0),
-        solution=template("label scalars report", 2),
-        report=template(
-            "product_ok multiplier multiplier_order multipliers_all_equal conjugacy "
-            "theorem_a_applicable prime_power certified",
-            3,
-        ),
-        prime_power=template("p s", 4),
-    )
-
-
-# built once, at import, as a CLI run would build them
-_LAYOUTS = {indent: _layout(indent) for indent in (None, 2)}
-
-
-def _conjugacy_text(report, layout: _Layout, memo: dict) -> tuple[str, bool]:
-    """The text of ``report.to_json()["conjugacy"]`` and whether each of its
-    resolutions is positive.
+def _conjugacy_text(report, encoder: json.JSONEncoder, memo: dict) -> tuple[str, bool]:
+    """The text of ``report.to_json()["conjugacy"]`` as ``encoder`` lays it
+    out at its depth, and whether each of its resolutions is positive.
 
     Each distinct resolution object is encoded once.  A report whose pairs
     are those of its pair plan, in order, reads the plan's keys, quoted once
@@ -211,18 +151,19 @@ def _conjugacy_text(report, layout: _Layout, memo: dict) -> tuple[str, bool]:
     equal its first root's reuses that text: equal frozen resolutions
     encode equal.
     """
+    indent, colon = encoder.indent, encoder.key_separator
     conjugacy = report.conjugacy
     plan = report._plan
     if plan is not None and tuple(conjugacy) == plan.pairs:
         # the reports hold their plans, so a plan's id stays its own
         entry = memo.get(id(plan))
         if entry is None:
-            entry = memo[id(plan)] = ([_quote(k) + layout.colon for k in plan.keys], {})
+            entry = memo[id(plan)] = ([_quote(k) + colon for k in plan.keys], {})
         prefixes, texts = entry
         resolutions = conjugacy.values()
     else:
         pairs = sorted(conjugacy)
-        prefixes = [f'"({i},{j})"{layout.colon}' for i, j in pairs]
+        prefixes = [f'"({i},{j})"{colon}' for i, j in pairs]
         texts = {}
         resolutions = [conjugacy[pair] for pair in pairs]
     # each pair's index among the distinct resolution objects
@@ -233,58 +174,67 @@ def _conjugacy_text(report, layout: _Layout, memo: dict) -> tuple[str, bool]:
     values = tuple(distinct.values())
     found = texts.get((pattern, values))
     if found is None:
-        encoded = [layout.encode(r.to_json()) for r in values]
-        if layout.indent is not None:
-            encoded = [text.replace("\n", layout.margin) for text in encoded]
-        items = list(map(str.__add__, prefixes, map(encoded.__getitem__, pattern)))
-        text = _join("{", "}", items, layout.indent, _CONJUGACY_DEPTH)
+        encoded = [encoder.encode(r.to_json()) for r in values]
+        inner = close = ""
+        if indent is not None and values:
+            # laid out as json lays out an object at this depth: each pair,
+            # and so each line of its resolution, one level further in
+            inner = "\n" + " " * (indent * (_CONJUGACY_DEPTH + 1))
+            close = inner[:-indent]
+            encoded = [part.replace("\n", inner) for part in encoded]
+        items = map(str.__add__, prefixes, map(encoded.__getitem__, pattern))
+        text = "{" + inner + ("," + inner).join(items) + close + "}"
         found = texts[pattern, values] = (text, all(r.positive for r in values))
     return found
+
+
+# While the certify payload is encoded, each report's "conjugacy" value is
+# _PLACEHOLDER; the value's text then replaces the encoded placeholder.  Only
+# a string holding a NUL encodes to text containing _PLACEHOLDER_TEXT, and no
+# other string of the document holds one: the input is a registry name or a
+# path, and a path with a NUL exits 2 ("embedded null byte"); keys are fixed
+# or names matching ``group_cert._NAME_RE``; labels and scalars are
+# ``format_scalar`` text.
+_PLACEHOLDER = "\x00"
+_PLACEHOLDER_TEXT = json.dumps(_PLACEHOLDER)
 
 
 def _certify_document(source: str, loaded, reports, max_len: int, indent: Optional[int]):
     """(text, certified): the certify document of ``reports``, byte for byte
     ``json.dumps`` of the payload that holds each report's ``to_json()``,
-    compact (``indent=None``) or indented by two spaces (``indent=2``).  It
-    is written from parts each encoded once: the fixed keys of each object
-    per indent, and the conjugacy text per distinct set of resolutions
-    (:func:`_conjugacy_text`)."""
-    layout = _LAYOUTS[indent]
-    colon = layout.colon
+    compact (``indent=None``) or indented by two spaces (``indent=2``).
+
+    The payload is encoded by :func:`_encode` with ``_PLACEHOLDER`` for each
+    report's ``"conjugacy"`` value; the text of that value, encoded once per
+    distinct set of resolutions (:func:`_conjugacy_text`), then takes the
+    placeholder's place."""
+    pretty = indent is not None
+    encoder = _ENCODERS[pretty]
     memo: dict = {}
-    solutions = []
+    texts, solutions = [], []
     certified = True
     for item, report in zip(loaded, reports):
-        conjugacy, positive = _conjugacy_text(report, layout, memo)
+        text, positive = _conjugacy_text(report, encoder, memo)
         ok = report.product_ok and positive
         certified = certified and ok
-        pp = report.prime_power
-        text = layout.report % (
-            _literal(report.product_ok),
-            _quote(format_scalar(report.multiplier)),
-            _literal(report.multiplier_order),
-            _literal(report.multipliers_all_equal),
-            conjugacy,
-            _literal(report.theorem_a_applicable),
-            "null" if pp is None else layout.prime_power % (_literal(pp[0]), _literal(pp[1])),
-            _literal(ok),
-        )
-        scalars = [
-            _quote(name) + colon + _quote(format_scalar(value))
-            for name, value in sorted(item.scalars.items())
-        ]
+        texts.append(text)
         solutions.append(
-            layout.solution % (_quote(item.label), _join("{", "}", scalars, indent, 3), text)
+            {
+                "label": item.label,
+                "scalars": _scalars_json(item.scalars),
+                "report": report._json(_PLACEHOLDER, ok),
+            }
         )
-    text = layout.document % (
-        '"certify"',
-        _quote(source),
-        loaded[0].presentation.order,
-        max_len,
-        _join("[", "]", solutions, indent, 1),
-        _literal(certified),
-    )
-    return text, certified
+    payload = {
+        "command": "certify",
+        "input": source,
+        "order": loaded[0].presentation.order,
+        "max_word_len": max_len,
+        "solutions": solutions,
+        "certified": certified,
+    }
+    parts = _encode(payload, pretty).split(_PLACEHOLDER_TEXT)
+    return "".join(map(str.__add__, parts, texts + [""])), certified
 
 
 def cmd_certify(args) -> int:

@@ -11,11 +11,11 @@ a group under composition modulo z^(N+1):
 All equality statements are congruences to the shared order N.
 
 Words over the generators and one breadth-first enumerator of reduced words
-(:func:`reduced_word_search`) live here too; the conjugator searches of
-``group_cert`` and ``affine`` are thin wrappers around it.  It takes a list
-of goals and grows one tree for all of them, since the tree depends only on
-the letters: ``group_cert.certify`` runs one tree per root, with one goal per
-open pair of classes.  Its nodes are lazy: a child is tested through a cheap
+(:func:`reduced_word_search`) live here too; the conjugator search of
+``group_cert`` is its one client.  It takes a list of goals and grows one
+tree for all of them, since the tree depends only on the letters:
+``group_cert.certify`` runs one tree per root, with one goal per open pair
+of classes.  Its nodes are lazy: a child is tested through a cheap
 sketch when it is generated, and its full value is composed, at most once,
 only when the sketch cannot rule it out for some goal or when the child is
 popped from the FIFO queue, where it is deduplicated.  Where the sketch

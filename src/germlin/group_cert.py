@@ -627,10 +627,9 @@ class IrreducibilityReport:
 
     def to_json(self) -> dict:
         """The report as a JSON object, its pairs in sorted order.  This is
-        the public form of a report: ``germlin certify`` writes its document
-        from once-encoded parts (``cli._certify_document``), and that text
-        parses to this dict for each root, in compact and indented output
-        alike."""
+        the public form of a report: ``germlin certify`` prints each root's
+        object as ``json`` encodes it, its ``"conjugacy"`` value encoded once
+        per distinct set of resolutions (``cli._certify_document``)."""
         conjugacy = self.conjugacy
         pairs = sorted(conjugacy)
         keys = [f"({i},{j})" for i, j in pairs]
@@ -639,6 +638,15 @@ class IrreducibilityReport:
         ids = list(map(id, resolutions))
         distinct = dict(zip(ids, resolutions))
         dicts = {key: r.to_json() for key, r in distinct.items()}
+        return self._json(
+            dict(zip(keys, map(dicts.__getitem__, ids))),
+            # the certified property, over the distinct resolutions only
+            _certified(self.product_ok, distinct.values()),
+        )
+
+    def _json(self, conjugacy, certified: bool) -> dict:
+        """The report's JSON object with the given ``"conjugacy"`` value and
+        ``"certified"`` flag: the one spelling of the report's layout."""
         pp = None
         if self.prime_power is not None:
             pp = {"p": self.prime_power[0], "s": self.prime_power[1]}
@@ -647,11 +655,10 @@ class IrreducibilityReport:
             "multiplier": format_scalar(self.multiplier),
             "multiplier_order": self.multiplier_order,
             "multipliers_all_equal": self.multipliers_all_equal,
-            "conjugacy": dict(zip(keys, map(dicts.__getitem__, ids))),
+            "conjugacy": conjugacy,
             "theorem_a_applicable": self.theorem_a_applicable,
             "prime_power": pp,
-            # the certified property, over the distinct resolutions only
-            "certified": _certified(self.product_ok, distinct.values()),
+            "certified": certified,
         }
 
 

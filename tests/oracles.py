@@ -26,7 +26,8 @@ unity from the product of its conjugates and repeated products instead of
 arithmetic on its exponent, scalars printed through a Fraction per
 coordinate instead of one gcd per integer numerator, and the certify
 document as ``json.dumps`` of the reports' ``to_json()`` instead of the
-command's writer of once-encoded parts.
+command's writer, which encodes each conjugacy value once per distinct set
+of resolutions.
 """
 
 from __future__ import annotations

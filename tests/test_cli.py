@@ -866,7 +866,24 @@ def test_certify_document_of_edited_reports_sorts_their_pairs():
 
 
 def test_certify_document_quotes_the_input_path_as_json_does(tmp_path, capsys):
-    path = tmp_path / 'a "quoted\\ name é.json'
-    path.write_text(json.dumps({"order": 6, "generators": ["z/(1 - z)", "z/(1 + z)"]}))
+    spec = {"order": 6, "generators": ["z/(1 - z)", "z/(1 + z)"]}
+    # a quote and then the six characters \u0000 end the second name: its
+    # text holds that of the string of those six characters, "\\u0000", but
+    # not the placeholder that stands for a report's conjugacy value
+    for name in ['a "quoted\\ name é.json', 'b "\\u0000']:
+        path = tmp_path / name
+        path.write_text(json.dumps(spec))
+        loaded = load_presentation_file(str(path))
+        _assert_certify_prints_dumps(capsys, ["certify", str(path)], str(path), loaded, 8)
+    # a scalar named conjugacy is a scalars key that reads "conjugacy"
+    var = "conjugacy"
+    spec = {
+        "order": 6,
+        "field": {"conductor": 6, "var": var, "constraints": [f"{var} = 1/(1 - {var})"]},
+        "generators": [f"z/{var}", f"z/({var} + z)", f"z/({var} - {var}^5*z)"],
+    }
+    path = tmp_path / "conjugacy.json"
+    path.write_text(json.dumps(spec))
     loaded = load_presentation_file(str(path))
+    assert len(loaded) == 2 and all(list(item.scalars) == [var] for item in loaded)
     _assert_certify_prints_dumps(capsys, ["certify", str(path)], str(path), loaded, 8)

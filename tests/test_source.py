@@ -140,3 +140,17 @@ def test_every_all_name_is_bound():
                 unbound.append(f"{path.name}: {name}")
     assert "jets.Jet" in checked
     assert unbound == [], "__all__ names that the module does not bind"
+
+
+def test_report_layout_is_spelled_only_in_group_cert():
+    # the keys of a report's JSON object are written out in one module; the
+    # certify command encodes that object and never lays it out again
+    keys = ("multipliers_all_equal", "theorem_a_applicable", "prime_power")
+    spelled = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                words = re.findall(r"\w+", node.value)
+                spelled |= {(path.name, key) for key in keys if key in words}
+    assert spelled == {("group_cert.py", key) for key in keys}

@@ -14,10 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-import germlin.affine as affine
 import germlin.group_cert as group_cert
-from germlin.affine import AffineMap, affine_conjugator_search
-from germlin.cyclotomic import CycloElem, cyclo_embed, zeta
+from germlin.cyclotomic import CycloElem
 from germlin.germs import Germ, Word, distinct_letters, reduced_word_search
 from germlin.group_cert import (
     GroupPresentation,
@@ -146,31 +144,6 @@ def test_random_presentations_match_oracle(seed):
     assert rep["conjugacy"] == _oracle_conjugacy(pres, L)
     # the conjugate g f g^-1 and the repeated f make some words non-empty
     assert any(r.get("word") for r in rep["conjugacy"].values())
-
-
-@pytest.mark.parametrize("seed", [5, 6, 7])
-def test_affine_search_matches_oracle(seed):
-    rng = random.Random(seed)
-    n = rng.choice([4, 6, 12])
-    eta = zeta(n)
-    base = [AffineMap(eta, cyclo_embed(random_fraction(rng, 3), n)) for _ in range(2)]
-    gens = [base[0], base[1], base[0], base[1].inverse(), AffineMap(eta ** 2, zeta(n))]
-    rng.shuffle(gens)
-    inverses = [g.inverse() for g in gens]
-    for i in range(1, len(gens) + 1):
-        for j in range(1, len(gens) + 1):
-            expected = naive_conjugator_search(
-                gens,
-                inverses,
-                i,
-                j,
-                4,
-                identity=AffineMap.identity(),
-                compose=AffineMap.compose,
-                key=AffineMap.key,
-            )
-            found = affine_conjugator_search(gens, i, j, 4)
-            assert found == (None if expected is None else Word(expected))
 
 
 @pytest.mark.parametrize(
@@ -553,11 +526,11 @@ def test_letter_map_names_each_letters_inverse():
     }
 
 
-def _popping_engine(monkeypatch, module) -> list:
-    """Wrap ``module.reduced_word_search`` with a counting ``key``: the list
-    gets one entry per popped node."""
+def _popping_engine(monkeypatch) -> list:
+    """Wrap ``group_cert.reduced_word_search`` with a counting ``key``: the
+    list gets one entry per popped node."""
     popped = []
-    engine = module.reduced_word_search
+    engine = group_cert.reduced_word_search
 
     def counting_engine(start, letters, key, goals, max_len, inverse, value_of=None):
         def counted_key(value):
@@ -566,7 +539,7 @@ def _popping_engine(monkeypatch, module) -> list:
 
         return engine(start, letters, counted_key, goals, max_len, inverse, value_of)
 
-    monkeypatch.setattr(module, "reduced_word_search", counting_engine)
+    monkeypatch.setattr(group_cert, "reduced_word_search", counting_engine)
     return popped
 
 
@@ -586,7 +559,7 @@ def test_tree_skips_a_letter_after_its_inverse_value(monkeypatch, name, L, pops)
     involutions = [letter for letter, _ in letters if inverse[letter] == letter]
     assert involutions and all(sign == 1 for _, sign in involutions)
     pairs = _class_pairs(model)
-    popped = _popping_engine(monkeypatch, group_cert)
+    popped = _popping_engine(monkeypatch)
     words = group_cert._search_tree(model, pairs, L)
     del popped[:]
     certify(pres, L)
@@ -595,31 +568,3 @@ def test_tree_skips_a_letter_after_its_inverse_value(monkeypatch, name, L, pops)
     for (i, j), word in zip(pairs, words):
         if model.classes[i - 1] != model.classes[j - 1]:
             assert word == _oracle(model, i, j, L, inverses)
-
-
-def test_affine_search_skips_an_involution_after_itself(monkeypatch):
-    # s = -z and t = -z + 1 are involutions generating the infinite dihedral
-    # group, where -z + 1 is not conjugate to -z: the search for (1, 2) runs
-    # to max_len 4.  Its reduced words alternate s and t, two per length,
-    # so it pops 1 + 2 + 2 + 2 nodes; skipping only (i, -s) after (i, s), it
-    # would also pop ss, tt, sts.s and tst.t: 1 + 2 + 4 + 4.  u = -z + 2 is
-    # tst, so t conjugates u to s, and the words match the oracle's
-    s, t, u = AffineMap(-1, 0), AffineMap(-1, 1), AffineMap(-1, 2)
-    popped = _popping_engine(monkeypatch, affine)
-    assert affine_conjugator_search([s, t], 1, 2, 4) is None
-    assert len(popped) == 7
-    gens = [s, t, u]
-    for i, j in [(3, 1), (1, 3), (2, 3), (1, 2)]:
-        expected = naive_conjugator_search(
-            gens,
-            [g.inverse() for g in gens],
-            i,
-            j,
-            4,
-            identity=AffineMap.identity(),
-            compose=AffineMap.compose,
-            key=AffineMap.key,
-        )
-        word = affine_conjugator_search(gens, i, j, 4)
-        assert word == (None if expected is None else Word(expected))
-    assert affine_conjugator_search(gens, 3, 1, 4) == Word.from_list([[2, 1]])
