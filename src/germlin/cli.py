@@ -147,9 +147,9 @@ def _conjugacy_text(report, encoder: json.JSONEncoder, memo: dict) -> tuple[str,
     are those of its pair plan, in order, reads the plan's keys, quoted once
     per plan; any other report sorts its pairs.  Per plan, ``memo`` keeps
     the quoted keys and the text of each pattern of shared resolutions and
-    tuple of distinct resolutions met, so a Galois image whose resolutions
-    equal its first root's reuses that text: equal frozen resolutions
-    encode equal.
+    tuple of distinct resolutions met, so a Galois image, whose report
+    holds its first root's resolutions, reuses that text: equal frozen
+    resolutions encode equal.
     """
     indent, colon = encoder.indent, encoder.key_separator
     conjugacy = report.conjugacy

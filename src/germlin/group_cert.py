@@ -94,37 +94,25 @@ built.  Since the expressions have only integer literals and the one scalar,
 that is what evaluating at zeta^k would give.  It records the orbit's first
 root as ``image_of``.
 
-:func:`certify_roots` grows a search tree only on the first root of each
-orbit.  Every other root takes over its search outcomes position by
-position: sigma_u maps generator i of the first root to generator i of the
-image, and since it is injective the two roots have the same ``classes``,
-so the image shares the first root's pair plan, and the class pair settled
-at pair (i, j) of the image reads pair (i, j) of the first root's report.
-Each transferred found word is checked again with
-:func:`check_conjugacy_witness`, and if the check fails the pair becomes a
-goal of a tree on the image.  A transferred "not-found-up-to" is exact as
-it stands: sigma_u is a field automorphism that commutes with composition
-and inversion of jets and is injective, so it maps the letters, the
-reduced-word tree and its deduplication of the first root's search onto
-those of the image node for node.  Witnesses and the product identity are
-still checked on every solution.
-
-The image also takes its tables from the first root: its right composers and
-inverse generators are the sigma_u images of the first root's, mapped row by
-row (``jets._map_row``), since sigma_u commutes with products and inversion.
-Its product identity and witness checks run on those mapped tables.  sigma_u
-maps the Mobius test's identity to the image's and keeps the degrees and
-multiplier orders the quotient test reads, and it commutes with the
-quotient, so the image's model is sigma_u of the first root's model,
-generator by generator, and maps its tables from that model's in the same
-way.
+:func:`certify_roots` certifies only the first root of each orbit.  Every
+other root's report is sigma_u of its first root's, which is that report
+with the image's own multiplier, and nothing is checked on the image.
+That is exact: generator i of the image is sigma_u of generator i of the
+first root, the witness words are the same at both, and sigma_u is an
+injective field automorphism that commutes with composition and inversion
+of jets.  So it maps the first root's product identity, classes, pair
+plan, witness checks, letters, reduced-word tree and its deduplication
+onto the image's, node for node, and every verdict and word carries over.
+It maps the multiplier to one of the same order, or to no root of unity
+if it is none, so the multiplier order and the prime-power test carry
+over too.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
@@ -152,7 +140,6 @@ from .jets import (
     RightComposer,
     _Z_ROW,
     _compose_rows,
-    _map_row,
     _weighted_sum,
 )
 
@@ -188,9 +175,9 @@ class PresentationError(ValueError):
 class GroupPresentation:
     """Ordered basic generators plus optional conjugacy witness words.
 
-    ``galois_of=(first, u)`` states that generator i is sigma_u of generator
-    i of the presentation ``first``, as the loader builds a Galois image; the
-    right composers and inverse generators are then sigma_u of first's.
+    The loader's Galois images are presentations like any other, but
+    :func:`certify_roots` checks nothing on them: an image's report is
+    sigma_u of its first root's, which is exact (see the module docstring).
     """
 
     def __init__(
@@ -198,8 +185,6 @@ class GroupPresentation:
         gens: Sequence[Germ],
         witnesses: Optional[dict[tuple[int, int], Word]] = None,
         order: Optional[int] = None,
-        *,
-        galois_of: Optional[tuple["GroupPresentation", int]] = None,
     ):
         gens = list(gens)
         if len(gens) < 2:
@@ -233,9 +218,6 @@ class GroupPresentation:
         self._letter_composers: dict = {}  # by (class, sign)
         self._inverses: dict = {}  # by class
         self._letters: Optional[tuple[tuple, dict]] = None
-        self._galois_of = (
-            None if galois_of is None else (galois_of[0], galois_of[1] % conductor)
-        )
 
     def _check_index(self, i: int):
         if not (1 <= i <= len(self.gens)):
@@ -251,18 +233,12 @@ class GroupPresentation:
         return self.gens[i - 1]
 
     def inverse_generator(self, i: int) -> Germ:
-        """f_i^-1, cached by class: equal generators share one inverse.  On a
-        Galois image it is sigma_u of the first root's inverse."""
+        """f_i^-1, cached by class: equal generators share one inverse."""
         self._check_index(i)
         c = self.classes[i - 1]
         inv = self._inverses.get(c)
         if inv is None:
-            if self._galois_of is None:
-                inv = Germ(self.composer(self.gens[c]).inverse())
-            else:
-                first, u = self._galois_of
-                inv = Germ(first.inverse_generator(i).jet._galois(u))
-            self._inverses[c] = inv
+            inv = self._inverses[c] = Germ(self.composer(self.gens[c]).inverse())
         return inv
 
     def letters(self) -> tuple:
@@ -287,23 +263,13 @@ class GroupPresentation:
 
     def letter_composer(self, idx: int, sign: int) -> RightComposer:
         """The right composer of f_idx (sign 1) or f_idx^-1 (sign -1), cached
-        by class and sign.  On a Galois image its power table is that of the
-        first root's composer, mapped by sigma_u row by row."""
+        by class and sign."""
         self._check_index(idx)
         key = (self.classes[idx - 1], sign)
         comp = self._letter_composers.get(key)
         if comp is None:
-            if self._galois_of is None:
-                letter = self.gens[key[0]] if sign == 1 else self.inverse_generator(idx)
-                comp = self.composer(letter)
-            else:
-                first, u = self._galois_of
-                source = first.letter_composer(idx, sign)
-                row = _map_row(source.rows[1], self.conductor, u)  # the letter's own row
-                comp = self._composers.get(row)
-                if comp is None:
-                    comp = self._composers[row] = source._galois(u)
-            self._letter_composers[key] = comp
+            letter = self.gens[key[0]] if sign == 1 else self.inverse_generator(idx)
+            comp = self._letter_composers[key] = self.composer(letter)
         return comp
 
     def composer(self, germ: Germ) -> RightComposer:
@@ -316,11 +282,7 @@ class GroupPresentation:
 
     @cached_property
     def _pair_plan(self) -> "_PairPlan":
-        """The pairs a report lists, with their JSON keys and class pairs.  A
-        Galois image takes its first root's plan: sigma_u is injective, so
-        the two have the same classes."""
-        if self._galois_of is not None:
-            return self._galois_of[0]._pair_plan
+        """The pairs a report lists, with their JSON keys and class pairs."""
         m, classes = len(self.gens), self.classes
         pairs = tuple((i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1))
         class_pairs = tuple((classes[i - 1], classes[j - 1]) for i, j in pairs)
@@ -338,22 +300,7 @@ class GroupPresentation:
         generator's jet, at an order above 2, is that of a Mobius germ
         (:func:`_is_mobius`, one test per class).  Each step maps words and
         jets one to one, so :func:`certify` reports the same on the model (see
-        the module docstring).  A Galois image takes its first root's model
-        mapped by sigma_u, which commutes with both steps and preserves both
-        tests, so the model of an image is sigma_u of the first root's model,
-        generator by generator, with its tables mapped from that model's."""
-        if self._galois_of is not None:
-            first, u = self._galois_of
-            source = first._model
-            if source is None:
-                return None
-            images = {c: Germ(source.gens[c].jet._galois(u)) for c in set(source.classes)}
-            return GroupPresentation(
-                [images[c] for c in source.classes],
-                self.witnesses,
-                order=source.order,
-                galois_of=(source, u),
-            )
+        the module docstring)."""
         model = _quotient(self)
         base = self if model is None else model
         N, n = base.order, base.conductor
@@ -676,24 +623,22 @@ def _witness_words(pres: GroupPresentation) -> dict[tuple[int, int], Word]:
 
 
 def certify(
-    pres: GroupPresentation,
-    max_len: int = DEFAULT_MAX_WORD_LEN,
-    *,
-    transferred: Optional[IrreducibilityReport] = None,
+    pres: GroupPresentation, max_len: int = DEFAULT_MAX_WORD_LEN
 ) -> IrreducibilityReport:
     """Run all certification checks and assemble the report.
 
-    Witnesses are consulted first, then transferred words; bounded search is
-    the fallback.  Pairs are resolved per pair of classes
-    (:attr:`GroupPresentation.classes`): the pairs without a passing witness
-    share their class pair's resolution, which is settled once, at the
-    first of them.  One search tree serves the presentation
-    (:func:`_search_tree`), with one goal per class pair still open.  The
-    pairs, their JSON keys and their class pairs come from the
-    presentation's pair plan, which a Galois image shares with its first
-    root.  The finiteness criterion is marked applicable only when the
-    product identity, multiplier equality, every conjugacy, and the
-    prime-power condition on the multiplier order all hold.
+    Witnesses are consulted first; bounded search is the fallback.  Pairs
+    are resolved per pair of classes (:attr:`GroupPresentation.classes`):
+    the pairs without a passing witness share their class pair's
+    resolution, which is settled once, at the first of them.  One search
+    tree serves the presentation (:func:`_search_tree`), with one goal per
+    class pair still open.  The pairs, their JSON keys and their class pairs
+    come from the presentation's pair plan.  The finiteness criterion is
+    marked applicable only when the product identity, multiplier equality,
+    every conjugacy, and the prime-power condition on the multiplier order
+    all hold.  :func:`certify_roots` runs it on the first root of each
+    Galois orbit only; the other roots' reports are sigma_u of that one's
+    and are not checked again.
 
     When the presentation has an exact smaller model
     (:attr:`GroupPresentation._model`: its quotient by z -> z^p, its order-2
@@ -702,13 +647,6 @@ def certify(
     search trees, words and verdicts as at order N.  The multipliers are
     read from ``pres`` itself, one per class, as the quotient raises them to
     the p-th power.
-
-    ``transferred`` is the report at ``max_len`` of a presentation of which
-    ``pres`` is a Galois image, generator by generator (see
-    :func:`certify_roots`); the outcome of a class pair is read from the
-    transferred pair (i, j) at which it is settled.  A transferred word is
-    used only if it passes the witness check here, else the class pair is
-    searched; a transferred "not-found-up-to" stands.
     """
     # the quotient raises multipliers to the p-th power, so they are read
     # here, one per class; class 0 is that of the first generator
@@ -733,28 +671,14 @@ def certify(
         for k, pair in enumerate(plan.class_pairs):
             if plan.pairs[k] not in verified:
                 firsts.setdefault(pair, k)
-    # the word (or None) of each class pair, and the first pair of each goal
-    words: dict[tuple[int, int], Optional[Word]] = {}
-    goals: dict[tuple[int, int], tuple[int, int]] = {}
-    for pair, k in firsts.items():
-        i, j = plan.pairs[k]
-        prior = transferred.conjugacy[(i, j)] if transferred else None
-        # a transferred word counts only if it passes the check here;
-        # a transferred not-found-up-to (no word) stands
-        if prior is not None and (
-            prior.word is None or check_conjugacy_witness(pres, i, j, prior.word)
-        ):
-            words[pair] = prior.word
-        else:
-            goals[pair] = (i, j)
-    if goals:
-        # one tree for every open pair of classes
-        words.update(zip(goals, _search_tree(pres, list(goals.values()), max_len)))
+    # one tree, with a goal at the first open pair of each class pair
+    goals = [plan.pairs[k] for k in firsts.values()]
+    words = _search_tree(pres, goals, max_len) if goals else []
     resolved = {
         pair: ConjugacyResolution("found-by-search", word=word)
         if word is not None
         else ConjugacyResolution("not-found-up-to", max_len=max_len)
-        for pair, word in words.items()
+        for pair, word in zip(firsts, words)
     }
     # a class pair whose pairs all have passing witnesses has no resolution
     conjugacy = dict(zip(plan.pairs, map(resolved.get, plan.class_pairs)))
@@ -782,19 +706,25 @@ def certify(
 def certify_roots(
     loaded: Sequence["LoadedPresentation"], max_len: int = DEFAULT_MAX_WORD_LEN
 ) -> list[IrreducibilityReport]:
-    """:func:`certify` on each loaded presentation, searching each Galois orbit
-    of roots once.
+    """:func:`certify` on the first root of each Galois orbit; every other
+    root's report is its first root's with its own multiplier.
 
     A presentation with ``image_of`` set is sigma_u of that earlier one,
-    generator by generator, as the loader builds it; it shares that one's
-    pair plan and takes over its search outcomes class pair by class pair.
-    The reports equal those of :func:`certify` run on each presentation
-    alone.
+    generator by generator, as the loader builds it, and nothing is checked
+    on it: sigma_u is an injective field automorphism that commutes with
+    composition and inversion of jets, so it maps every check of the first
+    root onto the same check of the image (see the module docstring).  The
+    reports equal those of :func:`certify` run on each presentation alone.
     """
     reports: list[IrreducibilityReport] = []
     for item in loaded:
-        first = None if item.image_of is None else reports[item.image_of]
-        reports.append(certify(item.presentation, max_len, transferred=first))
+        if item.image_of is None:
+            report = certify(item.presentation, max_len)
+        else:
+            first = reports[item.image_of]
+            multiplier = item.presentation.gens[0].multiplier
+            report = replace(first, multiplier=multiplier, conjugacy=dict(first.conjugacy))
+        reports.append(report)
     return reports
 
 
@@ -905,10 +835,7 @@ def _load_presentation_data(data, order: Optional[int]) -> list[LoadedPresentati
                 except (ExpressionError, ValueError) as exc:
                     raise PresentationError(f"generator {idx} ({expr!r}): {exc}") from exc
         label = f"{var}={format_scalar(env[var])}" if env else ""
-        source = None if image_of is None else (out[image_of].presentation, u)
-        pres = GroupPresentation(
-            [germs[expr] for expr in gens_raw], witnesses, order=n_order, galois_of=source
-        )
+        pres = GroupPresentation([germs[expr] for expr in gens_raw], witnesses, order=n_order)
         out.append(LoadedPresentation(label, env, pres, image_of))
     return out
 

@@ -401,7 +401,10 @@ class Jet:
         return self.coefficient(1)
 
     def coefficient(self, k: int) -> CycloElem:
-        if self._coeffs is not None or not 0 <= k <= self.order:
+        """The coefficient of z^k; IndexError unless 0 <= k <= N."""
+        if not 0 <= k <= self.order:
+            raise IndexError(f"no coefficient of degree {k} in a jet of order {self.order}")
+        if self._coeffs is not None:
             return self.coeffs[k]
         return _row_coefficient(self.row, k, self.conductor)
 
@@ -664,15 +667,6 @@ class RightComposer:
         self.order = g.order
         self.conductor = g.conductor
         self.rows = _power_rows(g.row, g.order, g.order, g.conductor)
-
-    def _galois(self, u: int) -> "RightComposer":
-        """The composer of sigma_u(g), gcd(u, n) = 1: sigma_u commutes with
-        products, so its power table is this one mapped row by row."""
-        n = self.conductor
-        comp = object.__new__(RightComposer)
-        comp.order, comp.conductor = self.order, n
-        comp.rows = [_map_row(row, n, u % n) for row in self.rows]
-        return comp
 
     def __call__(self, w: Jet) -> Jet:
         if w.order != self.order:

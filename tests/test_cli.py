@@ -10,9 +10,7 @@ from germlin.cli import _certify_document, main
 from germlin.germs import Word
 from germlin.group_cert import (
     ConjugacyResolution,
-    certify,
     certify_roots,
-    check_conjugacy_witness,
     load_presentation_file,
 )
 from germlin.registry import GROUP_EXAMPLES, build_group_example
@@ -834,21 +832,19 @@ def test_certify_document_where_witnessed_and_searched_pairs_share_a_class_pair(
 
 
 def test_certify_document_after_a_transferred_word_fails_its_check():
-    # ex4.1 at N = 8: the second root is the Galois image of the first.  A
-    # first-root report whose word for (1, 6) fails its check on the image
-    # makes the image search that class pair again, so the image's text
-    # differs from the first root's, with the same plan and the same pattern
-    # of shared resolutions, and must not be reused
+    # ex4.1 at N = 8: the second root is the Galois image of the first.  An
+    # image report whose word for (1, 6) differs from its first root's has
+    # the same plan and the same pattern of shared resolutions, but its own
+    # text, and the first root's must not be reused
     loaded = build_group_example("ex4.1", order=8)
     assert loaded[1].image_of == 0
-    first = certify_roots(loaded, 2)[0]
+    first, image = certify_roots(loaded, 2)
     found = first.conjugacy[(1, 6)]
     bogus = ConjugacyResolution("found-by-search", Word.from_list([[5, 1], [1, 1]]))
-    assert not check_conjugacy_witness(loaded[1].presentation, 1, 6, bogus.word)
-    conjugacy = {pair: bogus if r is found else r for pair, r in first.conjugacy.items()}
-    first = dataclasses.replace(first, conjugacy=conjugacy)
-    image = certify(loaded[1].presentation, 2, transferred=first)
-    assert image._plan is first._plan and image.conjugacy[(1, 6)] == found
+    assert bogus != found
+    conjugacy = {pair: bogus if r is found else r for pair, r in image.conjugacy.items()}
+    image = dataclasses.replace(image, conjugacy=conjugacy)
+    assert image._plan is first._plan and first.conjugacy[(1, 6)] == found
     _assert_writer_prints_dumps("ex4.1", loaded, [first, image], 2)
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from germlin.cyclotomic import CycloElem, cyclo_embed, euler_phi, format_scalar, zeta
+from germlin.germs import Germ
 from germlin.jets import (
     Jet,
     RightComposer,
@@ -804,3 +805,18 @@ def test_jet_accessors_read_the_row_as_the_coefficient_list(case):
     data = jet.to_json()
     assert data["coeffs"] == [format_scalar(c) for c in expected]
     assert Jet.from_json(data) == jet and Jet.from_json(data).coeffs == expected
+
+
+@pytest.mark.parametrize("held", [False, True])
+def test_coefficient_outside_0_to_n_raises_index_error(held):
+    # a negative degree is no index from the end: -1 does not read z^N
+    jet = Jet([0, 1, 2, 3], conductor=6)
+    if not held:
+        jet = _row_only(jet)
+    germ = Germ(jet)
+    for k in (-1, -4, -5, 4):
+        with pytest.raises(IndexError):
+            jet.coefficient(k)
+        with pytest.raises(IndexError):
+            germ.coefficient(k)
+    assert [germ.coefficient(k) for k in range(4)] == list(jet.coeffs)
