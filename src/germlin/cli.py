@@ -14,9 +14,11 @@ refuted or unresolved, 2 for input errors (with a diagnostic on stderr).
 Output is compact JSON, or with ``--pretty`` the same document indented by
 two spaces, always as ``json.dumps`` writes the payload.  ``certify`` lists
 every pair of generators at every root, though each root holds only a few
-distinct resolutions, so it encodes each report's ``"conjugacy"`` value
-once per distinct set of resolutions and lets ``json`` write the rest
-(:func:`_certify_document`).
+distinct resolution objects and a Galois image holds its first root's.  So
+it writes each report's ``"conjugacy"`` value itself, in one way for every
+report: it sorts the pairs, encodes each distinct resolution object once,
+and reuses the text of a value whose pairs hold the same objects; ``json``
+writes the rest (:func:`_certify_document`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
 from typing import Optional
 
@@ -139,52 +140,37 @@ def _scalars_json(scalars: dict) -> dict:
 _CONJUGACY_DEPTH = 4
 
 
-def _conjugacy_text(report, encoder: json.JSONEncoder, memo: dict) -> tuple[str, bool]:
-    """The text of ``report.to_json()["conjugacy"]`` as ``encoder`` lays it
-    out at its depth, and whether each of its resolutions is positive.
+def _conjugacy_text(
+    conjugacy: dict, encoder: json.JSONEncoder, memo: dict
+) -> tuple[str, bool]:
+    """The text of a report's ``"conjugacy"`` value, its pairs sorted, as
+    ``encoder`` lays it out at its depth, and whether each of its
+    resolutions is positive.
 
-    Each distinct resolution object is encoded once.  A report whose pairs
-    are those of its pair plan, in order, reads the plan's keys, quoted once
-    per plan; any other report sorts its pairs.  Per plan, ``memo`` keeps
-    the quoted keys and the text of each pattern of shared resolutions and
-    tuple of distinct resolutions met, so a Galois image, whose report
-    holds its first root's resolutions, reuses that text: equal frozen
-    resolutions encode equal.
+    Each distinct resolution object is encoded once.  ``memo`` keeps the
+    text by the pairs and the identities of their resolutions, so a Galois
+    image, whose report holds its first root's resolution objects, reuses
+    that root's text.  The reports outlive ``memo``, so no identity in it
+    passes to another object.
     """
-    indent, colon = encoder.indent, encoder.key_separator
-    conjugacy = report.conjugacy
-    plan = report._plan
-    if plan is not None and tuple(conjugacy) == plan.pairs:
-        # the reports hold their plans, so a plan's id stays its own
-        entry = memo.get(id(plan))
-        if entry is None:
-            entry = memo[id(plan)] = ([_quote(k) + colon for k in plan.keys], {})
-        prefixes, texts = entry
-        resolutions = conjugacy.values()
-    else:
-        pairs = sorted(conjugacy)
-        prefixes = [f'"({i},{j})"{colon}' for i, j in pairs]
-        texts = {}
-        resolutions = [conjugacy[pair] for pair in pairs]
-    # each pair's index among the distinct resolution objects
-    ids = list(map(id, resolutions))
-    distinct = dict(zip(ids, resolutions))
-    slot = dict(zip(distinct, range(len(distinct))))
-    pattern = tuple(map(slot.__getitem__, ids))
-    values = tuple(distinct.values())
-    found = texts.get((pattern, values))
+    pairs = tuple(sorted(conjugacy))
+    resolutions = [conjugacy[pair] for pair in pairs]
+    ids = tuple(map(id, resolutions))
+    found = memo.get((pairs, ids))
     if found is None:
-        encoded = [encoder.encode(r.to_json()) for r in values]
+        distinct = dict(zip(ids, resolutions))
+        encoded = {key: encoder.encode(r.to_json()) for key, r in distinct.items()}
+        indent, colon = encoder.indent, encoder.key_separator
         inner = close = ""
-        if indent is not None and values:
+        if indent is not None and pairs:
             # laid out as json lays out an object at this depth: each pair,
             # and so each line of its resolution, one level further in
             inner = "\n" + " " * (indent * (_CONJUGACY_DEPTH + 1))
             close = inner[:-indent]
-            encoded = [part.replace("\n", inner) for part in encoded]
-        items = map(str.__add__, prefixes, map(encoded.__getitem__, pattern))
+            encoded = {key: text.replace("\n", inner) for key, text in encoded.items()}
+        items = [f'"({i},{j})"{colon}{encoded[key]}' for (i, j), key in zip(pairs, ids)]
         text = "{" + inner + ("," + inner).join(items) + close + "}"
-        found = texts[pattern, values] = (text, all(r.positive for r in values))
+        found = memo[pairs, ids] = (text, all(r.positive for r in distinct.values()))
     return found
 
 
@@ -205,16 +191,15 @@ def _certify_document(source: str, loaded, reports, max_len: int, indent: Option
     compact (``indent=None``) or indented by two spaces (``indent=2``).
 
     The payload is encoded by :func:`_encode` with ``_PLACEHOLDER`` for each
-    report's ``"conjugacy"`` value; the text of that value, encoded once per
-    distinct set of resolutions (:func:`_conjugacy_text`), then takes the
-    placeholder's place."""
+    report's ``"conjugacy"`` value; the text of that value
+    (:func:`_conjugacy_text`) then takes the placeholder's place."""
     pretty = indent is not None
     encoder = _ENCODERS[pretty]
     memo: dict = {}
     texts, solutions = [], []
     certified = True
     for item, report in zip(loaded, reports):
-        text, positive = _conjugacy_text(report, encoder, memo)
+        text, positive = _conjugacy_text(report.conjugacy, encoder, memo)
         ok = report.product_ok and positive
         certified = certified and ok
         texts.append(text)
@@ -382,6 +367,10 @@ def _read_form_file(path: str) -> FormExample:
 
 
 def cmd_forms(args) -> int:
+    # every other subcommand would ignore these options
+    for option, subcommand in (("point", "kupka"), ("chart", "pullback")):
+        if getattr(args, option) is not None and args.subcommand != subcommand:
+            raise InputError(f"--{option} applies only to forms {subcommand}")
     source, form = _load_form(args)
     variables, omega = form.variables, form.omega
     payload = {

@@ -12,15 +12,14 @@ order, optionally with conjugacy witness words.  Certification checks
   inverse, so an involution never follows itself.  Generators with equal
   order-N values form one class, numbered by its first generator
   (``classes``), and pairs are resolved per pair of classes: one word serves
-  every pair (i, j) in the same pair of classes, and so does one resolution
-  and its JSON.  The pairs (i, j), i < j, their JSON keys and their class
-  pairs form the presentation's pair plan, built once, so a report is
-  assembled per class pair and not per pair of generators.  The tree of
-  reduced words depends only on the letters, so a presentation grows one
-  tree, with one goal per pair of classes still open, and each goal gets the
-  first witness word in the tree's order, the word of a search for its pair
-  alone.  The search, the witness check and the product identity compose in
-  the canonical sparse rows of ``jets``, so a node's value is a row, which is
+  every pair (i, j) in the same pair of classes, and so does one resolution.
+  One pass over the pairs (i, j), i < j, settles each pair of classes at
+  its first pair without a passing witness.  The tree of reduced words
+  depends only on the letters, so a presentation grows one tree, with one
+  goal per pair of classes still open, and each goal gets the first witness
+  word in the tree's order, the word of a search for its pair alone.  The
+  search, the witness check and the product identity compose in the
+  canonical sparse rows of ``jets``, so a node's value is a row, which is
   also its dedup key, and no field element is built on the way.  A node h
   carries its coefficients of degree <= K and those of f_c o h and h o f_d
   for the classes c and d of the goals, which come from the parent's through
@@ -100,23 +99,22 @@ with the image's own multiplier, and nothing is checked on the image.
 That is exact: generator i of the image is sigma_u of generator i of the
 first root, the witness words are the same at both, and sigma_u is an
 injective field automorphism that commutes with composition and inversion
-of jets.  So it maps the first root's product identity, classes, pair
-plan, witness checks, letters, reduced-word tree and its deduplication
-onto the image's, node for node, and every verdict and word carries over.
-It maps the multiplier to one of the same order, or to no root of unity
-if it is none, so the multiplier order and the prime-power test carry
-over too.
+of jets.  So it maps the first root's product identity, classes, witness
+checks, letters, reduced-word tree and its deduplication onto the image's,
+node for node, and every verdict and word carries over.  It maps the
+multiplier to one of the same order, or to no root of unity if it is none,
+so the multiplier order and the prime-power test carry over too.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cyclotomic import (
     CycloElem,
@@ -281,17 +279,6 @@ class GroupPresentation:
         return comp
 
     @cached_property
-    def _pair_plan(self) -> "_PairPlan":
-        """The pairs a report lists, with their JSON keys and class pairs."""
-        m, classes = len(self.gens), self.classes
-        pairs = tuple((i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1))
-        class_pairs = tuple((classes[i - 1], classes[j - 1]) for i, j in pairs)
-        firsts: dict = {}
-        for k, pair in enumerate(class_pairs):
-            firsts.setdefault(pair, k)
-        return _PairPlan(pairs, tuple(f"({i},{j})" for i, j in pairs), class_pairs, firsts)
-
-    @cached_property
     def _model(self) -> Optional["GroupPresentation"]:
         """The smallest exact model of this presentation that :func:`certify`
         knows, or None if it knows none.  First the quotient by z -> z^p when
@@ -309,17 +296,6 @@ class GroupPresentation:
                 [Germ(g.jet.truncate(2)) for g in base.gens], self.witnesses, order=2
             )
         return model
-
-
-class _PairPlan(NamedTuple):
-    """The pairs (i, j), i < j, of a presentation in order, the JSON key
-    "(i,j)" and the class pair (class of i, class of j) of each, and the
-    index of the first pair of each class pair, in the order of those."""
-
-    pairs: tuple
-    keys: tuple
-    class_pairs: tuple
-    firsts: dict
 
 
 def _quotient(pres: GroupPresentation) -> Optional[GroupPresentation]:
@@ -545,11 +521,6 @@ class ConjugacyResolution:
         return out
 
 
-def _certified(product_ok: bool, resolutions) -> bool:
-    """The exit-code condition: product identity plus every pair resolved."""
-    return product_ok and all(r.positive for r in resolutions)
-
-
 @dataclass
 class IrreducibilityReport:
     product_ok: bool
@@ -559,9 +530,6 @@ class IrreducibilityReport:
     conjugacy: dict[tuple[int, int], ConjugacyResolution]
     theorem_a_applicable: bool
     prime_power: Optional[tuple[Optional[int], int]] = None
-    # the pair plan of the presentation certified, whose keys the certify
-    # command prints as long as ``conjugacy`` holds the plan's pairs in order
-    _plan: Optional[_PairPlan] = field(default=None, compare=False, repr=False)
 
     @property
     def all_conjugacies_positive(self) -> bool:
@@ -570,26 +538,15 @@ class IrreducibilityReport:
     @property
     def certified(self) -> bool:
         """The exit-code condition: product identity plus every pair resolved."""
-        return _certified(self.product_ok, self.conjugacy.values())
+        return self.product_ok and self.all_conjugacies_positive
 
     def to_json(self) -> dict:
         """The report as a JSON object, its pairs in sorted order.  This is
         the public form of a report: ``germlin certify`` prints each root's
-        object as ``json`` encodes it, its ``"conjugacy"`` value encoded once
-        per distinct set of resolutions (``cli._certify_document``)."""
-        conjugacy = self.conjugacy
-        pairs = sorted(conjugacy)
-        keys = [f"({i},{j})" for i, j in pairs]
-        resolutions = [conjugacy[pair] for pair in pairs]
-        # pairs that share a resolution object share its JSON dict too
-        ids = list(map(id, resolutions))
-        distinct = dict(zip(ids, resolutions))
-        dicts = {key: r.to_json() for key, r in distinct.items()}
-        return self._json(
-            dict(zip(keys, map(dicts.__getitem__, ids))),
-            # the certified property, over the distinct resolutions only
-            _certified(self.product_ok, distinct.values()),
-        )
+        object as ``json`` encodes it, encoding each distinct resolution
+        object of its ``"conjugacy"`` value once (``cli._certify_document``)."""
+        conjugacy = {f"({i},{j})": r.to_json() for (i, j), r in sorted(self.conjugacy.items())}
+        return self._json(conjugacy, self.certified)
 
     def _json(self, conjugacy, certified: bool) -> dict:
         """The report's JSON object with the given ``"conjugacy"`` value and
@@ -630,15 +587,14 @@ def certify(
     Witnesses are consulted first; bounded search is the fallback.  Pairs
     are resolved per pair of classes (:attr:`GroupPresentation.classes`):
     the pairs without a passing witness share their class pair's
-    resolution, which is settled once, at the first of them.  One search
-    tree serves the presentation (:func:`_search_tree`), with one goal per
-    class pair still open.  The pairs, their JSON keys and their class pairs
-    come from the presentation's pair plan.  The finiteness criterion is
-    marked applicable only when the product identity, multiplier equality,
-    every conjugacy, and the prime-power condition on the multiplier order
-    all hold.  :func:`certify_roots` runs it on the first root of each
-    Galois orbit only; the other roots' reports are sigma_u of that one's
-    and are not checked again.
+    resolution, which is settled once, at the first of them, in one pass
+    over the pairs (i, j), i < j.  One search tree serves the presentation
+    (:func:`_search_tree`), with one goal per class pair still open.  The
+    finiteness criterion is marked applicable only when the product
+    identity, multiplier equality, every conjugacy, and the prime-power
+    condition on the multiplier order all hold.  :func:`certify_roots` runs
+    it on the first root of each Galois orbit only; the other roots'
+    reports are sigma_u of that one's and are not checked again.
 
     When the presentation has an exact smaller model
     (:attr:`GroupPresentation._model`: its quotient by z -> z^p, its order-2
@@ -658,31 +614,31 @@ def certify(
         pres = model
     product_ok = check_product_identity(pres)
 
-    plan = pres._pair_plan
     verified = {
         (i, j): ConjugacyResolution("verified-by-witness", word=w)
         for (i, j), w in sorted(_witness_words(pres).items())
         if check_conjugacy_witness(pres, i, j, w)
     }
+    m, classes = len(pres.gens), pres.classes
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    class_pairs = [(classes[i - 1], classes[j - 1]) for i, j in pairs]
     # each class pair is settled at its first pair without a passing witness
-    firsts = plan.firsts
-    if verified:
-        firsts = {}
-        for k, pair in enumerate(plan.class_pairs):
-            if plan.pairs[k] not in verified:
-                firsts.setdefault(pair, k)
+    firsts: dict = {}
+    for pair, class_pair in zip(pairs, class_pairs):
+        if pair not in verified:
+            firsts.setdefault(class_pair, pair)
     # one tree, with a goal at the first open pair of each class pair
-    goals = [plan.pairs[k] for k in firsts.values()]
-    words = _search_tree(pres, goals, max_len) if goals else []
+    words = _search_tree(pres, list(firsts.values()), max_len) if firsts else []
     resolved = {
-        pair: ConjugacyResolution("found-by-search", word=word)
+        class_pair: ConjugacyResolution("found-by-search", word=word)
         if word is not None
         else ConjugacyResolution("not-found-up-to", max_len=max_len)
-        for pair, word in zip(firsts, words)
+        for class_pair, word in zip(firsts, words)
     }
-    # a class pair whose pairs all have passing witnesses has no resolution
-    conjugacy = dict(zip(plan.pairs, map(resolved.get, plan.class_pairs)))
-    conjugacy.update(verified)
+    conjugacy = {
+        pair: verified[pair] if pair in verified else resolved[class_pair]
+        for pair, class_pair in zip(pairs, class_pairs)
+    }
 
     pp = prime_power_order(order) if order is not None else None
     applicable = (
@@ -699,7 +655,6 @@ def certify(
         conjugacy=conjugacy,
         theorem_a_applicable=applicable,
         prime_power=pp if applicable else None,
-        _plan=plan,
     )
 
 

@@ -13,7 +13,7 @@ pairs, a scan of the constraints over every root of unity and evaluation of
 every generator at every root instead of one evaluation per Galois orbit,
 pairwise jet equality instead of a table of keys for the classes of equal
 generators, the certification report assembled pair by pair over the public
-checks instead of once per pair of classes through a pair plan, the linearizer's step over every degree of the row (h o g in
+checks instead of once per pair of classes, the linearizer's step over every degree of the row (h o g in
 full, then the solve of y o h = h o g from degree 0) instead of over the
 degrees the step changes, and determinants of coefficient matrices, expanded with schoolbook
 polynomial products over the term dicts, instead of the integer product
@@ -26,8 +26,7 @@ unity from the product of its conjugates and repeated products instead of
 arithmetic on its exponent, scalars printed through a Fraction per
 coordinate instead of one gcd per integer numerator, and the certify
 document as ``json.dumps`` of the reports' ``to_json()`` instead of the
-command's writer, which encodes each conjugacy value once per distinct set
-of resolutions.
+command's writer, which encodes each distinct resolution object once.
 """
 
 from __future__ import annotations

@@ -619,10 +619,15 @@ def test_linearize_unequal_multipliers_is_an_input_error(tmp_path, capsys):
         (["forms", "integrable", "FILE", "--params", "1,2,3,4,5,6"], "--params"),
         (["forms", "--k", "3", "cone", "--example", "ex6.2"], "--k"),
         (["forms", "kupka", "--example", "ex6.2", "--params", "1,2,3,4,5,6"], "--params"),
+        (["forms", "cone", "--example", "ex6.2", "--chart", "q"], "--chart"),
+        (["forms", "--chart", "x", "kupka", "--example", "ex6.2"], "--chart"),
+        (["forms", "pullback", "FILE", "--point", "1,2,3"], "--point"),
+        (["forms", "--point", "1,0,0", "integrable", "FILE"], "--point"),
     ],
 )
 def test_options_the_input_would_ignore_are_input_errors(tmp_path, capsys, argv, option):
-    # --p belongs to ex4.3 and --k/--params to ex6.1; elsewhere they did nothing
+    # --p belongs to ex4.3, --k/--params to ex6.1, --point to forms kupka and
+    # --chart to forms pullback; elsewhere they did nothing
     path = tmp_path / "in.json"
     if argv[0] == "forms":
         path.write_text(json.dumps({"form": "y*dx + x*dy", "integral": "x*y"}))
@@ -834,7 +839,7 @@ def test_certify_document_where_witnessed_and_searched_pairs_share_a_class_pair(
 def test_certify_document_after_a_transferred_word_fails_its_check():
     # ex4.1 at N = 8: the second root is the Galois image of the first.  An
     # image report whose word for (1, 6) differs from its first root's has
-    # the same plan and the same pattern of shared resolutions, but its own
+    # the same pairs and the same pattern of shared resolutions, but its own
     # text, and the first root's must not be reused
     loaded = build_group_example("ex4.1", order=8)
     assert loaded[1].image_of == 0
@@ -844,7 +849,7 @@ def test_certify_document_after_a_transferred_word_fails_its_check():
     assert bogus != found
     conjugacy = {pair: bogus if r is found else r for pair, r in image.conjugacy.items()}
     image = dataclasses.replace(image, conjugacy=conjugacy)
-    assert image._plan is first._plan and first.conjugacy[(1, 6)] == found
+    assert first.conjugacy[(1, 6)] == found
     _assert_writer_prints_dumps("ex4.1", loaded, [first, image], 2)
 
 

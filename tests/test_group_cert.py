@@ -433,10 +433,10 @@ def test_certify_roots_runs_checks_only_on_first_roots(monkeypatch, load):
         first = reports[item.image_of]
         assert report.multiplier == pres.gens[0].multiplier
         assert report.conjugacy == first.conjugacy and report.conjugacy is not first.conjugacy
-        # no table, letter, plan or model of the image is ever built
+        # no table, letter or model of the image is ever built
         assert pres._composers == pres._letter_composers == pres._inverses == {}
         assert pres._letters is None
-        assert "_model" not in vars(pres) and "_pair_plan" not in vars(pres)
+        assert "_model" not in vars(pres)
     # the same composer tables as certifying the first roots of a fresh load
     monkeypatch.undo()
     fresh = [item for item in load() if item.image_of is None]
@@ -680,9 +680,8 @@ def test_pairs_of_one_class_pair_share_one_resolution_and_its_json():
         pair = (pres.classes[i - 1], pres.classes[j - 1])
         i0, j0 = first.setdefault(pair, (i, j))
         assert r is report.conjugacy[(i0, j0)]
-        assert out[f"({i},{j})"] is out[f"({i0},{j0})"]
     assert len(report.conjugacy) == 153 and len(first) == 4
-    # the shared dicts serialize as separate copies would
+    # the dicts of shared resolutions serialize as separate copies would
     copies = {key: dict(value) for key, value in out.items()}
     assert json.dumps(out, sort_keys=True) == json.dumps(copies, sort_keys=True)
 
@@ -778,7 +777,34 @@ def test_certify_matches_per_pair_oracle_with_witnesses(monkeypatch, seed, case)
         assert (2, 3) in args[1] and (1, 3) not in args[1]
 
 
-# -- the report without a plan, and edited after construction --------------------------
+@pytest.mark.parametrize(
+    "witnesses, goals",
+    [
+        # (1, 3) is witnessed, so the class pair (f, c) is searched at (2, 3)
+        ({"(1,3)": [[4, -1]]}, [(1, 2), (1, 4), (2, 3), (3, 4)]),
+        # both pairs of (f, c) are witnessed, so (f, c) is no goal
+        ({"(1,3)": [[4, -1]], "(2,3)": [[4, -1]]}, [(1, 2), (1, 4), (3, 4)]),
+    ],
+)
+def test_class_pairs_are_searched_at_their_first_pair_without_a_passing_witness(
+    monkeypatch, witnesses, goals
+):
+    # f, f, c = g f g^-1 and g = -z: g^-1 conjugates f to c
+    spec = {
+        "order": 8,
+        "generators": ["z/(1 - z)", "z/(1 - z)", "z/(1 + z)", "-z"],
+        "witnesses": witnesses,
+    }
+    (item,) = load_presentation_text(json.dumps(spec))
+    trees = _counting(monkeypatch, "_search_tree")
+    report = certify(item.presentation, 2)
+    (args, _), = trees
+    assert args[1] == goals
+    for key in witnesses:
+        assert report.to_json()["conjugacy"][key]["status"] == "verified-by-witness"
+
+
+# -- the report built by hand, and edited after construction ---------------------------
 
 
 def test_report_without_a_plan_serialises_as_certify_does():
@@ -798,15 +824,12 @@ def test_report_without_a_plan_serialises_as_certify_does():
         )
     }
     hand = IrreducibilityReport(conjugacy=conjugacy, **fields)
-    assert hand._plan is None and report._plan is not None
     assert json.dumps(hand.to_json()) == json.dumps(report.to_json())
-    # the plan takes no part in == and repr
     assert hand == report
     same_order = IrreducibilityReport(conjugacy=dict(report.conjugacy), **fields)
-    assert repr(same_order) == repr(report) and "_plan" not in repr(report)
-    # two runs on the same input, each with its own pair plan, compare equal
+    assert repr(same_order) == repr(report)
+    # two runs on the same input compare equal
     again = certify_roots(build_group_example("g18p", order=4), 1)
-    assert again[1]._plan is not report._plan
     assert again == certify_roots(loaded, 1)
 
 

@@ -4,8 +4,9 @@ The library searches over value-deduplicated letters, composes a node only
 when it is popped or when its low-degree prefixes pass the witness filter,
 and grows one tree for all the goals (i, j) of a root, one goal per pair of
 values of f_i and f_j; the oracle in ``oracles.naive_conjugator_search``
-uses all 2m letters, composes every word in full and shares nothing.  Both
-must return the same words.
+uses all 2m letters and composes every word in full; its searches on one
+presentation share only the power tables of the jets they compose with.
+Both must return the same words.
 """
 
 import os
@@ -24,7 +25,14 @@ from germlin.group_cert import (
     load_presentation_file,
     search_conjugator,
 )
-from germlin.jets import Jet, RightComposer, _sparse_row, jet_compose
+from germlin.jets import (
+    Jet,
+    RightComposer,
+    _power_rows,
+    _sparse_row,
+    _substitute,
+    jet_compose,
+)
 from germlin.registry import GROUP_EXAMPLES, build_group_example
 
 from oracles import (
@@ -37,28 +45,38 @@ from oracles import (
 from test_golden import GOLDEN_DIR
 
 
-def _inverses(pres: GroupPresentation) -> list:
-    return [lagrange_inverse(g.jet) for g in pres.gens]
+def _oracle(pres: GroupPresentation):
+    """The reference search on ``pres``: (i, j, max_len) -> the word of
+    ``oracles.naive_conjugator_search``, or None.  Each composition f o g
+    substitutes f into the power table of g (``_power_rows``, ``_substitute``,
+    as ``jet_compose`` does), and one table per inner jet, keyed by its row,
+    order and conductor, serves every search on ``pres``."""
+    gens = [g.jet for g in pres.gens]
+    inverses = [lagrange_inverse(g) for g in gens]
+    identity = Jet.identity(pres.order, pres.conductor)
+    tables: dict = {}
 
+    def compose(f: Jet, g: Jet) -> Jet:
+        key = (g.row, g.order, g.conductor)
+        assert (f.order, f.conductor) == key[1:]
+        rows = tables.get(key)
+        if rows is None:
+            rows = tables[key] = _power_rows(g.row, g.order, g.order, g.conductor)
+        return Jet._of(_substitute(f.row, rows, g.order, g.conductor), g.order, g.conductor)
 
-def _oracle(pres: GroupPresentation, i: int, j: int, max_len: int, inverses=None):
-    found = naive_conjugator_search(
-        [g.jet for g in pres.gens],
-        inverses or _inverses(pres),
-        i,
-        j,
-        max_len,
-        identity=Jet.identity(pres.order, pres.conductor),
-        compose=jet_compose,
-        key=Jet.key,
-    )
-    return None if found is None else Word(found)
+    def search(i: int, j: int, max_len: int):
+        found = naive_conjugator_search(
+            gens, inverses, i, j, max_len, identity=identity, compose=compose, key=Jet.key
+        )
+        return None if found is None else Word(found)
+
+    return search
 
 
 def _oracle_conjugacy(pres: GroupPresentation, max_len: int) -> dict:
     """The conjugacy part of a report, with every search done by the oracle."""
     out = {}
-    inverses = _inverses(pres)
+    oracle = _oracle(pres)
     m = len(pres.gens)
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
@@ -68,7 +86,7 @@ def _oracle_conjugacy(pres: GroupPresentation, max_len: int) -> dict:
             if w is not None and check_conjugacy_witness(pres, i, j, w):
                 out[f"({i},{j})"] = {"status": "verified-by-witness", "word": w.to_json()}
                 continue
-            found = _oracle(pres, i, j, max_len, inverses)
+            found = oracle(i, j, max_len)
             if found is None:
                 out[f"({i},{j})"] = {"status": "not-found-up-to", "max_len": max_len}
             else:
@@ -126,20 +144,20 @@ def test_certify_matches_oracle(example, N, L, p):
 def test_search_conjugator_matches_oracle(example, N, L, p, pairs):
     for item in build_group_example(example, order=N, p=p):
         pres = item.presentation
-        inverses = _inverses(pres)
+        oracle = _oracle(pres)
         for i, j in pairs:
-            assert search_conjugator(pres, i, j, L) == _oracle(pres, i, j, L, inverses)
+            assert search_conjugator(pres, i, j, L) == oracle(i, j, L)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_random_presentations_match_oracle(seed):
     pres = _random_presentation(seed)
     L = 3
-    inverses = _inverses(pres)
+    oracle = _oracle(pres)
     # certify covers the pairs i < j
     for i in range(1, 7):
         for j in range(1, i + 1):
-            assert search_conjugator(pres, i, j, L) == _oracle(pres, i, j, L, inverses)
+            assert search_conjugator(pres, i, j, L) == oracle(i, j, L)
     rep = certify(pres, L).to_json()
     assert rep["conjugacy"] == _oracle_conjugacy(pres, L)
     # the conjugate g f g^-1 and the repeated f make some words non-empty
@@ -209,12 +227,12 @@ def test_flat_presentations_match_oracle(seed):
     }
     assert degrees == {2, 3, 4}
     L = 3
-    inverses = _inverses(pres)
+    oracle = _oracle(pres)
     found = []
     for i in range(1, m + 1):
         for j in range(1, m + 1):
             w = search_conjugator(pres, i, j, L)
-            assert w == _oracle(pres, i, j, L, inverses)
+            assert w == oracle(i, j, L)
             found.append(w)
     # g and r conjugate f to g f g^-1 and r f r^-1: some words are non-empty
     assert any(w for w in found)
@@ -275,7 +293,7 @@ def test_prefix_match_is_completed_exactly(monkeypatch):
     counts = _counting_search(monkeypatch)
     for L in (1, 3):
         counts.update(passed=0, exact=[])
-        assert search_conjugator(pres, 1, 2, L) == _oracle(pres, 1, 2, L)
+        assert search_conjugator(pres, 1, 2, L) == _oracle(pres)(1, 2, L)
         assert _sparse_row(f.jet.coeffs) in counts["exact"]
         assert len(counts["exact"]) == counts["passed"]
 
@@ -301,7 +319,8 @@ def test_search_never_hashes_field_elements(monkeypatch):
     # the letters are built, no field element is hashed
     pres = build_group_example("ex4.1", order=8)[0].presentation
     cases = [(i, j, L) for i, j in ((1, 6), (5, 6), (2, 5), (1, 1)) for L in (1, 3)]
-    expected = [_oracle(pres, i, j, L) for i, j, L in cases]
+    oracle = _oracle(pres)
+    expected = [oracle(i, j, L) for i, j, L in cases]
     assert None in expected and any(expected)
     pres.letters()
 
@@ -330,14 +349,14 @@ def _assert_tree_matches_single_searches(pres, pairs, max_len) -> list:
     its pair alone and that of the oracle, and passes the witness check.
     Where f_i = f_j that word is the empty word, without asking the oracle."""
     words = group_cert._search_tree(pres, pairs, max_len)
-    inverses = _inverses(pres)
+    oracle = _oracle(pres)
     assert len(words) == len(pairs)
     for (i, j), word in zip(pairs, words):
         assert word == search_conjugator(pres, i, j, max_len)
         if pres.classes[i - 1] == pres.classes[j - 1]:
             assert word == Word.empty()
         else:
-            assert word == _oracle(pres, i, j, max_len, inverses)
+            assert word == oracle(i, j, max_len)
         if word is not None:
             assert check_conjugacy_witness(pres, i, j, word)
     return words
@@ -346,9 +365,11 @@ def _assert_tree_matches_single_searches(pres, pairs, max_len) -> list:
 @pytest.mark.parametrize("N", [2, 4, 16, 32])
 @pytest.mark.parametrize("example", GROUP_EXAMPLES)
 def test_tree_goals_match_single_searches_on_registry_examples(example, N):
-    # the first root, and at N <= 4 also the last: a Galois image with
-    # mapped tables, except for ex4.3, whose one root is rational.  The
-    # oracle composes every word in full, so the families of 20 to 36
+    # the first root, and at N <= 4 also the last, except for ex4.3, whose
+    # one root is rational.  The last root is a Galois image: the loader maps
+    # its generators from the first root's, and certify never searches it,
+    # so this case checks a tree with its own tables on mapped generators.
+    # The oracle composes every word in full, so the families of 20 to 36
     # letters search one letter deep above N = 4.
     loaded = build_group_example(example, order=N)
     L = 3 if len(loaded[0].presentation.letters()) <= 6 else 1 if N > 4 else 2
@@ -564,7 +585,7 @@ def test_tree_skips_a_letter_after_its_inverse_value(monkeypatch, name, L, pops)
     del popped[:]
     certify(pres, L)
     assert len(popped) == pops  # the pops of certify's one tree
-    inverses = _inverses(model)
+    oracle = _oracle(model)
     for (i, j), word in zip(pairs, words):
         if model.classes[i - 1] != model.classes[j - 1]:
-            assert word == _oracle(model, i, j, L, inverses)
+            assert word == oracle(i, j, L)
